@@ -20,19 +20,31 @@
 #include "workloads/DaCapo.h"
 #include "workloads/Driver.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 namespace lud {
 namespace bench {
 
-/// Workload scale for the table reproductions; override with LUD_SCALE.
+/// Workload scale for the table reproductions; override with LUD_SCALE. A
+/// value that is not a whole positive integer ("12abc", "", "0", overflow)
+/// exits 2 with a diagnostic rather than running at a truncated scale.
 inline int64_t tableScale() {
-  if (const char *E = std::getenv("LUD_SCALE"))
-    return std::strtoll(E, nullptr, 10);
-  return 2000;
+  const char *E = std::getenv("LUD_SCALE");
+  if (!E)
+    return 2000;
+  const char *End = E + std::strlen(E);
+  int64_t Scale = 0;
+  auto [Ptr, Ec] = std::from_chars(E, End, Scale);
+  if (Ec != std::errc() || Ptr != End || Scale < 1) {
+    errs() << "LUD_SCALE='" << E << "' is not a positive integer\n";
+    std::exit(2);
+  }
+  return Scale;
 }
 
 /// Machine-readable table output: when `--json` is on the command line or

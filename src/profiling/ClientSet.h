@@ -81,11 +81,14 @@ private:
   uint32_t Mask = 0;
 };
 
-/// Parses a --clients specification — "all" or a comma-separated list of
-/// copy, nullness, typestate — OR-ing the named clients into \p Set.
-/// Returns false with \p Err set on an unknown name.
+/// Parses a --clients specification — "all", "none", or a comma-separated
+/// list of copy, nullness, typestate — OR-ing the named clients into
+/// \p Set. "none" adds nothing and must be the only element. Returns false
+/// with \p Err set on an unknown name.
 inline bool parseClientSet(const std::string &List, ClientSet &Set,
                            std::string &Err) {
+  if (List == "none")
+    return true;
   size_t Pos = 0;
   while (Pos <= List.size()) {
     size_t Comma = List.find(',', Pos);
@@ -100,9 +103,12 @@ inline bool parseClientSet(const std::string &List, ClientSet &Set,
       Set |= ClientSet::typestate();
     else if (Name == "all")
       Set |= ClientSet::all();
-    else {
+    else if (Name == "none") {
+      Err = "client 'none' must be the only element of the list";
+      return false;
+    } else {
       Err = "unknown client '" + Name +
-            "' (valid: copy, nullness, typestate, all)";
+            "' (valid: copy, nullness, typestate, all, none)";
       return false;
     }
     Pos = Comma + 1;

@@ -1,4 +1,4 @@
-//===- service/Render.cpp - Shared replay-report renderer ------------------===//
+//===- service/Render.cpp - The one report-section renderer ----------------===//
 
 #include "service/Render.h"
 
@@ -8,6 +8,8 @@
 #include "profiling/FrozenGraph.h"
 #include "support/OutStream.h"
 #include "workloads/Driver.h"
+
+#include <cassert>
 
 using namespace lud;
 using namespace lud::serve;
@@ -26,33 +28,58 @@ void lud::serve::renderReplaySummary(const ProfileSession &S,
   OS << "\n";
 }
 
-void lud::serve::renderReportSections(const Module &M,
-                                      const ProfileSession &S,
-                                      const FrozenGraph &FG,
-                                      const ReportSpec &Spec, OutStream &OS) {
+void lud::serve::renderAnalysisSections(const Module &M,
+                                        const ProfileSession *S,
+                                        const FrozenGraph &FG,
+                                        const ReportSpec &Spec,
+                                        OutStream &OS) {
+  const ClientOptions &CO = Spec.Client;
+  const SlicingProfiler *Prof = S ? S->slicing() : nullptr;
+  assert((Prof || (!Spec.Overwrites && !Spec.Predicates)) &&
+         "overwrite and predicate sections need a profiling session");
   CostModel CM(FG);
   if (Spec.Report) {
     ReportOptions Opts;
-    Opts.Depth = Spec.Client.Depth;
+    Opts.Depth = CO.Depth;
     LowUtilityReport Report(CM, M, Opts);
     OS << "\n=== low-utility data structures ===\n";
-    Report.print(OS, Spec.Client.TopK);
+    Report.print(OS, CO.TopK);
+  }
+  if (Spec.Overwrites) {
+    OS << "\n=== locations rewritten before read ===\n";
+    printOverwrites(rankOverwrites(*Prof, M, CO), OS, CO.TopK);
+  }
+  if (Spec.Predicates) {
+    OS << "\n=== always-constant predicates ===\n";
+    printConstantPredicates(findConstantPredicates(*Prof, CM, M, CO), OS,
+                            CO.TopK);
+  }
+  if (Spec.Methods) {
+    OS << "\n=== costliest method return values ===\n";
+    printMethodCosts(computeMethodCosts(CM, M), OS, CO.TopK);
   }
   if (Spec.Caches) {
     OS << "\n=== cache effectiveness (least effective first) ===\n";
-    printCacheScores(rankCacheEffectiveness(CM, M), OS, Spec.Client.TopK);
+    printCacheScores(rankCacheEffectiveness(CM, M), OS, CO.TopK);
   }
-  S.printClientReports(M, OS, Spec.Client.TopK);
-  if (Spec.Dead) {
-    DeadValueAnalysis DV = computeDeadValues(FG, FG.totalFreq());
-    OS << "\n=== bloat metrics ===\nIPD ";
-    OS.printFixed(100.0 * DV.Metrics.ipd(), 1);
-    OS << "%   IPP ";
-    OS.printFixed(100.0 * DV.Metrics.ipp(), 1);
-    OS << "%   NLD ";
-    OS.printFixed(100.0 * DV.Metrics.nld(), 1);
-    OS << "%\n";
-  }
+  if (S)
+    S->printClientReports(M, OS, CO.TopK);
+}
+
+void lud::serve::renderBloatMetrics(const FrozenGraph &FG,
+                                    uint64_t ExecutedInstrs, OutStream &OS,
+                                    std::string_view Qualifier) {
+  DeadValueAnalysis DV = computeDeadValues(FG, ExecutedInstrs);
+  OS << "\n=== bloat metrics ";
+  if (!Qualifier.empty())
+    OS << "(" << Qualifier << ") ";
+  OS << "===\nIPD ";
+  OS.printFixed(100.0 * DV.Metrics.ipd(), 1);
+  OS << "%   IPP ";
+  OS.printFixed(100.0 * DV.Metrics.ipp(), 1);
+  OS << "%   NLD ";
+  OS.printFixed(100.0 * DV.Metrics.nld(), 1);
+  OS << "%\n";
 }
 
 void lud::serve::renderReplayReport(const Module &M, const ProfileSession &S,
@@ -60,5 +87,9 @@ void lud::serve::renderReplayReport(const Module &M, const ProfileSession &S,
                                     uint64_t NumTraces, const ReportSpec &Spec,
                                     OutStream &OS) {
   renderReplaySummary(S, FG, Events, NumTraces, OS);
-  renderReportSections(M, S, FG, Spec, OS);
+  renderAnalysisSections(M, &S, FG, Spec, OS);
+  // Replay has no run, so the bloat denominator is the graph's own
+  // frequency total, as offline.
+  if (Spec.Dead)
+    renderBloatMetrics(FG, FG.totalFreq(), OS);
 }

@@ -1,4 +1,4 @@
-//===- service/Render.h - Shared replay-report renderer --------*- C++ -*-===//
+//===- service/Render.h - The one report-section renderer ------*- C++ -*-===//
 //
 // Part of the lud project: a reproduction of "Finding Low-Utility Data
 // Structures" (PLDI 2010).
@@ -6,15 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one place the replayed report is rendered. `lud-replay` printing to
-/// stdout and the `lud-serve` daemon answering GET /report must produce
-/// byte-identical text for the same folded session — the ISSUE's
-/// acceptance test diffs them — so both call these functions rather than
-/// owning format strings. The summary prints the sealed FrozenGraph
-/// footprint ("sealed X KB"): unlike the mutable DepGraph's
-/// capacity-dependent number, the sealed CSR footprint is a pure function
-/// of the graph's contents, hence identical however the sessions were
-/// buffered on the way in.
+/// The one place report sections are rendered. `lud-run` (live),
+/// `lud-replay`, `lud-serve`'s GET /report and `lud-analyze` all call these
+/// functions rather than owning format strings, so the same folded session
+/// prints byte-identical text wherever it is shown.
+///
+/// The renderer is split by section, not by tool: every caller strings the
+/// same pieces together in its own order. lud-run prints the optimizer's
+/// section between the analysis sections and the bloat metrics; the daemon
+/// appends it after them.
+///
+/// The replay summary prints the sealed FrozenGraph footprint ("sealed X
+/// KB"): unlike the mutable DepGraph's capacity-dependent number, the
+/// sealed CSR footprint is a pure function of the graph's contents, hence
+/// identical however the sessions were buffered on the way in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +29,7 @@
 #include "analysis/Clients.h"
 
 #include <cstdint>
+#include <string_view>
 
 namespace lud {
 
@@ -34,12 +40,15 @@ class FrozenGraph;
 
 namespace serve {
 
-/// Which report sections to render, mirroring lud-replay's flags; client
-/// sections follow the session's own ClientSet.
+/// Which report sections to render; client sections follow the session's
+/// own ClientSet.
 struct ReportSpec {
   bool Report = false;
-  bool Dead = false;
+  bool Overwrites = false;
+  bool Predicates = false;
+  bool Methods = false;
   bool Caches = false;
+  bool Dead = false;
   ClientOptions Client;
 };
 
@@ -48,13 +57,23 @@ struct ReportSpec {
 void renderReplaySummary(const ProfileSession &S, const FrozenGraph &FG,
                          uint64_t Events, uint64_t NumTraces, OutStream &OS);
 
-/// The "===" report sections in lud-replay's order: low-utility report,
-/// cache effectiveness, client sections, bloat metrics.
-void renderReportSections(const Module &M, const ProfileSession &S,
-                          const FrozenGraph &FG, const ReportSpec &Spec,
-                          OutStream &OS);
+/// The "===" analysis sections, in this order: low-utility report,
+/// overwrites, constant predicates, method costs, cache effectiveness, then
+/// the session's client sections. Builds one CostModel over \p FG. \p S is
+/// null for an offline graph, which has no profiler state: the overwrite,
+/// predicate and client sections need a session.
+void renderAnalysisSections(const Module &M, const ProfileSession *S,
+                            const FrozenGraph &FG, const ReportSpec &Spec,
+                            OutStream &OS);
 
-/// Summary plus sections — the whole report, as GET /report serves it.
+/// The "=== bloat metrics ===" section, relative to \p ExecutedInstrs (the
+/// run's count live, the graph's frequency total offline). \p Qualifier,
+/// when set, is appended to the title in parentheses.
+void renderBloatMetrics(const FrozenGraph &FG, uint64_t ExecutedInstrs,
+                        OutStream &OS, std::string_view Qualifier = {});
+
+/// Summary, analysis sections and (when requested) bloat metrics — the
+/// whole replayed report, as lud-replay prints it and GET /report serves it.
 void renderReplayReport(const Module &M, const ProfileSession &S,
                         const FrozenGraph &FG, uint64_t Events,
                         uint64_t NumTraces, const ReportSpec &Spec,

@@ -5,6 +5,7 @@
 #include "support/OutStream.h"
 
 #include <charconv>
+#include <cstdio>
 #include <system_error>
 
 using namespace lud;
@@ -128,19 +129,40 @@ bool OptionSet::parse(int argc, char **argv) {
   return true;
 }
 
-void cli::clientsOption(OptionSet &P, ClientSet &Set, std::string Help) {
-  P.custom("--clients", ValueMode::Required, std::move(Help),
-           [&Set](const std::string &List) {
+void cli::clientsOption(OptionSet &P, ClientSet &Set) {
+  P.custom("--clients", ValueMode::Required,
+           "LIST  client analyses to run in the same pass, comma-separated: "
+           "copy, nullness, typestate, all, or none",
+           [&Set, Seen = false](const std::string &List) mutable {
+             ClientSet Parsed;
              std::string Err;
-             if (parseClientSet(List, Set, Err))
-               return true;
-             errs() << Err << "\n";
-             return false;
+             if (!parseClientSet(List, Parsed, Err)) {
+               errs() << Err << "\n";
+               return false;
+             }
+             Set = Seen ? Set | Parsed : Parsed;
+             Seen = true;
+             return true;
            });
 }
 
-void cli::engineOption(OptionSet &P, EngineKind &E, std::string Help) {
-  P.custom("--engine", ValueMode::Required, std::move(Help),
+bool cli::writeFile(const std::string &Path,
+                    const std::function<void(OutStream &)> &Body) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  if (!F) {
+    errs() << "cannot write '" << Path << "'\n";
+    return false;
+  }
+  FileOutStream FOS(F);
+  Body(FOS);
+  std::fclose(F);
+  return true;
+}
+
+void cli::engineOption(OptionSet &P, EngineKind &E) {
+  P.custom("--engine", ValueMode::Required,
+           "E  execution backend: interp (reference) or threaded (fast; "
+           "default from LUD_ENGINE)",
            [&E](const std::string &V) {
              if (parseEngineKind(V, E))
                return true;

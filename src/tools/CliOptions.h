@@ -123,20 +123,20 @@ private:
 /// listing the valid engine names. Every executing tool (and lud-replay,
 /// where the knob is accepted-but-inert) declares it through this helper so
 /// the spelling, validation and diagnostic never drift between tools.
-void engineOption(OptionSet &P, EngineKind &E,
-                  std::string Help = "E  execution backend: interp "
-                                     "(reference) or threaded (fast; "
-                                     "default from LUD_ENGINE)");
+void engineOption(OptionSet &P, EngineKind &E);
 
 /// Declares the shared `--clients` option on \p P: parses the value with
-/// parseClientSet (grammar: "all" or a comma list of copy, nullness,
-/// typestate), OR-ing into \p Set. Every tool that selects client
+/// parseClientSet (grammar: "all", "none", or a comma list of copy,
+/// nullness, typestate). The first occurrence replaces the tool's default
+/// in \p Set; later ones add to it. Every tool that selects client
 /// analyses — lud-run, lud-replay, lud-fuzz, lud-serve — declares it
 /// through this helper.
-void clientsOption(OptionSet &P, ClientSet &Set,
-                   std::string Help = "LIST  client analyses, "
-                                      "comma-separated: copy, nullness, "
-                                      "typestate, or all");
+void clientsOption(OptionSet &P, ClientSet &Set);
+
+/// Writes a file through \p Body; false after a "cannot write" diagnostic
+/// when \p Path cannot be opened.
+bool writeFile(const std::string &Path,
+               const std::function<void(OutStream &)> &Body);
 
 } // namespace cli
 } // namespace lud

@@ -16,42 +16,24 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CacheCost.h"
-#include "analysis/DeadValues.h"
-#include "analysis/Report.h"
-#include "ir/Module.h"
-#include "ir/Parser.h"
+#include "profiling/FrozenGraph.h"
 #include "profiling/GraphIO.h"
+#include "service/Render.h"
 #include "support/OutStream.h"
-#include "tools/CliOptions.h"
+#include "tools/AnalysisRequest.h"
+#include "tools/ProgramSource.h"
+#include "trace/TraceIO.h"
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 using namespace lud;
 
-namespace {
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
-  return true;
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
-  ClientOptions CO;
+  cli::ProgramSource Src;
+  cli::AnalysisRequest Req;
   cli::OptionSet P("lud-analyze", "<program.lud> <gcost.graph>");
-  P.number("--depth", CO.Depth, "N  reference-tree height n (default 4)");
-  P.number("--top", CO.TopK, "K  rows per report (default 15)");
+  Req.declare(P, cli::AnalysisRequest::ShapeOpts);
   if (!P.parse(argc, argv)) {
     P.usage();
     return 2;
@@ -62,23 +44,23 @@ int main(int argc, char **argv) {
     P.usage();
     return 2;
   }
-  const std::string &ProgPath = P.positionals()[0];
+  Src.File = P.positionals()[0];
   const std::string &GraphPath = P.positionals()[1];
-  unsigned Depth = CO.Depth;
-  size_t TopK = CO.TopK;
 
-  std::string ProgText, GraphText;
-  if (!readFile(ProgPath, ProgText) || !readFile(GraphPath, GraphText)) {
-    errs() << "cannot read inputs\n";
+  int LoadRc = 0;
+  std::unique_ptr<Module> M = Src.load(LoadRc);
+  if (!M)
+    return LoadRc;
+  std::string GraphText;
+  if (!trace::readFileBytes(GraphPath, GraphText)) {
+    errs() << "cannot read '" << GraphPath << "'\n";
     return 1;
   }
   std::vector<std::string> Errors;
-  std::unique_ptr<Module> M = parseModule(ProgText, Errors);
-  std::unique_ptr<DepGraph> G =
-      M ? readGraph(GraphText, Errors) : nullptr;
-  if (!M || !G) {
+  std::unique_ptr<DepGraph> G = readGraph(GraphText, Errors);
+  if (!G) {
     for (const std::string &E : Errors)
-      errs() << E << "\n";
+      errs() << GraphPath << ": " << E << "\n";
     return 1;
   }
 
@@ -92,23 +74,11 @@ int main(int argc, char **argv) {
      << uint64_t(FG.numEdges()) << " edges, covering " << FG.totalFreq()
      << " instruction instances\n";
 
-  CostModel CM(FG);
-  ReportOptions Opts;
-  Opts.Depth = Depth;
-  LowUtilityReport Report(CM, *M, Opts);
-  OS << "\n=== low-utility data structures ===\n";
-  Report.print(OS, TopK);
-
-  OS << "\n=== cache effectiveness (least effective first) ===\n";
-  printCacheScores(rankCacheEffectiveness(CM, *M), OS, TopK);
-
-  DeadValueAnalysis DV = computeDeadValues(FG, FG.totalFreq());
-  OS << "\n=== bloat metrics (relative to covered instances) ===\nIPD ";
-  OS.printFixed(100.0 * DV.Metrics.ipd(), 1);
-  OS << "%   IPP ";
-  OS.printFixed(100.0 * DV.Metrics.ipp(), 1);
-  OS << "%   NLD ";
-  OS.printFixed(100.0 * DV.Metrics.nld(), 1);
-  OS << "%\n";
+  // No profiler state offline: the graph-only sections, relative to the
+  // instances the graph covers.
+  Req.Spec.Report = Req.Spec.Caches = true;
+  serve::renderAnalysisSections(*M, nullptr, FG, Req.Spec, OS);
+  serve::renderBloatMetrics(FG, FG.totalFreq(), OS,
+                            "relative to covered instances");
   return 0;
 }

@@ -24,10 +24,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzzer.h"
-#include "ir/Parser.h"
 #include "support/OutStream.h"
-#include "tools/CliOptions.h"
-#include "trace/TraceIO.h"
+#include "tools/AnalysisRequest.h"
+#include "tools/ProgramSource.h"
 
 #include <charconv>
 #include <string>
@@ -76,7 +75,6 @@ int main(int argc, char **argv) {
   std::string CheckFile;
   bool NoMinimize = false;
   bool Quiet = false;
-  std::string ClientsSpec;
 
   cli::OptionSet P("lud-fuzz", "[--check <repro.lud>]");
   P.number("--runs", Opts.Runs, "N  fuzzing runs to attempt (default 100)",
@@ -105,10 +103,16 @@ int main(int argc, char **argv) {
              CheckFile = S;
              return true;
            });
-  P.number("--slots", Check.Slicing.ContextSlots,
-           "N  context slots for --check (default 16)", 1);
-  P.str("--clients", ClientsSpec,
-        "LIST  clients for --check: copy,nullness,typestate|all|none");
+  // --slots, --clients and --engine configure --check's reference session
+  // (the engines mode cross-checks the other engine); --clients defaults to
+  // all.
+  cli::AnalysisRequest Req;
+  Req.Slots = Check.Slicing.ContextSlots;
+  Req.Clients = Check.Clients;
+  Req.Engine = Check.Engine;
+  Req.declare(P, cli::AnalysisRequest::ClientOpts |
+                     cli::AnalysisRequest::SlotOpts |
+                     cli::AnalysisRequest::EngineOpts);
   P.custom("--thin-slicing", cli::ValueMode::Required,
            "0|1  thin slicing for --check (default 1)",
            [&](const std::string &S) {
@@ -125,9 +129,6 @@ int main(int argc, char **argv) {
            [&](const std::string &S) {
              return parseBool("--caches", S, Check.Slicing.HotPathCaches);
            });
-  cli::engineOption(P, Check.Engine,
-                    "E  reference engine for --check: interp or threaded "
-                    "(the engines mode cross-checks the other one)");
   P.custom("--engines", cli::ValueMode::Required,
            "0|1  cross-check threaded vs interpreted execution (default 1)",
            [&](const std::string &S) {
@@ -151,32 +152,17 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  if (!ClientsSpec.empty() && ClientsSpec != "none") {
-    ClientSet Set;
-    std::string Err;
-    if (!parseClientSet(ClientsSpec, Set, Err)) {
-      errs() << Err << "\n";
-      return 2;
-    }
-    Check.Clients = Set;
-  } else if (ClientsSpec == "none") {
-    Check.Clients = ClientSet::none();
-  }
+  Check.Slicing.ContextSlots = uint32_t(Req.Slots);
+  Check.Clients = Req.Clients;
+  Check.Engine = Req.Engine;
 
   if (!CheckFile.empty()) {
-    std::string Text;
-    if (!trace::readFileBytes(CheckFile, Text)) {
-      errs() << "cannot read '" << CheckFile << "'\n";
+    cli::ProgramSource Src;
+    Src.File = CheckFile;
+    int LoadRc = 0;
+    std::unique_ptr<Module> M = Src.load(LoadRc);
+    if (!M)
       return 2;
-    }
-    std::vector<std::string> Errors;
-    std::unique_ptr<Module> M = parseModule(Text, Errors);
-    if (!M) {
-      errs() << "cannot parse '" << CheckFile << "':\n";
-      for (const std::string &E : Errors)
-        errs() << "  " << E << "\n";
-      return 2;
-    }
     fuzz::OracleResult R = fuzz::runOracle(*M, Check);
     if (R.Ok) {
       outs() << "ok: all execution modes agree (" << fuzz::configFlags(Check)

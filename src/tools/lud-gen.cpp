@@ -10,22 +10,19 @@
 /// can be inspected, edited, and fed back through lud-run:
 ///
 ///   lud-gen chart 500 > chart.lud
+///   lud-gen composed 60 > composed.lud
 ///   lud-gen --random 42 > fuzz.lud
 ///   lud-gen --obfuscate=junk,opaque --obfuscate-seed=7 chart 400 > adv.lud
 ///   lud-run --report chart.lud
 ///
 //===----------------------------------------------------------------------===//
 
-#include "ir/Obfuscate.h"
 #include "ir/Printer.h"
 #include "support/OutStream.h"
-#include "tools/CliOptions.h"
+#include "tools/ProgramSource.h"
 #include "workloads/DaCapo.h"
-#include "workloads/RandomProgram.h"
 
 #include <charconv>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 using namespace lud;
@@ -36,83 +33,19 @@ void listWorkloads() {
   errs() << "  workloads:";
   for (const std::string &N : dacapoNames())
     errs() << " " << N;
-  errs() << "\n";
-}
-
-/// Obfuscates *M in place per Opts, writing the manifest (one
-/// "<kind>\t<description>" line per injected site) to ManifestPath when
-/// non-empty. Returns false on a manifest-file error.
-bool applyObfuscation(std::unique_ptr<Module> &M, const ObfuscateOptions &Opts,
-                      const std::string &ManifestPath) {
-  ObfuscationResult Res = obfuscateModule(*M, Opts);
-  if (!ManifestPath.empty()) {
-    std::FILE *F = std::fopen(ManifestPath.c_str(), "w");
-    if (!F) {
-      errs() << "cannot write manifest file '" << ManifestPath << "'\n";
-      return false;
-    }
-    FileOutStream OS(F);
-    for (const ObfSiteTag &T : Res.Manifest)
-      OS << obfKindName(T.Kind) << "\t" << T.Description << "\n";
-    std::fclose(F);
-  }
-  M = std::move(Res.M);
-  return true;
+  errs() << " composed\n";
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Random = false;
-  uint64_t Seed = 0;
-  bool Optimized = false;
-  bool Obfuscate = false;
-  ObfuscateOptions ObfOpts;
-  std::string ObfManifest;
+  cli::ProgramSource Src;
+  Src.Scale = 500;
   cli::OptionSet P("lud-gen", "<workload> [scale]");
-  P.custom("--random", cli::ValueMode::Required,
-           "SEED  generate a random program from SEED instead",
-           [&](const std::string &S) {
-             // strtoull would silently accept "12abc" and wrap values past
-             // 2^64; both made "the same seed" mean different programs.
-             auto [Ptr, Ec] =
-                 std::from_chars(S.data(), S.data() + S.size(), Seed, 10);
-             if (Ec == std::errc::result_out_of_range) {
-               errs() << "option '--random' seed '" << S
-                      << "' does not fit in 64 bits\n";
-               return false;
-             }
-             if (Ec != std::errc() || Ptr != S.data() + S.size() ||
-                 S.empty()) {
-               errs() << "option '--random' wants a non-negative integer "
-                         "seed, got '"
-                      << S << "'\n";
-               return false;
-             }
-             Random = true;
-             return true;
-           });
-  P.flag("--optimized", Optimized,
+  Src.declare(P, cli::ProgramSource::RandomOpts |
+                     cli::ProgramSource::ObfuscateOpts);
+  P.flag("--optimized", Src.Optimized,
          "emit the workload's hand-optimized variant");
-  P.custom("--obfuscate", cli::ValueMode::Optional,
-           "[PASSES]  apply obfuscation passes (junk,opaque,strings or all; "
-           "default all)",
-           [&](const std::string &S) {
-             Obfuscate = true;
-             if (S.empty()) {
-               ObfOpts.Junk = ObfOpts.Opaque = ObfOpts.Strings = true;
-               return true;
-             }
-             std::string Err;
-             if (parseObfuscatePasses(S, ObfOpts, Err))
-               return true;
-             errs() << Err << "\n";
-             return false;
-           });
-  P.number("--obfuscate-seed", ObfOpts.Seed,
-           "N  seed of the obfuscation transform stream (default 1)", 0);
-  P.str("--obfuscate-manifest", ObfManifest,
-        "FILE  write injected-site manifest to FILE");
   if (!P.parse(argc, argv)) {
     P.usage();
     listWorkloads();
@@ -120,56 +53,34 @@ int main(int argc, char **argv) {
   }
   if (P.exitRequested())
     return 0;
-  if (!ObfManifest.empty() && !Obfuscate) {
-    errs() << "--obfuscate-manifest requires --obfuscate\n";
-    return 2;
-  }
 
-  if (Random) {
-    RandomProgramOptions Opts;
-    Opts.Seed = Seed;
-    std::unique_ptr<Module> M = generateRandomProgram(Opts);
-    if (Obfuscate && !applyObfuscation(M, ObfOpts, ObfManifest))
-      return 2;
-    printModule(*M, outs());
-    return 0;
-  }
-
-  if (P.positionals().empty()) {
-    P.usage();
-    listWorkloads();
-    return 2;
-  }
-  const std::string &Name = P.positionals()[0];
-  bool Known = false;
-  for (const std::string &N : dacapoNames())
-    Known |= N == Name;
-  if (!Known) {
-    errs() << "unknown workload '" << Name << "'\n";
-    return 2;
-  }
-  int64_t Scale = 500;
-  if (P.positionals().size() > 1) {
-    // Same full-consumption contract as every numeric option: a mistyped
-    // scale is an error, not a silently truncated prefix.
-    const std::string &S = P.positionals()[1];
-    auto [Ptr, Ec] = std::from_chars(S.data(), S.data() + S.size(), Scale);
-    if (Ec == std::errc::result_out_of_range) {
-      errs() << "scale '" << S << "' is out of range\n";
+  if (!Src.Random) {
+    if (P.positionals().empty()) {
+      P.usage();
+      listWorkloads();
       return 2;
     }
-    if (Ec != std::errc() || Ptr != S.data() + S.size() || Scale < 1) {
-      errs() << "scale wants a positive integer, got '" << S << "'\n";
-      return 2;
+    Src.Workload = P.positionals()[0];
+    if (P.positionals().size() > 1) {
+      // Same full-consumption contract as every numeric option: a mistyped
+      // scale is an error, not a silently truncated prefix.
+      const std::string &S = P.positionals()[1];
+      auto [Ptr, Ec] =
+          std::from_chars(S.data(), S.data() + S.size(), Src.Scale);
+      if (Ec == std::errc::result_out_of_range) {
+        errs() << "scale '" << S << "' is out of range\n";
+        return 2;
+      }
+      if (Ec != std::errc() || Ptr != S.data() + S.size() || Src.Scale < 1) {
+        errs() << "scale wants a positive integer, got '" << S << "'\n";
+        return 2;
+      }
     }
   }
-  if (Optimized && !hasOptimizedVariant(Name)) {
-    errs() << "'" << Name << "' has no optimized variant\n";
-    return 2;
-  }
-  Workload W = buildWorkload(Name, Scale, Optimized);
-  if (Obfuscate && !applyObfuscation(W.M, ObfOpts, ObfManifest))
-    return 2;
-  printModule(*W.M, outs());
+  int LoadRc = 0;
+  std::unique_ptr<Module> M = Src.load(LoadRc);
+  if (!M)
+    return LoadRc;
+  printModule(*M, outs());
   return 0;
 }

@@ -8,142 +8,41 @@
 /// \file
 /// The offline twin of `lud-run --record`: replays one or more
 /// `lud.trace.v1` files through a fresh profiling session and prints the
-/// same reports the live run would have, without interpreting a single
-/// instruction. Multiple traces fold in argument order, exactly like the
-/// recording run's shards:
+/// same report sections the live run would have, without interpreting a
+/// single instruction. Multiple traces fold in argument order, exactly like
+/// the recording run's shards:
 ///
 ///   lud-run --record=p.trace --clients=all p.lud
 ///   lud-replay --clients=all --report p.lud p.trace
 ///
 ///   lud-run --record=p.trace --shards 8 p.lud
-///   lud-replay p.lud p.trace.shard0 ... p.trace.shard7
+///   lud-replay --all p.lud p.trace.shard0 ... p.trace.shard7
+///
+/// --engine is accepted for symmetry with lud-run; replay never executes
+/// code, so the replayed results are engine-independent.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Clients.h"
-#include "ir/Parser.h"
 #include "profiling/FrozenGraph.h"
-#include "profiling/GraphIO.h"
 #include "service/Render.h"
 #include "service/SessionManager.h"
 #include "support/OutStream.h"
-#include "tools/CliOptions.h"
+#include "tools/AnalysisRequest.h"
+#include "tools/ProgramSource.h"
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 using namespace lud;
 
-namespace {
-
-enum class StatsMode { Off, Text, Json, Csv };
-
-struct Options {
-  std::string Program;
-  std::vector<std::string> Traces;
-  bool Report = false;
-  bool Dead = false;
-  bool Caches = false;
-  ClientSet Clients;
-  int64_t Slots = 16;
-  int64_t Threads = 1;
-  ClientOptions Client;
-  std::string DumpGraph;
-  StatsMode Stats = StatsMode::Off;
-  std::string StatsOut;
-  EngineKind Engine = defaultEngineKind();
-};
-
-void declareOptions(cli::OptionSet &P, Options &O) {
-  P.flag("--report", O.Report, "rank data structures by cost/benefit");
-  P.flag("--dead", O.Dead, "print IPD/IPP/NLD bloat metrics");
-  P.flag("--caches", O.Caches, "rank structures by cache effectiveness");
-  cli::clientsOption(P, O.Clients,
-                     "LIST  client analyses to re-drive from the trace: "
-                     "copy, nullness, typestate, or all");
-  P.number("--slots", O.Slots, "N  context slots s (default 16)", /*Min=*/1);
-  cli::engineOption(P, O.Engine,
-                    "E  execution backend name (validated for symmetry "
-                    "with lud-run; replay never executes code, so the "
-                    "replayed results are engine-independent)");
-  P.number("--depth", O.Client.Depth,
-           "N  reference-tree height n (default 4)");
-  P.number("--top", O.Client.TopK, "K  rows per report (default 15)");
-  P.number("--threads", O.Threads, "N  worker threads for multiple traces",
-           /*Min=*/1);
-  P.str("--dump-graph", O.DumpGraph,
-        "F  serialize the replayed Gcost to file F");
-  P.custom("--stats", cli::ValueMode::Optional,
-           "[=json|csv]  emit the session's telemetry (default: text)",
-           [&O](const std::string &V) {
-             if (V.empty())
-               O.Stats = StatsMode::Text;
-             else if (V == "json")
-               O.Stats = StatsMode::Json;
-             else if (V == "csv")
-               O.Stats = StatsMode::Csv;
-             else {
-               errs() << "option '--stats' expects 'json' or 'csv'\n";
-               return false;
-             }
-             return true;
-           });
-  P.str("--stats-out", O.StatsOut,
-        "F  write the telemetry to file F instead of stdout");
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
-  return true;
-}
-
-bool emitStats(const ProfileSession &S, const Options &O) {
-  const obs::MetricsRegistry *R = S.stats();
-  if (!R)
-    return true;
-  std::FILE *F = nullptr;
-  if (!O.StatsOut.empty()) {
-    F = std::fopen(O.StatsOut.c_str(), "wb");
-    if (!F) {
-      errs() << "cannot write '" << O.StatsOut << "'\n";
-      return false;
-    }
-  }
-  {
-    FileOutStream FOS(F ? F : stdout);
-    switch (O.Stats) {
-    case StatsMode::Off:
-      break;
-    case StatsMode::Text:
-      R->writeText(FOS);
-      break;
-    case StatsMode::Json:
-      R->writeJson(FOS);
-      break;
-    case StatsMode::Csv:
-      R->writeCsv(FOS);
-      break;
-    }
-  }
-  if (F)
-    std::fclose(F);
-  return true;
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
-  Options O;
+  cli::ProgramSource Src;
+  cli::AnalysisRequest Req;
+  int64_t Threads = 1;
   cli::OptionSet Cli("lud-replay", "<program.lud> <trace>...");
-  declareOptions(Cli, O);
+  Req.declare(Cli, cli::AnalysisRequest::AllOpts);
+  Cli.number("--threads", Threads, "N  worker threads for multiple traces",
+             /*Min=*/1);
   if (!Cli.parse(argc, argv)) {
     Cli.usage();
     return 2;
@@ -155,29 +54,17 @@ int main(int argc, char **argv) {
     Cli.usage();
     return 2;
   }
-  O.Program = Cli.positionals()[0];
-  O.Traces.assign(Cli.positionals().begin() + 1, Cli.positionals().end());
+  Src.File = Cli.positionals()[0];
+  std::vector<std::string> Traces(Cli.positionals().begin() + 1,
+                                  Cli.positionals().end());
 
-  std::string Text;
-  if (!readFile(O.Program, Text)) {
-    errs() << "cannot read '" << O.Program << "'\n";
-    return 1;
-  }
-  std::vector<std::string> Errors;
-  std::unique_ptr<Module> M = parseModule(Text, Errors);
-  if (!M) {
-    for (const std::string &E : Errors)
-      errs() << O.Program << ": " << E << "\n";
-    return 1;
-  }
+  int LoadRc = 0;
+  std::unique_ptr<Module> M = Src.load(LoadRc);
+  if (!M)
+    return LoadRc;
 
-  SessionConfig SCfg;
-  SCfg.Slicing.ContextSlots = uint32_t(O.Slots);
-  SCfg.Clients = O.Clients;
-  SCfg.CollectStats = O.Stats != StatsMode::Off;
-  ShardedSession SR =
-      replayShardedSession(*M, O.Traces, std::move(SCfg),
-                           unsigned(O.Threads));
+  ShardedSession SR = replayShardedSession(*M, Traces, Req.sessionConfig(),
+                                           unsigned(Threads));
   if (!SR.Error.empty()) {
     errs() << SR.Error << "\n";
     return 1;
@@ -192,28 +79,14 @@ int main(int argc, char **argv) {
   if (obs::MetricsRegistry *Stats = Session.stats())
     FG.accountStats(*Stats);
 
-  serve::renderReplaySummary(Session, FG, SR.Events,
-                             uint64_t(O.Traces.size()), OS);
-
-  if (!O.DumpGraph.empty()) {
-    std::FILE *F = std::fopen(O.DumpGraph.c_str(), "wb");
-    if (!F) {
-      errs() << "cannot write '" << O.DumpGraph << "'\n";
-      return 1;
-    }
-    FileOutStream FOS(F);
-    writeGraph(FG, FOS);
-    std::fclose(F);
-    OS << "Gcost written to " << O.DumpGraph << "\n";
-  }
-
-  serve::ReportSpec Spec;
-  Spec.Report = O.Report;
-  Spec.Dead = O.Dead;
-  Spec.Caches = O.Caches;
-  Spec.Client = O.Client;
-  serve::renderReportSections(*M, Session, FG, Spec, OS);
-  if (!emitStats(Session, O))
+  serve::renderReplaySummary(Session, FG, SR.Events, uint64_t(Traces.size()),
+                             OS);
+  if (!Req.dumpGraph(FG, OS))
+    return 1;
+  serve::renderAnalysisSections(*M, &Session, FG, Req.Spec, OS);
+  if (Req.Spec.Dead)
+    serve::renderBloatMetrics(FG, FG.totalFreq(), OS);
+  if (!Req.emitStats(Session.stats()))
     return 1;
   return 0;
 }

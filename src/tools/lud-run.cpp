@@ -17,31 +17,23 @@
 ///   lud-run --clients=copy,nullness,typestate --report program.lud
 ///   lud-run --stats=json --stats-out=s.json --report program.lud
 ///   lud-run --record=p.trace program.lud      # record the hook stream
-///   lud-run --replay=p.trace --report program.lud  # same reports, no run
 ///   lud-run --optimize --optimize-out=o.lud program.lud
 ///                                             # rewrite-pass pipeline
 ///
+/// `lud-replay program.lud p.trace` re-drives the same reports from a
+/// recording without running anything.
+///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CacheCost.h"
-#include "analysis/Optimizer.h"
 #include "analysis/PassManager.h"
-#include "analysis/Clients.h"
-#include "analysis/DeadValues.h"
-#include "analysis/Report.h"
-#include "ir/Obfuscate.h"
-#include "ir/Parser.h"
 #include "ir/Printer.h"
-#include "profiling/GraphIO.h"
-#include "service/SessionManager.h"
+#include "profiling/FrozenGraph.h"
+#include "service/Render.h"
 #include "support/OutStream.h"
-#include "tools/CliOptions.h"
-#include "workloads/Composed.h"
+#include "tools/AnalysisRequest.h"
+#include "tools/ProgramSource.h"
 #include "workloads/ParallelDriver.h"
 
-#include <algorithm>
-
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -49,92 +41,29 @@ using namespace lud;
 
 namespace {
 
-enum class StatsMode { Off, Text, Json, Csv };
-
 struct Options {
-  std::string File;
-  std::string WorkloadName;
-  int64_t WorkloadScale = 2000;
-  bool Report = false;
-  bool Dead = false;
-  bool Overwrites = false;
-  bool Predicates = false;
-  bool Methods = false;
-  bool Caches = false;
+  cli::ProgramSource Src;
+  cli::AnalysisRequest Req;
   bool PrintIR = false;
   bool Baseline = false;
-  ClientSet Clients;
-  int64_t Slots = 16;
-  ClientOptions Client;
-  std::string DumpGraph;
-  bool Obfuscate = false;
-  ObfuscateOptions Obf;
-  std::string ObfManifest;
   bool Optimize = false;
   std::vector<std::string> OptimizePasses;
   std::string OptimizeOut;
   std::string RecordPath;
-  std::string ReplayPath;
-  StatsMode Stats = StatsMode::Off;
-  std::string StatsOut;
   int64_t Shards = 1;
   int64_t Threads = 1;
-  EngineKind Engine = defaultEngineKind();
 };
 
 bool isPowerOfTwo(uint32_t N) { return N != 0 && (N & (N - 1)) == 0; }
 
 void declareOptions(cli::OptionSet &P, Options &O) {
-  P.flag("--report", O.Report, "rank data structures by cost/benefit");
-  P.flag("--dead", O.Dead, "print IPD/IPP/NLD bloat metrics");
-  P.flag("--overwrites", O.Overwrites,
-         "rank locations rewritten before read");
-  P.flag("--predicates", O.Predicates, "list always-constant predicates");
-  P.flag("--methods", O.Methods, "rank methods by return-value cost");
-  P.flag("--caches", O.Caches, "rank structures by cache effectiveness");
-  P.custom("--all", cli::ValueMode::None, "everything above",
-           [&O](const std::string &) {
-             O.Report = O.Dead = O.Overwrites = O.Predicates = O.Methods =
-                 O.Caches = true;
-             return true;
-           });
-  cli::clientsOption(P, O.Clients,
-                     "LIST  client analyses to run in the same pass, "
-                     "comma-separated: copy, nullness, typestate, or all");
+  O.Req.declare(P, cli::AnalysisRequest::AllOpts);
   P.flag("--baseline", O.Baseline, "run without instrumentation (timing)");
-  cli::engineOption(P, O.Engine);
   P.str("--record", O.RecordPath,
         "F  record the hook stream to trace file F (one file per shard)");
-  P.str("--replay", O.ReplayPath,
-        "F  re-drive the analyses from trace F instead of interpreting");
   P.flag("--print-ir", O.PrintIR, "echo the parsed program and exit");
-  P.str("--workload", O.WorkloadName,
-        "NAME  run a generated workload instead of a program file: one of "
-        "the 18 DaCapo analogues, or 'composed' (the paper-scale tier)");
-  P.number("--scale", O.WorkloadScale,
-           "N  scale for --workload (default 2000)", /*Min=*/1);
-  P.str("--dump-graph", O.DumpGraph,
-        "F  serialize Gcost to file F (offline use)");
-  P.custom("--obfuscate", cli::ValueMode::Optional,
-           "[=LIST]  obfuscate the program before running (junk, opaque, "
-           "strings, or all; default all)",
-           [&O](const std::string &V) {
-             O.Obfuscate = true;
-             if (V.empty()) {
-               O.Obf.Junk = O.Obf.Opaque = O.Obf.Strings = true;
-               return true;
-             }
-             std::string Err;
-             if (parseObfuscatePasses(V, O.Obf, Err))
-               return true;
-             errs() << Err << "\n";
-             return false;
-           });
-  P.number("--obfuscate-seed", O.Obf.Seed,
-           "N  seed of the obfuscation transform stream (default 1)",
-           /*Min=*/0);
-  P.str("--obfuscate-manifest", O.ObfManifest,
-        "F  write the injected-site manifest to F (implies --obfuscate)");
+  O.Src.declare(P, cli::ProgramSource::WorkloadOpts |
+                       cli::ProgramSource::ObfuscateOpts);
   P.custom("--optimize", cli::ValueMode::Optional,
            "[=LIST]  run the rewrite-pass pipeline (dead-stores, "
            "map-to-array, clone-per-op, once-read-memo, dead-stores-final) "
@@ -163,32 +92,11 @@ void declareOptions(cli::OptionSet &P, Options &O) {
            });
   P.str("--optimize-out", O.OptimizeOut,
         "F  write the rewritten program to F (implies --optimize)");
-  P.number("--slots", O.Slots, "N  context slots s (default 16)", /*Min=*/1);
-  P.number("--depth", O.Client.Depth,
-           "N  reference-tree height n (default 4)");
-  P.number("--top", O.Client.TopK, "K  rows per report (default 15)");
   P.number("--shards", O.Shards,
            "N  profile N sharded runs and merge them (default 1)",
            /*Min=*/1);
   P.number("--threads", O.Threads, "N  worker threads for --shards",
            /*Min=*/1);
-  P.custom("--stats", cli::ValueMode::Optional,
-           "[=json|csv]  emit the profiler's own telemetry (default: text)",
-           [&O](const std::string &V) {
-             if (V.empty())
-               O.Stats = StatsMode::Text;
-             else if (V == "json")
-               O.Stats = StatsMode::Json;
-             else if (V == "csv")
-               O.Stats = StatsMode::Csv;
-             else {
-               errs() << "option '--stats' expects 'json' or 'csv'\n";
-               return false;
-             }
-             return true;
-           });
-  P.str("--stats-out", O.StatsOut,
-        "F  write the telemetry to file F instead of stdout");
 }
 
 bool parseArgs(cli::OptionSet &P, int argc, char **argv, Options &O) {
@@ -201,89 +109,24 @@ bool parseArgs(cli::OptionSet &P, int argc, char **argv, Options &O) {
     return false;
   }
   if (!P.positionals().empty())
-    O.File = P.positionals()[0];
-  if (!isPowerOfTwo(uint32_t(O.Slots)))
-    errs() << "warning: --slots " << uint64_t(O.Slots)
+    O.Src.File = P.positionals()[0];
+  if (!isPowerOfTwo(uint32_t(O.Req.Slots)))
+    errs() << "warning: --slots " << uint64_t(O.Req.Slots)
            << " is not a power of two; contexts fold by modulo either "
               "way, but results won't line up with the paper's s = 2^k "
               "sweeps\n";
-  if (O.Baseline && O.Clients.any()) {
+  if (O.Baseline && O.Req.Clients.any()) {
     errs() << "--baseline runs without instrumentation; it cannot be "
               "combined with --clients\n";
     return false;
   }
   if (!O.OptimizeOut.empty())
     O.Optimize = true;
-  if (!O.ObfManifest.empty() && !O.Obfuscate) {
-    O.Obfuscate = true;
-    O.Obf.Junk = O.Obf.Opaque = O.Obf.Strings = true;
-  }
-  if (!O.ReplayPath.empty()) {
-    if (O.Baseline || !O.RecordPath.empty()) {
-      errs() << "--replay re-drives a recorded run; it cannot be combined "
-                "with --baseline or --record\n";
-      return false;
-    }
-    if (O.Optimize) {
-      errs() << "--optimize validates against the live run's output; it "
-                "cannot be combined with --replay\n";
-      return false;
-    }
-  }
-  if (!O.WorkloadName.empty() && !O.File.empty()) {
-    errs() << "--workload generates the program; it cannot be combined "
-              "with an input file\n";
-    return false;
-  }
-  return !O.File.empty() || !O.WorkloadName.empty();
+  return !O.Src.File.empty() || !O.Src.Workload.empty();
 }
 
-/// Writes the session's registry in the requested format, to --stats-out
-/// or stdout. Timing metrics are included — this is the human/CI surface,
-/// not the determinism-test surface.
-bool emitStats(const ProfileSession &S, const Options &O) {
-  const obs::MetricsRegistry *R = S.stats();
-  if (!R)
-    return true;
-  std::FILE *F = nullptr;
-  if (!O.StatsOut.empty()) {
-    F = std::fopen(O.StatsOut.c_str(), "wb");
-    if (!F) {
-      errs() << "cannot write '" << O.StatsOut << "'\n";
-      return false;
-    }
-  }
-  {
-    FileOutStream FOS(F ? F : stdout);
-    switch (O.Stats) {
-    case StatsMode::Off:
-      break;
-    case StatsMode::Text:
-      R->writeText(FOS);
-      break;
-    case StatsMode::Json:
-      R->writeJson(FOS);
-      break;
-    case StatsMode::Csv:
-      R->writeCsv(FOS);
-      break;
-    }
-  }
-  if (F)
-    std::fclose(F);
-  return true;
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
-  return true;
+const char *statusName(const RunResult &R) {
+  return R.Status == RunStatus::Finished ? "finished" : trapKindName(R.Trap);
 }
 
 } // namespace
@@ -299,63 +142,10 @@ int main(int argc, char **argv) {
   if (Cli.exitRequested())
     return 0;
 
-  std::unique_ptr<Module> M;
-  if (!O.WorkloadName.empty()) {
-    const std::vector<std::string> &Names = dacapoNames();
-    if (O.WorkloadName == "composed") {
-      M = std::move(buildComposedWorkload(O.WorkloadScale).M);
-    } else if (std::find(Names.begin(), Names.end(), O.WorkloadName) !=
-               Names.end()) {
-      M = std::move(buildWorkload(O.WorkloadName, O.WorkloadScale).M);
-    } else {
-      errs() << "unknown workload '" << O.WorkloadName
-             << "' (expected a DaCapo analogue or 'composed')\n";
-      return 2;
-    }
-  } else {
-    std::string Text;
-    if (!readFile(O.File, Text)) {
-      errs() << "cannot read '" << O.File << "'\n";
-      return 1;
-    }
-    std::vector<std::string> Errors;
-    M = parseModule(Text, Errors);
-    if (!M) {
-      for (const std::string &E : Errors)
-        errs() << O.File << ": " << E << "\n";
-      return 1;
-    }
-  }
-
-  if (O.Obfuscate) {
-    // Obfuscation happens before anything looks at the module, so
-    // --print-ir shows the obfuscated program and every analysis below
-    // sees the adversarial shapes. The summary goes to stderr to keep the
-    // report streams stable.
-    ObfuscationResult Res = obfuscateModule(*M, O.Obf);
-    size_t NumJunk = 0, NumOpaque = 0, NumTables = 0;
-    for (const ObfSiteTag &T : Res.Manifest) {
-      NumJunk += T.Kind == ObfKind::Junk;
-      NumOpaque += T.Kind == ObfKind::Opaque;
-      NumTables += T.Kind == ObfKind::StringTable;
-    }
-    errs() << "obfuscated: " << uint64_t(NumJunk) << " junk sites, "
-           << uint64_t(NumOpaque) << " opaque predicates, "
-           << uint64_t(NumTables) << " string tables (seed "
-           << O.Obf.Seed << ")\n";
-    if (!O.ObfManifest.empty()) {
-      std::FILE *F = std::fopen(O.ObfManifest.c_str(), "w");
-      if (!F) {
-        errs() << "cannot write manifest file '" << O.ObfManifest << "'\n";
-        return 1;
-      }
-      FileOutStream FOS(F);
-      for (const ObfSiteTag &T : Res.Manifest)
-        FOS << obfKindName(T.Kind) << "\t" << T.Description << "\n";
-      std::fclose(F);
-    }
-    M = std::move(Res.M);
-  }
+  int LoadRc = 0;
+  std::unique_ptr<Module> M = O.Src.load(LoadRc);
+  if (!M)
+    return LoadRc;
 
   OutStream &OS = outs();
   if (O.PrintIR) {
@@ -363,30 +153,24 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  RunConfig RCfg;
-  RCfg.PrintStream = &OS;
+  SessionConfig SCfg = O.Req.sessionConfig();
+  SCfg.Run.PrintStream = &OS;
+  SCfg.RecordPath = O.RecordPath;
 
   if (O.Baseline) {
-    SessionConfig BCfg;
-    BCfg.Engine = O.Engine;
-    BCfg.Instrument = false;
-    BCfg.Run = RCfg;
-    BCfg.CollectStats = O.Stats != StatsMode::Off;
-    BCfg.RecordPath = O.RecordPath;
-    ProfileSession Session(std::move(BCfg));
+    SCfg.Instrument = false;
+    ProfileSession Session(std::move(SCfg));
     TimedRun R = Session.run(*M);
     if (!Session.recordError().empty()) {
       errs() << Session.recordError() << "\n";
       return 1;
     }
-    OS << "status: "
-       << (R.Run.Status == RunStatus::Finished ? "finished"
-                                               : trapKindName(R.Run.Trap))
-       << ", " << R.Run.ExecutedInstrs << " instructions, ";
+    OS << "status: " << statusName(R.Run) << ", " << R.Run.ExecutedInstrs
+       << " instructions, ";
     OS.printFixed(R.Seconds * 1e3, 2);
     OS << " ms, result " << R.Run.ReturnValue.asInt() << ", sink "
        << R.Run.SinkHash << "\n";
-    if (!emitStats(Session, O))
+    if (!O.Req.emitStats(Session.stats()))
       return 1;
     return R.Run.Status == RunStatus::Finished ? 0 : 1;
   }
@@ -394,45 +178,19 @@ int main(int argc, char **argv) {
   // One interpretation pass per shard: the slicing substrate plus every
   // requested client rides the same composed pipeline. --shards 1 (the
   // default) is a plain single session.
-  SessionConfig SCfg;
-  SCfg.Engine = O.Engine;
-  SCfg.Slicing.ContextSlots = uint32_t(O.Slots);
-  SCfg.Clients = O.Clients;
-  SCfg.Run = RCfg;
-  SCfg.CollectStats = O.Stats != StatsMode::Off;
-  SCfg.RecordPath = O.RecordPath;
-  ShardedSession SR;
-  if (!O.ReplayPath.empty()) {
-    // Re-drive the same analyses from the recorded hook stream; shard N
-    // reads the file shard N of the recording run wrote.
-    std::vector<std::string> Paths;
-    for (unsigned S = 0; S != unsigned(O.Shards); ++S)
-      Paths.push_back(shardTracePath(O.ReplayPath, S, unsigned(O.Shards)));
-    SR = replayShardedSession(*M, Paths, std::move(SCfg),
-                              unsigned(O.Threads));
-  } else {
-    SR = runShardedSession(*M, unsigned(O.Shards), std::move(SCfg),
-                           unsigned(O.Threads));
-  }
+  ShardedSession SR = runShardedSession(*M, unsigned(O.Shards),
+                                        std::move(SCfg), unsigned(O.Threads));
   if (!SR.Error.empty()) {
     errs() << SR.Error << "\n";
     return 1;
   }
   ProfileSession &Session = *SR.Session;
-  TimedRun P{SR.Run, SR.Seconds};
-  if (!O.ReplayPath.empty()) {
-    OS << "replayed " << SR.Events << " events from " << uint64_t(O.Shards)
-       << (O.Shards == 1 ? " trace\n" : " traces\n");
-  } else {
-    OS << "status: "
-       << (P.Run.Status == RunStatus::Finished ? "finished"
-                                               : trapKindName(P.Run.Trap))
-       << ", " << P.Run.ExecutedInstrs << " instructions, result "
-       << P.Run.ReturnValue.asInt() << "\n";
-    if (!O.RecordPath.empty())
-      OS << "trace written to " << O.RecordPath
-         << (O.Shards > 1 ? " (one .shardN file per shard)\n" : "\n");
-  }
+  const RunResult &Run = SR.Run;
+  OS << "status: " << statusName(Run) << ", " << Run.ExecutedInstrs
+     << " instructions, result " << Run.ReturnValue.asInt() << "\n";
+  if (!O.RecordPath.empty())
+    OS << "trace written to " << O.RecordPath
+       << (O.Shards > 1 ? " (one .shardN file per shard)\n" : "\n");
   const SlicingProfiler &Prof = *Session.slicing();
   const DepGraph &G = Prof.graph();
   OS << "Gcost: " << uint64_t(G.numNodes()) << " nodes, "
@@ -450,52 +208,17 @@ int main(int argc, char **argv) {
   FrozenGraph FG(G);
   if (obs::MetricsRegistry *Stats = Session.stats())
     FG.accountStats(*Stats);
+  if (!O.Req.dumpGraph(FG, OS))
+    return 1;
 
-  if (!O.DumpGraph.empty()) {
-    std::FILE *F = std::fopen(O.DumpGraph.c_str(), "wb");
-    if (!F) {
-      errs() << "cannot write '" << O.DumpGraph << "'\n";
-      return 1;
-    }
-    FileOutStream FOS(F);
-    writeGraph(FG, FOS);
-    std::fclose(F);
-    OS << "Gcost written to " << O.DumpGraph << "\n";
-  }
-
-  CostModel CM(FG);
-  if (O.Report) {
-    ReportOptions Opts;
-    Opts.Depth = O.Client.Depth;
-    LowUtilityReport Report(CM, *M, Opts);
-    OS << "\n=== low-utility data structures ===\n";
-    Report.print(OS, O.Client.TopK);
-  }
-  if (O.Overwrites) {
-    OS << "\n=== locations rewritten before read ===\n";
-    printOverwrites(rankOverwrites(Prof, *M, O.Client), OS, O.Client.TopK);
-  }
-  if (O.Predicates) {
-    OS << "\n=== always-constant predicates ===\n";
-    printConstantPredicates(findConstantPredicates(Prof, CM, *M, O.Client),
-                            OS, O.Client.TopK);
-  }
-  if (O.Methods) {
-    OS << "\n=== costliest method return values ===\n";
-    printMethodCosts(computeMethodCosts(CM, *M), OS, O.Client.TopK);
-  }
-  if (O.Caches) {
-    OS << "\n=== cache effectiveness (least effective first) ===\n";
-    printCacheScores(rankCacheEffectiveness(CM, *M), OS, O.Client.TopK);
-  }
-  Session.printClientReports(*M, OS, O.Client.TopK);
+  serve::renderAnalysisSections(*M, &Session, FG, O.Req.Spec, OS);
   if (O.Optimize) {
     // The pipeline profiles, proposes, validates (both engines) and
     // commits or rolls back each candidate on its own; the session above
     // only supplied the human-facing reports.
     opt::PipelineOptions PO;
-    PO.Engine = O.Engine;
-    PO.Slicing.ContextSlots = uint32_t(O.Slots);
+    PO.Engine = O.Req.Engine;
+    PO.Slicing.ContextSlots = uint32_t(O.Req.Slots);
     PO.Passes = O.OptimizePasses;
     opt::PassManager PM(std::move(PO));
     opt::PipelineResult R = PM.run(*M);
@@ -505,34 +228,15 @@ int main(int argc, char **argv) {
       opt::PassManager::accountStats(R, *Stats);
     if (!O.OptimizeOut.empty()) {
       const Module &Out = R.M ? *R.M : *M;
-      std::FILE *F = std::fopen(O.OptimizeOut.c_str(), "wb");
-      if (!F) {
-        errs() << "cannot write '" << O.OptimizeOut << "'\n";
+      if (!cli::writeFile(O.OptimizeOut,
+                          [&Out](OutStream &F) { printModule(Out, F); }))
         return 1;
-      }
-      FileOutStream FOS(F);
-      printModule(Out, FOS);
-      std::fclose(F);
       OS << "rewritten program written to " << O.OptimizeOut << "\n";
     }
   }
-  if (O.Dead) {
-    // Under --replay there is no RunResult; the graph's own frequency total
-    // is the denominator, as in offline lud-analyze.
-    uint64_t ExecInstrs =
-        O.ReplayPath.empty() ? P.Run.ExecutedInstrs : FG.totalFreq();
-    DeadValueAnalysis DV = computeDeadValues(FG, ExecInstrs);
-    OS << "\n=== bloat metrics ===\nIPD ";
-    OS.printFixed(100.0 * DV.Metrics.ipd(), 1);
-    OS << "%   IPP ";
-    OS.printFixed(100.0 * DV.Metrics.ipp(), 1);
-    OS << "%   NLD ";
-    OS.printFixed(100.0 * DV.Metrics.nld(), 1);
-    OS << "%\n";
-  }
-  if (!emitStats(Session, O))
+  if (O.Req.Spec.Dead)
+    serve::renderBloatMetrics(FG, Run.ExecutedInstrs, OS);
+  if (!O.Req.emitStats(Session.stats()))
     return 1;
-  if (!O.ReplayPath.empty())
-    return 0; // Replay has no run status of its own.
-  return P.Run.Status == RunStatus::Finished ? 0 : 1;
+  return Run.Status == RunStatus::Finished ? 0 : 1;
 }

@@ -27,16 +27,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "ir/Parser.h"
 #include "service/Client.h"
 #include "service/Daemon.h"
 #include "support/OutStream.h"
-#include "tools/CliOptions.h"
+#include "tools/AnalysisRequest.h"
+#include "tools/ProgramSource.h"
 #include "trace/TraceIO.h"
-#include "workloads/Composed.h"
-#include "workloads/DaCapo.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -46,19 +43,12 @@ using namespace lud;
 namespace {
 
 struct Options {
-  std::string File;
-  std::string WorkloadName;
-  int64_t WorkloadScale = 2000;
+  cli::ProgramSource Src;
+  cli::AnalysisRequest Req;
   std::string SocketPath = "/tmp/lud-serve.sock";
   int64_t HttpPort = 0;
   int64_t Workers = 4;
-  bool Report = false;
-  bool Dead = false;
-  bool Caches = false;
   bool Optimize = false;
-  ClientSet Clients;
-  int64_t Slots = 16;
-  ClientOptions Client;
   int64_t MaxSessionBytes = int64_t(serve::SessionLimits().MaxSessionBytes);
   int64_t MaxPendingBytes = int64_t(serve::SessionLimits().MaxPendingBytes);
   int64_t IdleTimeout = 0;
@@ -74,19 +64,13 @@ void declareOptions(cli::OptionSet &P, Options &O) {
            /*Min=*/0);
   P.number("--workers", O.Workers, "N  replay worker threads (default 4)",
            /*Min=*/1);
-  P.flag("--report", O.Report, "serve the cost/benefit ranking in /report");
-  P.flag("--dead", O.Dead, "serve IPD/IPP/NLD bloat metrics in /report");
-  P.flag("--caches", O.Caches, "serve cache effectiveness in /report");
+  O.Req.declare(P, cli::AnalysisRequest::SectionOpts |
+                       cli::AnalysisRequest::ClientOpts |
+                       cli::AnalysisRequest::SlotOpts |
+                       cli::AnalysisRequest::ShapeOpts);
   P.flag("--optimize", O.Optimize,
          "run the rewrite-pass pipeline at startup; /report gains the "
          "optimizer section and /stats the opt.* metrics");
-  cli::clientsOption(P, O.Clients,
-                     "LIST  default client analyses per session: copy, "
-                     "nullness, typestate, or all");
-  P.number("--slots", O.Slots, "N  context slots s (default 16)", /*Min=*/1);
-  P.number("--depth", O.Client.Depth,
-           "N  reference-tree height n (default 4)");
-  P.number("--top", O.Client.TopK, "K  rows per report (default 15)");
   P.number("--max-session-bytes", O.MaxSessionBytes,
            "N  per-session ingest quota in bytes", /*Min=*/1);
   P.number("--max-pending-bytes", O.MaxPendingBytes,
@@ -94,26 +78,11 @@ void declareOptions(cli::OptionSet &P, Options &O) {
   P.number("--idle-timeout", O.IdleTimeout,
            "SEC  evict sessions idle this long (default 0 = never)",
            /*Min=*/0);
-  P.str("--workload", O.WorkloadName,
-        "NAME  serve a generated workload instead of a program file");
-  P.number("--scale", O.WorkloadScale,
-           "N  scale for --workload (default 2000)", /*Min=*/1);
+  O.Src.declare(P, cli::ProgramSource::WorkloadOpts);
   P.flag("--send", O.Send,
          "stream the trace operands into a running daemon and exit");
   P.str("--get", O.GetPath,
         "PATH  fetch PATH (e.g. /report) from a running daemon and exit");
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
-  return true;
 }
 
 /// --send: one session per trace operand, whole-segment frames fed
@@ -133,15 +102,15 @@ int sendMain(const Options &O, const std::vector<std::string> &Traces) {
     Stream &S = Streams[I];
     S.Path = Traces[I];
     std::string Bytes;
-    if (!readFile(S.Path, Bytes)) {
+    if (!trace::readFileBytes(S.Path, Bytes)) {
       errs() << "cannot read '" << S.Path << "'\n";
       return 1;
     }
     std::string Err;
     serve::splitSegments(Bytes, S.Segments, Err);
     if (!S.Client.connect(O.SocketPath, Err) ||
-        (O.Clients.any() ? !S.Client.open(O.Clients, Err)
-                         : !S.Client.open(Err))) {
+        (O.Req.Clients.any() ? !S.Client.open(O.Req.Clients, Err)
+                             : !S.Client.open(Err))) {
       errs() << S.Path << ": " << Err << "\n";
       return 1;
     }
@@ -211,58 +180,27 @@ int main(int argc, char **argv) {
   }
 
   // Daemon mode: the module every session replays against.
-  std::unique_ptr<Module> M;
-  if (!O.WorkloadName.empty()) {
-    if (!Cli.positionals().empty()) {
-      errs() << "--workload generates the program; it cannot be combined "
-                "with an input file\n";
-      return 2;
-    }
-    const std::vector<std::string> &Names = dacapoNames();
-    if (O.WorkloadName == "composed") {
-      M = std::move(buildComposedWorkload(O.WorkloadScale).M);
-    } else if (std::find(Names.begin(), Names.end(), O.WorkloadName) !=
-               Names.end()) {
-      M = std::move(buildWorkload(O.WorkloadName, O.WorkloadScale).M);
-    } else {
-      errs() << "unknown workload '" << O.WorkloadName
-             << "' (expected a DaCapo analogue or 'composed')\n";
-      return 2;
-    }
-  } else {
-    if (Cli.positionals().size() != 1) {
-      errs() << "expected exactly one program file (or --workload)\n";
-      Cli.usage();
-      return 2;
-    }
-    O.File = Cli.positionals()[0];
-    std::string Text;
-    if (!readFile(O.File, Text)) {
-      errs() << "cannot read '" << O.File << "'\n";
-      return 1;
-    }
-    std::vector<std::string> Errors;
-    M = parseModule(Text, Errors);
-    if (!M) {
-      for (const std::string &E : Errors)
-        errs() << O.File << ": " << E << "\n";
-      return 1;
-    }
+  if (O.Src.Workload.empty() && Cli.positionals().size() != 1) {
+    errs() << "expected exactly one program file (or --workload)\n";
+    Cli.usage();
+    return 2;
   }
+  if (!Cli.positionals().empty())
+    O.Src.File = Cli.positionals()[0];
+  int LoadRc = 0;
+  std::unique_ptr<Module> M = O.Src.load(LoadRc);
+  if (!M)
+    return LoadRc;
 
   serve::DaemonConfig DCfg;
   DCfg.SocketPath = O.SocketPath;
   DCfg.HttpPort = uint16_t(O.HttpPort);
   DCfg.Workers = unsigned(O.Workers);
-  DCfg.Base.Clients = O.Clients;
-  DCfg.Base.Slicing.ContextSlots = uint32_t(O.Slots);
+  DCfg.Base = O.Req.sessionConfig();
   DCfg.Limits.MaxSessionBytes = uint64_t(O.MaxSessionBytes);
   DCfg.Limits.MaxPendingBytes = uint64_t(O.MaxPendingBytes);
   DCfg.Limits.IdleEvictSeconds = double(O.IdleTimeout);
-  DCfg.Spec.Report = O.Report;
-  DCfg.Spec.Dead = O.Dead;
-  DCfg.Spec.Caches = O.Caches;
-  DCfg.Spec.Client = O.Client;
+  DCfg.Spec = O.Req.Spec;
   DCfg.Optimize = O.Optimize;
 
   serve::Daemon D(*M, std::move(DCfg));

@@ -143,4 +143,21 @@ TEST(FuzzOracleTest, ConfigFlagsSpellOutEveryKnob) {
   EXPECT_EQ(ClientSet(uint32_t(1)), ClientSet::copy());
 }
 
+// Every printed client set — "none" included — parses back to itself, so a
+// repro line or a daemon listing can be pasted into --clients=.
+TEST(FuzzOracleTest, ClientSetNameRoundTrips) {
+  for (uint32_t Bits = 0; Bits != 8; ++Bits) {
+    ClientSet S(Bits);
+    ClientSet Parsed;
+    std::string Err;
+    ASSERT_TRUE(parseClientSet(clientSetName(S), Parsed, Err))
+        << clientSetName(S) << ": " << Err;
+    EXPECT_EQ(Parsed, S) << clientSetName(S);
+  }
+  ClientSet Parsed;
+  std::string Err;
+  EXPECT_FALSE(parseClientSet("none,copy", Parsed, Err));
+  EXPECT_NE(Err.find("only element"), std::string::npos) << Err;
+}
+
 } // namespace
