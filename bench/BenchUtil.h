@@ -96,22 +96,25 @@ inline void emitJsonRow(const std::string &Name, int64_t Scale,
   }
 }
 
-/// Telemetry export for the bench binaries. `--stats[=json|csv]` (or the
-/// LUD_STATS env var, same values) makes the table passes run their
+/// Telemetry export for the bench binaries. `--stats[=text|json|csv]` (or
+/// the LUD_STATS env var, same values) makes the table passes run their
 /// sessions with CollectStats on and dump the merged "lud.stats.v1"
 /// registry; `--stats-out=FILE` (or LUD_STATS_OUT) appends to FILE instead
 /// of stdout, so a CI job can collect registries from several binaries in
 /// one artifact.
 enum class StatsFormat { Off, Text, Json, Csv };
 
+/// Parses a --stats / LUD_STATS value; an unknown format exits 2 with the
+/// tools' diagnostic rather than silently falling back to text.
 inline StatsFormat parseStatsFormat(const char *V) {
-  if (!V || !*V)
+  if (!*V || std::strcmp(V, "text") == 0)
     return StatsFormat::Text;
   if (std::strcmp(V, "json") == 0)
     return StatsFormat::Json;
   if (std::strcmp(V, "csv") == 0)
     return StatsFormat::Csv;
-  return StatsFormat::Text;
+  errs() << "unknown stats format '" << V << "' (valid: text, json, csv)\n";
+  std::exit(2);
 }
 
 inline StatsFormat &statsFormat() {
@@ -129,9 +132,10 @@ inline std::string &statsOutPath() {
 
 inline bool statsEnabled() { return statsFormat() != StatsFormat::Off; }
 
-/// Parses and strips `--stats[=json|csv]` / `--stats-out=FILE` from argv so
-/// benchmark::Initialize never sees them (mirrors initJsonRows).
+/// Parses and strips `--stats[=text|json|csv]` / `--stats-out=FILE` from
+/// argv so benchmark::Initialize never sees them (mirrors initJsonRows).
 inline void initStats(int *Argc, char **Argv) {
+  statsFormat(); // Rejects a bad LUD_STATS before any work starts.
   int W = 1;
   for (int I = 1; I < *Argc; ++I) {
     const char *A = Argv[I];

@@ -1,20 +1,24 @@
 //===- bench/parallel_driver_bench.cpp - Sharded driver throughput ---------===//
 //
-// Throughput of the parallel multi-workload driver against the sequential
-// baseline: the whole DaCapo suite profiled back to back on one thread
-// versus sharded over the pool, and one workload profiled in repeated
-// shards with the per-shard graphs merged. The merged graph's node and
-// edge counts are printed next to the sequential ones — they must match,
-// whatever the thread count (the fold is in shard-index order).
+// Throughput of parallel profiling against the sequential baseline: the
+// whole DaCapo suite profiled back to back on one thread versus one session
+// per workload on the pool, and one workload profiled in repeated shards
+// with the per-shard sessions merged (runShardedSession). The merged
+// graph's node and edge counts are printed next to the sequential ones —
+// they must match, whatever the thread count (the fold is in shard-index
+// order). Every run goes through ProfileSession, so --engine / LUD_ENGINE
+// picks the engine.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
+#include "support/WorkerPool.h"
 #include "workloads/ParallelDriver.h"
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <thread>
 
 using namespace lud;
@@ -27,6 +31,19 @@ unsigned poolThreads() {
     return unsigned(std::strtoul(E, nullptr, 10));
   unsigned HW = std::thread::hardware_concurrency();
   return HW ? HW : 4;
+}
+
+/// Profiles every module in \p Mods, one substrate-only session each, at
+/// most \p Threads at once. Returns the batch's wall time.
+double profileBatch(const std::vector<const Module *> &Mods, unsigned Threads,
+                    std::vector<ProfiledRun> &Runs) {
+  Runs.clear();
+  Runs.resize(Mods.size());
+  auto T0 = std::chrono::steady_clock::now();
+  forEachJob(unsigned(Mods.size()), Threads,
+             [&](unsigned J) { Runs[J] = profiledRun(*Mods[J]); });
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+      .count();
 }
 
 void printTable() {
@@ -43,33 +60,31 @@ void printTable() {
     Ws.push_back(buildWorkload(Name, S));
     Mods.push_back(Ws.back().M.get());
   }
-  ParallelConfig Seq;
-  Seq.Threads = 1;
-  ParallelConfig Par;
-  Par.Threads = Threads;
-  ParallelResult RSeq = runParallel(Mods, Seq);
-  ParallelResult RPar = runParallel(Mods, Par);
+  std::vector<ProfiledRun> RSeq, RPar;
+  double SeqSeconds = profileBatch(Mods, 1, RSeq);
+  double ParSeconds = profileBatch(Mods, Threads, RPar);
   std::printf("suite of %zu: sequential %.3fs, %u threads %.3fs (%.2fx)\n",
-              Mods.size(), RSeq.Seconds, Threads, RPar.Seconds,
-              RPar.Seconds > 0 ? RSeq.Seconds / RPar.Seconds : 0);
+              Mods.size(), SeqSeconds, Threads, ParSeconds,
+              ParSeconds > 0 ? SeqSeconds / ParSeconds : 0);
   size_t SuiteNodes = 0, SuiteEdges = 0;
-  for (const ProfiledRun &R : RPar.Runs) {
+  for (const ProfiledRun &R : RPar) {
     SuiteNodes += R.Prof->graph().numNodes();
     SuiteEdges += R.Prof->graph().numEdges();
   }
-  emitJsonRow("parallel_driver/suite_seq", S, RSeq.Seconds, SuiteNodes,
+  emitJsonRow("parallel_driver/suite_seq", S, SeqSeconds, SuiteNodes,
               SuiteEdges);
-  emitJsonRow("parallel_driver/suite_par", S, RPar.Seconds, SuiteNodes,
+  emitJsonRow("parallel_driver/suite_par", S, ParSeconds, SuiteNodes,
               SuiteEdges);
 
   // Sharded merge on one workload: graphs must agree with sequential.
   Workload W = buildWorkload("eclipse", S);
   const unsigned Shards = 8;
-  ParallelConfig One = Seq;
-  ShardedRun A = runShardedProfiled(*W.M, Shards, One);
-  ShardedRun B = runShardedProfiled(*W.M, Shards, Par);
-  const DepGraph &GA = A.Prof->graph();
-  const DepGraph &GB = B.Prof->graph();
+  ShardedSession A =
+      runShardedSession(*W.M, Shards, SessionConfig::profiled(), 1);
+  ShardedSession B =
+      runShardedSession(*W.M, Shards, SessionConfig::profiled(), Threads);
+  const DepGraph &GA = A.Session->slicing()->graph();
+  const DepGraph &GB = B.Session->slicing()->graph();
   std::printf("eclipse x%u shards: 1 thread %.3fs (N=%zu E=%zu), "
               "%u threads %.3fs (N=%zu E=%zu) %s\n\n",
               Shards, A.Seconds, GA.numNodes(), GA.numEdges(), Threads,
@@ -100,13 +115,11 @@ void BM_SuiteBatch(benchmark::State &State) {
     Ws.push_back(buildWorkload(Name, S));
     Mods.push_back(Ws.back().M.get());
   }
-  ParallelConfig Cfg;
-  Cfg.Threads = unsigned(State.range(0));
-  for (auto _ : State) {
-    ParallelResult R = runParallel(Mods, Cfg);
-    benchmark::DoNotOptimize(R.Runs.size());
-  }
-  State.counters["threads"] = double(Cfg.Threads);
+  const unsigned Threads = unsigned(State.range(0));
+  std::vector<ProfiledRun> Runs;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(profileBatch(Mods, Threads, Runs));
+  State.counters["threads"] = double(Threads);
 }
 
 } // namespace

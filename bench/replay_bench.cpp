@@ -1,25 +1,23 @@
-//===- bench/replay_bench.cpp - Live vs record vs replay -------------------===//
+//===- bench/replay_bench.cpp - Live vs record vs re-execute -------------===//
 //
-// The trace layer's cost model, measured three ways per workload:
+// The record/replay cost model, measured three ways per workload:
 //
 //   live        — the ordinary profiled run (all clients), recording off.
 //                 With recording disabled the session instantiates exactly
-//                 the pre-trace pipelines, so this is also the "<2% when
-//                 off" reference: there is no recorder branch on the hot
-//                 path to pay for.
-//   record      — the same run with a TraceRecorder composed ahead of the
-//                 clients, encoding every hook into an in-memory sink.
-//   replay-only — re-driving the same analyses from the recorded bytes,
-//                 with no interpreter: the marginal cost of the analyses
-//                 themselves, and the speedup ceiling for re-running a
-//                 different client mix offline.
+//                 the unrecorded pipelines, so there is no recorder branch
+//                 on the hot path to pay for.
+//   record      — the same run with the hook counter composed ahead of the
+//                 clients and one lud.run.v1 record written to an
+//                 in-memory sink.
+//   re-execute  — replaying that manifest: the run again, under the same
+//                 analyses plus the hook counter, checked against its
+//                 record.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
 #include "support/OutStream.h"
-#include "trace/TraceRecorder.h"
 
 #include <benchmark/benchmark.h>
 
@@ -43,23 +41,23 @@ double liveSeconds(const Module &M, size_t *Nodes = nullptr,
   return Sec;
 }
 
-double recordSeconds(const Module &M, std::string *TraceOut) {
+double recordSeconds(const Module &M, std::string *ManifestOut) {
   StringOutStream Sink;
   SessionConfig Cfg;
   Cfg.Clients = kAllClients;
   Cfg.RecordSink = &Sink;
   ProfileSession S(Cfg);
   double Sec = S.run(M).Seconds;
-  if (TraceOut)
-    *TraceOut = Sink.str();
+  if (ManifestOut)
+    *ManifestOut = Sink.str();
   return Sec;
 }
 
-double replaySeconds(const Module &M, const std::string &Trace) {
+double replaySeconds(const Module &M, const std::string &Manifest) {
   SessionConfig Cfg;
   Cfg.Clients = kAllClients;
   ProfileSession S(Cfg);
-  ReplayRun R = S.replay(M, Trace);
+  ReplayRun R = S.replay(M, Manifest);
   if (!R.Ok) {
     std::fprintf(stderr, "replay failed: %s\n", R.Error.c_str());
     std::exit(1);
@@ -69,29 +67,28 @@ double replaySeconds(const Module &M, const std::string &Trace) {
 
 void printTable() {
   const int64_t S = tableScale() / 2;
-  std::printf("=== Trace layer: live vs record vs replay-only "
+  std::printf("=== Record/replay: live vs record vs re-execute "
               "(scale %lld) ===\n",
               (long long)S);
   std::printf("%-12s %10s %10s %12s %10s %10s\n", "workload", "live",
-              "record", "replay-only", "rec-cost", "trace-KB");
+              "record", "re-execute", "rec-cost", "bytes");
   for (const std::string &Name : dacapoNames()) {
     Workload W = buildWorkload(Name, S);
     size_t Nodes = 0, Edges = 0;
     double Live = liveSeconds(*W.M, &Nodes, &Edges);
-    std::string Trace;
-    double Rec = recordSeconds(*W.M, &Trace);
-    double Rep = replaySeconds(*W.M, Trace);
-    std::printf("%-12s %9.3fs %9.3fs %11.3fs %9.2fx %9.1f\n", Name.c_str(),
-                Live, Rec, Rep, Live > 0 ? Rec / Live : 0,
-                double(Trace.size()) / 1024.0);
+    std::string Manifest;
+    double Rec = recordSeconds(*W.M, &Manifest);
+    double Rep = replaySeconds(*W.M, Manifest);
+    std::printf("%-12s %9.3fs %9.3fs %11.3fs %9.2fx %10zu\n", Name.c_str(),
+                Live, Rec, Rep, Live > 0 ? Rec / Live : 0, Manifest.size());
     emitJsonRow("replay/live/" + Name, S, Live, Nodes, Edges);
     emitJsonRow("replay/record/" + Name, S, Rec, Nodes, Edges);
-    emitJsonRow("replay/replay_only/" + Name, S, Rep, Nodes, Edges);
+    emitJsonRow("replay/reexecute/" + Name, S, Rep, Nodes, Edges);
   }
   std::printf("\n");
 
   // Telemetry export: a recording session's registry carries the trace.*
-  // gauges (events, bytes, per-phase attribution, compression).
+  // gauges (events per hook kind and per phase).
   if (statsEnabled()) {
     Workload W = buildWorkload("eclipse", S);
     StringOutStream Sink;
@@ -113,7 +110,7 @@ void BM_LiveAllClients(benchmark::State &State) {
   }
 }
 
-/// Timing aspect: the same run with the recorder composed in.
+/// Timing aspect: the same run, recorded.
 void BM_RecordAllClients(benchmark::State &State) {
   Workload W = buildWorkload("eclipse", tableScale() / 4);
   for (auto _ : State) {
@@ -121,13 +118,13 @@ void BM_RecordAllClients(benchmark::State &State) {
   }
 }
 
-/// Timing aspect: replaying the recorded hook stream, no interpreter.
+/// Timing aspect: re-executing the recorded manifest.
 void BM_ReplayAllClients(benchmark::State &State) {
   Workload W = buildWorkload("eclipse", tableScale() / 4);
-  std::string Trace;
-  recordSeconds(*W.M, &Trace);
+  std::string Manifest;
+  recordSeconds(*W.M, &Manifest);
   for (auto _ : State) {
-    benchmark::DoNotOptimize(replaySeconds(*W.M, Trace));
+    benchmark::DoNotOptimize(replaySeconds(*W.M, Manifest));
   }
 }
 

@@ -137,8 +137,8 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
     return Out;
   };
 
-  // Reference: one live session, recording the hook stream on the side so
-  // the replay mode consumes exactly this execution.
+  // Reference: one live session, recording its run manifest on the side so
+  // the replay mode re-executes exactly this run.
   StringOutStream Sink;
   SessionConfig RefCfg = sessionConfig(Cfg);
   if (Cfg.CheckReplay)
@@ -176,8 +176,8 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
       return Fail(std::string("engines(") + engineKindName(Other) + ")", D);
   }
 
-  // Mode 3: record -> replay. Replaying the reference's trace into a fresh
-  // session must rebuild identical profiler state.
+  // Mode 3: record -> replay. Re-executing the reference's manifest in a
+  // fresh session must reproduce its record and identical profiler state.
   if (Cfg.CheckReplay) {
     ProfileSession S(sessionConfig(Cfg));
     ReplayRun R = S.replay(M, Sink.str());

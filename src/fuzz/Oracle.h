@@ -15,7 +15,8 @@
 ///   - the same session on the other execution engine (threaded vs
 ///     interpreted — runtime/ThreadedEngine.h promises a byte-identical
 ///     hook stream, so Gcost, reports and run facts must agree),
-///   - record -> replay through an in-memory trace sink,
+///   - record -> replay: the reference's run manifest, recorded into an
+///     in-memory sink, re-executed in a fresh session,
 ///   - sharded runs (runShardedSession) at each configured shard count and
 ///     thread count, against a sequential-reuse reference session that
 ///     run()s the module Shards times — the fold invariant the parallel

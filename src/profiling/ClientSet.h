@@ -38,8 +38,7 @@ public:
   constexpr ClientSet(Client C) : Mask(uint32_t(C)) {}
   /// Bridge from the raw bitmask encoding (same bit values as the wire
   /// and CLI forms); unknown bits are dropped so every ClientSet is
-  /// canonical. Explicit: the deprecated kClient* aliases that needed the
-  /// implicit bridge are gone.
+  /// canonical.
   constexpr explicit ClientSet(uint32_t Bits) : Mask(Bits & kAllBits) {}
 
   static constexpr ClientSet none() { return ClientSet(); }

@@ -2,8 +2,6 @@
 
 #include "service/Client.h"
 
-#include "trace/TraceIO.h"
-
 using namespace lud;
 using namespace lud::serve;
 
@@ -148,34 +146,4 @@ bool lud::serve::httpGet(uint16_t Port, const std::string &Path,
   if (!Ok)
     Err = "HTTP status: " + Status + (Body.empty() ? "" : (" — " + Body));
   return Ok;
-}
-
-//===----------------------------------------------------------------------===//
-// splitSegments
-//===----------------------------------------------------------------------===//
-
-bool lud::serve::splitSegments(const std::string &Bytes,
-                               std::vector<std::string> &Segments,
-                               std::string &Err) {
-  Segments.clear();
-  Err.clear();
-  trace::TraceReader R(Bytes);
-  size_t SegStart = 0;
-  while (!R.atEnd()) {
-    trace::TraceEvent E;
-    bool Ok = R.readHeader();
-    while (Ok && E.Kind != trace::EventKind::End)
-      Ok = R.next(E);
-    if (!Ok) {
-      // Undecodable: ship the whole stream as one frame, so the daemon's
-      // offset-stamped diagnostic counts from the same origin lud-replay
-      // counts from over the same file.
-      Segments.clear();
-      Segments.push_back(Bytes);
-      return true;
-    }
-    Segments.push_back(Bytes.substr(SegStart, R.offset() - SegStart));
-    SegStart = R.offset();
-  }
-  return true;
 }

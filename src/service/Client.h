@@ -7,9 +7,8 @@
 ///
 /// \file
 /// The client side of the daemon's wire protocol: a small ingest-protocol
-/// speaker (used by `lud-serve --send` and the end-to-end tests), a
-/// one-shot HTTP GET, and the segment splitter that turns a recorded
-/// trace file into the whole-segment FEED frames the protocol requires.
+/// speaker (used by `lud-serve --send` and the end-to-end tests) and a
+/// one-shot HTTP GET.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +21,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace lud {
 namespace serve {
@@ -38,7 +36,7 @@ public:
   /// OPEN [clients=...]; fills id().
   bool open(std::string &Err);
   bool open(ClientSet Clients, std::string &Err);
-  /// FEED one whole-segment frame.
+  /// FEED one frame of whole manifest records.
   bool feed(const std::string &Bytes, std::string &Err);
   /// DONE; fills events()/segments() from the daemon's reply.
   bool done(std::string &Err);
@@ -62,15 +60,6 @@ private:
 /// False (with \p Err) on transport failure or a non-200 status.
 bool httpGet(uint16_t Port, const std::string &Path, std::string &Body,
              std::string &Err);
-
-/// Splits a recorded `lud.trace.v1` stream into whole segments — the FEED
-/// framing unit. On undecodable input the whole stream comes back as one
-/// segment and the function still returns true: the daemon is the
-/// authority on malformed streams, and sending the bytes unsplit keeps
-/// its offset-stamped diagnostics identical to lud-replay's over the
-/// same file.
-bool splitSegments(const std::string &Bytes,
-                   std::vector<std::string> &Segments, std::string &Err);
 
 } // namespace serve
 } // namespace lud

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The always-on profiling service: a daemon that accepts any number of
-/// concurrent trace streams over a unix-domain socket — one session per
-/// connection, line-framed `lud.trace.v1` segments — and serves the folded
+/// concurrent manifest streams over a unix-domain socket — one session per
+/// connection, length-framed `lud.run.v1` records — and serves the folded
 /// report and `lud.stats.v1` telemetry over a minimal local HTTP endpoint.
 /// Ingest and reporting both sit directly on the serve::SessionManager
 /// lifecycle; the daemon adds only transport. The full wire protocol is
@@ -21,10 +21,11 @@
 ///   DONE                     -> OK events=E segments=G | ERR <diagnostic>
 ///   STATUS                   -> OK id=N state=S bytes=B events=E segments=G
 ///
-/// FEED payloads must contain whole segments. A connection that drops
-/// before DONE aborts its session; a malformed payload fails only that
-/// session, with the TraceIO offset-stamped diagnostic verbatim in the
-/// ERR line.
+/// FEED payloads must contain whole records; each is re-executed against
+/// the daemon's module and checked, and `segments` counts the records. A
+/// connection that drops before DONE aborts its session; a malformed or
+/// mismatched record fails only that session, with the line-numbered
+/// replay diagnostic verbatim in the ERR line.
 ///
 /// HTTP (HTTP/1.0, loopback only): GET /report (the folded report,
 /// byte-identical to lud-replay over the same streams), /stats
@@ -51,7 +52,7 @@ namespace lud {
 namespace serve {
 
 struct DaemonConfig {
-  /// Unix-domain socket path for trace ingest.
+  /// Unix-domain socket path for manifest ingest.
   std::string SocketPath = "/tmp/lud-serve.sock";
   /// HTTP port on 127.0.0.1; 0 picks a free port (see Daemon::httpPort()).
   uint16_t HttpPort = 0;

@@ -4,11 +4,9 @@
 
 #include "obs/PhaseTimer.h"
 #include "support/OutStream.h"
-#include "trace/TraceIO.h"
 
 #include <cerrno>
 #include <cstring>
-#include <numeric>
 
 using namespace lud;
 using namespace lud::serve;
@@ -59,14 +57,7 @@ uint64_t SessionHandle::segments() const {
 }
 
 bool SessionHandle::feed(std::string InBytes, std::string &Err) {
-  std::unique_lock<std::mutex> Lock(Mgr.Mu);
-  // Backpressure: block while the session's backlog is at the watermark.
-  // The chunk still queues whole once the backlog drains, so a single
-  // oversized segment cannot wedge its stream.
-  Mgr.CV.wait(Lock, [&] {
-    return St != SessionState::Open ||
-           PendingBytes < Mgr.Limits.MaxPendingBytes || Mgr.ShuttingDown;
-  });
+  std::lock_guard<std::mutex> Lock(Mgr.Mu);
   if (Mgr.ShuttingDown && St == SessionState::Open) {
     Err = "service shutting down";
     return false;
@@ -88,7 +79,6 @@ bool SessionHandle::feed(std::string InBytes, std::string &Err) {
     return false;
   }
   Bytes += InBytes.size();
-  PendingBytes += InBytes.size();
   Pending.push_back(std::move(InBytes));
   LastTouch = std::chrono::steady_clock::now();
   Mgr.bump("serve.chunks_fed");
@@ -131,7 +121,7 @@ bool SessionHandle::finish(std::string &Err) {
 SessionManager::SessionManager(const Module &M, SessionConfig BaseIn,
                                SessionLimits LimitsIn, unsigned Workers)
     : Mod(M), Base(std::move(BaseIn)), Limits(LimitsIn), Pool(Workers) {
-  // Streamed sessions are already the recording; a replaying session must
+  // Streamed sessions re-execute a recording; a replaying session must
   // never re-record.
   Base.RecordPath.clear();
   Base.RecordSink = nullptr;
@@ -214,9 +204,6 @@ void SessionManager::failLocked(SessionHandle &S, SessionState To,
     return;
   S.St = To;
   S.Diag = Why;
-  S.PendingBytes -= std::accumulate(
-      S.Pending.begin(), S.Pending.end(), uint64_t(0),
-      [](uint64_t A, const std::string &C) { return A + C.size(); });
   S.Pending.clear();
   bump(To == SessionState::Evicted ? "serve.sessions_evicted"
                                    : "serve.sessions_failed");
@@ -253,21 +240,19 @@ void SessionManager::drainJob(SessionHandle &S) {
     ReplayRun R = S.PS->replay(Mod, Chunk);
     Lock.lock();
 
-    S.PendingBytes -= Chunk.size();
     S.Events += R.Events;
     S.Segments += R.Segments;
     bump("serve.bytes_replayed", Chunk.size());
     bump("serve.events_replayed", R.Events);
     bump("serve.segments_replayed", R.Segments);
     if (!R.Ok) {
-      // Malformed stream: fail this session — and only this session —
-      // with the TraceIO offset-stamped diagnostic, verbatim.
+      // Bad record: fail this session — and only this session — with the
+      // line-numbered replay diagnostic, verbatim.
       failLocked(S, SessionState::Failed, R.Error);
       S.JobActive = false;
       CV.notify_all();
       return;
     }
-    CV.notify_all(); // Backpressure waiters: the backlog just shrank.
   }
 }
 
@@ -359,7 +344,7 @@ lud::replayShardedSession(const Module &M,
     Handles.push_back(&H);
     std::string Bytes;
     errno = 0;
-    if (!trace::readFileBytes(TracePaths[S], Bytes)) {
+    if (!readFileBytes(TracePaths[S], Bytes)) {
       // Same diagnostic ProfileSession::replayFile latches for the path.
       Mgr.abort(H, "cannot read '" + TracePaths[S] + "': " +
                        (errno ? std::strerror(errno) : "unknown error"));

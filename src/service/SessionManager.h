@@ -7,23 +7,24 @@
 ///
 /// \file
 /// The session-lifecycle core of the profiling service: open a session,
-/// feed it whole `lud.trace.v1` segments, finish it, and fold every
+/// feed it whole `lud.run.v1` manifest records, finish it, and fold every
 /// finished session into one report — the open → feed → fold → seal →
 /// report arc ProfileSession gives a single batch run, lifted to many
-/// concurrent streams. Replay work runs on a shared WorkerPool with at
+/// concurrent streams. Re-execution runs on a shared WorkerPool with at
 /// most one in-flight drain job per session, so a session's chunks replay
 /// in arrival order while distinct sessions replay in parallel.
 ///
 /// Robustness is part of the contract: a hard per-session byte quota,
-/// bounded ingest buffering (feed() blocks over the backpressure
-/// watermark), idle-session eviction, and malformed-stream rejection that
-/// fails only the offending session — carrying the TraceIO offset-stamped
-/// diagnostic verbatim as the session's error.
+/// idle-session eviction, and rejection of malformed or mismatched records
+/// that fails only the offending session — carrying the line-numbered
+/// replay diagnostic verbatim as the session's error. A record is one
+/// short line, so the quota bounds what a session can queue, and each
+/// record's own instruction count bounds the work its re-execution does.
 ///
 /// Determinism: the report fold merges every Closed session in session-id
 /// order into a fresh prepared session. DepGraph::mergeFrom into an empty
 /// graph reproduces the source numbering exactly, so the folded report is
-/// byte-identical to `lud-replay` over the same traces in the same order,
+/// byte-identical to `lud-replay` over the same manifests in the same order,
 /// at any worker count. replayShardedSession() below is exactly that
 /// batch frontend.
 ///
@@ -53,10 +54,10 @@ namespace serve {
 using SessionId = uint64_t;
 
 enum class SessionState : uint8_t {
-  Open,     ///< Accepting feed() bytes.
+  Open,     ///< Accepting feed() records.
   Draining, ///< finish() called; queued chunks still replaying.
   Closed,   ///< Finished cleanly; participates in the report fold.
-  Failed,   ///< Rejected (corrupt stream, quota, abort); never folded.
+  Failed,   ///< Rejected (bad record, quota, abort); never folded.
   Evicted,  ///< Idle-reaped; never folded.
 };
 
@@ -65,12 +66,6 @@ const char *sessionStateName(SessionState S);
 struct SessionLimits {
   /// Hard per-session ingest quota, bytes; exceeding it fails the session.
   uint64_t MaxSessionBytes = 1ull << 30;
-  /// Backpressure watermark: feed() blocks while the session's queued,
-  /// not-yet-replayed bytes are at or over this. A single chunk larger
-  /// than the watermark still queues whole once the backlog drains (high-
-  /// watermark semantics), so oversized segments slow a stream down
-  /// rather than wedge it.
-  uint64_t MaxPendingBytes = 64ull << 20;
   /// Evict Open sessions idle (no feed/finish) this many seconds; 0 never
   /// evicts.
   double IdleEvictSeconds = 0;
@@ -87,17 +82,16 @@ public:
   SessionId id() const { return Id; }
   ClientSet clients() const { return Clients; }
   SessionState state() const;
-  /// Failure diagnostic once Failed/Evicted. For a corrupt stream this is
-  /// the TraceIO offset-stamped message, verbatim — the same string
-  /// `lud-replay` would print for the same bytes.
+  /// Failure diagnostic once Failed/Evicted. For a bad record this is the
+  /// line-numbered replay message, verbatim — the same string
+  /// ProfileSession::replay reports for the same bytes.
   std::string error() const;
   uint64_t bytesFed() const;
   uint64_t events() const;
   uint64_t segments() const;
 
-  /// Queues \p Bytes — one or more complete `lud.trace.v1` segments — for
-  /// replay, blocking while the session is over the backpressure
-  /// watermark. Returns false when the session is not Open (an earlier
+  /// Queues \p Bytes — one or more complete `lud.run.v1` records — for
+  /// re-execution. Returns false when the session is not Open (an earlier
   /// chunk may have already failed it) or the quota would be exceeded;
   /// \p Err then carries the session's diagnostic.
   bool feed(std::string Bytes, std::string &Err);
@@ -123,7 +117,6 @@ private:
   std::string Diag;
   std::unique_ptr<ProfileSession> PS;
   std::deque<std::string> Pending;
-  uint64_t PendingBytes = 0;
   uint64_t Bytes = 0;
   uint64_t Events = 0;
   uint64_t Segments = 0;
@@ -208,7 +201,7 @@ private:
 
 } // namespace serve
 
-/// Re-drives a sharded recording: one streamed session per trace file in
+/// Re-executes a sharded recording: one streamed session per manifest in
 /// \p TracePaths, replayed at most \p Threads at a time, folded in index
 /// order — the deterministic shard fold, now running through the same
 /// serve::SessionManager lifecycle the lud-serve daemon uses, so batch

@@ -52,3 +52,15 @@ OutStream &lud::errs() {
   static FileOutStream Stream(stderr);
   return Stream;
 }
+
+bool lud::readFileBytes(const std::string &Path, std::string &Out) {
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (!F)
+    return false;
+  char Buf[65536];
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
+    Out.append(Buf, N);
+  std::fclose(F);
+  return true;
+}

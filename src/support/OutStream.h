@@ -8,7 +8,9 @@
 /// \file
 /// A raw_ostream-style output abstraction so library code never includes
 /// <iostream> (which injects static constructors). Two concrete sinks are
-/// provided: an in-memory string stream and a FILE*-backed stream.
+/// provided: an in-memory string stream and a FILE*-backed stream. The
+/// whole-file reader the tools load programs, graphs and manifests with
+/// lives here too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,6 +94,10 @@ OutStream &outs();
 
 /// Returns a stream writing to stderr.
 OutStream &errs();
+
+/// Appends the contents of the file at \p Path to \p Out. Returns false,
+/// with errno set, when the file cannot be opened.
+bool readFileBytes(const std::string &Path, std::string &Out);
 
 } // namespace lud
 

@@ -4,7 +4,6 @@
 
 #include "ir/Parser.h"
 #include "support/OutStream.h"
-#include "trace/TraceIO.h"
 #include "workloads/Composed.h"
 #include "workloads/DaCapo.h"
 #include "workloads/RandomProgram.h"
@@ -115,7 +114,7 @@ std::unique_ptr<Module> ProgramSource::load(int &ExitCode) {
   } else {
     ExitCode = 1;
     std::string Text;
-    if (!trace::readFileBytes(File, Text)) {
+    if (!readFileBytes(File, Text)) {
       errs() << "cannot read '" << File << "'\n";
       return nullptr;
     }

@@ -22,7 +22,6 @@
 #include "support/OutStream.h"
 #include "tools/AnalysisRequest.h"
 #include "tools/ProgramSource.h"
-#include "trace/TraceIO.h"
 
 #include <string>
 #include <vector>
@@ -52,7 +51,7 @@ int main(int argc, char **argv) {
   if (!M)
     return LoadRc;
   std::string GraphText;
-  if (!trace::readFileBytes(GraphPath, GraphText)) {
+  if (!readFileBytes(GraphPath, GraphText)) {
     errs() << "cannot read '" << GraphPath << "'\n";
     return 1;
   }

@@ -1,4 +1,4 @@
-//===- tools/lud-replay.cpp - Re-drive analyses from a trace ---*- C++ -*-===//
+//===- tools/lud-replay.cpp - Re-execute recorded runs ---------*- C++ -*-===//
 //
 // Part of the lud project: a reproduction of "Finding Low-Utility Data
 // Structures" (PLDI 2010).
@@ -6,20 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The offline twin of `lud-run --record`: replays one or more
-/// `lud.trace.v1` files through a fresh profiling session and prints the
-/// same report sections the live run would have, without interpreting a
-/// single instruction. Multiple traces fold in argument order, exactly like
+/// The offline twin of `lud-run --record`: re-executes the runs of one or
+/// more `lud.run.v1` manifests under a fresh profiling session, checking
+/// each against its record, and prints the same report sections the live
+/// run would have. Multiple manifests fold in argument order, exactly like
 /// the recording run's shards:
 ///
-///   lud-run --record=p.trace --clients=all p.lud
-///   lud-replay --clients=all --report p.lud p.trace
+///   lud-run --record=p.run --clients=all p.lud
+///   lud-replay --clients=all --report p.lud p.run
 ///
-///   lud-run --record=p.trace --shards 8 p.lud
-///   lud-replay --all p.lud p.trace.shard0 ... p.trace.shard7
+///   lud-run --record=p.run --shards 8 p.lud
+///   lud-replay --all p.lud p.run.shard0 ... p.run.shard7
 ///
-/// --engine is accepted for symmetry with lud-run; replay never executes
-/// code, so the replayed results are engine-independent.
+/// A manifest recorded against a different program, or a run that does
+/// not reproduce its record, fails with a diagnostic naming the file and
+/// the line. --engine picks the engine re-execution runs on; the results
+/// are engine-independent.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +41,9 @@ int main(int argc, char **argv) {
   cli::ProgramSource Src;
   cli::AnalysisRequest Req;
   int64_t Threads = 1;
-  cli::OptionSet Cli("lud-replay", "<program.lud> <trace>...");
+  cli::OptionSet Cli("lud-replay", "<program.lud> <manifest>...");
   Req.declare(Cli, cli::AnalysisRequest::AllOpts);
-  Cli.number("--threads", Threads, "N  worker threads for multiple traces",
+  Cli.number("--threads", Threads, "N  worker threads for multiple manifests",
              /*Min=*/1);
   if (!Cli.parse(argc, argv)) {
     Cli.usage();
@@ -50,21 +52,21 @@ int main(int argc, char **argv) {
   if (Cli.exitRequested())
     return 0;
   if (Cli.positionals().size() < 2) {
-    errs() << "expected a program and at least one trace\n";
+    errs() << "expected a program and at least one manifest\n";
     Cli.usage();
     return 2;
   }
   Src.File = Cli.positionals()[0];
-  std::vector<std::string> Traces(Cli.positionals().begin() + 1,
-                                  Cli.positionals().end());
+  std::vector<std::string> Manifests(Cli.positionals().begin() + 1,
+                                     Cli.positionals().end());
 
   int LoadRc = 0;
   std::unique_ptr<Module> M = Src.load(LoadRc);
   if (!M)
     return LoadRc;
 
-  ShardedSession SR = replayShardedSession(*M, Traces, Req.sessionConfig(),
-                                           unsigned(Threads));
+  ShardedSession SR = replayShardedSession(
+      *M, Manifests, Req.sessionConfig(), unsigned(Threads));
   if (!SR.Error.empty()) {
     errs() << SR.Error << "\n";
     return 1;
@@ -79,7 +81,7 @@ int main(int argc, char **argv) {
   if (obs::MetricsRegistry *Stats = Session.stats())
     FG.accountStats(*Stats);
 
-  serve::renderReplaySummary(Session, FG, SR.Events, uint64_t(Traces.size()),
+  serve::renderReplaySummary(Session, FG, SR.Events, uint64_t(Manifests.size()),
                              OS);
   if (!Req.dumpGraph(FG, OS))
     return 1;

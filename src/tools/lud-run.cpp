@@ -16,12 +16,12 @@
 ///   lud-run --all --slots 32 program.lud      # every Gcost analysis
 ///   lud-run --clients=copy,nullness,typestate --report program.lud
 ///   lud-run --stats=json --stats-out=s.json --report program.lud
-///   lud-run --record=p.trace program.lud      # record the hook stream
+///   lud-run --record=p.run program.lud        # record a run manifest
 ///   lud-run --optimize --optimize-out=o.lud program.lud
 ///                                             # rewrite-pass pipeline
 ///
-/// `lud-replay program.lud p.trace` re-drives the same reports from a
-/// recording without running anything.
+/// `lud-replay program.lud p.run` re-executes the recorded runs and prints
+/// the same reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +60,7 @@ void declareOptions(cli::OptionSet &P, Options &O) {
   O.Req.declare(P, cli::AnalysisRequest::AllOpts);
   P.flag("--baseline", O.Baseline, "run without instrumentation (timing)");
   P.str("--record", O.RecordPath,
-        "F  record the hook stream to trace file F (one file per shard)");
+        "F  record a run manifest to F (one file per shard)");
   P.flag("--print-ir", O.PrintIR, "echo the parsed program and exit");
   O.Src.declare(P, cli::ProgramSource::WorkloadOpts |
                        cli::ProgramSource::ObfuscateOpts);
@@ -189,7 +189,7 @@ int main(int argc, char **argv) {
   OS << "status: " << statusName(Run) << ", " << Run.ExecutedInstrs
      << " instructions, result " << Run.ReturnValue.asInt() << "\n";
   if (!O.RecordPath.empty())
-    OS << "trace written to " << O.RecordPath
+    OS << "run manifest written to " << O.RecordPath
        << (O.Shards > 1 ? " (one .shardN file per shard)\n" : "\n");
   const SlicingProfiler &Prof = *Session.slicing();
   const DepGraph &G = Prof.graph();

@@ -8,20 +8,21 @@
 /// \file
 /// The profiling daemon and its command-line client, in one binary:
 ///
-///   # Serve: accept streamed lud.trace.v1 sessions for program.lud over
-///   # a unix socket, answer reports over local HTTP.
+///   # Serve: accept streamed lud.run.v1 manifests for program.lud over
+///   # a unix socket, re-execute them, answer reports over local HTTP.
 ///   lud-serve --socket=/tmp/lud.sock --report --clients=all program.lud
 ///   lud-serve --workload=composed --scale=60 --workers=4
 ///
-///   # Stream recorded traces into a running daemon, one session per
-///   # trace, frames interleaved round-robin across the sessions.
-///   lud-serve --send --socket=/tmp/lud.sock a.trace b.trace
+///   # Stream recorded manifests into a running daemon, one session per
+///   # file, one record per frame, interleaved round-robin across the
+///   # sessions.
+///   lud-serve --send --socket=/tmp/lud.sock a.run b.run
 ///
 ///   # Fetch a report / telemetry from a running daemon.
 ///   lud-serve --get=/report --http-port=8844
 ///
 /// GET /report is byte-identical to `lud-replay <flags> program.lud
-/// a.trace b.trace` with the matching report flags — the daemon folds its
+/// a.run b.run` with the matching report flags — the daemon folds its
 /// closed sessions with the same deterministic merge, whatever the worker
 /// count or frame interleaving. Protocol details: docs/SERVICE.md.
 ///
@@ -32,7 +33,7 @@
 #include "support/OutStream.h"
 #include "tools/AnalysisRequest.h"
 #include "tools/ProgramSource.h"
-#include "trace/TraceIO.h"
+#include "trace/RunManifest.h"
 
 #include <cstdio>
 #include <string>
@@ -50,7 +51,6 @@ struct Options {
   int64_t Workers = 4;
   bool Optimize = false;
   int64_t MaxSessionBytes = int64_t(serve::SessionLimits().MaxSessionBytes);
-  int64_t MaxPendingBytes = int64_t(serve::SessionLimits().MaxPendingBytes);
   int64_t IdleTimeout = 0;
   bool Send = false;
   std::string GetPath;
@@ -58,7 +58,8 @@ struct Options {
 
 void declareOptions(cli::OptionSet &P, Options &O) {
   P.str("--socket", O.SocketPath,
-        "PATH  unix socket for trace ingest (default /tmp/lud-serve.sock)");
+        "PATH  unix socket for manifest ingest (default "
+        "/tmp/lud-serve.sock)");
   P.number("--http-port", O.HttpPort,
            "N  HTTP port on 127.0.0.1 (default 0 = pick a free port)",
            /*Min=*/0);
@@ -73,41 +74,43 @@ void declareOptions(cli::OptionSet &P, Options &O) {
          "optimizer section and /stats the opt.* metrics");
   P.number("--max-session-bytes", O.MaxSessionBytes,
            "N  per-session ingest quota in bytes", /*Min=*/1);
-  P.number("--max-pending-bytes", O.MaxPendingBytes,
-           "N  per-session backpressure watermark in bytes", /*Min=*/1);
   P.number("--idle-timeout", O.IdleTimeout,
            "SEC  evict sessions idle this long (default 0 = never)",
            /*Min=*/0);
   O.Src.declare(P, cli::ProgramSource::WorkloadOpts);
   P.flag("--send", O.Send,
-         "stream the trace operands into a running daemon and exit");
+         "stream the manifest operands into a running daemon and exit");
   P.str("--get", O.GetPath,
         "PATH  fetch PATH (e.g. /report) from a running daemon and exit");
 }
 
-/// --send: one session per trace operand, whole-segment frames fed
+/// --send: one session per manifest operand, one record per frame, fed
 /// round-robin across the sessions so the daemon demonstrably does not
 /// care about interleaving.
-int sendMain(const Options &O, const std::vector<std::string> &Traces) {
+int sendMain(const Options &O, const std::vector<std::string> &Manifests) {
   struct Stream {
     std::string Path;
-    std::vector<std::string> Segments;
+    std::string Bytes;
+    std::vector<std::string_view> Records;
     size_t Next = 0;
     serve::ServeClient Client;
     bool Dead = false;
     std::string Err;
   };
-  std::vector<Stream> Streams(Traces.size());
-  for (size_t I = 0; I != Traces.size(); ++I) {
+  std::vector<Stream> Streams(Manifests.size());
+  for (size_t I = 0; I != Manifests.size(); ++I) {
     Stream &S = Streams[I];
-    S.Path = Traces[I];
-    std::string Bytes;
-    if (!trace::readFileBytes(S.Path, Bytes)) {
+    S.Path = Manifests[I];
+    if (!readFileBytes(S.Path, S.Bytes)) {
       errs() << "cannot read '" << S.Path << "'\n";
       return 1;
     }
+    // An empty file still goes out as one (empty) frame, so the daemon
+    // reports it as it reports any other bad manifest.
+    S.Records = trace::splitRecords(S.Bytes);
+    if (S.Records.empty())
+      S.Records.push_back(S.Bytes);
     std::string Err;
-    serve::splitSegments(Bytes, S.Segments, Err);
     if (!S.Client.connect(O.SocketPath, Err) ||
         (O.Req.Clients.any() ? !S.Client.open(O.Req.Clients, Err)
                              : !S.Client.open(Err))) {
@@ -115,16 +118,16 @@ int sendMain(const Options &O, const std::vector<std::string> &Traces) {
       return 1;
     }
   }
-  // Round-robin until every stream has shipped all its segments; a
+  // Round-robin until every stream has shipped all its records; a
   // session the daemon failed stops eating frames but the others
   // continue — per-session isolation, observed from the client side.
   for (bool Progress = true; Progress;) {
     Progress = false;
     for (Stream &S : Streams) {
-      if (S.Dead || S.Next >= S.Segments.size())
+      if (S.Dead || S.Next >= S.Records.size())
         continue;
       Progress = true;
-      if (!S.Client.feed(S.Segments[S.Next++], S.Err))
+      if (!S.Client.feed(std::string(S.Records[S.Next++]) + "\n", S.Err))
         S.Dead = true;
     }
   }
@@ -148,7 +151,7 @@ int sendMain(const Options &O, const std::vector<std::string> &Traces) {
 
 int main(int argc, char **argv) {
   Options O;
-  cli::OptionSet Cli("lud-serve", "<program.lud> | --send <trace>...");
+  cli::OptionSet Cli("lud-serve", "<program.lud> | --send <manifest>...");
   declareOptions(Cli, O);
   if (!Cli.parse(argc, argv)) {
     Cli.usage();
@@ -173,7 +176,7 @@ int main(int argc, char **argv) {
 
   if (O.Send) {
     if (Cli.positionals().empty()) {
-      errs() << "--send expects at least one trace file\n";
+      errs() << "--send expects at least one manifest file\n";
       return 2;
     }
     return sendMain(O, Cli.positionals());
@@ -198,7 +201,6 @@ int main(int argc, char **argv) {
   DCfg.Workers = unsigned(O.Workers);
   DCfg.Base = O.Req.sessionConfig();
   DCfg.Limits.MaxSessionBytes = uint64_t(O.MaxSessionBytes);
-  DCfg.Limits.MaxPendingBytes = uint64_t(O.MaxPendingBytes);
   DCfg.Limits.IdleEvictSeconds = double(O.IdleTimeout);
   DCfg.Spec = O.Req.Spec;
   DCfg.Optimize = O.Optimize;

@@ -6,18 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A profiler stage that serializes the hook stream as a `lud.trace.v1`
-/// segment. It composes through ComposedProfiler like any client — beside
-/// live analyses or alone on an otherwise uninstrumented run — and because
-/// hooks receive the same arguments at every pipeline position, the recorded
-/// bytes are identical wherever the recorder sits and whatever else runs
-/// (tests/trace/RecordReplayTest.cpp pins this).
-///
-/// The recorder is phase-agnostic: it records every event, including the
-/// phase markers themselves, and leaves selective-tracking decisions to the
-/// substrate that replays the trace. It reads the heap only to capture each
-/// allocation's slot count (hooks fire after the operation, so the object
-/// exists), which is what lets the replayer rebuild an equivalent heap.
+/// The recording stage: a profiler that counts the hook events of each run,
+/// per hook kind and per phase, and appends the run's `lud.run.v1` record
+/// (trace/RunManifest.h) to its sink once the session has the run's
+/// outcome. It composes through ComposedProfiler like any client, and
+/// since hooks receive the same arguments at every pipeline position, its
+/// counts do not depend on where it sits or on what else runs
+/// (tests/trace/RecordReplayTest.cpp pins this). Replay composes one
+/// without a sink to count the re-executed hooks it checks each record
+/// against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,37 +23,91 @@
 
 #include "ir/Function.h"
 #include "obs/Metrics.h"
-#include "runtime/Heap.h"
 #include "runtime/ProfilerConcept.h"
-#include "trace/TraceIO.h"
+#include "support/OutStream.h"
+#include "trace/RunManifest.h"
+
+#include <numeric>
 
 namespace lud {
 namespace trace {
 
 class TraceRecorder {
 public:
-  /// \p Sink receives the encoded segments; it must outlive the recorder.
-  explicit TraceRecorder(OutStream &Sink) : W(Sink) {}
+  /// One counter per hook; run start and end are not events.
+  enum Hook : uint8_t {
+    EntryFrame,
+    Phase,
+    Const,
+    Assign,
+    Bin,
+    Un,
+    Alloc,
+    AllocArray,
+    LoadField,
+    StoreField,
+    LoadStatic,
+    StoreStatic,
+    LoadElem,
+    StoreElem,
+    ArrayLen,
+    PredicateTaken,
+    PredicateNotTaken,
+    NativeCall,
+    CallEnter,
+    Return,
+    ReturnBound,
+    Trap,
+    NumHooks
+  };
 
-  uint64_t events() const { return Events; }
-  uint64_t bytes() const { return W.bytes(); }
+  /// Names of the `trace.events.<hook>` gauges, indexed by Hook.
+  static constexpr const char *kHookNames[NumHooks] = {
+      "entry_frame", "phase",          "const",
+      "assign",      "bin",            "un",
+      "alloc",       "alloc_array",    "load_field",
+      "store_field", "load_static",    "store_static",
+      "load_elem",   "store_elem",     "array_len",
+      "predicate_taken", "predicate_not_taken", "native_call",
+      "call_enter",  "return",         "return_bound",
+      "trap"};
 
-  /// Writes the recorder's telemetry (`trace.*`) into \p R: total events
-  /// and bytes, per-kind event counts, per-phase event/byte attribution,
-  /// and the encoded-vs-nominal compression ratio. Idempotent set()s, like
-  /// the client profilers' accountStats.
+  /// \p Sink receives the records and must outlive the recorder; a null
+  /// sink counts without writing.
+  explicit TraceRecorder(OutStream *Sink = nullptr) : Sink(Sink) {}
+
+  /// Hook events over every run so far.
+  uint64_t events() const {
+    return std::accumulate(Count, Count + NumHooks, uint64_t(0));
+  }
+  /// Hook events since the current (or last) run started.
+  uint64_t runEvents() const { return events() - RunStartEvents; }
+  /// Manifest bytes written.
+  uint64_t bytes() const { return Bytes; }
+
+  /// Appends \p R to the sink (no-op without one).
+  void write(const RunRecord &R) {
+    if (!Sink)
+      return;
+    StringOutStream Line;
+    writeRecord(R, Line);
+    *Sink << Line.str();
+    Bytes += Line.str().size();
+  }
+
+  /// Writes the recorder's telemetry (`trace.*`) into \p R: total events,
+  /// runs, per-hook event counts and per-phase event attribution.
+  /// Idempotent set()s, like the client profilers' accountStats.
   void accountStats(obs::MetricsRegistry &R) const {
-    R.set(R.gauge("trace.events", obs::Unit::Count, obs::Merge::Sum), Events);
-    R.set(R.gauge("trace.bytes", obs::Unit::Bytes, obs::Merge::Sum),
-          W.bytes());
+    R.set(R.gauge("trace.events", obs::Unit::Count, obs::Merge::Sum),
+          events());
     R.set(R.gauge("trace.segments", obs::Unit::Count, obs::Merge::Sum),
           Segments);
-    for (unsigned K = 1; K != kNumEventKinds; ++K)
-      if (KindCount[K])
-        R.set(R.gauge(std::string("trace.events.") +
-                          eventKindName(EventKind(K)),
+    for (unsigned K = 0; K != NumHooks; ++K)
+      if (Count[K])
+        R.set(R.gauge(std::string("trace.events.") + kHookNames[K],
                       obs::Unit::Count, obs::Merge::Sum),
-              KindCount[K]);
+              Count[K]);
     for (unsigned P = 0; P != kPhaseBuckets; ++P) {
       if (!PhaseEvents[P])
         continue;
@@ -66,170 +117,74 @@ public:
       R.set(R.gauge("trace.phase." + Name + ".events", obs::Unit::Count,
                     obs::Merge::Sum),
             PhaseEvents[P]);
-      R.set(R.gauge("trace.phase." + Name + ".bytes", obs::Unit::Bytes,
-                    obs::Merge::Sum),
-            PhaseBytes[P]);
     }
-    // Encoded bytes per million nominal bytes: < 1e6 means the varint
-    // encoding beats the fixed-width reference record.
-    if (Nominal)
-      R.set(R.gauge("trace.compression_ppm", obs::Unit::Count,
-                    obs::Merge::Last),
-            W.bytes() * 1000000 / Nominal);
   }
 
   // Profiler hooks.
-  void onRunStart(const Module &Mod, Heap &H) {
-    this->H = &H;
+  void onRunStart(const Module &, Heap &) {
     ++Segments;
-    W.beginTrace(Mod);
+    RunStartEvents = events();
   }
-  void onRunEnd() { W.endTrace(); }
-  void onEntryFrame(const Function &F) {
-    begin(EventKind::EntryFrame);
-    W.varint(F.getId());
-    finish(EventKind::EntryFrame);
-  }
+  void onRunEnd() {}
+  void onEntryFrame(const Function &) { hit(EntryFrame); }
   void onPhase(int64_t P) {
-    begin(EventKind::Phase);
-    W.svarint(P);
-    finish(EventKind::Phase);
+    hit(Phase);
     Bucket = P >= 0 && P < int64_t(kPhaseBuckets) - 1 ? unsigned(P)
                                                       : kPhaseBuckets - 1;
   }
-
-  void onConst(const ConstInst &I) { instrOnly(EventKind::Const, I); }
-  void onAssign(const AssignInst &I) { instrOnly(EventKind::Assign, I); }
-  void onBin(const BinInst &I) { instrOnly(EventKind::Bin, I); }
-  void onUn(const UnInst &I) { instrOnly(EventKind::Un, I); }
-
-  void onAlloc(const AllocInst &I, ObjId O) {
-    begin(EventKind::Alloc);
-    W.varint(I.getId());
-    W.varint(O);
-    W.varint(uint32_t(H->obj(O).Slots.size()));
-    finish(EventKind::Alloc);
+  void onConst(const ConstInst &) { hit(Const); }
+  void onAssign(const AssignInst &) { hit(Assign); }
+  void onBin(const BinInst &) { hit(Bin); }
+  void onUn(const UnInst &) { hit(Un); }
+  void onAlloc(const AllocInst &, ObjId) { hit(Alloc); }
+  void onAllocArray(const AllocArrayInst &, ObjId) { hit(AllocArray); }
+  void onLoadField(const LoadFieldInst &, ObjId, const Value &) {
+    hit(LoadField);
   }
-  void onAllocArray(const AllocArrayInst &I, ObjId O) {
-    begin(EventKind::AllocArray);
-    W.varint(I.getId());
-    W.varint(O);
-    W.varint(uint32_t(H->obj(O).Slots.size()));
-    finish(EventKind::AllocArray);
+  void onStoreField(const StoreFieldInst &, ObjId, const Value &) {
+    hit(StoreField);
   }
-
-  void onLoadField(const LoadFieldInst &I, ObjId Base, const Value &Loaded) {
-    heapAccess(EventKind::LoadField, I.getId(), Base, Loaded);
+  void onLoadStatic(const LoadStaticInst &, const Value &) {
+    hit(LoadStatic);
   }
-  void onStoreField(const StoreFieldInst &I, ObjId Base,
-                    const Value &Stored) {
-    heapAccess(EventKind::StoreField, I.getId(), Base, Stored);
+  void onStoreStatic(const StoreStaticInst &, const Value &) {
+    hit(StoreStatic);
   }
-  void onLoadStatic(const LoadStaticInst &I, const Value &Loaded) {
-    begin(EventKind::LoadStatic);
-    W.varint(I.getId());
-    W.value(Loaded);
-    finish(EventKind::LoadStatic);
+  void onLoadElem(const LoadElemInst &, ObjId, uint32_t, const Value &) {
+    hit(LoadElem);
   }
-  void onStoreStatic(const StoreStaticInst &I, const Value &Stored) {
-    begin(EventKind::StoreStatic);
-    W.varint(I.getId());
-    W.value(Stored);
-    finish(EventKind::StoreStatic);
+  void onStoreElem(const StoreElemInst &, ObjId, uint32_t, const Value &) {
+    hit(StoreElem);
   }
-  void onLoadElem(const LoadElemInst &I, ObjId Base, uint32_t Index,
-                  const Value &Loaded) {
-    elemAccess(EventKind::LoadElem, I.getId(), Base, Index, Loaded);
+  void onArrayLen(const ArrayLenInst &, ObjId) { hit(ArrayLen); }
+  void onPredicate(const CondBrInst &, bool Taken) {
+    hit(Taken ? PredicateTaken : PredicateNotTaken);
   }
-  void onStoreElem(const StoreElemInst &I, ObjId Base, uint32_t Index,
-                   const Value &Stored) {
-    elemAccess(EventKind::StoreElem, I.getId(), Base, Index, Stored);
+  void onNativeCall(const NativeCallInst &) { hit(NativeCall); }
+  void onCallEnter(const CallInst &, const Function &, ObjId) {
+    hit(CallEnter);
   }
-  void onArrayLen(const ArrayLenInst &I, ObjId Base) {
-    begin(EventKind::ArrayLen);
-    W.varint(I.getId());
-    W.varint(Base);
-    finish(EventKind::ArrayLen);
-  }
-
-  void onPredicate(const CondBrInst &I, bool Taken) {
-    EventKind K =
-        Taken ? EventKind::PredicateTaken : EventKind::PredicateNotTaken;
-    instrOnly(K, I);
-  }
-  void onNativeCall(const NativeCallInst &I) {
-    instrOnly(EventKind::NativeCall, I);
-  }
-  void onCallEnter(const CallInst &I, const Function &Callee,
-                   ObjId Receiver) {
-    begin(EventKind::CallEnter);
-    W.varint(I.getId());
-    W.varint(Callee.getId());
-    W.varint(Receiver);
-    finish(EventKind::CallEnter);
-  }
-  void onReturn(const ReturnInst &I) { instrOnly(EventKind::Return, I); }
-  void onReturnBound(Reg Dst) {
-    begin(EventKind::ReturnBound);
-    W.varint(Dst);
-    finish(EventKind::ReturnBound);
-  }
-  void onTrap(const Instruction &I, TrapKind K, Reg FaultReg) {
-    begin(EventKind::Trap);
-    W.varint(I.getId());
-    W.u8(uint8_t(K));
-    W.varint(FaultReg);
-    finish(EventKind::Trap);
-  }
+  void onReturn(const ReturnInst &) { hit(Return); }
+  void onReturnBound(Reg) { hit(ReturnBound); }
+  void onTrap(const Instruction &, TrapKind, Reg) { hit(Trap); }
 
 private:
   /// Phase-attribution buckets: phase ids 0..6 get their own bucket,
   /// everything else lands in "other".
   static constexpr unsigned kPhaseBuckets = 8;
 
-  void begin(EventKind K) {
-    EventStart = W.bytes();
-    W.u8(uint8_t(K));
-  }
-  void finish(EventKind K) {
-    ++Events;
-    ++KindCount[unsigned(K)];
+  void hit(Hook K) {
+    ++Count[K];
     ++PhaseEvents[Bucket];
-    PhaseBytes[Bucket] += W.bytes() - EventStart;
-    Nominal += nominalEventBytes(K);
-  }
-  void instrOnly(EventKind K, const Instruction &I) {
-    begin(K);
-    W.varint(I.getId());
-    finish(K);
-  }
-  void heapAccess(EventKind K, InstrId I, ObjId Base, const Value &V) {
-    begin(K);
-    W.varint(I);
-    W.varint(Base);
-    W.value(V);
-    finish(K);
-  }
-  void elemAccess(EventKind K, InstrId I, ObjId Base, uint32_t Index,
-                  const Value &V) {
-    begin(K);
-    W.varint(I);
-    W.varint(Base);
-    W.varint(Index);
-    W.value(V);
-    finish(K);
   }
 
-  TraceWriter W;
-  Heap *H = nullptr;
-  uint64_t Events = 0;
+  OutStream *Sink;
+  uint64_t Bytes = 0;
   uint64_t Segments = 0;
-  uint64_t Nominal = 0;
-  uint64_t EventStart = 0;
+  uint64_t RunStartEvents = 0;
   unsigned Bucket = 0;
-  uint64_t KindCount[kNumEventKinds] = {};
+  uint64_t Count[NumHooks] = {};
   uint64_t PhaseEvents[kPhaseBuckets] = {};
-  uint64_t PhaseBytes[kPhaseBuckets] = {};
 };
 
 } // namespace trace

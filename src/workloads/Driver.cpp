@@ -8,8 +8,8 @@
 #include "runtime/ThreadedEngine.h"
 #include "support/OutStream.h"
 #include "trace/TraceRecorder.h"
-#include "trace/TraceReplayer.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -29,8 +29,7 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 ProfileSession::ProfileSession(SessionConfig Cfg) : Cfg(std::move(Cfg)) {}
 
 ProfileSession::~ProfileSession() {
-  // Flush order matters: the recorder's writer drains into the stream,
-  // which writes into the file.
+  // The recorder writes into the stream, which writes into the file.
   Recorder.reset();
   RecordStream.reset();
   if (RecordFile)
@@ -53,7 +52,7 @@ void ProfileSession::ensureProfilers(const Module &M) {
       }
     }
     if (Sink)
-      Recorder = std::make_unique<trace::TraceRecorder>(*Sink);
+      Recorder = std::make_unique<trace::TraceRecorder>(Sink);
   }
   if (Cfg.Clients.any())
     Cfg.Instrument = true; // Clients read the substrate's heap tags.
@@ -70,50 +69,74 @@ void ProfileSession::ensureProfilers(const Module &M) {
   }
 }
 
-TimedRun ProfileSession::run(const Module &M) {
-  ensureProfilers(M);
+RunResult ProfileSession::execute(const Module &M, const RunConfig &RC,
+                                  trace::TraceRecorder *Counter) {
   Heap H;
-  TimedRun Out;
-  obs::PhaseTimer Span(Stats.get(), "interpret");
-  auto T0 = std::chrono::steady_clock::now();
-  if (Recorder) {
-    // Recording run: the recorder leads the pipeline so the trace captures
-    // the hook stream regardless of which analyses ride along (a hook's
+  if (Counter) {
+    // Recording or re-executing: the counter leads the pipeline (a hook's
     // arguments are identical at every stage position; the order is only a
     // convention). Null stages are skipped, so this one instantiation
     // covers recorded baselines, substrate-only runs and full client sets.
     using Pipeline =
         ComposedProfiler<trace::TraceRecorder, SlicingProfiler, CopyProfiler,
                          NullnessProfiler, TypestateProfiler>;
-    Pipeline P(Recorder.get(), Slicing.get(), Copy.get(), Null.get(),
-               Type.get());
-    Out.Run = runWithEngine(Cfg.Engine, M, H, P, Cfg.Run);
-  } else if (!Slicing) {
+    Pipeline P(Counter, Slicing.get(), Copy.get(), Null.get(), Type.get());
+    return runWithEngine(Cfg.Engine, M, H, P, RC);
+  }
+  if (!Slicing) {
     // Empty pipeline: the stock-JVM baseline, bit-identical in behavior to
     // the old NoopProfiler path.
     ComposedProfiler<> P;
-    Out.Run = runWithEngine(Cfg.Engine, M, H, P, Cfg.Run);
-  } else if (Cfg.Clients.empty()) {
+    return runWithEngine(Cfg.Engine, M, H, P, RC);
+  }
+  if (Cfg.Clients.empty()) {
     // Substrate only: keep the single-profiler instantiation so Table 1
     // overhead numbers measure the substrate, not pipeline dispatch.
-    Out.Run = runWithEngine(Cfg.Engine, M, H, *Slicing, Cfg.Run);
-  } else {
-    // One pass, every client: substrate first (it writes the heap tags the
-    // clients read), then the clients; disabled stages are null and skipped.
-    using Pipeline = ComposedProfiler<SlicingProfiler, CopyProfiler,
-                                      NullnessProfiler, TypestateProfiler>;
-    Pipeline P(Slicing.get(), Copy.get(), Null.get(), Type.get());
-    Out.Run = runWithEngine(Cfg.Engine, M, H, P, Cfg.Run);
+    return runWithEngine(Cfg.Engine, M, H, *Slicing, RC);
   }
+  // One pass, every client: substrate first (it writes the heap tags the
+  // clients read), then the clients; disabled stages are null and skipped.
+  using Pipeline = ComposedProfiler<SlicingProfiler, CopyProfiler,
+                                    NullnessProfiler, TypestateProfiler>;
+  Pipeline P(Slicing.get(), Copy.get(), Null.get(), Type.get());
+  return runWithEngine(Cfg.Engine, M, H, P, RC);
+}
+
+uint64_t ProfileSession::moduleHash(const Module &M) {
+  if (HashedModule != &M) {
+    ModuleHash = trace::moduleHash(M);
+    HashedModule = &M;
+  }
+  return ModuleHash;
+}
+
+TimedRun ProfileSession::run(const Module &M) {
+  ensureProfilers(M);
+  TimedRun Out;
+  obs::PhaseTimer Span(Stats.get(), "interpret");
+  auto T0 = std::chrono::steady_clock::now();
+  Out.Run = execute(M, Cfg.Run, Recorder.get());
   Out.Seconds = secondsSince(T0);
   Span.stop();
-  // The recorder's TraceWriter drained into the stream at endTrace, but a
-  // file sink still has stdio buffering between it and the disk. Flush so
-  // the trace is replayable as soon as run() returns, not only when the
-  // session dies — the sharded driver keeps shard 0 alive as the fold
-  // target while its trace file is already being consumed.
-  if (RecordFile)
-    std::fflush(RecordFile);
+  if (Recorder) {
+    trace::RunRecord Rec;
+    Rec.ModuleHash = moduleHash(M);
+    Rec.MaxInstructions = Cfg.Run.MaxInstructions;
+    Rec.MaxFrames = Cfg.Run.MaxFrames;
+    if (Cfg.Run.Input)
+      Rec.Input = *Cfg.Run.Input;
+    Rec.Status = Out.Run.Status;
+    Rec.Instructions = Out.Run.ExecutedInstrs;
+    Rec.SinkHash = Out.Run.SinkHash;
+    Rec.Events = Recorder->runEvents();
+    Recorder->write(Rec);
+    // A file sink has stdio buffering between it and the disk. Flush so
+    // the manifest is replayable as soon as run() returns, not only when
+    // the session dies — the sharded driver keeps shard 0 alive as the
+    // fold target while its file is already being consumed.
+    if (RecordFile)
+      std::fflush(RecordFile);
+  }
   if (Stats) {
     obs::MetricsRegistry &R = *Stats;
     R.add(R.counter("run.count"), 1);
@@ -128,35 +151,64 @@ TimedRun ProfileSession::run(const Module &M) {
   return Out;
 }
 
-ReplayRun ProfileSession::replay(const Module &M, std::string_view Bytes) {
+bool ProfileSession::reexecute(const Module &M, std::string_view Manifest,
+                               ReplayRun &Out) {
+  auto Fail = [&](const std::string &Msg) {
+    Out.Error = "line " + std::to_string(ReplayedLines) + ": " + Msg;
+    return false;
+  };
+  if (Manifest.empty()) {
+    ++ReplayedLines;
+    return Fail("empty manifest (expected a " +
+                std::string(trace::kManifestMagic) + " record)");
+  }
+  for (std::string_view Line : trace::splitRecords(Manifest)) {
+    ++ReplayedLines;
+    trace::RunRecord Rec;
+    std::string Err;
+    if (!trace::parseRecord(Line, Rec, Err))
+      return Fail(Err);
+    if (Rec.ModuleHash != moduleHash(M))
+      return Fail("module hash " + trace::hashHex(Rec.ModuleHash) +
+                  " does not match the program's " +
+                  trace::hashHex(moduleHash(M)) +
+                  " (the manifest was recorded against a different "
+                  "program)");
+    // The recorded inputs, the session's natives and engine, no output. The
+    // record's own instruction count bounds the re-execution, so a
+    // fabricated record cannot run longer than it claims.
+    RunConfig RC = Cfg.Run;
+    RC.PrintStream = nullptr;
+    RC.Input = &Rec.Input;
+    RC.MaxFrames = Rec.MaxFrames;
+    RC.MaxInstructions = std::min(
+        Rec.MaxInstructions,
+        Rec.Instructions + (Rec.Instructions != ~uint64_t(0) ? 1 : 0));
+    trace::TraceRecorder Counter;
+    RunResult R = execute(M, RC, &Counter);
+    Out.Events += Counter.events();
+    ++Out.Segments;
+    if (std::string D = trace::diffRecord(Rec, R, Counter.events());
+        !D.empty())
+      return Fail("re-execution diverged from the record: " + D);
+  }
+  return true;
+}
+
+ReplayRun ProfileSession::replay(const Module &M, std::string_view Manifest) {
   ensureProfilers(M);
   ReplayRun Out;
   obs::PhaseTimer Span(Stats.get(), "replay");
   auto T0 = std::chrono::steady_clock::now();
-  trace::ReplayStats RS;
-  // Same pipeline shapes as run(), minus the recorder: replay feeds the
-  // analyses, it does not transcode the trace.
-  if (!Slicing) {
-    ComposedProfiler<> P;
-    Out.Ok = trace::replayTrace(M, Bytes, P, Out.Error, &RS);
-  } else if (Cfg.Clients.empty()) {
-    Out.Ok = trace::replayTrace(M, Bytes, *Slicing, Out.Error, &RS);
-  } else {
-    using Pipeline = ComposedProfiler<SlicingProfiler, CopyProfiler,
-                                      NullnessProfiler, TypestateProfiler>;
-    Pipeline P(Slicing.get(), Copy.get(), Null.get(), Type.get());
-    Out.Ok = trace::replayTrace(M, Bytes, P, Out.Error, &RS);
-  }
-  Out.Events = RS.Events;
-  Out.Segments = RS.Segments;
+  Out.Ok = reexecute(M, Manifest, Out);
   Out.Seconds = secondsSince(T0);
   Span.stop();
   if (Stats) {
     obs::MetricsRegistry &R = *Stats;
     R.add(R.counter("replay.count"), 1);
-    R.add(R.counter("replay.events"), RS.Events);
-    R.add(R.counter("replay.segments"), RS.Segments);
-    R.add(R.counter("replay.bytes"), Bytes.size());
+    R.add(R.counter("replay.events"), Out.Events);
+    R.add(R.counter("replay.segments"), Out.Segments);
+    R.add(R.counter("replay.bytes"), Manifest.size());
     refreshDerivedStats();
   }
   return Out;
@@ -165,13 +217,17 @@ ReplayRun ProfileSession::replay(const Module &M, std::string_view Bytes) {
 ReplayRun ProfileSession::replayFile(const Module &M,
                                      const std::string &Path) {
   std::string Bytes;
-  if (!trace::readFileBytes(Path, Bytes)) {
+  errno = 0;
+  if (!readFileBytes(Path, Bytes)) {
     ReplayRun Out;
     Out.Error = "cannot read '" + Path + "': " +
                 (errno ? std::strerror(errno) : "unknown error");
     return Out;
   }
-  return replay(M, Bytes);
+  ReplayRun Out = replay(M, Bytes);
+  if (!Out.Ok)
+    Out.Error = Path + ": " + Out.Error;
+  return Out;
 }
 
 void ProfileSession::refreshDerivedStats() {

@@ -17,7 +17,7 @@
 ///
 /// The session lifecycle is open (prepare) → feed (run/replay) → fold
 /// (mergeFrom) → report; every frontend — single batch run, the sharded
-/// drivers, lud-replay, and the lud-serve daemon's streamed sessions —
+/// driver, lud-replay, and the lud-serve daemon's streamed sessions —
 /// composes those same verbs rather than owning a parallel code path.
 /// The overhead factors of Table 1 are profiled-time / baseline-time on
 /// the identical engine (SessionConfig::profiled vs ::baseline).
@@ -57,12 +57,12 @@ struct TimedRun {
 };
 
 struct SessionConfig {
-  /// Execution backend for live runs: the reference interpreter or the
-  /// direct-threaded engine (runtime/ThreadedEngine.h). Both drive the same
-  /// profiler pipelines with an identical hook stream, so Gcost, client
-  /// reports and run facts are byte-identical either way; only the speed
-  /// differs. Defaults from the LUD_ENGINE environment variable. Replays
-  /// never execute code, so this knob does not affect them.
+  /// Execution backend: the reference interpreter or the direct-threaded
+  /// engine (runtime/ThreadedEngine.h). Both drive the same profiler
+  /// pipelines with an identical hook stream, so Gcost, client reports and
+  /// run facts are byte-identical either way; only the speed differs. Replay
+  /// re-executes on this engine too. Defaults from the LUD_ENGINE
+  /// environment variable.
   EngineKind Engine = defaultEngineKind();
   /// Build Gcost (the slicing substrate). False with no clients is the
   /// uninstrumented baseline; any enabled client forces the substrate on,
@@ -80,11 +80,12 @@ struct SessionConfig {
   /// refreshed after each run and merge. Off by default — the off state is
   /// one pointer test per phase boundary, nothing on the event hot path.
   bool CollectStats = false;
-  /// When non-empty, record the hook stream of every run() to this file as
-  /// `lud.trace.v1` segments (trace/TraceRecorder.h). Recording composes a
-  /// TraceRecorder ahead of whatever pipeline the session would run anyway;
-  /// with recording off the pipeline instantiations are exactly the
-  /// pre-trace ones, so the feature costs nothing when unused.
+  /// When non-empty, append one `lud.run.v1` record per run() to this file
+  /// (trace/RunManifest.h): the module hash, the budget, the frame limit,
+  /// the input tape and the run's outcome. Recording composes a hook
+  /// counter (trace/TraceRecorder.h) ahead of whatever pipeline the session
+  /// would run anyway; with recording off the pipeline instantiations are
+  /// exactly the unrecorded ones, so the feature costs nothing when unused.
   std::string RecordPath;
   /// Record into a caller-owned stream instead of RecordPath (tests; takes
   /// precedence). Must outlive the session.
@@ -97,12 +98,15 @@ struct SessionConfig {
   static SessionConfig profiled(SlicingConfig SCfg = {}, RunConfig RC = {});
 };
 
-/// Outcome of re-driving the session's profilers from a recorded trace.
+/// Outcome of re-executing a run manifest under the session's profilers.
 struct ReplayRun {
   bool Ok = false;
-  /// Diagnostic when !Ok (corrupt trace, module mismatch, unreadable file).
+  /// Diagnostic when !Ok: a malformed record, a module mismatch, a
+  /// re-execution that diverged from its record, or an unreadable file.
+  /// Record diagnostics carry the manifest line number.
   std::string Error;
-  /// Events replayed and segments (one per recorded run()) consumed.
+  /// Hook events re-executed, and records (one per recorded run())
+  /// consumed.
   uint64_t Events = 0;
   uint64_t Segments = 0;
   double Seconds = 0;
@@ -127,13 +131,14 @@ public:
   /// interpreter pass.
   TimedRun run(const Module &M);
 
-  /// Re-drives the enabled profilers from an in-memory `lud.trace.v1`
-  /// stream instead of interpreting: same hooks, same order, same
-  /// arguments, so the resulting profiler state — Gcost and client state
-  /// alike — is identical to the live run's. On failure the profilers are
-  /// partially updated; discard the session.
-  ReplayRun replay(const Module &M, std::string_view Bytes);
-  /// replay() over the contents of \p Path.
+  /// Re-executes every record of an in-memory `lud.run.v1` manifest under
+  /// the enabled profilers, on the session's engine and natives, output
+  /// discarded, so the profiler state is the recorded run's. Each run is
+  /// bounded by, and checked against, its record (docs/TRACING.md); line
+  /// numbers in diagnostics continue across calls. On failure the
+  /// profilers are partially updated; discard the session.
+  ReplayRun replay(const Module &M, std::string_view Manifest);
+  /// replay() over the contents of \p Path; diagnostics name the file.
   ReplayRun replayFile(const Module &M, const std::string &Path);
 
   /// The recording stage, when Cfg requested one and its sink opened.
@@ -178,11 +183,20 @@ public:
                           size_t TopK = 15) const;
 
   /// Releases the substrate to a caller that outlives the session (the
-  /// parallel driver's per-shard ProfiledRun results).
+  /// ProfiledRun result of the test and bench helpers).
   std::unique_ptr<SlicingProfiler> takeSlicing() { return std::move(Slicing); }
 
 private:
   void ensureProfilers(const Module &M);
+  /// One execution of \p M under the session's pipeline, with \p Counter
+  /// (when non-null) composed ahead of the analyses.
+  RunResult execute(const Module &M, const RunConfig &RC,
+                    trace::TraceRecorder *Counter);
+  /// replay()'s loop: re-executes and checks each record.
+  bool reexecute(const Module &M, std::string_view Manifest, ReplayRun &Out);
+  /// trace::moduleHash, computed once per session (a session profiles one
+  /// module).
+  uint64_t moduleHash(const Module &M);
   /// Re-derives every state-based metric from the profilers (idempotent
   /// set()s). Called after each run and each merge.
   void refreshDerivedStats();
@@ -197,11 +211,14 @@ private:
   std::unique_ptr<FileOutStream> RecordStream;
   std::FILE *RecordFile = nullptr;
   std::string RecordErr;
+  const Module *HashedModule = nullptr;
+  uint64_t ModuleHash = 0;
+  /// Manifest lines consumed by replay() so far.
+  uint64_t ReplayedLines = 0;
 };
 
 /// A substrate-only run's outcome plus its profiler (holding Gcost),
-/// released from the session that produced it (takeSlicing) — the
-/// parallel driver's per-shard result shape.
+/// released from the session that produced it (takeSlicing).
 struct ProfiledRun {
   RunResult Run;
   double Seconds = 0;

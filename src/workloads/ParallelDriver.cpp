@@ -60,36 +60,3 @@ ShardedSession lud::runShardedSession(const Module &M, unsigned Shards,
     Out.TotalInstrs += R.ExecutedInstrs;
   return Out;
 }
-
-ShardedRun lud::runShardedProfiled(const Module &M, unsigned Shards,
-                                   ParallelConfig Cfg) {
-  SessionConfig SC;
-  SC.Slicing = Cfg.Slicing;
-  SC.Run = Cfg.Run;
-  ShardedSession S = runShardedSession(M, Shards, std::move(SC), Cfg.Threads);
-  ShardedRun Out;
-  Out.Run = S.Run;
-  Out.TotalInstrs = S.TotalInstrs;
-  Out.Seconds = S.Seconds;
-  if (S.Session)
-    Out.Prof = S.Session->takeSlicing();
-  return Out;
-}
-
-ParallelResult lud::runParallel(const std::vector<const Module *> &Mods,
-                                ParallelConfig Cfg) {
-  ParallelResult Out;
-  Out.Runs.resize(Mods.size());
-  auto T0 = std::chrono::steady_clock::now();
-  forEachJob(unsigned(Mods.size()), Cfg.Threads, [&](unsigned J) {
-    ProfiledRun &R = Out.Runs[J];
-    R.Prof = std::make_unique<SlicingProfiler>(Cfg.Slicing);
-    Heap H;
-    Interpreter<SlicingProfiler> Interp(*Mods[J], H, *R.Prof, Cfg.Run);
-    auto J0 = std::chrono::steady_clock::now();
-    R.Run = Interp.run();
-    R.Seconds = secondsSince(J0);
-  });
-  Out.Seconds = secondsSince(T0);
-  return Out;
-}

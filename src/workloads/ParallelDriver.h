@@ -6,15 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A multi-workload profiling driver: runs are sharded over a small thread
-/// pool with one SlicingProfiler (and one Heap and Interpreter) per shard,
-/// and the per-shard profiles are folded back into a single Gcost with
-/// SlicingProfiler::mergeFrom. Nothing is shared between in-flight shards,
-/// so no locks sit on the event hot path; the fold happens once, after the
-/// pool drains, in shard-index order. Because the fold order is fixed and
-/// mergeFrom re-interns nodes in the source graph's creation order, the
-/// merged profile is identical whatever Threads is set to — Threads = 1
-/// reproduces the sequential result bit for bit.
+/// The sharded profiling driver: one module profiled in N shards over a
+/// small thread pool, with one ProfileSession (and one Heap and engine) per
+/// shard, folded back into a single session with ProfileSession::mergeFrom.
+/// Nothing is shared between in-flight shards, so no locks sit on the event
+/// hot path; the fold happens once, after the pool drains, in shard-index
+/// order. Because the fold order is fixed and mergeFrom re-interns nodes in
+/// the source graph's creation order, the merged profile is identical
+/// whatever the thread count — one thread reproduces the sequential result
+/// bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,45 +23,14 @@
 
 #include "workloads/Driver.h"
 
-#include <vector>
 
 namespace lud {
 
-struct ParallelConfig {
-  /// Worker threads; clamped to the number of jobs. 1 runs the whole batch
-  /// on the calling thread (no pool), which is the reference the merged
-  /// results are tested against.
-  unsigned Threads = 4;
-  SlicingConfig Slicing;
-  RunConfig Run;
-};
-
-/// Result of profiling one module \p Shards times (e.g. repeated steady
-/// -state iterations of a DaCapo harness) with the shards' graphs merged.
-struct ShardedRun {
-  /// Outcome of shard 0. Workload modules are deterministic, so every
-  /// shard's RunResult is identical; this is the canonical copy.
-  RunResult Run;
-  /// Executed instructions summed over all shards.
-  uint64_t TotalInstrs = 0;
-  /// Wall time for the whole batch, pool included.
-  double Seconds = 0;
-  /// The merged profile: shard 0's profiler after folding shards 1..N-1
-  /// into it in index order.
-  std::unique_ptr<SlicingProfiler> Prof;
-};
-
-/// Runs \p M under the slicing profiler \p Shards times, at most
-/// Cfg.Threads at once, and merges the per-shard profiles.
-ShardedRun runShardedProfiled(const Module &M, unsigned Shards,
-                              ParallelConfig Cfg = {});
-
-/// Sharded run of a full profile session: like runShardedProfiled, but each
-/// shard is a ProfileSession (substrate plus any enabled client analyses,
-/// one pass per shard), and the fold covers client state too via
-/// ProfileSession::mergeFrom. The deterministic-fold property carries over:
-/// shard-index order plus order-preserving client merges make the result
-/// independent of Threads.
+/// Result of profiling one module in shards. Each shard is a ProfileSession
+/// (substrate plus any enabled client analyses, one pass per shard), and
+/// the fold covers client state too. Shard-index order plus
+/// order-preserving client merges make the result independent of the
+/// thread count.
 struct ShardedSession {
   /// Outcome of shard 0 (shards are deterministic replicas).
   RunResult Run;
@@ -69,7 +38,8 @@ struct ShardedSession {
   uint64_t TotalInstrs = 0;
   /// Wall time for the whole batch, pool included.
   double Seconds = 0;
-  /// Trace events recorded (live + record) or replayed, summed over shards.
+  /// Hook events recorded (live + record) or re-executed (replay), summed
+  /// over shards.
   uint64_t Events = 0;
   /// First record/replay failure across the shards ("" when all succeeded).
   /// Live runs always leave this empty.
@@ -82,38 +52,22 @@ struct ShardedSession {
 
 /// Runs \p Shards sessions configured by \p Cfg over \p M, at most
 /// \p Threads at once, and folds them into one. When Cfg.RecordPath is set
-/// each shard records to its own file, shardTracePath(RecordPath, S,
-/// Shards); a caller-provided Cfg.RecordSink is handed to every shard
-/// unchanged, which interleaves segments unless Shards == 1 or Threads ==
-/// 1 (sequential shards append whole segments, which replays as the merged
+/// each shard records its manifest to its own file, shardTracePath(
+/// RecordPath, S, Shards); a caller-provided Cfg.RecordSink is handed to
+/// every shard unchanged, which is only safe when Shards == 1 or Threads ==
+/// 1 (sequential shards append whole records, which replay as the merged
 /// session).
 ShardedSession runShardedSession(const Module &M, unsigned Shards,
                                  SessionConfig Cfg = {}, unsigned Threads = 4);
 
-// replayShardedSession — the replay twin of runShardedSession — lives in
-// service/SessionManager.h now: it is a batch frontend over the service's
-// SessionManager, so the sharded replay, lud-replay, and the lud-serve
-// daemon all fold through one session-lifecycle API.
+// replayShardedSession, the replay twin of runShardedSession, is a batch
+// frontend over serve::SessionManager (service/SessionManager.h).
 
-/// Per-shard trace file name: \p Path itself for a single shard, otherwise
+/// Per-shard manifest file name: \p Path itself for a single shard, otherwise
 /// "<Path>.shardN". Both the recording and replaying sides derive names
 /// through this, so a record/replay pair only shares the base path.
 std::string shardTracePath(const std::string &Path, unsigned Shard,
                            unsigned Shards);
-
-/// Result of profiling a batch of distinct workload modules in parallel.
-struct ParallelResult {
-  /// One profiled run per input module, in input order (not completion
-  /// order); each holds its own Gcost. Graphs of distinct modules are not
-  /// merged — node identity is per-module static-instruction ids.
-  std::vector<ProfiledRun> Runs;
-  /// Wall time for the whole batch.
-  double Seconds = 0;
-};
-
-/// Profiles each module in \p Mods on the pool, Cfg.Threads at a time.
-ParallelResult runParallel(const std::vector<const Module *> &Mods,
-                           ParallelConfig Cfg = {});
 
 } // namespace lud
 

@@ -14,6 +14,7 @@
 
 #include "../TestUtil.h"
 
+#include "support/WorkerPool.h"
 #include "workloads/DaCapo.h"
 #include "workloads/ParallelDriver.h"
 
@@ -124,42 +125,40 @@ TEST(MergeEquivalenceTest, ShardedDriverMatchesAnyThreadCount) {
   Workload W = buildWorkload("derby", 60);
   const unsigned Shards = 5;
 
-  ParallelConfig One;
-  One.Threads = 1;
-  ShardedRun Ref = runShardedProfiled(*W.M, Shards, One);
-
-  ParallelConfig Pool;
-  Pool.Threads = 3;
-  ShardedRun Par = runShardedProfiled(*W.M, Shards, Pool);
+  SessionConfig Cfg = SessionConfig::profiled();
+  ShardedSession Ref = runShardedSession(*W.M, Shards, Cfg, /*Threads=*/1);
+  ShardedSession Par = runShardedSession(*W.M, Shards, Cfg, /*Threads=*/3);
+  ASSERT_TRUE(Ref.Session && Par.Session);
 
   EXPECT_EQ(Ref.TotalInstrs, Par.TotalInstrs);
   EXPECT_EQ(Ref.Run.ExecutedInstrs, Par.Run.ExecutedInstrs);
-  expectProfilesEqual(*Par.Prof, *Ref.Prof);
+  expectProfilesEqual(*Par.Session->slicing(), *Ref.Session->slicing());
 
   // And the fold equals one profiler observing the shards sequentially.
   SlicingProfiler Seq{SlicingConfig{}};
   for (unsigned S = 0; S != Shards; ++S)
     runModule(*W.M, Seq);
-  expectProfilesEqual(*Ref.Prof, Seq);
+  expectProfilesEqual(*Ref.Session->slicing(), Seq);
 }
 
 TEST(MergeEquivalenceTest, ParallelBatchMatchesSequential) {
+  // Sessions over distinct modules share no state: profiling a batch on
+  // the pool gives each module the profile it gets on its own.
   std::vector<Workload> Ws;
-  std::vector<const Module *> Mods;
-  for (const char *Name : {"antlr", "chart", "hsqldb", "xalan"}) {
+  for (const char *Name : {"antlr", "chart", "hsqldb", "xalan"})
     Ws.push_back(buildWorkload(Name, 60));
-    Mods.push_back(Ws.back().M.get());
-  }
-  ParallelConfig One;
-  One.Threads = 1;
-  ParallelConfig Pool;
-  Pool.Threads = 3;
-  ParallelResult Ref = runParallel(Mods, One);
-  ParallelResult Par = runParallel(Mods, Pool);
-  ASSERT_EQ(Ref.Runs.size(), Par.Runs.size());
-  for (size_t I = 0; I != Ref.Runs.size(); ++I) {
-    EXPECT_EQ(Ref.Runs[I].Run.ExecutedInstrs, Par.Runs[I].Run.ExecutedInstrs);
-    expectProfilesEqual(*Par.Runs[I].Prof, *Ref.Runs[I].Prof);
+  auto Batch = [&](unsigned Threads) {
+    std::vector<ProfiledRun> Runs(Ws.size());
+    forEachJob(unsigned(Ws.size()), Threads, [&](unsigned J) {
+      Runs[J] = profiledRun(*Ws[J].M);
+    });
+    return Runs;
+  };
+  std::vector<ProfiledRun> Ref = Batch(1);
+  std::vector<ProfiledRun> Par = Batch(3);
+  for (size_t I = 0; I != Ref.size(); ++I) {
+    EXPECT_EQ(Ref[I].Run.ExecutedInstrs, Par[I].Run.ExecutedInstrs);
+    expectProfilesEqual(*Par[I].Prof, *Ref[I].Prof);
   }
 }
 

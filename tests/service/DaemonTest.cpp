@@ -2,8 +2,8 @@
 //
 // The lud-serve daemon over real sockets: streamed ingest sessions whose
 // folded GET /report is byte-identical to the offline renderer over the
-// same traces (the ISSUE's acceptance diff, at 1 and 4 worker threads,
-// with interleaved frames), per-session failure isolation with verbatim
+// same manifests (at 1 and 4 worker threads, with interleaved frames),
+// per-session failure isolation with verbatim
 // diagnostics on the wire, the telemetry endpoints, and clean shutdown.
 //
 //===----------------------------------------------------------------------===//
@@ -13,6 +13,7 @@
 #include "service/Daemon.h"
 #include "service/Render.h"
 #include "support/OutStream.h"
+#include "trace/RunManifest.h"
 #include "workloads/DaCapo.h"
 
 #include <gtest/gtest.h>
@@ -40,6 +41,14 @@ std::string recordTrace(const Module &M, unsigned Runs = 1) {
   for (unsigned I = 0; I != Runs; ++I)
     S.run(M);
   return Sink.str();
+}
+
+/// One FEED frame per manifest record.
+std::vector<std::string> recordFrames(const std::string &Manifest) {
+  std::vector<std::string> Frames;
+  for (std::string_view Line : trace::splitRecords(Manifest))
+    Frames.push_back(std::string(Line) + "\n");
+  return Frames;
 }
 
 /// A unique-per-test unix socket path under /tmp.
@@ -86,9 +95,9 @@ DaemonConfig daemonConfig(const std::string &Socket, unsigned Workers) {
   return Cfg;
 }
 
-// The ISSUE's end-to-end acceptance bar: N interleaved streamed sessions,
-// fetched over HTTP, byte-identical to the offline sequential replay — at
-// worker counts 1 and 4.
+// End to end: N interleaved streamed sessions, fetched over HTTP,
+// byte-identical to the offline sequential replay — at worker counts 1
+// and 4.
 TEST(DaemonTest, InterleavedSessionsReportMatchesOfflineReplay) {
   Workload W = buildWorkload("fop", 50);
   std::vector<std::string> Traces = {recordTrace(*W.M, 3),
@@ -103,12 +112,12 @@ TEST(DaemonTest, InterleavedSessionsReportMatchesOfflineReplay) {
     std::string Err;
     ASSERT_TRUE(D.start(Err)) << Err;
 
-    // One connection per trace; whole-segment frames round-robin across
+    // One connection per manifest; one-record frames round-robin across
     // the connections so the daemon sees them interleaved.
     std::vector<ServeClient> Clients(Traces.size());
     std::vector<std::vector<std::string>> Frames(Traces.size());
     for (size_t I = 0; I != Traces.size(); ++I) {
-      ASSERT_TRUE(splitSegments(Traces[I], Frames[I], Err)) << Err;
+      Frames[I] = recordFrames(Traces[I]);
       ASSERT_TRUE(Clients[I].connect(Socket, Err)) << Err;
       ASSERT_TRUE(Clients[I].open(Err)) << Err;
       EXPECT_EQ(Clients[I].id(), I + 1);
@@ -140,12 +149,12 @@ TEST(DaemonTest, InterleavedSessionsReportMatchesOfflineReplay) {
 }
 
 // A corrupt stream terminates only its own session; the ERR line carries
-// the TraceIO diagnostic verbatim, and the sibling session still serves
-// the exact single-trace report.
+// the replay diagnostic verbatim, and the sibling session still serves
+// the exact single-manifest report.
 TEST(DaemonTest, CorruptSessionIsIsolatedWithVerbatimDiagnostic) {
   Workload W = buildWorkload("chart", 60);
   std::string Good = recordTrace(*W.M);
-  std::string Bad = "not a lud.trace.v1 stream";
+  std::string Bad = "not a lud.run.v1 manifest";
 
   std::string WantDiag;
   {

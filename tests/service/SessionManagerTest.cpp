@@ -1,17 +1,17 @@
 //===- tests/service/SessionManagerTest.cpp - Session lifecycle -----------===//
 //
 // The serve::SessionManager contract: the open -> feed -> fold -> seal ->
-// report lifecycle over concurrent streamed sessions, with the ISSUE's
-// acceptance properties — interleaved streams fold byte-identically to a
-// sequential replay at every worker count, and one corrupt stream kills
-// only its own session, carrying the TraceIO diagnostic verbatim.
+// report lifecycle over concurrent streamed sessions: interleaved streams
+// fold byte-identically to a sequential replay at every worker count, and
+// one corrupt stream kills only its own session, carrying the replay
+// diagnostic verbatim.
 //
 //===----------------------------------------------------------------------===//
 
 #include "profiling/GraphIO.h"
-#include "service/Client.h"
 #include "service/SessionManager.h"
 #include "support/OutStream.h"
+#include "trace/RunManifest.h"
 #include "workloads/DaCapo.h"
 
 #include <gtest/gtest.h>
@@ -32,8 +32,8 @@ SessionConfig allClientsConfig() {
   return Cfg;
 }
 
-/// Records \p Runs live passes of \p M into one in-memory `lud.trace.v1`
-/// stream (one segment per pass).
+/// Records \p Runs live passes of \p M into one in-memory `lud.run.v1`
+/// manifest (one record per pass).
 std::string recordTrace(const Module &M, unsigned Runs = 1,
                         ClientSet Clients = ClientSet::all()) {
   StringOutStream Sink;
@@ -52,7 +52,15 @@ std::string graphBytes(const ProfileSession &S) {
   return OS.str();
 }
 
-/// The sequential-replay reference: every trace, in order, into one
+/// One FEED frame per manifest record.
+std::vector<std::string> recordFrames(const std::string &Manifest) {
+  std::vector<std::string> Frames;
+  for (std::string_view Line : trace::splitRecords(Manifest))
+    Frames.push_back(std::string(Line) + "\n");
+  return Frames;
+}
+
+/// The sequential-replay reference: every manifest, in order, into one
 /// session — what `lud-replay` does.
 std::string sequentialGraph(const Module &M,
                             const std::vector<std::string> &Traces) {
@@ -104,9 +112,9 @@ TEST(SessionManagerTest, FoldWithNoClosedSessionsReturnsNull) {
   EXPECT_EQ(Folded, 0u);
 }
 
-// The ISSUE's determinism acceptance bar, at the manager level: N
-// interleaved streamed sessions fold byte-identically to the sequential
-// replay of the same traces, whatever the worker count.
+// Determinism at the manager level: N interleaved streamed sessions fold
+// byte-identically to the sequential replay of the same manifests,
+// whatever the worker count.
 TEST(SessionManagerTest, InterleavedStreamsMatchSequentialReplay) {
   Workload W = buildWorkload("fop", 50);
   std::vector<std::string> Traces = {recordTrace(*W.M, 3),
@@ -120,11 +128,10 @@ TEST(SessionManagerTest, InterleavedStreamsMatchSequentialReplay) {
     std::vector<std::vector<std::string>> Frames(Traces.size());
     for (size_t I = 0; I != Traces.size(); ++I) {
       Handles.push_back(&Mgr.open());
-      std::string Err;
-      ASSERT_TRUE(splitSegments(Traces[I], Frames[I], Err)) << Err;
+      Frames[I] = recordFrames(Traces[I]);
       ASSERT_GT(Frames[I].size(), 0u);
     }
-    // Round-robin across the sessions, one whole-segment frame at a time.
+    // Round-robin across the sessions, one record per frame.
     for (size_t Round = 0, More = 1; More;) {
       More = 0;
       for (size_t I = 0; I != Handles.size(); ++I) {
@@ -149,14 +156,13 @@ TEST(SessionManagerTest, InterleavedStreamsMatchSequentialReplay) {
   }
 }
 
-// The ISSUE's isolation acceptance bar: a corrupt stream fails only the
-// offending session, and its diagnostic is the TraceIO offset-stamped
-// message verbatim — byte-equal to what a direct ProfileSession::replay
-// of the same bytes reports.
+// Isolation: a corrupt stream fails only the offending session, and its
+// diagnostic is the line-numbered replay message verbatim — byte-equal to
+// what a direct ProfileSession::replay of the same bytes reports.
 TEST(SessionManagerTest, CorruptStreamFailsOnlyThatSession) {
   Workload W = buildWorkload("chart", 60);
   std::string Good = recordTrace(*W.M);
-  std::string Bad = "not a lud.trace.v1 stream";
+  std::string Bad = "not a lud.run.v1 manifest";
 
   std::string WantDiag;
   {
@@ -213,27 +219,6 @@ TEST(SessionManagerTest, QuotaFailsTheSessionWithADiagnostic) {
   EXPECT_FALSE(S2.finish(Err));           // to queue; it fails on replay,
   EXPECT_EQ(S2.state(), SessionState::Failed); // not on quota).
   EXPECT_EQ(Err.find("session quota exceeded"), std::string::npos);
-}
-
-// High-watermark backpressure must slow oversized streams down, never
-// wedge them: chunks larger than the watermark still drain.
-TEST(SessionManagerTest, BackpressureWatermarkDoesNotWedgeOversizedChunks) {
-  Workload W = buildWorkload("chart", 50);
-  std::string Trace = recordTrace(*W.M, 3);
-  std::vector<std::string> Frames;
-  std::string Err;
-  ASSERT_TRUE(splitSegments(Trace, Frames, Err));
-  ASSERT_GE(Frames.size(), 3u);
-
-  SessionLimits Limits;
-  Limits.MaxPendingBytes = 1; // Every frame is over the watermark.
-  SessionManager Mgr(*W.M, allClientsConfig(), Limits, /*Workers=*/1);
-  SessionHandle &S = Mgr.open();
-  for (const std::string &F : Frames)
-    ASSERT_TRUE(S.feed(F, Err)) << Err;
-  ASSERT_TRUE(S.finish(Err)) << Err;
-  EXPECT_EQ(S.state(), SessionState::Closed);
-  EXPECT_EQ(S.segments(), Frames.size());
 }
 
 TEST(SessionManagerTest, IdleSessionsAreEvicted) {

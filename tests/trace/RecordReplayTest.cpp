@@ -1,12 +1,14 @@
 //===- tests/trace/RecordReplayTest.cpp - Replay fidelity ------------------===//
 //
-// Pins the PR's central invariant: a replayed session is byte-identical to
-// the live session it was recorded from — canonical Gcost serialization and
-// client reports alike — at any shard and thread count, and the recorder
-// stage itself is position-invariant in the pipeline.
+// Pins the central invariant of record/replay: re-executing a run manifest
+// yields a session byte-identical to the live one it was recorded from —
+// canonical Gcost serialization and client reports alike — at any shard
+// and thread count, for every run input the manifest carries; and the
+// recorder stage itself is position-invariant in the pipeline.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/IRBuilder.h"
 #include "profiling/GraphIO.h"
 #include "profiling/NullnessProfiler.h"
 #include "profiling/SlicingProfiler.h"
@@ -122,8 +124,8 @@ TEST(RecordReplayTest, RepeatedRunsAppendSegmentsThatReplayAsOneSession) {
 
 TEST(RecordReplayTest, RecorderPositionDoesNotChangeTraceOrClients) {
   // Hooks receive identical arguments at every pipeline position, so the
-  // recorded bytes must not depend on where the recorder sits — and the
-  // live stages must not notice it at all.
+  // recorder's counts must not depend on where it sits — and the live
+  // stages must not notice it at all.
   Workload W = buildWorkload("fop", 64);
   const Module &M = *W.M;
 
@@ -134,40 +136,52 @@ TEST(RecordReplayTest, RecorderPositionDoesNotChangeTraceOrClients) {
   const std::string RefGraph = graphBytes(S0.graph());
   const std::string RefNull = graphBytes(N0.graph());
 
-  StringOutStream A, B, C;
+  auto Counts = [](const trace::TraceRecorder &R) {
+    obs::MetricsRegistry Reg;
+    R.accountStats(Reg);
+    StringOutStream OS;
+    Reg.writeText(OS);
+    return OS.str();
+  };
+  std::string A, B, C;
   {
     SlicingProfiler S;
     NullnessProfiler N;
-    trace::TraceRecorder R(A);
+    trace::TraceRecorder R;
     ComposedProfiler<trace::TraceRecorder, SlicingProfiler, NullnessProfiler>
         P(&R, &S, &N);
     runModule(M, P);
     EXPECT_EQ(graphBytes(S.graph()), RefGraph);
     EXPECT_EQ(graphBytes(N.graph()), RefNull);
+    EXPECT_GT(R.events(), 0u);
+    EXPECT_EQ(R.runEvents(), R.events());
+    A = Counts(R);
   }
   {
     SlicingProfiler S;
     NullnessProfiler N;
-    trace::TraceRecorder R(B);
+    trace::TraceRecorder R;
     ComposedProfiler<SlicingProfiler, trace::TraceRecorder, NullnessProfiler>
         P(&S, &R, &N);
     runModule(M, P);
     EXPECT_EQ(graphBytes(S.graph()), RefGraph);
     EXPECT_EQ(graphBytes(N.graph()), RefNull);
+    B = Counts(R);
   }
   {
     SlicingProfiler S;
     NullnessProfiler N;
-    trace::TraceRecorder R(C);
+    trace::TraceRecorder R;
     ComposedProfiler<SlicingProfiler, NullnessProfiler, trace::TraceRecorder>
         P(&S, &N, &R);
     runModule(M, P);
     EXPECT_EQ(graphBytes(S.graph()), RefGraph);
     EXPECT_EQ(graphBytes(N.graph()), RefNull);
+    C = Counts(R);
   }
-  ASSERT_FALSE(A.str().empty());
-  EXPECT_EQ(A.str(), B.str());
-  EXPECT_EQ(A.str(), C.str());
+  ASSERT_NE(A.find("trace.events.const"), std::string::npos) << A;
+  EXPECT_EQ(A, B);
+  EXPECT_EQ(A, C);
 }
 
 TEST(RecordReplayTest, ShardedReplayMatchesLiveAtAnyThreadCount) {
@@ -216,8 +230,10 @@ TEST(RecordReplayTest, TelemetryCoversRecordAndReplay) {
   StringOutStream Text;
   Live.stats()->writeText(Text);
   EXPECT_NE(Text.str().find("trace.events"), std::string::npos);
-  EXPECT_NE(Text.str().find("trace.bytes"), std::string::npos);
-  EXPECT_NE(Text.str().find("trace.compression_ppm"), std::string::npos);
+  EXPECT_NE(Text.str().find("trace.segments"), std::string::npos);
+  // A manifest has no per-event bytes to attribute.
+  EXPECT_EQ(Text.str().find("trace.bytes"), std::string::npos);
+  EXPECT_EQ(Text.str().find("trace.compression_ppm"), std::string::npos);
 
   SessionConfig RepCfg;
   RepCfg.CollectStats = true;
@@ -228,6 +244,9 @@ TEST(RecordReplayTest, TelemetryCoversRecordAndReplay) {
   Replayed.stats()->writeText(RText);
   EXPECT_NE(RText.str().find("replay.events"), std::string::npos);
   EXPECT_NE(RText.str().find("replay.segments"), std::string::npos);
+  // Re-execution is replay, not a run: no run.* counters, no recorder.
+  EXPECT_EQ(RText.str().find("run.count"), std::string::npos);
+  EXPECT_EQ(RText.str().find("trace.events"), std::string::npos);
 }
 
 TEST(RecordReplayTest, FileErrorsAreReported) {
@@ -254,6 +273,115 @@ TEST(RecordReplayTest, UnwritableRecordPathIsSurfacedNotFatal) {
   EXPECT_GT(T.Run.ExecutedInstrs, 0u);
   EXPECT_NE(S.recordError().find("cannot write"), std::string::npos);
   EXPECT_EQ(S.recorder(), nullptr);
+}
+
+/// main() { r = input() + input(); print(r); sink(r); return r }
+std::unique_ptr<Module> inputProgram() {
+  auto M = std::make_unique<Module>();
+  IRBuilder B(*M);
+  B.beginFunction("main", 0);
+  Reg A = B.ncall("input", {});
+  Reg C = B.ncall("input", {});
+  Reg S = B.add(A, C);
+  B.ncallVoid("print", {S});
+  B.ncallVoid("sink", {S});
+  B.ret(S);
+  B.endFunction();
+  M->finalize();
+  return M;
+}
+
+TEST(RecordReplayTest, InputTapeIsRecordedAndReplayed) {
+  std::unique_ptr<Module> M = inputProgram();
+  std::vector<int64_t> Tape = {5, -7};
+  StringOutStream Sink, Printed;
+  SessionConfig RecCfg;
+  RecCfg.Run.Input = &Tape;
+  RecCfg.Run.PrintStream = &Printed;
+  RecCfg.RecordSink = &Sink;
+  ProfileSession Live(RecCfg);
+  TimedRun Run = Live.run(*M);
+  EXPECT_EQ(Run.Run.ReturnValue.asInt(), -2);
+  EXPECT_EQ(Printed.str(), "-2\n");
+  EXPECT_NE(Sink.str().find(" input=5,-7 "), std::string::npos)
+      << Sink.str();
+
+  // The replaying session has no tape and an output stream of its own:
+  // re-execution reads the recorded tape, reproduces the sink hash (the
+  // record check would fail otherwise), and prints nothing.
+  StringOutStream ReplayPrinted;
+  SessionConfig RepCfg;
+  RepCfg.Run.PrintStream = &ReplayPrinted;
+  ProfileSession Replayed(RepCfg);
+  ReplayRun R = Replayed.replay(*M, Sink.str());
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(ReplayPrinted.str(), "");
+  EXPECT_EQ(graphBytes(Replayed.slicing()->graph()),
+            graphBytes(Live.slicing()->graph()));
+
+  // A different tape is a different run: the sink hash diverges.
+  std::string Edited = Sink.str();
+  Edited.replace(Edited.find("input=5,-7"), 10, "input=5,-6");
+  ProfileSession Other{SessionConfig{}};
+  R = Other.replay(*M, Edited);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("re-execution diverged from the record: sink"),
+            std::string::npos)
+      << R.Error;
+}
+
+TEST(RecordReplayTest, BudgetExceededRunReplaysToSameStatus) {
+  Workload W = buildWorkload("fop", 32);
+  const uint64_t Budget =
+      ProfileSession{SessionConfig{}}.run(*W.M).Run.ExecutedInstrs / 2;
+  StringOutStream Sink;
+  SessionConfig RecCfg;
+  RecCfg.Clients = kAllClients;
+  RecCfg.Run.MaxInstructions = Budget;
+  RecCfg.RecordSink = &Sink;
+  ProfileSession Live(RecCfg);
+  TimedRun Run = Live.run(*W.M);
+  ASSERT_EQ(Run.Run.Status, RunStatus::BudgetExceeded);
+  EXPECT_EQ(Run.Run.ExecutedInstrs, Budget);
+  EXPECT_NE(Sink.str().find(" status=budget-exceeded instructions=" +
+                            std::to_string(Budget) + " "),
+            std::string::npos)
+      << Sink.str();
+
+  // The replaying session's own budget is irrelevant: the record's holds.
+  SessionConfig RepCfg;
+  RepCfg.Clients = kAllClients;
+  ProfileSession Replayed(RepCfg);
+  ReplayRun R = Replayed.replay(*W.M, Sink.str());
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Events, Live.recorder()->events());
+  EXPECT_EQ(graphBytes(Replayed.slicing()->graph()),
+            graphBytes(Live.slicing()->graph()));
+  EXPECT_EQ(clientReports(Replayed, *W.M), clientReports(Live, *W.M));
+}
+
+TEST(RecordReplayTest, FabricatedRecordCannotOutrunItsInstructionCount) {
+  // A record claiming a finished run of 100 instructions re-executes at
+  // most 101, whatever its budget field says, and the divergence is
+  // diagnosed.
+  Workload W = buildWorkload("fop", 32);
+  StringOutStream Sink;
+  SessionConfig RecCfg;
+  RecCfg.RecordSink = &Sink;
+  ProfileSession Live(RecCfg);
+  TimedRun Run = Live.run(*W.M);
+  ASSERT_EQ(Run.Run.Status, RunStatus::Finished);
+  std::string Forged = Sink.str();
+  std::string Count = " instructions=" + std::to_string(Run.Run.ExecutedInstrs);
+  Forged.replace(Forged.find(Count), Count.size(), " instructions=100");
+
+  ProfileSession Replayed{SessionConfig{}};
+  ReplayRun R = Replayed.replay(*W.M, Forged);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("line 1: re-execution diverged from the record: "
+                         "status budget-exceeded, recorded finished"),
+            std::string::npos)
+      << R.Error;
 }
 
 } // namespace

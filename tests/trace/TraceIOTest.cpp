@@ -1,151 +1,30 @@
-//===- tests/trace/TraceIOTest.cpp - lud.trace.v1 wire format --------------===//
+//===- tests/trace/TraceIOTest.cpp - lud.run.v1 manifest format ------------===//
+//
+// The manifest reader and the replay path behind it never assert on bad
+// input: malformed fields, foreign programs, truncations and byte flips
+// either replay exactly what was recorded or fail with a line-numbered
+// diagnostic.
+//
+//===----------------------------------------------------------------------===//
 
+#include "profiling/GraphIO.h"
 #include "support/OutStream.h"
-#include "trace/TraceIO.h"
-#include "trace/TraceReplayer.h"
-#include "runtime/ComposedProfiler.h"
+#include "trace/RunManifest.h"
 #include "workloads/DaCapo.h"
 #include "workloads/Driver.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 
 using namespace lud;
 using namespace lud::trace;
 
 namespace {
 
-TEST(TraceIOTest, VarintRoundTrips) {
-  const uint64_t Cases[] = {0,
-                            1,
-                            127,
-                            128,
-                            300,
-                            (uint64_t(1) << 32) - 1,
-                            uint64_t(1) << 32,
-                            std::numeric_limits<uint64_t>::max()};
-  StringOutStream OS;
-  TraceWriter W(OS);
-  for (uint64_t V : Cases)
-    W.varint(V);
-  W.flush();
-  EXPECT_EQ(W.bytes(), OS.str().size());
-  TraceReader R(OS.str());
-  for (uint64_t V : Cases) {
-    uint64_t Got = 1;
-    ASSERT_TRUE(R.varint(Got));
-    EXPECT_EQ(Got, V);
-  }
-  EXPECT_TRUE(R.atEnd());
-}
-
-TEST(TraceIOTest, SignedVarintRoundTrips) {
-  const int64_t Cases[] = {0,
-                           1,
-                           -1,
-                           63,
-                           -64,
-                           64,
-                           -65,
-                           std::numeric_limits<int64_t>::max(),
-                           std::numeric_limits<int64_t>::min()};
-  StringOutStream OS;
-  TraceWriter W(OS);
-  for (int64_t V : Cases)
-    W.svarint(V);
-  W.flush();
-  TraceReader R(OS.str());
-  for (int64_t V : Cases) {
-    int64_t Got = 1;
-    ASSERT_TRUE(R.svarint(Got));
-    EXPECT_EQ(Got, V);
-  }
-}
-
-TEST(TraceIOTest, FloatAndValueRoundTrip) {
-  StringOutStream OS;
-  TraceWriter W(OS);
-  W.f64(3.141592653589793);
-  W.f64(-0.0);
-  W.value(Value::makeInt(-42));
-  W.value(Value::makeFloat(2.5));
-  W.value(Value::makeRef(7));
-  W.value(Value::null());
-  W.flush();
-
-  TraceReader R(OS.str());
-  double D;
-  ASSERT_TRUE(R.f64(D));
-  EXPECT_EQ(D, 3.141592653589793);
-  ASSERT_TRUE(R.f64(D));
-  EXPECT_EQ(D, -0.0);
-  Value V;
-  ASSERT_TRUE(R.value(V));
-  EXPECT_EQ(V.Kind, ValueKind::Int);
-  EXPECT_EQ(V.I, -42);
-  ASSERT_TRUE(R.value(V));
-  EXPECT_EQ(V.Kind, ValueKind::Float);
-  EXPECT_EQ(V.F, 2.5);
-  ASSERT_TRUE(R.value(V));
-  EXPECT_EQ(V.Kind, ValueKind::Ref);
-  EXPECT_EQ(V.R, 7u);
-  ASSERT_TRUE(R.value(V));
-  EXPECT_TRUE(V.isNullRef());
-  EXPECT_TRUE(R.atEnd());
-}
-
-TEST(TraceIOTest, ReaderDiagnosesBadPrimitives) {
-  {
-    // Truncated varint: continuation bit set on the last byte.
-    std::string Bytes = "\xff\xff";
-    TraceReader R(Bytes);
-    uint64_t V;
-    EXPECT_FALSE(R.varint(V));
-    EXPECT_NE(R.error().find("truncated varint"), std::string::npos);
-  }
-  {
-    // Over-long varint: a continuation bit on the 10th byte. The payload
-    // bytes are zero so this trips the length check, not the 64-bit
-    // overflow check (which fires first for 0xff padding).
-    std::string Bytes(10, '\x80');
-    Bytes.push_back('\0');
-    TraceReader R(Bytes);
-    uint64_t V;
-    EXPECT_FALSE(R.varint(V));
-    EXPECT_NE(R.error().find("varint longer"), std::string::npos);
-  }
-  {
-    // Truncated float.
-    std::string Bytes = "\x01\x02\x03";
-    TraceReader R(Bytes);
-    double D;
-    EXPECT_FALSE(R.f64(D));
-    EXPECT_NE(R.error().find("truncated float"), std::string::npos);
-  }
-  {
-    // Unknown value kind byte.
-    std::string Bytes = "\x09";
-    TraceReader R(Bytes);
-    Value V;
-    EXPECT_FALSE(R.value(V));
-    EXPECT_NE(R.error().find("bad value kind"), std::string::npos);
-  }
-  {
-    // First error latches; later reads keep failing without overwriting it.
-    std::string Bytes = "";
-    TraceReader R(Bytes);
-    uint8_t B;
-    EXPECT_FALSE(R.u8(B));
-    std::string First = R.error();
-    EXPECT_FALSE(R.u8(B));
-    EXPECT_EQ(R.error(), First);
-  }
-}
-
-/// Records a baseline (uninstrumented) run of \p M into a string.
-std::string recordTrace(const Module &M) {
+std::string recordManifest(const Module &M) {
   StringOutStream Sink;
   SessionConfig Cfg;
   Cfg.Instrument = false;
@@ -155,130 +34,173 @@ std::string recordTrace(const Module &M) {
   return Sink.str();
 }
 
-/// Replays \p Bytes against \p M through an empty pipeline.
-bool replayBytes(const Module &M, std::string_view Bytes, std::string &Err) {
-  SessionConfig Cfg;
-  Cfg.Instrument = false;
-  ProfileSession S(std::move(Cfg));
+/// Replays \p Bytes into a fresh substrate-only session. Returns the
+/// serialized Gcost on success, "" with \p Err set on failure.
+std::string replayGraph(const Module &M, std::string_view Bytes,
+                        std::string &Err) {
+  ProfileSession S(SessionConfig::profiled());
   ReplayRun R = S.replay(M, Bytes);
   Err = R.Error;
-  return R.Ok;
+  if (!R.Ok)
+    return "";
+  StringOutStream OS;
+  writeGraph(S.slicing()->graph(), OS);
+  return OS.str();
+}
+
+bool isLineDiagnostic(const std::string &Err) {
+  return Err.rfind("line ", 0) == 0 && Err.find(": ") != std::string::npos;
+}
+
+TEST(TraceIOTest, ReaderDiagnosesBadPrimitives) {
+  RunRecord Good;
+  Good.ModuleHash = 0x0123456789abcdefULL;
+  Good.MaxInstructions = ~uint64_t(0);
+  Good.MaxFrames = 16384;
+  Good.Input = {-5, 0, std::numeric_limits<int64_t>::min()};
+  Good.Status = RunStatus::BudgetExceeded;
+  Good.Instructions = 42;
+  Good.SinkHash = 0xfedcba9876543210ULL;
+  Good.Events = 7;
+  StringOutStream OS;
+  writeRecord(Good, OS);
+  std::string Line = OS.str();
+  ASSERT_EQ(Line.back(), '\n');
+  Line.pop_back();
+
+  RunRecord R;
+  std::string Err;
+  ASSERT_TRUE(parseRecord(Line, R, Err)) << Err;
+  EXPECT_EQ(R.ModuleHash, Good.ModuleHash);
+  EXPECT_EQ(R.MaxInstructions, Good.MaxInstructions);
+  EXPECT_EQ(R.MaxFrames, Good.MaxFrames);
+  EXPECT_EQ(R.Input, Good.Input);
+  EXPECT_EQ(R.Status, Good.Status);
+  EXPECT_EQ(R.Instructions, Good.Instructions);
+  EXPECT_EQ(R.SinkHash, Good.SinkHash);
+  EXPECT_EQ(R.Events, Good.Events);
+
+  // Each mutation of the good line, and the words its diagnostic names.
+  const std::pair<std::pair<const char *, const char *>, const char *>
+      Cases[] = {
+          {{"module=0123456789abcdef", "module=0123"}, "16 hex digits"},
+          {{"module=0123456789abcdef", "module=0123456789abcdeg"},
+           "16 hex digits"},
+          {{"max_instructions=18446744073709551615",
+            "max_instructions=18446744073709551616"},
+           "'max_instructions' wants an unsigned integer"},
+          {{"max_frames=16384", "max_frames=4294967296"},
+           "'max_frames' wants an unsigned integer up to 4294967295"},
+          {{"max_frames=16384", "max_frames=-1"}, "'max_frames'"},
+          {{"max_frames=16384", "max_frames=+1"}, "'max_frames'"},
+          {{"input=-5,0,", "input=-5,x,"}, "'input' wants comma-separated"},
+          {{"input=-5,0,-9223372036854775808", "input=-5,0,"},
+           "ends with a comma"},
+          {{"input=-5,0,-9223372036854775808",
+            "input=-5,0,-9223372036854775809"},
+           "'input' wants comma-separated"},
+          {{"status=budget-exceeded", "status=done"}, "unknown status 'done'"},
+          {{"instructions=42", "instructions="}, "'instructions' is empty"},
+          {{"instructions=42", "instrs=42"}, "expected field 'instructions='"},
+          {{"events=7", "events=7 extra"}, "trailing text 'extra'"},
+          {{"events=7", ""}, "expected field 'events='"},
+          {{"lud.run.v1", "lud.run.v2"}, "expected 'lud.run.v1'"},
+      };
+  for (const auto &[Edit, Want] : Cases) {
+    std::string Bad = Line;
+    size_t At = Bad.find(Edit.first);
+    ASSERT_NE(At, std::string::npos) << Edit.first;
+    Bad.replace(At, std::strlen(Edit.first), Edit.second);
+    EXPECT_FALSE(parseRecord(Bad, R, Err)) << Bad;
+    EXPECT_NE(Err.find(Want), std::string::npos)
+        << "got '" << Err << "' for " << Bad;
+  }
+
+  // A diagnostic quotes at most a short prefix of the offending text.
+  EXPECT_FALSE(parseRecord(std::string(100000, 'x'), R, Err));
+  EXPECT_LT(Err.size(), 100u) << Err;
 }
 
 TEST(TraceIOTest, HeaderMismatchesAreDiagnosed) {
   Workload W = buildWorkload("fop", 16);
-  std::string Bytes = recordTrace(*W.M);
-  ASSERT_GT(Bytes.size(), kTraceMagicLen);
-
+  std::string Bytes = recordManifest(*W.M);
   std::string Err;
-  // The genuine trace replays.
-  EXPECT_TRUE(replayBytes(*W.M, Bytes, Err)) << Err;
+  // The genuine manifest replays.
+  EXPECT_NE(replayGraph(*W.M, Bytes, Err), "") << Err;
 
   // Empty input.
-  EXPECT_FALSE(replayBytes(*W.M, "", Err));
-  EXPECT_NE(Err.find("empty trace"), std::string::npos);
+  EXPECT_EQ(replayGraph(*W.M, "", Err), "");
+  EXPECT_EQ(Err.rfind("line 1: empty manifest", 0), 0u) << Err;
 
   // Wrong magic.
   std::string Bad = Bytes;
   Bad[0] = 'X';
-  EXPECT_FALSE(replayBytes(*W.M, Bad, Err));
-  EXPECT_NE(Err.find("header"), std::string::npos);
+  EXPECT_EQ(replayGraph(*W.M, Bad, Err), "");
+  EXPECT_EQ(Err.rfind("line 1: expected 'lud.run.v1'", 0), 0u) << Err;
 
-  // Recorded against a different program.
+  // Recorded against a different program: both hashes are named.
   Workload Other = buildWorkload("chart", 32);
-  EXPECT_FALSE(replayBytes(*Other.M, Bytes, Err));
-  EXPECT_NE(Err.find("does not match the module"), std::string::npos);
+  EXPECT_EQ(replayGraph(*Other.M, Bytes, Err), "");
+  EXPECT_NE(Err.find("does not match the program's"), std::string::npos)
+      << Err;
+  char Recorded[17], Program[17];
+  std::snprintf(Recorded, sizeof Recorded, "%016llx",
+                (unsigned long long)moduleHash(*W.M));
+  std::snprintf(Program, sizeof Program, "%016llx",
+                (unsigned long long)moduleHash(*Other.M));
+  EXPECT_NE(Err.find(Recorded), std::string::npos) << Err;
+  EXPECT_NE(Err.find(Program), std::string::npos) << Err;
+
+  // Line numbers count records, across replay() calls of one session.
+  ProfileSession S(SessionConfig::profiled());
+  ASSERT_TRUE(S.replay(*W.M, Bytes + Bytes).Ok);
+  ReplayRun R = S.replay(*W.M, Bad);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error.rfind("line 3: ", 0), 0u) << R.Error;
 }
 
 TEST(TraceIOTest, EveryTruncationFailsCleanly) {
   Workload W = buildWorkload("fop", 8);
-  std::string Bytes = recordTrace(*W.M);
-  ASSERT_GT(Bytes.size(), 64u);
-  // A proper prefix can never be a valid trace: the End event of the last
-  // segment is either cut (truncated segment) or, if the cut lands exactly
-  // after a segment... there is only one segment here, so every proper
-  // prefix must fail — with a diagnostic, never a crash.
-  size_t Step = Bytes.size() > 4096 ? 7 : 1;
-  for (size_t Len = 0; Len < Bytes.size(); Len += Step) {
-    std::string Err;
-    EXPECT_FALSE(
-        replayBytes(*W.M, std::string_view(Bytes).substr(0, Len), Err))
-        << "prefix " << Len;
-    EXPECT_FALSE(Err.empty()) << "prefix " << Len;
+  std::string Bytes = recordManifest(*W.M);
+  std::string Err;
+  const std::string Want = replayGraph(*W.M, Bytes, Err);
+  ASSERT_NE(Want, "") << Err;
+  // One record: a proper prefix either drops only the final newline (and
+  // replays identically) or cuts into the record and must fail with a
+  // line-numbered diagnostic — never a crash.
+  for (size_t Len = 0; Len < Bytes.size(); ++Len) {
+    std::string Got =
+        replayGraph(*W.M, std::string_view(Bytes).substr(0, Len), Err);
+    if (Len + 1 == Bytes.size()) {
+      EXPECT_EQ(Got, Want);
+      continue;
+    }
+    EXPECT_EQ(Got, "") << "prefix " << Len;
+    EXPECT_TRUE(isLineDiagnostic(Err)) << "prefix " << Len << ": " << Err;
   }
 }
 
 TEST(TraceIOTest, BitFlipsNeverCrashTheReplayer) {
   Workload W = buildWorkload("fop", 8);
-  std::string Bytes = recordTrace(*W.M);
-  // Flip one bit at a sweep of positions; replay must return (true or
-  // false), never assert or fault. Payload flips that decode to in-range
-  // events may legitimately succeed.
-  for (size_t I = 0; I < Bytes.size(); I += 13) {
-    for (uint8_t Bit : {0x01, 0x40}) {
+  std::string Bytes = recordManifest(*W.M);
+  std::string Err;
+  const std::string Want = replayGraph(*W.M, Bytes, Err);
+  ASSERT_NE(Want, "") << Err;
+  // Flip bits at every position. A flip may leave the run unchanged (a
+  // budget or frame limit the run never reaches, a leading zero) and then
+  // must replay identically; otherwise it must fail with a line-numbered
+  // diagnostic.
+  for (size_t I = 0; I < Bytes.size(); ++I) {
+    for (uint8_t Bits : {0x01, 0x10, 0x40}) {
       std::string Mutated = Bytes;
-      Mutated[I] = char(uint8_t(Mutated[I]) ^ Bit);
-      std::string Err;
-      if (!replayBytes(*W.M, Mutated, Err))
-        EXPECT_FALSE(Err.empty()) << "flip at " << I;
+      Mutated[I] = char(uint8_t(Mutated[I]) ^ Bits);
+      std::string Got = replayGraph(*W.M, Mutated, Err);
+      if (Got.empty())
+        EXPECT_TRUE(isLineDiagnostic(Err)) << "flip at " << I << ": " << Err;
+      else
+        EXPECT_EQ(Got, Want) << "flip at " << I;
     }
   }
-}
-
-TEST(TraceIOTest, BadEventKindByteIsDiagnosed) {
-  Workload W = buildWorkload("fop", 8);
-  std::string Bytes = recordTrace(*W.M);
-  // Find the first event byte (right after the header varints) and replace
-  // it with an out-of-range kind.
-  TraceReader Probe(Bytes);
-  ASSERT_TRUE(Probe.readHeader(*W.M));
-  size_t EventStart = Probe.offset();
-  std::string Bad = Bytes;
-  Bad[EventStart] = char(200);
-  std::string Err;
-  EXPECT_FALSE(replayBytes(*W.M, Bad, Err));
-  EXPECT_NE(Err.find("bad event kind byte 200"), std::string::npos) << Err;
-  // Kind 0 is reserved-invalid.
-  Bad[EventStart] = char(0);
-  EXPECT_FALSE(replayBytes(*W.M, Bad, Err));
-  EXPECT_NE(Err.find("bad event kind byte 0"), std::string::npos) << Err;
-}
-
-TEST(TraceIOTest, NominalBytesAndNamesCoverAllKinds) {
-  for (unsigned K = 0; K != kNumEventKinds; ++K) {
-    EXPECT_STRNE(eventKindName(EventKind(K)), "unknown");
-    EXPECT_GE(nominalEventBytes(EventKind(K)), 1u);
-  }
-}
-
-TEST(TraceIOTest, VarintRejectsPayloadBeyond64Bits) {
-  // Nine 0xFF bytes carry bits 0..62; the 10th byte may only add bit 63.
-  // Exactly that is UINT64_MAX and must decode.
-  std::string Max(9, char(0xFF));
-  Max += char(0x01);
-  TraceReader Ok(Max);
-  uint64_t V = 0;
-  ASSERT_TRUE(Ok.varint(V));
-  EXPECT_EQ(V, std::numeric_limits<uint64_t>::max());
-  EXPECT_TRUE(Ok.atEnd());
-
-  // Any further payload bit in the 10th byte used to shift out silently,
-  // decoding to the same value as a different byte sequence. Rejected now.
-  for (uint8_t Tenth : {uint8_t(0x02), uint8_t(0x7E), uint8_t(0x7F)}) {
-    std::string Over(9, char(0xFF));
-    Over += char(Tenth);
-    TraceReader R(Over);
-    EXPECT_FALSE(R.varint(V)) << "tenth byte " << unsigned(Tenth);
-    EXPECT_NE(R.error().find("overflows 64 bits"), std::string::npos)
-        << R.error();
-  }
-
-  // A continuation bit on the 10th byte runs past the maximum length.
-  std::string Long(10, char(0x81));
-  TraceReader R(Long);
-  EXPECT_FALSE(R.varint(V));
-  EXPECT_NE(R.error().find("longer than 10 bytes"), std::string::npos)
-      << R.error();
 }
 
 } // namespace
