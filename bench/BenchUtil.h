@@ -20,6 +20,7 @@
 #include "workloads/DaCapo.h"
 #include "workloads/Driver.h"
 
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -54,7 +55,7 @@ inline int64_t tableScale() {
 /// is a path rather than "1"). Appending lets a CI job accumulate rows
 /// from several bench binaries into one file. `engine` is the execution
 /// backend the row measured — the session default (LUD_ENGINE) unless the
-/// bench pinned one explicitly.
+/// bench pinned one explicitly. A rows file that cannot be opened exits 2.
 inline bool &jsonRowsEnabled() {
   static bool On = std::getenv("LUD_BENCH_JSON") != nullptr;
   return On;
@@ -81,19 +82,30 @@ inline void initJsonRows(int *Argc, char **Argv) {
   *Argc = W;
 }
 
+/// Opens \p Path for appending, or exits 2 naming it: a bench asked to
+/// write its output somewhere must not finish without it.
+inline FILE *openOrExit(const char *Path) {
+  FILE *F = std::fopen(Path, "a");
+  if (!F) {
+    errs() << "cannot write '" << Path << "': " << std::strerror(errno)
+           << "\n";
+    std::exit(2);
+  }
+  return F;
+}
+
 inline void emitJsonRow(const std::string &Name, int64_t Scale,
                         double Seconds, size_t Nodes, size_t Edges,
                         EngineKind Engine = defaultEngineKind()) {
   if (!jsonRowsEnabled())
     return;
-  if (FILE *F = std::fopen(jsonRowsPath(), "a")) {
-    std::fprintf(F,
-                 "{\"name\": \"%s\", \"scale\": %lld, \"engine\": \"%s\", "
-                 "\"seconds\": %.6f, \"nodes\": %zu, \"edges\": %zu}\n",
-                 Name.c_str(), (long long)Scale, engineKindName(Engine),
-                 Seconds, Nodes, Edges);
-    std::fclose(F);
-  }
+  FILE *F = openOrExit(jsonRowsPath());
+  std::fprintf(F,
+               "{\"name\": \"%s\", \"scale\": %lld, \"engine\": \"%s\", "
+               "\"seconds\": %.6f, \"nodes\": %zu, \"edges\": %zu}\n",
+               Name.c_str(), (long long)Scale, engineKindName(Engine), Seconds,
+               Nodes, Edges);
+  std::fclose(F);
 }
 
 /// Telemetry export for the bench binaries. `--stats[=text|json|csv]` (or
@@ -157,15 +169,13 @@ inline void initStats(int *Argc, char **Argv) {
 }
 
 /// Appends \p S's registry to --stats-out (or prints it to stdout) in the
-/// requested format. No-op when stats are off or the session collected none.
+/// requested format. No-op when stats are off or the session collected none;
+/// exits 2 when --stats-out cannot be opened.
 inline void emitStats(const ProfileSession &S) {
   if (!statsEnabled() || !S.stats())
     return;
-  std::FILE *F = stdout;
-  if (!statsOutPath().empty())
-    F = std::fopen(statsOutPath().c_str(), "a");
-  if (!F)
-    return;
+  std::FILE *F = statsOutPath().empty() ? stdout
+                                         : openOrExit(statsOutPath().c_str());
   FileOutStream OS(F);
   switch (statsFormat()) {
   case StatsFormat::Json:

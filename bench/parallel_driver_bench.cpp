@@ -13,7 +13,7 @@
 
 #include "BenchUtil.h"
 
-#include "support/WorkerPool.h"
+#include "support/ForEachJob.h"
 #include "workloads/ParallelDriver.h"
 
 #include <benchmark/benchmark.h>

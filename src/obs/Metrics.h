@@ -23,7 +23,7 @@
 /// Concurrency model: registries are **per shard** and never shared
 /// between threads — each ProfileSession owns one, exactly as each shard
 /// owns its SlicingProfiler — so every bump is a plain increment with no
-/// atomics or locks on any path. After the pool drains, the per-shard
+/// atomics or locks on any path. After every shard is done, the per-shard
 /// registries fold in shard-index order through mergeFrom(), mirroring
 /// SlicingProfiler::mergeFrom: counters sum, gauges apply their declared
 /// merge policy, histograms sum bucket-wise. Because shard runs are

@@ -266,7 +266,7 @@ private:
       case Instruction::Kind::AllocArray: {
         const auto *A = cast<AllocArrayInst>(I);
         int64_t Len = F.Regs[A->Len].asInt();
-        if (Len < 0)
+        if (Len < 0 || Len > int64_t(UINT32_MAX))
           return trap(Res, *I, TrapKind::OutOfBounds, A->Len);
         ObjId O = TheHeap.allocArray(A->Elem, uint32_t(Len));
         F.Regs[A->Dst] = Value::makeRef(O);

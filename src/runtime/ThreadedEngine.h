@@ -792,7 +792,7 @@ private:
     LUD_OP(AllocArray) {
       const DIns &I = *PC;
       int64_t Len = R[I.B].asInt();
-      if (Len < 0)
+      if (Len < 0 || Len > int64_t(UINT32_MAX))
         LUD_TRAP(TrapKind::OutOfBounds, Reg(I.B));
       ObjId O = TheHeap.allocArray(TypeKind(I.D), uint32_t(Len));
       R[I.A] = Value::makeRef(O);

@@ -22,10 +22,11 @@
 ///   STATUS                   -> OK id=N state=S bytes=B events=E segments=G
 ///
 /// FEED payloads must contain whole records; each is re-executed against
-/// the daemon's module and checked, and `segments` counts the records. A
-/// connection that drops before DONE aborts its session; a malformed or
-/// mismatched record fails only that session, with the line-numbered
-/// replay diagnostic verbatim in the ERR line.
+/// the daemon's module and checked before FEED replies, and `segments`
+/// counts the records. A connection that drops before DONE aborts its
+/// session; a malformed or mismatched record fails only that session, with
+/// the line-numbered replay diagnostic verbatim in the ERR reply to the
+/// FEED that carried it (DONE repeats it).
 ///
 /// HTTP (HTTP/1.0, loopback only): GET /report (the folded report,
 /// byte-identical to lud-replay over the same streams), /stats
@@ -56,7 +57,8 @@ struct DaemonConfig {
   std::string SocketPath = "/tmp/lud-serve.sock";
   /// HTTP port on 127.0.0.1; 0 picks a free port (see Daemon::httpPort()).
   uint16_t HttpPort = 0;
-  /// Replay worker threads in the SessionManager's pool.
+  /// FEED frames the SessionManager re-executes at once, across all
+  /// sessions.
   unsigned Workers = 4;
   /// Base configuration for every session (clients, slots, stats).
   SessionConfig Base;

@@ -5,9 +5,6 @@
 #include "obs/PhaseTimer.h"
 #include "support/OutStream.h"
 
-#include <cerrno>
-#include <cstring>
-
 using namespace lud;
 using namespace lud::serve;
 
@@ -15,8 +12,6 @@ const char *lud::serve::sessionStateName(SessionState S) {
   switch (S) {
   case SessionState::Open:
     return "open";
-  case SessionState::Draining:
-    return "draining";
   case SessionState::Closed:
     return "closed";
   case SessionState::Failed:
@@ -56,61 +51,62 @@ uint64_t SessionHandle::segments() const {
   return Segments;
 }
 
-bool SessionHandle::feed(std::string InBytes, std::string &Err) {
-  std::lock_guard<std::mutex> Lock(Mgr.Mu);
-  if (Mgr.ShuttingDown && St == SessionState::Open) {
-    Err = "service shutting down";
-    return false;
+bool SessionHandle::feed(std::string_view InBytes, std::string &Err) {
+  std::lock_guard<std::mutex> Feeding(FeedMu);
+  {
+    std::lock_guard<std::mutex> Lock(Mgr.Mu);
+    if (St != SessionState::Open) {
+      Err = Diag.empty() ? std::string("session is ") + sessionStateName(St)
+                         : Diag;
+      return false;
+    }
+    if (Bytes + InBytes.size() > Mgr.Limits.MaxSessionBytes) {
+      Mgr.failLocked(*this, SessionState::Failed,
+                     "session quota exceeded (" +
+                         std::to_string(Bytes + InBytes.size()) + " > " +
+                         std::to_string(Mgr.Limits.MaxSessionBytes) +
+                         " bytes)");
+      Err = Diag;
+      return false;
+    }
+    Bytes += InBytes.size();
+    LastTouch = std::chrono::steady_clock::now();
   }
-  if (St != SessionState::Open) {
-    // An earlier chunk may already have failed the session on the drain
-    // thread; hand the caller the latched diagnostic.
-    Err = Diag.empty() ? std::string("session is ") + sessionStateName(St)
-                       : Diag;
-    return false;
-  }
-  if (Bytes + InBytes.size() > Mgr.Limits.MaxSessionBytes) {
-    Mgr.failLocked(*this, SessionState::Failed,
-                   "session quota exceeded (" +
-                       std::to_string(Bytes + InBytes.size()) + " > " +
-                       std::to_string(Mgr.Limits.MaxSessionBytes) +
-                       " bytes)");
-    Err = Diag;
-    return false;
-  }
-  Bytes += InBytes.size();
-  Pending.push_back(std::move(InBytes));
-  LastTouch = std::chrono::steady_clock::now();
   Mgr.bump("serve.chunks_fed");
-  Mgr.scheduleDrainLocked(*this);
-  return true;
+
+  // Re-execute outside Mgr.Mu: FeedMu keeps PS to this one frame, and the
+  // gate bounds how many frames re-execute at once across all sessions.
+  Mgr.Gate.acquire();
+  ReplayRun R = PS->replay(Mgr.Mod, InBytes);
+  Mgr.Gate.release();
+
+  Mgr.bump("serve.bytes_replayed", InBytes.size());
+  Mgr.bump("serve.events_replayed", R.Events);
+  Mgr.bump("serve.segments_replayed", R.Segments);
+  std::lock_guard<std::mutex> Lock(Mgr.Mu);
+  Events += R.Events;
+  Segments += R.Segments;
+  LastTouch = std::chrono::steady_clock::now();
+  // Bad record: fail this session — and only this session — with the
+  // line-numbered replay diagnostic, verbatim.
+  if (!R.Ok)
+    Mgr.failLocked(*this, SessionState::Failed, R.Error);
+  if (St == SessionState::Open)
+    return true;
+  Err = Diag; // Failed here, or aborted/evicted while re-executing.
+  return false;
 }
 
 bool SessionHandle::finish(std::string &Err) {
-  std::unique_lock<std::mutex> Lock(Mgr.Mu);
+  std::lock_guard<std::mutex> Feeding(FeedMu);
+  std::lock_guard<std::mutex> Lock(Mgr.Mu);
   if (St == SessionState::Open) {
-    LastTouch = std::chrono::steady_clock::now();
-    St = SessionState::Draining;
-    // Invariant: a non-empty queue always has a drain job in flight, so a
-    // quiet session can close right here; otherwise the drain job closes
-    // it when the queue empties.
-    if (!JobActive && Pending.empty()) {
-      St = SessionState::Closed;
-      Mgr.bump("serve.sessions_closed");
-      Mgr.CV.notify_all();
-    } else if (!JobActive) {
-      Mgr.scheduleDrainLocked(*this);
-    }
+    St = SessionState::Closed;
+    Mgr.bump("serve.sessions_closed");
   }
-  Mgr.CV.wait(Lock, [&] {
-    return (St != SessionState::Open && St != SessionState::Draining) ||
-           Mgr.ShuttingDown;
-  });
   if (St == SessionState::Closed)
     return true;
-  Err = (St == SessionState::Open || St == SessionState::Draining)
-            ? "service shutting down"
-            : Diag;
+  Err = Diag;
   return false;
 }
 
@@ -119,21 +115,13 @@ bool SessionHandle::finish(std::string &Err) {
 //===----------------------------------------------------------------------===//
 
 SessionManager::SessionManager(const Module &M, SessionConfig BaseIn,
-                               SessionLimits LimitsIn, unsigned Workers)
-    : Mod(M), Base(std::move(BaseIn)), Limits(LimitsIn), Pool(Workers) {
+                               SessionLimits LimitsIn, unsigned WorkersIn)
+    : Mod(M), Base(std::move(BaseIn)), Limits(LimitsIn),
+      Workers(WorkersIn ? WorkersIn : 1), Gate(Workers) {
   // Streamed sessions re-execute a recording; a replaying session must
   // never re-record.
   Base.RecordPath.clear();
   Base.RecordSink = nullptr;
-}
-
-SessionManager::~SessionManager() {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ShuttingDown = true;
-  }
-  CV.notify_all();
-  Pool.stop();
 }
 
 SessionHandle &SessionManager::open() { return open(Base.Clients); }
@@ -184,7 +172,11 @@ size_t SessionManager::evictIdle() {
   auto Now = std::chrono::steady_clock::now();
   for (auto &KV : Sessions) {
     SessionHandle &S = *KV.second;
-    if (S.St != SessionState::Open || S.JobActive || !S.Pending.empty())
+    if (S.St != SessionState::Open)
+      continue;
+    // A session whose feed() holds FeedMu is re-executing, not idle.
+    std::unique_lock<std::mutex> Feeding(S.FeedMu, std::try_to_lock);
+    if (!Feeding)
       continue;
     double Idle = std::chrono::duration<double>(Now - S.LastTouch).count();
     if (Idle < Limits.IdleEvictSeconds)
@@ -204,56 +196,8 @@ void SessionManager::failLocked(SessionHandle &S, SessionState To,
     return;
   S.St = To;
   S.Diag = Why;
-  S.Pending.clear();
   bump(To == SessionState::Evicted ? "serve.sessions_evicted"
                                    : "serve.sessions_failed");
-  CV.notify_all();
-}
-
-void SessionManager::scheduleDrainLocked(SessionHandle &S) {
-  if (S.JobActive || ShuttingDown)
-    return;
-  S.JobActive = true;
-  Pool.submit([this, &S] { drainJob(S); });
-}
-
-void SessionManager::drainJob(SessionHandle &S) {
-  std::unique_lock<std::mutex> Lock(Mu);
-  for (;;) {
-    if (S.Pending.empty() || ShuttingDown ||
-        (S.St != SessionState::Open && S.St != SessionState::Draining)) {
-      if (S.St == SessionState::Draining && S.Pending.empty() &&
-          !ShuttingDown) {
-        S.St = SessionState::Closed;
-        bump("serve.sessions_closed");
-      }
-      S.JobActive = false;
-      CV.notify_all();
-      return;
-    }
-    std::string Chunk = std::move(S.Pending.front());
-    S.Pending.pop_front();
-
-    // Replay outside the lock: only this job touches S.PS's profilers, and
-    // the handle itself outlives the manager's workers.
-    Lock.unlock();
-    ReplayRun R = S.PS->replay(Mod, Chunk);
-    Lock.lock();
-
-    S.Events += R.Events;
-    S.Segments += R.Segments;
-    bump("serve.bytes_replayed", Chunk.size());
-    bump("serve.events_replayed", R.Events);
-    bump("serve.segments_replayed", R.Segments);
-    if (!R.Ok) {
-      // Bad record: fail this session — and only this session — with the
-      // line-numbered replay diagnostic, verbatim.
-      failLocked(S, SessionState::Failed, R.Error);
-      S.JobActive = false;
-      CV.notify_all();
-      return;
-    }
-  }
 }
 
 std::unique_ptr<ProfileSession>
@@ -309,67 +253,4 @@ void SessionManager::withStats(
     const std::function<void(obs::MetricsRegistry &)> &Fn) {
   std::lock_guard<std::mutex> Lock(StatsMu);
   Fn(ServeStats);
-}
-
-//===----------------------------------------------------------------------===//
-// replayShardedSession — the batch frontend
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point T0) {
-  auto T1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(T1 - T0).count();
-}
-
-} // namespace
-
-ShardedSession
-lud::replayShardedSession(const Module &M,
-                          const std::vector<std::string> &TracePaths,
-                          SessionConfig Cfg, unsigned Threads) {
-  ShardedSession Out;
-  unsigned Shards = unsigned(TracePaths.size());
-  if (Shards == 0)
-    return Out;
-  auto T0 = std::chrono::steady_clock::now();
-  // One streamed session per shard file, drained Threads at a time on the
-  // manager's pool; the manager strips any record settings itself.
-  serve::SessionManager Mgr(M, std::move(Cfg), serve::SessionLimits{},
-                            Threads);
-  std::vector<serve::SessionHandle *> Handles;
-  Handles.reserve(Shards);
-  for (unsigned S = 0; S != Shards; ++S) {
-    serve::SessionHandle &H = Mgr.open();
-    Handles.push_back(&H);
-    std::string Bytes;
-    errno = 0;
-    if (!readFileBytes(TracePaths[S], Bytes)) {
-      // Same diagnostic ProfileSession::replayFile latches for the path.
-      Mgr.abort(H, "cannot read '" + TracePaths[S] + "': " +
-                       (errno ? std::strerror(errno) : "unknown error"));
-      continue;
-    }
-    std::string Err;
-    H.feed(std::move(Bytes), Err); // A failure surfaces at finish().
-  }
-  for (unsigned S = 0; S != Shards; ++S) {
-    std::string Err;
-    Handles[S]->finish(Err);
-  }
-  for (unsigned S = 0; S != Shards; ++S) {
-    // Events count even for failed shards (partial replays are real work).
-    Out.Events += Handles[S]->events();
-    if (Out.Error.empty() &&
-        Handles[S]->state() != serve::SessionState::Closed)
-      Out.Error = TracePaths[S] + ": " + Handles[S]->error();
-  }
-  if (!Out.Error.empty()) {
-    Out.Seconds = secondsSince(T0);
-    return Out; // A half-replayed shard must not fold into the result.
-  }
-  uint64_t Events = 0, NumSessions = 0;
-  Out.Session = Mgr.foldClosed(Events, NumSessions);
-  Out.Seconds = secondsSince(T0);
-  return Out;
 }

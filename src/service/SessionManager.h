@@ -10,23 +10,24 @@
 /// feed it whole `lud.run.v1` manifest records, finish it, and fold every
 /// finished session into one report — the open → feed → fold → seal →
 /// report arc ProfileSession gives a single batch run, lifted to many
-/// concurrent streams. Re-execution runs on a shared WorkerPool with at
-/// most one in-flight drain job per session, so a session's chunks replay
-/// in arrival order while distinct sessions replay in parallel.
+/// concurrent streams. feed() re-executes its records on the calling
+/// thread before it returns, one frame at a time per session; a counting
+/// gate lets at most `Workers` re-executions run at once across all
+/// sessions, so distinct sessions replay in parallel up to that bound.
 ///
 /// Robustness is part of the contract: a hard per-session byte quota,
 /// idle-session eviction, and rejection of malformed or mismatched records
-/// that fails only the offending session — carrying the line-numbered
-/// replay diagnostic verbatim as the session's error. A record is one
-/// short line, so the quota bounds what a session can queue, and each
-/// record's own instruction count bounds the work its re-execution does.
+/// that fails only the offending session — on the feed() that carried the
+/// record, with the line-numbered replay diagnostic verbatim as the
+/// session's error. A session holds nothing but the frame it is
+/// re-executing, and each record's own instruction count bounds the work
+/// that re-execution does.
 ///
 /// Determinism: the report fold merges every Closed session in session-id
 /// order into a fresh prepared session. DepGraph::mergeFrom into an empty
 /// graph reproduces the source numbering exactly, so the folded report is
-/// byte-identical to `lud-replay` over the same manifests in the same order,
-/// at any worker count. replayShardedSession() below is exactly that
-/// batch frontend.
+/// byte-identical to `lud-replay` over the same manifests in the same order
+/// (replayShardedSession, workloads/ParallelDriver.h), at any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,18 +35,17 @@
 #define LUD_SERVICE_SESSIONMANAGER_H
 
 #include "obs/Metrics.h"
-#include "support/WorkerPool.h"
-#include "workloads/ParallelDriver.h"
+#include "workloads/Driver.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lud {
@@ -54,11 +54,10 @@ namespace serve {
 using SessionId = uint64_t;
 
 enum class SessionState : uint8_t {
-  Open,     ///< Accepting feed() records.
-  Draining, ///< finish() called; queued chunks still replaying.
-  Closed,   ///< Finished cleanly; participates in the report fold.
-  Failed,   ///< Rejected (bad record, quota, abort); never folded.
-  Evicted,  ///< Idle-reaped; never folded.
+  Open,    ///< Accepting feed() records.
+  Closed,  ///< Finished cleanly; participates in the report fold.
+  Failed,  ///< Rejected (bad record, quota, abort); never folded.
+  Evicted, ///< Idle-reaped; never folded.
 };
 
 const char *sessionStateName(SessionState S);
@@ -90,15 +89,15 @@ public:
   uint64_t events() const;
   uint64_t segments() const;
 
-  /// Queues \p Bytes — one or more complete `lud.run.v1` records — for
-  /// re-execution. Returns false when the session is not Open (an earlier
-  /// chunk may have already failed it) or the quota would be exceeded;
-  /// \p Err then carries the session's diagnostic.
-  bool feed(std::string Bytes, std::string &Err);
+  /// Re-executes \p Bytes — one or more complete `lud.run.v1` records —
+  /// before returning. Returns false when the session is not Open, the
+  /// quota would be exceeded, or a record fails its replay (which fails the
+  /// session); \p Err then carries the session's diagnostic.
+  bool feed(std::string_view Bytes, std::string &Err);
 
-  /// Drains the queued chunks and closes the session. True → Closed and
-  /// the session folds into future reports; false → Failed/Evicted with
-  /// \p Err set to the verbatim diagnostic.
+  /// Closes the session. True → Closed and the session folds into future
+  /// reports; false → Failed/Evicted with \p Err set to the verbatim
+  /// diagnostic.
   bool finish(std::string &Err);
 
 private:
@@ -110,29 +109,28 @@ private:
   const SessionId Id;
   const ClientSet Clients;
 
-  // Everything below is guarded by Mgr.Mu, except PS's profiler state,
-  // which only the single in-flight drain job (and, once Closed, the
-  // fold) touches.
+  /// Held by feed() and finish(): one frame re-executes at a time, and PS's
+  /// profiler state is touched only under it (or, once Closed, by the fold).
+  std::mutex FeedMu;
+  // Everything below is guarded by Mgr.Mu.
   SessionState St = SessionState::Open;
   std::string Diag;
   std::unique_ptr<ProfileSession> PS;
-  std::deque<std::string> Pending;
   uint64_t Bytes = 0;
   uint64_t Events = 0;
   uint64_t Segments = 0;
-  bool JobActive = false;
   std::chrono::steady_clock::time_point LastTouch;
 };
 
-/// Owns the sessions, the worker pool, and the `serve.*` telemetry.
+/// Owns the sessions, the re-execution gate, and the `serve.*` telemetry.
 class SessionManager {
 public:
   /// \p Base configures every session (engine/slots/clients/stats);
   /// record settings are stripped — streamed sessions are already the
-  /// recording. \p M must outlive the manager.
+  /// recording. At most \p Workers feed() calls re-execute at once. \p M
+  /// must outlive the manager.
   SessionManager(const Module &M, SessionConfig Base,
                  SessionLimits Limits = {}, unsigned Workers = 4);
-  ~SessionManager();
 
   SessionManager(const SessionManager &) = delete;
   SessionManager &operator=(const SessionManager &) = delete;
@@ -148,8 +146,9 @@ public:
   /// before DONE). No-op on already-terminal sessions.
   void abort(SessionHandle &S, const std::string &Why);
 
-  /// Evicts Open sessions idle past Limits.IdleEvictSeconds; returns how
-  /// many were evicted. No-op when the limit is 0.
+  /// Evicts Open sessions idle past Limits.IdleEvictSeconds, skipping any
+  /// whose feed() is re-executing; returns how many were evicted. No-op
+  /// when the limit is 0.
   size_t evictIdle();
 
   /// Folds every Closed session, in session-id order, into a fresh
@@ -164,7 +163,7 @@ public:
   const Module &module() const { return Mod; }
   const SessionConfig &baseConfig() const { return Base; }
   const SessionLimits &limits() const { return Limits; }
-  unsigned workers() const { return Pool.threads(); }
+  unsigned workers() const { return Workers; }
 
   /// Thread-safe bump of a `serve.*` counter (shared with the daemon's
   /// HTTP layer).
@@ -178,41 +177,25 @@ public:
 private:
   friend class SessionHandle;
 
-  // All private helpers named *Locked require Mu held.
-  void scheduleDrainLocked(SessionHandle &S);
+  /// Requires Mu held.
   void failLocked(SessionHandle &S, SessionState To, const std::string &Why);
-  void drainJob(SessionHandle &S);
 
   const Module &Mod;
   SessionConfig Base;
   SessionLimits Limits;
+  const unsigned Workers;
+  /// One permit per concurrent re-execution.
+  std::counting_semaphore<> Gate;
 
   std::mutex Mu;
-  std::condition_variable CV;
   std::map<SessionId, std::unique_ptr<SessionHandle>> Sessions;
   SessionId NextId = 1;
-  bool ShuttingDown = false;
 
   std::mutex StatsMu;
   obs::MetricsRegistry ServeStats;
-
-  WorkerPool Pool; // Last member: workers must die before the state above.
 };
 
 } // namespace serve
-
-/// Re-executes a sharded recording: one streamed session per manifest in
-/// \p TracePaths, replayed at most \p Threads at a time, folded in index
-/// order — the deterministic shard fold, now running through the same
-/// serve::SessionManager lifecycle the lud-serve daemon uses, so batch
-/// replay and streaming ingest are two frontends over one session API.
-/// The result is identical to the live sharded run's and independent of
-/// \p Threads.
-ShardedSession replayShardedSession(const Module &M,
-                                    const std::vector<std::string> &TracePaths,
-                                    SessionConfig Cfg = {},
-                                    unsigned Threads = 4);
-
 } // namespace lud
 
 #endif // LUD_SERVICE_SESSIONMANAGER_H

@@ -27,10 +27,10 @@
 
 #include "profiling/FrozenGraph.h"
 #include "service/Render.h"
-#include "service/SessionManager.h"
 #include "support/OutStream.h"
 #include "tools/AnalysisRequest.h"
 #include "tools/ProgramSource.h"
+#include "workloads/ParallelDriver.h"
 
 #include <string>
 #include <vector>

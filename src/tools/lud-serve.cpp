@@ -63,7 +63,9 @@ void declareOptions(cli::OptionSet &P, Options &O) {
   P.number("--http-port", O.HttpPort,
            "N  HTTP port on 127.0.0.1 (default 0 = pick a free port)",
            /*Min=*/0);
-  P.number("--workers", O.Workers, "N  replay worker threads (default 4)",
+  P.number("--workers", O.Workers,
+           "N  FEED frames re-executed at once across all sessions "
+           "(default 4)",
            /*Min=*/1);
   O.Req.declare(P, cli::AnalysisRequest::SectionOpts |
                        cli::AnalysisRequest::ClientOpts |

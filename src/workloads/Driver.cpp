@@ -184,14 +184,20 @@ bool ProfileSession::reexecute(const Module &M, std::string_view Manifest,
     RC.MaxInstructions = std::min(
         Rec.MaxInstructions,
         Rec.Instructions + (Rec.Instructions != ~uint64_t(0) ? 1 : 0));
-    trace::TraceRecorder Counter;
+    // A recording session counts with its own recorder and re-records
+    // each checked run, so replaying into it reproduces the manifest.
+    trace::TraceRecorder Local;
+    trace::TraceRecorder &Counter = Recorder ? *Recorder : Local;
     RunResult R = execute(M, RC, &Counter);
-    Out.Events += Counter.events();
+    Out.Events += Counter.runEvents();
     ++Out.Segments;
-    if (std::string D = trace::diffRecord(Rec, R, Counter.events());
+    if (std::string D = trace::diffRecord(Rec, R, Counter.runEvents());
         !D.empty())
       return Fail("re-execution diverged from the record: " + D);
+    Counter.write(Rec);
   }
+  if (RecordFile)
+    std::fflush(RecordFile);
   return true;
 }
 
@@ -220,7 +226,7 @@ ReplayRun ProfileSession::replayFile(const Module &M,
   errno = 0;
   if (!readFileBytes(Path, Bytes)) {
     ReplayRun Out;
-    Out.Error = "cannot read '" + Path + "': " +
+    Out.Error = Path + ": cannot read '" + Path + "': " +
                 (errno ? std::strerror(errno) : "unknown error");
     return Out;
   }

@@ -135,10 +135,13 @@ public:
   /// the enabled profilers, on the session's engine and natives, output
   /// discarded, so the profiler state is the recorded run's. Each run is
   /// bounded by, and checked against, its record (docs/TRACING.md); line
-  /// numbers in diagnostics continue across calls. On failure the
-  /// profilers are partially updated; discard the session.
+  /// numbers in diagnostics continue across calls. A session configured to
+  /// record writes each checked record back out, so replaying into it
+  /// reproduces the manifest. On failure the profilers are partially
+  /// updated; discard the session.
   ReplayRun replay(const Module &M, std::string_view Manifest);
-  /// replay() over the contents of \p Path; diagnostics name the file.
+  /// replay() over the contents of \p Path; every diagnostic starts with
+  /// "<Path>: ".
   ReplayRun replayFile(const Module &M, const std::string &Path);
 
   /// The recording stage, when Cfg requested one and its sink opened.

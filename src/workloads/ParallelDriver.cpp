@@ -3,7 +3,7 @@
 #include "workloads/ParallelDriver.h"
 
 #include "obs/PhaseTimer.h"
-#include "support/WorkerPool.h"
+#include "support/ForEachJob.h"
 #include "trace/TraceRecorder.h"
 
 #include <chrono>
@@ -17,33 +17,53 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double>(T1 - T0).count();
 }
 
-} // namespace
-
-std::string lud::shardTracePath(const std::string &Path, unsigned Shard,
-                                unsigned Shards) {
-  return Shards <= 1 ? Path : Path + ".shard" + std::to_string(Shard);
-}
-
-ShardedSession lud::runShardedSession(const Module &M, unsigned Shards,
-                                      SessionConfig Cfg, unsigned Threads) {
+/// The one shard loop. With \p Manifests null each shard runs \p M live,
+/// recording to its own file when Cfg asks; otherwise shard S re-executes
+/// (*Manifests)[S]. The shards then fold into shard 0 in index order.
+ShardedSession runShards(const Module &M, unsigned Shards, SessionConfig Cfg,
+                         unsigned Threads,
+                         const std::vector<std::string> *Manifests) {
   ShardedSession Out;
   if (Shards == 0)
     return Out;
+  if (Manifests) {
+    // A replaying shard must never re-record.
+    Cfg.RecordPath.clear();
+    Cfg.RecordSink = nullptr;
+  }
   std::vector<std::unique_ptr<ProfileSession>> Sessions(Shards);
   std::vector<RunResult> Results(Shards);
+  std::vector<uint64_t> Events(Shards);
+  std::vector<std::string> Errors(Shards);
   auto T0 = std::chrono::steady_clock::now();
   forEachJob(Shards, Threads, [&](unsigned S) {
     SessionConfig SC = Cfg;
     if (!SC.RecordPath.empty() && !SC.RecordSink)
       SC.RecordPath = shardTracePath(Cfg.RecordPath, S, Shards);
     Sessions[S] = std::make_unique<ProfileSession>(std::move(SC));
-    Results[S] = Sessions[S]->run(M).Run;
+    ProfileSession &PS = *Sessions[S];
+    if (Manifests) {
+      ReplayRun R = PS.replayFile(M, (*Manifests)[S]);
+      Events[S] = R.Events;
+      Errors[S] = R.Error;
+      return;
+    }
+    Results[S] = PS.run(M).Run;
+    Errors[S] = PS.recordError();
+    if (const trace::TraceRecorder *R = PS.recorder())
+      Events[S] = R->events();
   });
-  for (const auto &S : Sessions) {
-    if (Out.Error.empty() && !S->recordError().empty())
-      Out.Error = S->recordError();
-    if (const trace::TraceRecorder *R = S->recorder())
-      Out.Events += R->events();
+  for (unsigned S = 0; S != Shards; ++S) {
+    // Events count even for failed shards (partial replays are real work).
+    Out.Events += Events[S];
+    if (Out.Error.empty())
+      Out.Error = Errors[S];
+  }
+  // A half-replayed shard must not fold into the result. (A live shard
+  // whose record file failed to open still ran in full.)
+  if (Manifests && !Out.Error.empty()) {
+    Out.Seconds = secondsSince(T0);
+    return Out;
   }
   // Fold in shard-index order: mergeFrom treats its argument as the later
   // of two sequential runs, so this reproduces one session observing the
@@ -59,4 +79,24 @@ ShardedSession lud::runShardedSession(const Module &M, unsigned Shards,
   for (const RunResult &R : Results)
     Out.TotalInstrs += R.ExecutedInstrs;
   return Out;
+}
+
+} // namespace
+
+std::string lud::shardTracePath(const std::string &Path, unsigned Shard,
+                                unsigned Shards) {
+  return Shards <= 1 ? Path : Path + ".shard" + std::to_string(Shard);
+}
+
+ShardedSession lud::runShardedSession(const Module &M, unsigned Shards,
+                                      SessionConfig Cfg, unsigned Threads) {
+  return runShards(M, Shards, std::move(Cfg), Threads, nullptr);
+}
+
+ShardedSession
+lud::replayShardedSession(const Module &M,
+                          const std::vector<std::string> &TracePaths,
+                          SessionConfig Cfg, unsigned Threads) {
+  return runShards(M, unsigned(TracePaths.size()), std::move(Cfg), Threads,
+                   &TracePaths);
 }

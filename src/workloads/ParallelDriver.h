@@ -7,14 +7,16 @@
 ///
 /// \file
 /// The sharded profiling driver: one module profiled in N shards over a
-/// small thread pool, with one ProfileSession (and one Heap and engine) per
+/// few threads, with one ProfileSession (and one Heap and engine) per
 /// shard, folded back into a single session with ProfileSession::mergeFrom.
-/// Nothing is shared between in-flight shards, so no locks sit on the event
-/// hot path; the fold happens once, after the pool drains, in shard-index
-/// order. Because the fold order is fixed and mergeFrom re-interns nodes in
-/// the source graph's creation order, the merged profile is identical
-/// whatever the thread count — one thread reproduces the sequential result
-/// bit for bit.
+/// Live runs and replays share one shard loop: each shard either runs the
+/// module or re-executes its manifest file, and the shards then fold into
+/// shard 0. Nothing is shared between in-flight shards, so no locks sit on
+/// the event hot path; the fold happens once, after every shard is done,
+/// in shard-index order. Because the fold order is fixed and mergeFrom
+/// re-interns nodes in the source graph's creation order, the merged
+/// profile is identical whatever the thread count — one thread reproduces
+/// the sequential result bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +25,8 @@
 
 #include "workloads/Driver.h"
 
+#include <string>
+#include <vector>
 
 namespace lud {
 
@@ -60,8 +64,16 @@ struct ShardedSession {
 ShardedSession runShardedSession(const Module &M, unsigned Shards,
                                  SessionConfig Cfg = {}, unsigned Threads = 4);
 
-// replayShardedSession, the replay twin of runShardedSession, is a batch
-// frontend over serve::SessionManager (service/SessionManager.h).
+/// The replay twin of runShardedSession: one shard per manifest in
+/// \p TracePaths, each re-executed by a fresh session configured by \p Cfg
+/// (record settings stripped), at most \p Threads at once, folded in index
+/// order. The result is identical to the live sharded run's and
+/// independent of \p Threads. Error names the first failing file, in index
+/// order, and Session is then null.
+ShardedSession replayShardedSession(const Module &M,
+                                    const std::vector<std::string> &TracePaths,
+                                    SessionConfig Cfg = {},
+                                    unsigned Threads = 4);
 
 /// Per-shard manifest file name: \p Path itself for a single shard, otherwise
 /// "<Path>.shardN". Both the recording and replaying sides derive names

@@ -14,7 +14,7 @@
 
 #include "../TestUtil.h"
 
-#include "support/WorkerPool.h"
+#include "support/ForEachJob.h"
 #include "workloads/DaCapo.h"
 #include "workloads/ParallelDriver.h"
 

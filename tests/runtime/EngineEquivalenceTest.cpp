@@ -199,6 +199,19 @@ TEST(EngineEquivalence, TrapFactsMatch) {
          Reg A = B.allocArray(TypeKind::Int, Len);
          B.ret(B.arrayLen(A));
        }},
+      {"array-len-2^32",
+       [](IRBuilder &B) {
+         Reg Len = B.iconst(int64_t(1) << 32);
+         Reg A = B.allocArray(TypeKind::Int, Len);
+         B.ret(B.arrayLen(A));
+       }},
+      {"array-len-2^32+5",
+       [](IRBuilder &B) {
+         // Once truncated to 5 on both engines.
+         Reg Len = B.iconst(4294967301);
+         Reg A = B.allocArray(TypeKind::Int, Len);
+         B.ret(B.arrayLen(A));
+       }},
       {"stack-overflow",
        [](IRBuilder &B) {
          // main calls itself forever.

@@ -148,9 +148,9 @@ TEST(DaemonTest, InterleavedSessionsReportMatchesOfflineReplay) {
   }
 }
 
-// A corrupt stream terminates only its own session; the ERR line carries
-// the replay diagnostic verbatim, and the sibling session still serves
-// the exact single-manifest report.
+// A corrupt stream terminates only its own session; the ERR reply to its
+// FEED carries the replay diagnostic verbatim, and the sibling session
+// still serves the exact single-manifest report.
 TEST(DaemonTest, CorruptSessionIsIsolatedWithVerbatimDiagnostic) {
   Workload W = buildWorkload("chart", 60);
   std::string Good = recordTrace(*W.M);
@@ -175,9 +175,12 @@ TEST(DaemonTest, CorruptSessionIsIsolatedWithVerbatimDiagnostic) {
   ASSERT_TRUE(CGood.connect(Socket, Err)) << Err;
   ASSERT_TRUE(CGood.open(Err)) << Err;
 
-  ASSERT_TRUE(CBad.feed(Bad, Err)) << Err; // Queued; fails on replay.
+  // The FEED that carried the bad record fails, verbatim over the wire;
+  // DONE repeats the diagnostic.
+  EXPECT_FALSE(CBad.feed(Bad, Err));
+  EXPECT_EQ(Err, WantDiag);
   EXPECT_FALSE(CBad.done(Err));
-  EXPECT_EQ(Err, WantDiag); // Verbatim over the wire.
+  EXPECT_EQ(Err, WantDiag);
 
   ASSERT_TRUE(CGood.feed(Good, Err)) << Err;
   ASSERT_TRUE(CGood.done(Err)) << Err;

@@ -177,12 +177,15 @@ TEST(SessionManagerTest, CorruptStreamFailsOnlyThatSession) {
   SessionHandle &SBad = Mgr.open();
   SessionHandle &SGood = Mgr.open();
 
+  // The feed() that carried the bad record fails the session, verbatim;
+  // finish() repeats the diagnostic.
   std::string Err;
-  ASSERT_TRUE(SBad.feed(Bad, Err)) << Err; // Queued; fails asynchronously.
-  EXPECT_FALSE(SBad.finish(Err));
-  EXPECT_EQ(SBad.state(), SessionState::Failed);
+  EXPECT_FALSE(SBad.feed(Bad, Err));
   EXPECT_EQ(Err, WantDiag);
+  EXPECT_EQ(SBad.state(), SessionState::Failed);
   EXPECT_EQ(SBad.error(), WantDiag);
+  EXPECT_FALSE(SBad.finish(Err));
+  EXPECT_EQ(Err, WantDiag);
 
   // Feeding a failed session reports the same diagnostic.
   EXPECT_FALSE(SBad.feed(Good, Err));
@@ -212,13 +215,25 @@ TEST(SessionManagerTest, QuotaFailsTheSessionWithADiagnostic) {
   EXPECT_EQ(S.state(), SessionState::Failed);
   EXPECT_NE(Err.find("session quota exceeded"), std::string::npos) << Err;
 
-  // Quota is per session: a sibling under the same manager still works.
+  EXPECT_FALSE(S.finish(Err));
+  EXPECT_NE(Err.find("session quota exceeded"), std::string::npos) << Err;
+
+  // Quota is per session: a sibling under the same manager gets past it.
+  // Its half record is under quota and fails on its own FEED, with the
+  // replay diagnostic rather than the quota's.
   SessionHandle &S2 = Mgr.open();
   std::string Half = Trace.substr(0, Trace.size() / 2);
-  ASSERT_TRUE(S2.feed(Half, Err)) << Err; // Under quota (garbage is fine
-  EXPECT_FALSE(S2.finish(Err));           // to queue; it fails on replay,
-  EXPECT_EQ(S2.state(), SessionState::Failed); // not on quota).
-  EXPECT_EQ(Err.find("session quota exceeded"), std::string::npos);
+  std::string WantDiag;
+  {
+    ProfileSession Direct(allClientsConfig());
+    WantDiag = Direct.replay(*W.M, Half).Error;
+    ASSERT_FALSE(WantDiag.empty());
+  }
+  EXPECT_FALSE(S2.feed(Half, Err));
+  EXPECT_EQ(S2.state(), SessionState::Failed);
+  EXPECT_EQ(Err, WantDiag);
+  EXPECT_FALSE(S2.finish(Err));
+  EXPECT_EQ(Err, WantDiag);
 }
 
 TEST(SessionManagerTest, IdleSessionsAreEvicted) {
@@ -264,17 +279,37 @@ TEST(SessionManagerTest, ServeCountersAccumulate) {
   EXPECT_NE(J.find("serve.bytes_replayed"), std::string::npos);
 }
 
-// replayShardedSession is the batch frontend over the same lifecycle; an
-// unreadable shard file aborts with the exact replayFile diagnostic,
-// prefixed by the path, and yields no folded session.
-TEST(SessionManagerTest, ReplayShardedSessionReportsUnreadableFiles) {
-  Workload W = buildWorkload("chart", 40);
-  ShardedSession R = replayShardedSession(
-      *W.M, {"/nonexistent/lud-test.trace"}, allClientsConfig());
-  EXPECT_FALSE(R.Session);
-  EXPECT_NE(R.Error.find("/nonexistent/lud-test.trace: cannot read"),
-            std::string::npos)
-      << R.Error;
+// Two threads feed two sessions at once through a single re-execution
+// permit: the gate serializes their frames without deadlock, both sessions
+// close, and the fold equals the sequential replay.
+TEST(SessionManagerTest, OneWorkerGateServesConcurrentFeeders) {
+  Workload W = buildWorkload("fop", 50);
+  std::vector<std::string> Traces = {recordTrace(*W.M, 3),
+                                     recordTrace(*W.M, 2)};
+  SessionManager Mgr(*W.M, allClientsConfig(), SessionLimits{},
+                     /*Workers=*/1);
+  EXPECT_EQ(Mgr.workers(), 1u);
+  std::vector<SessionHandle *> Handles = {&Mgr.open(), &Mgr.open()};
+  std::vector<std::string> Errs(Handles.size());
+  std::vector<std::thread> Feeders;
+  for (size_t I = 0; I != Handles.size(); ++I)
+    Feeders.emplace_back([&, I] {
+      for (const std::string &Frame : recordFrames(Traces[I]))
+        if (!Handles[I]->feed(Frame, Errs[I]))
+          return;
+      Handles[I]->finish(Errs[I]);
+    });
+  for (std::thread &T : Feeders)
+    T.join();
+  for (size_t I = 0; I != Handles.size(); ++I) {
+    EXPECT_EQ(Handles[I]->state(), SessionState::Closed) << Errs[I];
+    EXPECT_EQ(Handles[I]->segments(), recordFrames(Traces[I]).size());
+  }
+  uint64_t Events = 0, Folded = 0;
+  std::unique_ptr<ProfileSession> Report = Mgr.foldClosed(Events, Folded);
+  ASSERT_TRUE(Report);
+  EXPECT_EQ(Folded, 2u);
+  EXPECT_EQ(graphBytes(*Report), sequentialGraph(*W.M, Traces));
 }
 
 } // namespace

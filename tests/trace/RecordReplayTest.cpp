@@ -17,7 +17,6 @@
 #include "support/OutStream.h"
 #include "trace/TraceRecorder.h"
 #include "workloads/DaCapo.h"
-#include "service/SessionManager.h"
 #include "workloads/Driver.h"
 #include "workloads/ParallelDriver.h"
 
@@ -382,6 +381,99 @@ TEST(RecordReplayTest, FabricatedRecordCannotOutrunItsInstructionCount) {
                          "status budget-exceeded, recorded finished"),
             std::string::npos)
       << R.Error;
+}
+
+/// main() { phase(1); r = neg 7; a = newarray int, 2; return a[5] }: a
+/// phase marker, a unary op, then an out-of-bounds trap.
+std::unique_ptr<Module> phaseUnTrapProgram() {
+  auto M = std::make_unique<Module>();
+  IRBuilder B(*M);
+  B.beginFunction("main", 0);
+  B.ncallVoid("phase", {B.iconst(1)});
+  Reg N = B.un(UnOp::Neg, B.iconst(7));
+  B.ncallVoid("sink", {N});
+  Reg A = B.allocArray(TypeKind::Int, B.iconst(2));
+  B.ret(B.loadElem(A, B.iconst(5)));
+  B.endFunction();
+  M->finalize();
+  return M;
+}
+
+/// The recorder's trace.events.<Hook> gauge in \p S's stats (0 if unset).
+uint64_t hookEvents(const ProfileSession &S, const std::string &Hook) {
+  obs::MetricId Id = S.stats()->find("trace.events." + Hook);
+  return Id == obs::kNoMetric ? 0 : S.stats()->value(Id);
+}
+
+TEST(RecordReplayTest, PhaseUnaryAndTrapHooksReplay) {
+  std::unique_ptr<Module> M = phaseUnTrapProgram();
+  StringOutStream Sink;
+  SessionConfig RecCfg;
+  RecCfg.Clients = kAllClients;
+  RecCfg.CollectStats = true;
+  RecCfg.RecordSink = &Sink;
+  ProfileSession Live(RecCfg);
+  TimedRun Run = Live.run(*M);
+  ASSERT_EQ(Run.Run.Status, RunStatus::Trapped);
+  EXPECT_EQ(Run.Run.Trap, TrapKind::OutOfBounds);
+
+  // Replaying into a recording session re-records the run: the manifest
+  // comes back byte for byte (status and sink hash included), and the
+  // replaying recorder saw the same phase, unary and trap hooks.
+  StringOutStream ReSink;
+  SessionConfig RepCfg = RecCfg;
+  RepCfg.RecordSink = &ReSink;
+  ProfileSession Replayed(RepCfg);
+  ReplayRun R = Replayed.replay(*M, Sink.str());
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(ReSink.str(), Sink.str());
+  EXPECT_NE(Sink.str().find(" status=trapped "), std::string::npos)
+      << Sink.str();
+  for (const char *Hook : {"phase", "un", "trap"}) {
+    EXPECT_GT(hookEvents(Live, Hook), 0u) << Hook;
+    EXPECT_EQ(hookEvents(Replayed, Hook), hookEvents(Live, Hook)) << Hook;
+  }
+  EXPECT_EQ(graphBytes(Replayed.slicing()->graph()),
+            graphBytes(Live.slicing()->graph()));
+  EXPECT_EQ(clientReports(Replayed, *M), clientReports(Live, *M));
+}
+
+// A newarray length above UINT32_MAX traps OutOfBounds — like a negative
+// length — identically on both engines, and the trapping run records and
+// replays to the same status on either.
+TEST(RecordReplayTest, OversizedArrayLengthTrapsAndReplays) {
+  Module M;
+  IRBuilder B(M);
+  B.beginFunction("main", 0);
+  Reg A = B.allocArray(TypeKind::Int, B.iconst(4294967301));
+  B.ret(B.arrayLen(A));
+  B.endFunction();
+  M.finalize();
+
+  std::string Manifests[2];
+  for (EngineKind E : {EngineKind::Interp, EngineKind::Threaded}) {
+    StringOutStream Sink;
+    SessionConfig RecCfg;
+    RecCfg.Engine = E;
+    RecCfg.RecordSink = &Sink;
+    ProfileSession Live(RecCfg);
+    TimedRun Run = Live.run(M);
+    EXPECT_EQ(Run.Run.Status, RunStatus::Trapped) << engineKindName(E);
+    EXPECT_EQ(Run.Run.Trap, TrapKind::OutOfBounds) << engineKindName(E);
+    Manifests[E == EngineKind::Threaded] = Sink.str();
+
+    for (EngineKind RE : {EngineKind::Interp, EngineKind::Threaded}) {
+      SessionConfig RepCfg;
+      RepCfg.Engine = RE;
+      ProfileSession Replayed(RepCfg);
+      ReplayRun R = Replayed.replay(M, Sink.str());
+      EXPECT_TRUE(R.Ok) << engineKindName(E) << " -> " << engineKindName(RE)
+                        << ": " << R.Error;
+    }
+  }
+  EXPECT_EQ(Manifests[0], Manifests[1]);
+  EXPECT_NE(Manifests[0].find(" status=trapped "), std::string::npos)
+      << Manifests[0];
 }
 
 } // namespace

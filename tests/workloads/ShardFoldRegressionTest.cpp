@@ -7,12 +7,14 @@
 // proves this for the built-in workloads; these seeds pin it for the
 // random-program shapes the differential fuzzer sweeps (recursion,
 // aliasing, null flows, globals), where a fold that depends on shard
-// arrival order is most likely to slip.
+// arrival order is most likely to slip. The replay side of the same shard
+// loop, replayShardedSession, is pinned here too.
 //
 //===----------------------------------------------------------------------===//
 
 #include "profiling/GraphIO.h"
 #include "support/OutStream.h"
+#include "workloads/DaCapo.h"
 #include "workloads/Driver.h"
 #include "workloads/ParallelDriver.h"
 #include "workloads/RandomProgram.h"
@@ -90,6 +92,18 @@ TEST(ShardFoldRegressionTest, FoldMatchesSequentialReuse) {
       }
     }
   }
+}
+
+// An unreadable shard file fails the replay with the replayFile diagnostic,
+// prefixed by the path, and yields no folded session.
+TEST(ShardFoldRegressionTest, ReplayShardedSessionReportsUnreadableFiles) {
+  Workload W = buildWorkload("chart", 40);
+  ShardedSession R = replayShardedSession(
+      *W.M, {"/nonexistent/lud-test.trace"}, sessionConfig());
+  EXPECT_FALSE(R.Session);
+  EXPECT_NE(R.Error.find("/nonexistent/lud-test.trace: cannot read"),
+            std::string::npos)
+      << R.Error;
 }
 
 } // namespace
