@@ -113,26 +113,20 @@ inline void emitJsonRow(const std::string &Name, int64_t Scale,
 /// sessions with CollectStats on and dump the merged "lud.stats.v1"
 /// registry; `--stats-out=FILE` (or LUD_STATS_OUT) appends to FILE instead
 /// of stdout, so a CI job can collect registries from several binaries in
-/// one artifact.
-enum class StatsFormat { Off, Text, Json, Csv };
-
-/// Parses a --stats / LUD_STATS value; an unknown format exits 2 with the
-/// tools' diagnostic rather than silently falling back to text.
-inline StatsFormat parseStatsFormat(const char *V) {
-  if (!*V || std::strcmp(V, "text") == 0)
-    return StatsFormat::Text;
-  if (std::strcmp(V, "json") == 0)
-    return StatsFormat::Json;
-  if (std::strcmp(V, "csv") == 0)
-    return StatsFormat::Csv;
-  errs() << "unknown stats format '" << V << "' (valid: text, json, csv)\n";
-  std::exit(2);
+/// one artifact. The format parser and writer are the tools' own
+/// (obs/Metrics.h); an unknown format exits 2 with their diagnostic rather
+/// than silently falling back to text.
+inline obs::StatsFormat statsFormatOrExit(const char *V) {
+  obs::StatsFormat F = obs::StatsFormat::Off;
+  if (!obs::parseStatsFormat(V, F))
+    std::exit(2);
+  return F;
 }
 
-inline StatsFormat &statsFormat() {
-  static StatsFormat F = std::getenv("LUD_STATS")
-                             ? parseStatsFormat(std::getenv("LUD_STATS"))
-                             : StatsFormat::Off;
+inline obs::StatsFormat &statsFormat() {
+  static obs::StatsFormat F =
+      std::getenv("LUD_STATS") ? statsFormatOrExit(std::getenv("LUD_STATS"))
+                               : obs::StatsFormat::Off;
   return F;
 }
 
@@ -142,7 +136,7 @@ inline std::string &statsOutPath() {
   return Path;
 }
 
-inline bool statsEnabled() { return statsFormat() != StatsFormat::Off; }
+inline bool statsEnabled() { return statsFormat() != obs::StatsFormat::Off; }
 
 /// Parses and strips `--stats[=text|json|csv]` / `--stats-out=FILE` from
 /// argv so benchmark::Initialize never sees them (mirrors initJsonRows).
@@ -152,11 +146,11 @@ inline void initStats(int *Argc, char **Argv) {
   for (int I = 1; I < *Argc; ++I) {
     const char *A = Argv[I];
     if (std::strcmp(A, "--stats") == 0) {
-      statsFormat() = StatsFormat::Text;
+      statsFormat() = obs::StatsFormat::Text;
       continue;
     }
     if (std::strncmp(A, "--stats=", 8) == 0) {
-      statsFormat() = parseStatsFormat(A + 8);
+      statsFormat() = statsFormatOrExit(A + 8);
       continue;
     }
     if (std::strncmp(A, "--stats-out=", 12) == 0) {
@@ -177,17 +171,7 @@ inline void emitStats(const ProfileSession &S) {
   std::FILE *F = statsOutPath().empty() ? stdout
                                          : openOrExit(statsOutPath().c_str());
   FileOutStream OS(F);
-  switch (statsFormat()) {
-  case StatsFormat::Json:
-    S.stats()->writeJson(OS);
-    break;
-  case StatsFormat::Csv:
-    S.stats()->writeCsv(OS);
-    break;
-  default:
-    S.stats()->writeText(OS);
-    break;
-  }
+  obs::writeStats(*S.stats(), statsFormat(), OS);
   if (F != stdout)
     std::fclose(F);
 }

@@ -2,7 +2,6 @@
 
 #include "analysis/Optimizer.h"
 
-#include "ir/Clone.h"
 #include "ir/Module.h"
 #include "ir/Rewrite.h"
 
@@ -80,8 +79,11 @@ OptimizeResult lud::removeProfiledDeadCode(const Module &M,
     }
   }
 
-  Out.M = cloneModule(
-      M, [&](const Instruction &I) { return Kept[I.getId()]; });
+  ModuleRewriter RW(M);
+  for (uint32_t Id = 0; Id != M.getNumInstrs(); ++Id)
+    if (!Kept[Id])
+      RW.drop(InstrId(Id));
+  Out.M = RW.apply();
   return Out;
 }
 

@@ -5,10 +5,10 @@
 #include "ir/Module.h"
 #include "obs/Metrics.h"
 #include "runtime/ComposedProfiler.h"
+#include "runtime/Natives.h"
 #include "runtime/ThreadedEngine.h"
 #include "support/OutStream.h"
 
-#include <cstring>
 
 using namespace lud;
 using namespace lud::opt;
@@ -17,40 +17,11 @@ RewritePass::~RewritePass() = default;
 
 namespace {
 
-const char *statusName(RunStatus S) {
-  switch (S) {
-  case RunStatus::Finished:
-    return "finished";
-  case RunStatus::Trapped:
-    return "trapped";
-  case RunStatus::BudgetExceeded:
-    return "budget-exceeded";
-  }
-  return "unknown";
-}
-
 /// Uninstrumented run — the observable behaviour a rewrite must preserve.
 RunResult plainRun(const Module &M, EngineKind E, const RunConfig &RC) {
   Heap H;
   ComposedProfiler<> P;
   return runWithEngine(E, M, H, P, RC);
-}
-
-/// Bit pattern of a return value for exact comparison (floats compare
-/// bitwise: validation wants identity, not numeric equivalence).
-uint64_t valueBits(const Value &V) {
-  switch (V.Kind) {
-  case ValueKind::Int:
-    return uint64_t(V.I);
-  case ValueKind::Float: {
-    uint64_t B;
-    std::memcpy(&B, &V.F, sizeof B);
-    return B;
-  }
-  case ValueKind::Ref:
-    return V.R;
-  }
-  return 0;
 }
 
 /// The differential-oracle observable contract (fuzz/Oracle.h): status,
@@ -59,7 +30,7 @@ bool sameObservables(const RunResult &Ref, const RunResult &Got,
                      const char *Engine, std::string &Why) {
   if (Got.Status != Ref.Status) {
     Why = std::string("status diverged on ") + Engine + " (" +
-          statusName(Ref.Status) + " -> " + statusName(Got.Status) + ")";
+          runStatusName(Ref.Status) + " -> " + runStatusName(Got.Status) + ")";
     return false;
   }
   if (Got.SinkHash != Ref.SinkHash) {
@@ -275,7 +246,7 @@ void PassManager::accountStats(const PipelineResult &R,
 
 void lud::opt::renderOptimizeReport(const PipelineResult &R, OutStream &OS) {
   OS << "=== Optimizer ===\n";
-  OS << "reference: status=" << statusName(R.ReferenceStatus)
+  OS << "reference: status=" << runStatusName(R.ReferenceStatus)
      << " instrs=" << R.InstrsBefore << " allocs=" << R.AllocsBefore << "\n";
   for (const auto &[Name, S] : R.PerPass) {
     OS << "pass " << Name << ": applied=" << uint64_t(S.Applied)

@@ -73,7 +73,6 @@ OracleConfig fuzz::randomOracleConfig(RNG &R) {
   C.Slicing.ContextSlots = Slots[R.nextBelow(std::size(Slots))];
   C.Slicing.ThinSlicing = R.nextBelow(2) != 0;
   C.Slicing.ContextSensitive = R.nextBelow(2) != 0;
-  C.Slicing.TrackCR = R.nextBelow(2) != 0;
   C.Slicing.HotPathCaches = R.nextBelow(2) != 0;
   C.Clients = ClientSet(uint32_t(R.nextBelow(8)));
   // Either backend may be the reference; the engines mode always runs the

@@ -2,8 +2,8 @@
 
 #include "fuzz/Minimizer.h"
 
-#include "ir/Clone.h"
 #include "ir/Module.h"
+#include "ir/Rewrite.h"
 
 #include <algorithm>
 #include <vector>
@@ -22,8 +22,11 @@ public:
       : Orig(M), Fails(Fails), Opts(Opts), Alive(M.getNumInstrs(), true) {}
 
   std::unique_ptr<Module> build(const std::vector<bool> &A) const {
-    return cloneModule(Orig,
-                       [&](const Instruction &I) { return A[I.getId()]; });
+    ModuleRewriter RW(Orig);
+    for (uint32_t Id = 0; Id != Orig.getNumInstrs(); ++Id)
+      if (!A[Id])
+        RW.drop(InstrId(Id));
+    return RW.apply();
   }
 
   bool failsWith(const std::vector<bool> &A) {

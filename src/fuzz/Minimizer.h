@@ -9,8 +9,9 @@
 /// Delta-debugging reduction of failing .lud programs (Zeller &
 /// Hildebrandt's ddmin over instruction sets). The reduction state is an
 /// alive-set over the ORIGINAL module's instruction ids; every trial
-/// clones the original with ir::cloneModule, dropping dead non-terminator
-/// instructions, and re-runs the caller's failure predicate on the clone.
+/// rebuilds the original through ir::ModuleRewriter, dropping the dead
+/// (always non-terminator) instructions, and re-runs the caller's failure
+/// predicate on the result.
 /// Terminators are never dropped, so every candidate is structurally
 /// well-formed; registers read without a surviving definition hold the
 /// default Int 0, so candidates execute (possibly trapping — traps are

@@ -7,11 +7,11 @@
 #include "ir/Verifier.h"
 #include "profiling/GraphIO.h"
 #include "runtime/ComposedProfiler.h"
+#include "runtime/Natives.h"
 #include "runtime/ThreadedEngine.h"
 #include "support/OutStream.h"
 #include "workloads/ParallelDriver.h"
 
-#include <cstring>
 
 using namespace lud;
 using namespace lud::fuzz;
@@ -98,22 +98,6 @@ std::string diffSnapshots(const Snapshot &Ref, const Snapshot &Got) {
   if (Ref.Reports != Got.Reports)
     return firstDiff("client reports", Ref.Reports, Got.Reports);
   return "";
-}
-
-/// Bit pattern of a return value for exact comparison (floats bitwise).
-uint64_t valueBits(const Value &V) {
-  switch (V.Kind) {
-  case ValueKind::Int:
-    return uint64_t(V.I);
-  case ValueKind::Float: {
-    uint64_t B;
-    std::memcpy(&B, &V.F, sizeof B);
-    return B;
-  }
-  case ValueKind::Ref:
-    return V.R;
-  }
-  return 0;
 }
 
 SessionConfig sessionConfig(const OracleConfig &Cfg) {

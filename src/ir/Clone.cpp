@@ -1,8 +1,8 @@
-//===- ir/Clone.cpp - Module cloning with instruction filters --------------===//
+//===- ir/Clone.cpp - Instruction cloning ---------------------------------===//
 
 #include "ir/Clone.h"
 
-#include "ir/Module.h"
+#include "ir/Instruction.h"
 #include "support/ErrorHandling.h"
 
 using namespace lud;
@@ -90,43 +90,4 @@ Instruction *lud::cloneInstr(const Instruction &I) {
     return new ReturnInst(cast<ReturnInst>(&I)->Src);
   }
   lud_unreachable("unknown instruction kind");
-}
-
-std::unique_ptr<Module> lud::cloneModule(
-    const Module &M,
-    const std::function<bool(const Instruction &)> &Keep) {
-  auto Out = std::make_unique<Module>();
-
-  // Classes (same order => same ids). Interned names first so MethodNameId
-  // and NativeId values carry over.
-  for (const std::string &Name : M.methodNames())
-    Out->internMethodName(Name);
-  for (const std::string &Name : M.nativeNames())
-    Out->internNativeName(Name);
-  for (const auto &C : M.classes()) {
-    ClassDecl *NC = Out->addClass(C->getName(), C->getSuper());
-    for (const FieldDecl &F : C->ownFields())
-      NC->addField(F.Name, F.Ty);
-    for (const auto &[Method, Func] : C->ownMethods())
-      NC->addMethod(Method, Func);
-  }
-  for (const GlobalDecl &G : M.globals())
-    Out->addGlobal(G.Name, G.Ty);
-
-  for (const auto &F : M.functions()) {
-    Function *NF = Out->addFunction(F->getName(), F->getNumParams(),
-                                    F->getNumRegs(), F->getOwner());
-    for (const auto &BB : F->blocks()) {
-      BasicBlock *NB = NF->addBlock();
-      for (const auto &I : BB->insts()) {
-        if (Keep && !I->isTerminator() && !Keep(*I))
-          continue;
-        NB->append(cloneInstr(*I));
-      }
-    }
-  }
-  if (M.getEntry() != kNoFunc)
-    Out->setEntry(M.getEntry());
-  Out->finalize();
-  return Out;
 }

@@ -1,4 +1,4 @@
-//===- ir/Clone.h - Module cloning with instruction filters ----*- C++ -*-===//
+//===- ir/Clone.h - Instruction cloning -------------------------*- C++ -*-===//
 //
 // Part of the lud project: a reproduction of "Finding Low-Utility Data
 // Structures" (PLDI 2010).
@@ -6,36 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deep-copies a module, optionally dropping instructions (the rewrite
-/// primitive behind the profile-guided optimizer). Classes, globals,
-/// functions, blocks and registers keep their ids and numbering, so call
-/// targets and branch labels survive unchanged; only the dense instruction
-/// and allocation-site ids are re-assigned by the clone's finalize().
-/// Terminators are never dropped (the filter is not consulted for them),
-/// keeping every block well-formed.
+/// Copies one instruction. Deriving a whole module — a plain copy, a copy
+/// with instructions dropped, or one with injected code — goes through
+/// ModuleRewriter (ir/Rewrite.h), which clones every unedited instruction
+/// with cloneInstr; ClonePerOpPass copies a function body with it too.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LUD_IR_CLONE_H
 #define LUD_IR_CLONE_H
 
-#include <functional>
-#include <memory>
-
 namespace lud {
 
 class Instruction;
-class Module;
 
 /// Clones a single instruction (without parent/id).
 Instruction *cloneInstr(const Instruction &I);
-
-/// Deep-copies \p M, keeping a non-terminator instruction only when
-/// \p Keep returns true (pass nullptr to keep everything). The result is
-/// finalized and ready to run.
-std::unique_ptr<Module>
-cloneModule(const Module &M,
-            const std::function<bool(const Instruction &)> &Keep = nullptr);
 
 } // namespace lud
 

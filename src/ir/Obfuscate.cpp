@@ -2,11 +2,11 @@
 
 #include "ir/Obfuscate.h"
 
-#include "ir/Clone.h"
 #include "ir/ObfuscateImpl.h"
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace lud;
 using namespace lud::detail;
@@ -72,28 +72,10 @@ bool Obfuscator::inScope(const Function &F) const {
 }
 
 ObfuscationResult Obfuscator::run() {
-  Out = std::make_unique<Module>();
-
-  // Mirror the source declarations in order, so every id carries over
-  // (the cloneModule invariant; see ir/Clone.cpp).
-  for (const std::string &Name : Src.methodNames())
-    Out->internMethodName(Name);
-  for (const std::string &Name : Src.nativeNames())
-    Out->internNativeName(Name);
-  for (const auto &C : Src.classes()) {
-    ClassDecl *NC = Out->addClass(C->getName(), C->getSuper());
-    for (const FieldDecl &F : C->ownFields())
-      NC->addField(F.Name, F.Ty);
-    for (const auto &[Method, Func] : C->ownMethods())
-      NC->addMethod(Method, Func);
-  }
-  for (const GlobalDecl &G : Src.globals())
-    Out->addGlobal(G.Name, G.Ty);
-
-  // Injected declarations come after every mirrored one, with names
+  // Injected declarations number after every source one, with names
   // uniquified against the source module. Module-level draws happen
   // before any per-function split and have a fixed count per enabled
-  // transform, keeping the whole rebuild deterministic.
+  // transform, keeping the whole rewrite deterministic.
   FuncId EntryFn = Src.getEntry();
   // Junk needs the entry function to install the accumulator the write
   // sites load; a module without one simply gets no junk.
@@ -102,92 +84,82 @@ ObfuscationResult Obfuscator::run() {
     std::string Name = "ObfJunk";
     while (Src.findClass(Name) != kNoClass)
       Name += "_";
-    ClassDecl *JC = Out->addClass(Name);
-    JunkClass = JC->getId();
+    JunkClass = Rw.addClass(Name);
     std::string SinkName = "obf_sink";
     while (Src.findGlobal(SinkName) != kNoGlobal)
       SinkName += "_";
-    JunkSink = Out->addGlobal(SinkName, Type::makeRef(JunkClass));
+    JunkSink = Rw.addGlobal(SinkName, Type::makeRef(JunkClass));
   }
   if (Opts.Opaque) {
     std::string Name = "obf_opaque";
     while (Src.findGlobal(Name) != kNoGlobal)
       Name += "_";
-    OpaqueGlobal = Out->addGlobal(Name, Type::makeInt());
+    OpaqueGlobal = Rw.addGlobal(Name, Type::makeInt());
     OpaqueKey = int64_t(Root.nextBelow(1u << 20)) + 3;
   }
   if (Opts.Strings)
     StringKey = int64_t(Root.nextBelow(255)) + 1;
 
   for (const auto &F : Src.functions()) {
-    Function *NF = Out->addFunction(F->getName(), F->getNumParams(),
-                                    F->getNumRegs(), F->getOwner());
-    unsigned NextReg = F->getNumRegs();
-    RNG R = Root.split(F->getId());
+    Cur = F->getId();
+    RNG R = Root.split(Cur);
     bool Scoped = inScope(*F);
-
-    // Mirror blocks first so ids align; diversion blocks appended later
-    // get ids past the original count and existing branch targets stay
-    // valid unchanged.
-    for (size_t I = 0; I != F->blocks().size(); ++I)
-      NF->addBlock();
 
     Reg TabReg = kNoReg;
     bool Table = Opts.Strings && Scoped && !F->blocks().empty() &&
-                 NextReg + 32 < 0xFF00u &&
+                 numRegs() + 32 < 0xFF00u &&
                  R.nextBelow(100) < Opts.StringChance;
     if (Table)
-      TabReg = Reg(NextReg++);
+      TabReg = fresh();
 
     for (size_t BI = 0; BI != F->blocks().size(); ++BI) {
       const BasicBlock &OB = *F->blocks()[BI];
-      BasicBlock &NB = *NF->getBlock(uint32_t(BI));
+      assert(!OB.empty() && "a verified block ends in a terminator");
 
       if (BI == 0) {
+        Seq Top;
         // The accumulator install comes first: the entry block runs
         // before anything else, so every later junk write finds a live
         // object in the sink global.
-        if (Junk && F->getId() == EntryFn)
-          emitJunkAccumulator(NB, NextReg, F->getId());
+        if (Junk && Cur == EntryFn)
+          emitJunkAccumulator(Top);
         // The opaque global is established at the very top of the entry
         // function, before any guard can load it: the profiler observes a
         // genuinely invariant value it must prove constant.
-        if (Opts.Opaque && F->getId() == EntryFn) {
-          Reg K = Reg(NextReg++);
-          NB.append(ConstInst::makeInt(K, OpaqueKey));
-          NB.append(new StoreStaticInst(OpaqueGlobal, K));
+        if (Opts.Opaque && Cur == EntryFn) {
+          Reg K = fresh();
+          Top.push_back(ConstInst::makeInt(K, OpaqueKey));
+          Top.push_back(new StoreStaticInst(OpaqueGlobal, K));
           Injected += 2;
         }
         if (Table)
-          emitStringTableBuild(NB, NextReg, TabReg, F->getName(),
-                               F->getId());
+          emitStringTableBuild(Top, TabReg, F->getName());
+        if (!Top.empty())
+          Rw.insertBefore(OB.insts().front()->getId(), std::move(Top));
       }
 
-      for (const auto &I : OB.insts()) {
-        if (I->isTerminator()) {
-          // Injections land just before the terminator: the payload runs
-          // exactly as often as the block does.
-          if (Junk && Scoped && R.nextBelow(100) < Opts.JunkChance)
-            emitJunk(NB, R, NextReg, F->getId());
-          if (Table && R.nextBelow(100) < 70)
-            emitStringDecode(NB, R, NextReg, TabReg);
-          if (Opts.Opaque && Scoped && isa<BrInst>(I.get()) &&
-              NextReg + 8 < kNoReg && R.nextBelow(100) < Opts.OpaqueChance) {
-            Instruction *CB = emitOpaqueGuard(
-                NB, *NF, R, NextReg, cast<BrInst>(I.get())->Target);
-            Pending.push_back({ObfKind::Opaque, CB, F->getId()});
-            continue; // the guard replaced this terminator
-          }
-        }
-        NB.append(cloneInstr(*I));
+      // Injections land just before the terminator: the payload runs
+      // exactly as often as the block does.
+      const Instruction *Term = OB.terminator();
+      Seq Payload;
+      if (Junk && Scoped && R.nextBelow(100) < Opts.JunkChance)
+        emitJunk(Payload, R);
+      if (Table && R.nextBelow(100) < 70)
+        emitStringDecode(Payload, R, TabReg);
+      if (!Payload.empty())
+        Rw.insertBefore(Term->getId(), std::move(Payload));
+      if (Opts.Opaque && Scoped && isa<BrInst>(Term) &&
+          numRegs() + 8 < kNoReg && R.nextBelow(100) < Opts.OpaqueChance) {
+        Seq Guard;
+        Instruction *CB =
+            emitOpaqueGuard(Guard, R, cast<BrInst>(Term)->Target);
+        Pending.push_back({ObfKind::Opaque, CB, Cur});
+        Rw.replaceWith(Term->getId(), std::move(Guard));
       }
     }
-    NF->setNumRegs(NextReg);
   }
 
-  if (EntryFn != kNoFunc)
-    Out->setEntry(EntryFn);
-  Out->finalize();
+  std::unique_ptr<Module> Out = Rw.apply();
 
   ObfuscationResult Res;
   for (const PendingTag &T : Pending) {

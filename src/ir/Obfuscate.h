@@ -24,10 +24,13 @@
 ///  - string tables: encode-at-build / decode-at-runtime element rewrites
 ///    (the rewrite-per-read pattern of the paper's case studies).
 ///
-/// Obfuscation is a clone-with-injection rebuild: blocks keep their ids
-/// (injected diversion blocks are appended after all originals), registers
-/// grow past the source frame, and no observable behavior changes — the
-/// transforms introduce no native calls, no traps, and no new back edges.
+/// Obfuscation is a set of ModuleRewriter edits (ir/Rewrite.h): payloads
+/// are inserted before existing instructions, a guarded `br` is replaced,
+/// and the junk class, its globals and the diversion blocks are additions.
+/// Blocks keep their ids (diversion blocks are appended after all
+/// originals), registers grow past the source frame, and no observable
+/// behavior changes — the transforms introduce no native calls, no traps,
+/// and no new back edges.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===- ir/ObfuscateImpl.h - Obfuscator rebuild state (internal) -*- C++ -*-===//
+//===- ir/ObfuscateImpl.h - Obfuscator walk state (internal) ----*- C++ -*-===//
 //
 // Part of the lud project: a reproduction of "Finding Low-Utility Data
 // Structures" (PLDI 2010).
@@ -15,60 +15,67 @@
 #ifndef LUD_IR_OBFUSCATEIMPL_H
 #define LUD_IR_OBFUSCATEIMPL_H
 
-#include "ir/Module.h"
 #include "ir/Obfuscate.h"
+#include "ir/Rewrite.h"
 #include "support/RNG.h"
 
 namespace lud {
 namespace detail {
 
-/// A manifest entry recorded during the rebuild. Instruction pointers are
-/// resolved to dense ids only after the output module's finalize().
+/// A manifest entry recorded during the walk. The instruction is handed
+/// to the rewriter, which moves it into the output as it is; its dense id
+/// is read only after apply() has finalized the output module.
 struct PendingTag {
   ObfKind Kind;
   const Instruction *I; // alloc (Junk/StringTable) or CondBr (Opaque)
   FuncId Func;          // function ids carry over from the source module
 };
 
-/// One obfuscation run: clone-with-injection rebuild of a source module.
-/// The driver walks the source; the emitters append injected code.
+/// An injected instruction sequence, handed to the rewriter as one edit.
+using Seq = std::vector<Instruction *>;
+
+/// One obfuscation run: the driver walks the source module and records
+/// every injection as a ModuleRewriter edit; the emitters build the
+/// injected sequences.
 class Obfuscator {
 public:
   Obfuscator(const Module &Src, const ObfuscateOptions &Opts)
-      : Src(Src), Opts(Opts), Root(Opts.Seed) {}
+      : Src(Src), Opts(Opts), Root(Opts.Seed), Rw(Src) {}
 
   ObfuscationResult run();
 
 private:
   bool inScope(const Function &F) const;
+  /// A fresh register in the function being walked.
+  Reg fresh() { return Rw.newReg(Cur); }
+  /// Register-frame size of the function being walked, injections
+  /// included.
+  unsigned numRegs() const { return Rw.numRegs(Cur); }
 
   // Transform emitters (ObfuscatePasses.cpp). All append to \p B with
-  // fresh registers from \p NextReg and bump Injected.
+  // fresh registers and bump Injected.
   /// Allocates the module-wide junk accumulator at the top of the entry
   /// function and publishes its ref through JunkSink.
-  void emitJunkAccumulator(BasicBlock &B, unsigned &NextReg, FuncId F);
-  void emitJunk(BasicBlock &B, RNG &R, unsigned &NextReg, FuncId F);
-  Reg emitJunkChain(BasicBlock &B, RNG &R, unsigned &NextReg);
+  void emitJunkAccumulator(Seq &B);
+  void emitJunk(Seq &B, RNG &R);
+  Reg emitJunkChain(Seq &B, RNG &R);
   /// Replaces a Br terminator: emits the guard loads plus the CondBr into
-  /// \p B and a never-taken diversion block branching back to \p Target.
-  /// Returns the CondBr for the manifest.
-  Instruction *emitOpaqueGuard(BasicBlock &B, Function &NF, RNG &R,
-                               unsigned &NextReg, uint32_t Target);
-  void emitDiversionPayload(BasicBlock &B, unsigned &NextReg);
-  void emitStringTableBuild(BasicBlock &B, unsigned &NextReg, Reg TabReg,
-                            const std::string &FuncName, FuncId F);
-  void emitStringDecode(BasicBlock &B, RNG &R, unsigned &NextReg, Reg TabReg);
+  /// \p B and appends a never-taken diversion block branching back to
+  /// \p Target. Returns the CondBr for the manifest.
+  Instruction *emitOpaqueGuard(Seq &B, RNG &R, uint32_t Target);
+  void emitDiversionPayload(Seq &B);
+  void emitStringTableBuild(Seq &B, Reg TabReg, const std::string &FuncName);
+  void emitStringDecode(Seq &B, RNG &R, Reg TabReg);
 
   const Module &Src;
   const ObfuscateOptions &Opts;
   RNG Root;
-  std::unique_ptr<Module> Out;
+  ModuleRewriter Rw;
+  /// Function being walked.
+  FuncId Cur = kNoFunc;
 
   ClassId JunkClass = kNoClass;
-  /// Fields declared on the junk class so far. Each injection writes its
-  /// own fresh field: one writer per abstract location, so the site's
-  /// n-RAC sums the injections instead of averaging hot writers away
-  /// against cold ones (RAC is the mean over a location's writers).
+  /// Fields declared on the junk class so far; field i is named "j<i>".
   uint32_t NumJunkFields = 0;
   /// The accumulator object's ref lives here; every junk write loads it.
   GlobalId JunkSink = kNoGlobal;

@@ -1,7 +1,9 @@
 //===- ir/ObfuscatePasses.cpp - The three obfuscation emitters -------------===//
 //
-// Each emitter plants one of the adversarial shapes of Section 3.2, built
-// so the closed loop holds by construction:
+// Each emitter builds an instruction sequence, with registers from the
+// rewriter, that the driver (Obfuscate.cpp) hands to ModuleRewriter as one
+// edit. Each plants one of the adversarial shapes of Section 3.2, built so
+// the closed loop holds by construction:
 //
 //  - junk payloads write int chains into one module-wide accumulator
 //    object nothing ever reads: the whole program's junk cost lands on a
@@ -36,9 +38,9 @@ namespace {
 constexpr unsigned kRegHeadroom = 0xFF00;
 } // namespace
 
-Reg Obfuscator::emitJunkChain(BasicBlock &B, RNG &R, unsigned &NextReg) {
-  Reg P = Reg(NextReg++);
-  B.append(ConstInst::makeInt(P, int64_t(R.nextBelow(1u << 16))));
+Reg Obfuscator::emitJunkChain(Seq &B, RNG &R) {
+  Reg P = fresh();
+  B.push_back(ConstInst::makeInt(P, int64_t(R.nextBelow(1u << 16))));
   ++Injected;
   // Overflow-free opcode mix only (no Mul: chained products of 16-bit
   // values would leave int64 range).
@@ -46,29 +48,26 @@ Reg Obfuscator::emitJunkChain(BasicBlock &B, RNG &R, unsigned &NextReg) {
                               BinOp::Or};
   unsigned Len = 2 + unsigned(R.nextBelow(3));
   for (unsigned I = 0; I != Len; ++I) {
-    Reg C = Reg(NextReg++);
-    Reg Q = Reg(NextReg++);
-    B.append(ConstInst::makeInt(C, int64_t(R.nextBelow(1u << 16))));
-    B.append(new BinInst(Ops[R.nextBelow(5)], Q, P, C));
+    Reg C = fresh();
+    Reg Q = fresh();
+    B.push_back(ConstInst::makeInt(C, int64_t(R.nextBelow(1u << 16))));
+    B.push_back(new BinInst(Ops[R.nextBelow(5)], Q, P, C));
     Injected += 2;
     P = Q;
   }
   return P;
 }
 
-void Obfuscator::emitJunkAccumulator(BasicBlock &B, unsigned &NextReg,
-                                     FuncId F) {
-  Reg D = Reg(NextReg++);
-  Instruction *A = B.append(new AllocInst(D, JunkClass));
-  Pending.push_back({ObfKind::Junk, A, F});
-  B.append(new StoreStaticInst(JunkSink, D));
+void Obfuscator::emitJunkAccumulator(Seq &B) {
+  Reg D = fresh();
+  B.push_back(new AllocInst(D, JunkClass));
+  Pending.push_back({ObfKind::Junk, B.back(), Cur});
+  B.push_back(new StoreStaticInst(JunkSink, D));
   Injected += 2;
 }
 
-void Obfuscator::emitJunk(BasicBlock &B, RNG &R, unsigned &NextReg,
-                          FuncId F) {
-  (void)F;
-  if (NextReg + 16 >= kRegHeadroom)
+void Obfuscator::emitJunk(Seq &B, RNG &R) {
+  if (numRegs() + 16 >= kRegHeadroom)
     return;
   // Every injection writes its own fresh field of the module's single
   // accumulator object (see emitJunkAccumulator): the whole program's
@@ -77,89 +76,83 @@ void Obfuscator::emitJunk(BasicBlock &B, RNG &R, unsigned &NextReg,
   // every genuine structure. Per-block fresh allocations would instead
   // let a cold-path junk site rank below a hot genuine dead structure,
   // and a shared field would average the hot writers away against the
-  // cold ones.
-  Reg S = Reg(NextReg++);
-  B.append(new LoadStaticInst(S, JunkSink));
+  // cold ones (RAC is the mean over a location's writers).
+  Reg S = fresh();
+  B.push_back(new LoadStaticInst(S, JunkSink));
   ++Injected;
-  Reg P = emitJunkChain(B, R, NextReg);
-  // ObfJunk has no superclass, so layout slot == own-field index.
-  FieldSlot Slot = FieldSlot(NumJunkFields++);
-  Out->getClass(JunkClass)->addField("j" + std::to_string(Slot),
-                                     Type::makeInt());
-  B.append(new StoreFieldInst(S, JunkClass, Slot, P));
+  Reg P = emitJunkChain(B, R);
+  FieldSlot Slot = Rw.addField(
+      JunkClass, "j" + std::to_string(NumJunkFields++), Type::makeInt());
+  B.push_back(new StoreFieldInst(S, JunkClass, Slot, P));
   ++Injected;
 }
 
-void Obfuscator::emitDiversionPayload(BasicBlock &B, unsigned &NextReg) {
-  Reg A = Reg(NextReg++);
-  Reg C = Reg(NextReg++);
-  Reg D = Reg(NextReg++);
-  B.append(ConstInst::makeInt(A, 0x5eed));
-  B.append(ConstInst::makeInt(C, 0x0bf));
-  B.append(new BinInst(BinOp::Xor, D, A, C));
+void Obfuscator::emitDiversionPayload(Seq &B) {
+  Reg A = fresh();
+  Reg C = fresh();
+  Reg D = fresh();
+  B.push_back(ConstInst::makeInt(A, 0x5eed));
+  B.push_back(ConstInst::makeInt(C, 0x0bf));
+  B.push_back(new BinInst(BinOp::Xor, D, A, C));
   Injected += 3;
 }
 
-Instruction *Obfuscator::emitOpaqueGuard(BasicBlock &B, Function &NF, RNG &R,
-                                         unsigned &NextReg, uint32_t Target) {
-  Reg V = Reg(NextReg++);
-  Reg C = Reg(NextReg++);
-  B.append(new LoadStaticInst(V, OpaqueGlobal));
-  B.append(ConstInst::makeInt(C, OpaqueKey));
+Instruction *Obfuscator::emitOpaqueGuard(Seq &B, RNG &R, uint32_t Target) {
+  Reg V = fresh();
+  Reg C = fresh();
+  B.push_back(new LoadStaticInst(V, OpaqueGlobal));
+  B.push_back(ConstInst::makeInt(C, OpaqueKey));
   Injected += 2;
-  BasicBlock *J = NF.addBlock();
-  Instruction *CB;
-  if (R.nextBelow(2) == 0) {
-    // Always true: fall through to the real target on the taken arm.
-    CB = new CondBrInst(CmpOp::Eq, V, C, Target, J->getId());
-  } else {
-    // Always false: the real target sits on the not-taken arm.
-    CB = new CondBrInst(CmpOp::Ne, V, C, J->getId(), Target);
-  }
-  B.append(CB);
+  bool AlwaysTrue = R.nextBelow(2) == 0;
+  Seq Diversion;
+  emitDiversionPayload(Diversion);
+  Diversion.push_back(new BrInst(Target));
   ++Injected;
-  emitDiversionPayload(*J, NextReg);
-  J->append(new BrInst(Target));
+  uint32_t J = Rw.appendBlock(Cur, std::move(Diversion));
+  // Always true: fall through to the real target on the taken arm.
+  // Always false: the real target sits on the not-taken arm.
+  Instruction *CB = AlwaysTrue
+                        ? new CondBrInst(CmpOp::Eq, V, C, Target, J)
+                        : new CondBrInst(CmpOp::Ne, V, C, J, Target);
+  B.push_back(CB);
   ++Injected;
   return CB;
 }
 
-void Obfuscator::emitStringTableBuild(BasicBlock &B, unsigned &NextReg,
-                                      Reg TabReg, const std::string &FuncName,
-                                      FuncId F) {
+void Obfuscator::emitStringTableBuild(Seq &B, Reg TabReg,
+                                      const std::string &FuncName) {
   constexpr unsigned kTableLen = 8;
-  Reg L = Reg(NextReg++);
-  B.append(ConstInst::makeInt(L, kTableLen));
-  Instruction *A = B.append(new AllocArrayInst(TabReg, TypeKind::Int, L));
-  Pending.push_back({ObfKind::StringTable, A, F});
+  Reg L = fresh();
+  B.push_back(ConstInst::makeInt(L, kTableLen));
+  B.push_back(new AllocArrayInst(TabReg, TypeKind::Int, L));
+  Pending.push_back({ObfKind::StringTable, B.back(), Cur});
   Injected += 2;
   for (unsigned I = 0; I != kTableLen; ++I) {
     int64_t Byte =
         I < FuncName.size() ? int64_t(uint8_t(FuncName[I])) : int64_t(I);
-    Reg Idx = Reg(NextReg++);
-    Reg V = Reg(NextReg++);
-    B.append(ConstInst::makeInt(Idx, I));
-    B.append(ConstInst::makeInt(V, Byte ^ StringKey));
-    B.append(new StoreElemInst(TabReg, Idx, V));
+    Reg Idx = fresh();
+    Reg V = fresh();
+    B.push_back(ConstInst::makeInt(Idx, I));
+    B.push_back(ConstInst::makeInt(V, Byte ^ StringKey));
+    B.push_back(new StoreElemInst(TabReg, Idx, V));
     Injected += 3;
   }
 }
 
-void Obfuscator::emitStringDecode(BasicBlock &B, RNG &R, unsigned &NextReg,
-                                  Reg TabReg) {
-  if (NextReg + 8 >= kRegHeadroom)
+void Obfuscator::emitStringDecode(Seq &B, RNG &R, Reg TabReg) {
+  if (numRegs() + 8 >= kRegHeadroom)
     return;
   // Decode one element in place each time the block runs — the paper's
   // rewrite-per-read pattern (XOR is involutive, so repeated visits just
   // toggle the encoding; nothing ever consumes the value).
-  Reg Idx = Reg(NextReg++);
-  Reg E = Reg(NextReg++);
-  Reg K = Reg(NextReg++);
-  Reg D = Reg(NextReg++);
-  B.append(ConstInst::makeInt(Idx, int64_t(R.nextBelow(8))));
-  B.append(new LoadElemInst(E, TabReg, Idx));
-  B.append(ConstInst::makeInt(K, StringKey));
-  B.append(new BinInst(BinOp::Xor, D, E, K));
-  B.append(new StoreElemInst(TabReg, Idx, D));
+  Reg Idx = fresh();
+  Reg E = fresh();
+  Reg K = fresh();
+  Reg D = fresh();
+  B.push_back(ConstInst::makeInt(Idx, int64_t(R.nextBelow(8))));
+  B.push_back(new LoadElemInst(E, TabReg, Idx));
+  B.push_back(ConstInst::makeInt(K, StringKey));
+  B.push_back(new BinInst(BinOp::Xor, D, E, K));
+  B.push_back(new StoreElemInst(TabReg, Idx, D));
   Injected += 5;
 }

@@ -5,12 +5,14 @@
 #include "ir/Clone.h"
 #include "support/ErrorHandling.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
 using namespace lud;
 
-ModuleRewriter::ModuleRewriter(const Module &M) : M(M) {
+ModuleRewriter::ModuleRewriter(const Module &M)
+    : M(M), ExtraRegs(M.functions().size(), 0) {
   assert(M.isFinalized() && "rewriter needs the dense InstrId numbering");
 }
 
@@ -24,20 +26,38 @@ ModuleRewriter::~ModuleRewriter() {
     for (Instruction *I : E.New)
       delete I;
   }
+  for (auto &[F, Blocks] : NewBlocks) {
+    (void)F;
+    for (const std::vector<Instruction *> &Body : Blocks)
+      for (Instruction *I : Body)
+        delete I;
+  }
+}
+
+ModuleRewriter::Edit &ModuleRewriter::editFor(InstrId Id) {
+  assert(!Applied && "rewriter already applied");
+  if (Edits.empty() || Edits.back().first < Id)
+    return Edits.emplace_back(Id, Edit()).second;
+  auto It = std::lower_bound(
+      Edits.begin(), Edits.end(), Id,
+      [](const auto &E, InstrId Key) { return E.first < Key; });
+  if (It->first != Id)
+    It = Edits.emplace(It, Id, Edit());
+  return It->second;
 }
 
 void ModuleRewriter::drop(InstrId Id) {
   assert(!Applied && "rewriter already applied");
   assert(!M.getInstr(Id)->isTerminator() &&
          "terminators cannot be dropped; replace them instead");
-  Edit &E = Edits[Id];
+  Edit &E = editFor(Id);
   assert(!E.Replaced && "instruction already replaced");
   E.Dropped = true;
 }
 
 void ModuleRewriter::replaceWith(InstrId Id, std::vector<Instruction *> New) {
   assert(!Applied && "rewriter already applied");
-  Edit &E = Edits[Id];
+  Edit &E = editFor(Id);
   assert(!E.Dropped && !E.Replaced && "instruction already edited");
   assert(!New.empty() && "use drop() to delete an instruction");
   if (M.getInstr(Id)->isTerminator())
@@ -49,23 +69,53 @@ void ModuleRewriter::replaceWith(InstrId Id, std::vector<Instruction *> New) {
 
 void ModuleRewriter::insertBefore(InstrId Id, std::vector<Instruction *> New) {
   assert(!Applied && "rewriter already applied");
-  Edit &E = Edits[Id];
-  E.Before.insert(E.Before.end(), New.begin(), New.end());
+  Edit &E = editFor(Id);
+  if (E.Before.empty())
+    E.Before = std::move(New);
+  else
+    E.Before.insert(E.Before.end(), New.begin(), New.end());
 }
 
 Reg ModuleRewriter::newReg(FuncId F) {
   assert(!Applied && "rewriter already applied");
-  uint32_t &Extra = ExtraRegs[F];
-  uint32_t R = M.getFunction(F)->getNumRegs() + Extra;
+  uint32_t R = numRegs(F);
   assert(R < std::numeric_limits<Reg>::max() && "register frame overflow");
-  ++Extra;
+  ++ExtraRegs[F];
   return Reg(R);
+}
+
+unsigned ModuleRewriter::numRegs(FuncId F) const {
+  return M.getFunction(F)->getNumRegs() + ExtraRegs[F];
 }
 
 GlobalId ModuleRewriter::addGlobal(std::string Name, Type Ty) {
   assert(!Applied && "rewriter already applied");
   NewGlobals.push_back(GlobalDecl{std::move(Name), Ty});
   return GlobalId(M.globals().size() + NewGlobals.size() - 1);
+}
+
+ClassId ModuleRewriter::addClass(std::string Name) {
+  assert(!Applied && "rewriter already applied");
+  NewClasses.push_back(NewClass{std::move(Name), {}});
+  return ClassId(M.classes().size() + NewClasses.size() - 1);
+}
+
+FieldSlot ModuleRewriter::addField(ClassId C, std::string Name, Type Ty) {
+  assert(!Applied && "rewriter already applied");
+  assert(C >= M.classes().size() && "only added classes take new fields");
+  std::vector<FieldDecl> &Fields = NewClasses[C - M.classes().size()].Fields;
+  Fields.push_back(FieldDecl{std::move(Name), Ty});
+  return FieldSlot(Fields.size() - 1);
+}
+
+uint32_t ModuleRewriter::appendBlock(FuncId F,
+                                     std::vector<Instruction *> Body) {
+  assert(!Applied && "rewriter already applied");
+  assert(!Body.empty() && Body.back()->isTerminator() &&
+         "a block ends in a terminator");
+  std::vector<std::vector<Instruction *>> &Blocks = NewBlocks[F];
+  Blocks.push_back(std::move(Body));
+  return uint32_t(M.getFunction(F)->blocks().size() + Blocks.size() - 1);
 }
 
 FuncId ModuleRewriter::nextFuncId() const {
@@ -81,7 +131,9 @@ FuncId ModuleRewriter::addFunction(std::function<void(Module &)> Emit) {
 
 bool ModuleRewriter::changed() const {
   return !Edits.empty() || !NewGlobals.empty() || !NewFuncs.empty() ||
-         !ExtraRegs.empty();
+         !NewBlocks.empty() || !NewClasses.empty() ||
+         std::any_of(ExtraRegs.begin(), ExtraRegs.end(),
+                     [](uint32_t N) { return N != 0; });
 }
 
 std::unique_ptr<Module> ModuleRewriter::apply() {
@@ -92,7 +144,7 @@ std::unique_ptr<Module> ModuleRewriter::apply() {
 
   // Interned names first so MethodNameId / NativeId values carry over,
   // then classes and globals in declaration order (same order => same
-  // ids) — the same recipe as cloneModule.
+  // ids), each followed by the ones the edits added.
   for (const std::string &Name : M.methodNames())
     Out->internMethodName(Name);
   for (const std::string &Name : M.nativeNames())
@@ -104,26 +156,31 @@ std::unique_ptr<Module> ModuleRewriter::apply() {
     for (const auto &[Method, Func] : C->ownMethods())
       NC->addMethod(Method, Func);
   }
+  for (NewClass &C : NewClasses) {
+    ClassDecl *NC = Out->addClass(std::move(C.Name));
+    for (FieldDecl &F : C.Fields)
+      NC->addField(std::move(F.Name), F.Ty);
+  }
   for (const GlobalDecl &G : M.globals())
     Out->addGlobal(G.Name, G.Ty);
   for (GlobalDecl &G : NewGlobals)
     Out->addGlobal(std::move(G.Name), G.Ty);
 
+  // Source instructions are visited in InstrId order (finalize() numbers
+  // them in this same walk), so the edits are consumed in one pass.
+  auto NextEdit = Edits.begin();
   for (const auto &F : M.functions()) {
-    unsigned Extra = 0;
-    if (auto It = ExtraRegs.find(F->getId()); It != ExtraRegs.end())
-      Extra = It->second;
     Function *NF = Out->addFunction(F->getName(), F->getNumParams(),
-                                    F->getNumRegs() + Extra, F->getOwner());
+                                    numRegs(F->getId()), F->getOwner());
     for (const auto &BB : F->blocks()) {
       BasicBlock *NB = NF->addBlock();
       for (const auto &I : BB->insts()) {
-        auto It = Edits.find(I->getId());
-        if (It == Edits.end()) {
+        if (NextEdit == Edits.end() || NextEdit->first != I->getId()) {
           NB->append(cloneInstr(*I));
           continue;
         }
-        Edit &E = It->second;
+        Edit &E = NextEdit->second;
+        ++NextEdit;
         for (Instruction *NI : E.Before)
           NB->append(NI);
         E.Before.clear();
@@ -134,6 +191,14 @@ std::unique_ptr<Module> ModuleRewriter::apply() {
         } else if (!E.Dropped) {
           NB->append(cloneInstr(*I));
         }
+      }
+    }
+    if (auto It = NewBlocks.find(F->getId()); It != NewBlocks.end()) {
+      for (std::vector<Instruction *> &Body : It->second) {
+        BasicBlock *NB = NF->addBlock();
+        for (Instruction *NI : Body)
+          NB->append(NI);
+        Body.clear();
       }
     }
   }

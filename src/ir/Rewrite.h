@@ -6,15 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// ModuleRewriter: builder-based structure substitution over ir/Clone.h.
-/// A rewriter records edits against a finalized source module — drop an
+/// ModuleRewriter: the one way to derive a module from another. A
+/// rewriter records edits against a finalized source module — drop an
 /// instruction, replace it with a fresh sequence, insert before it, add
-/// registers/globals/functions — and apply() materializes them as a fresh
-/// finalized module, leaving the source untouched. This is the mechanical
-/// substrate the profile-guided rewrite passes (analysis/PassManager.h)
-/// stand on: passes decide *what* to substitute from profile evidence, the
-/// rewriter guarantees the surgery itself is shape-preserving (terminators
-/// stay terminators, ids renumber densely through Module::finalize()).
+/// registers, globals, classes, blocks and functions — and apply()
+/// materializes them as a fresh finalized module, leaving the source
+/// untouched. Method names, natives, classes, globals, functions and
+/// blocks keep their source ids (additions number after them), so call
+/// targets and branch labels carry over; only the dense instruction and
+/// allocation-site ids are re-assigned by the output's finalize().
+///
+/// The profile-guided rewrite passes (analysis/PassManager.h) and the
+/// dead-code eliminator decide *what* to substitute from profile evidence,
+/// the ddmin minimizer drops instruction sets, and the obfuscator
+/// (ir/Obfuscate.h) injects its shapes; all of them build through the
+/// rewriter, which guarantees the surgery itself is shape-preserving:
+/// terminators stay terminators and ids renumber densely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +40,9 @@ namespace lud {
 /// Records instruction-level edits against a finalized module and builds
 /// the rewritten module on demand. Edits are keyed by the source module's
 /// dense InstrIds, which stay valid until apply() — the output module
-/// renumbers densely via finalize(), exactly like cloneModule.
+/// renumbers densely via finalize(). Instructions handed to an edit are
+/// moved into the output as they are, so pointers to them stay valid and
+/// read their output ids after apply().
 class ModuleRewriter {
 public:
   explicit ModuleRewriter(const Module &M);
@@ -57,10 +66,27 @@ public:
   /// Allocates a fresh virtual register in function \p F of the output.
   Reg newReg(FuncId F);
 
+  /// Register-frame size function \p F has in the output so far.
+  unsigned numRegs(FuncId F) const;
+
   /// Declares a module-level static in the output; the returned id is
   /// valid in replacement instructions (it numbers after the source's
   /// globals in declaration order).
   GlobalId addGlobal(std::string Name, Type Ty);
+
+  /// Declares a class without superclass or methods in the output; the
+  /// returned id numbers after the source's classes in declaration order.
+  ClassId addClass(std::string Name);
+
+  /// Adds a field to class \p C, which addClass() declared; fields may be
+  /// added until apply(). Returns the field's layout slot (its own-field
+  /// index: the class has no superclass).
+  FieldSlot addField(ClassId C, std::string Name, Type Ty);
+
+  /// Appends block \p Body (ownership transfers; the last instruction must
+  /// be a terminator) to function \p F of the output, after its source
+  /// blocks and any block appended before. Returns the new block's id.
+  uint32_t appendBlock(FuncId F, std::vector<Instruction *> Body);
 
   /// Id the next addFunction() body will receive in the output module
   /// (source functions keep their ids; synthesized ones append).
@@ -87,17 +113,31 @@ private:
     std::vector<Instruction *> New;
   };
 
+  struct NewClass {
+    std::string Name;
+    std::vector<FieldDecl> Fields;
+  };
+
+  /// The edit record of instruction \p Id, created on first use.
+  Edit &editFor(InstrId Id);
+
   const Module &M;
   bool Applied = false;
-  std::map<InstrId, Edit> Edits;
-  std::map<FuncId, uint32_t> ExtraRegs;
+  /// Sorted by InstrId. Edits usually arrive in id order, so a new one is
+  /// almost always appended.
+  std::vector<std::pair<InstrId, Edit>> Edits;
+  /// Registers added per source function, indexed by FuncId.
+  std::vector<uint32_t> ExtraRegs;
+  std::map<FuncId, std::vector<std::vector<Instruction *>>> NewBlocks;
+  std::vector<NewClass> NewClasses;
   std::vector<GlobalDecl> NewGlobals;
   std::vector<std::function<void(Module &)>> NewFuncs;
 };
 
 //===----------------------------------------------------------------------===
-// Shared instruction-shape helpers (used by the optimizer passes and the
-// dead-code eliminator; every switch below covers all 18 kinds).
+// Shared instruction-shape helpers: the one register def/use table (used by
+// the optimizer passes, the dead-code eliminator and the verifier; every
+// switch below covers all 18 kinds).
 //===----------------------------------------------------------------------===
 
 /// Register defined by \p I, or kNoReg for pure consumers (stores,
@@ -109,7 +149,8 @@ Reg definedReg(const Instruction &I);
 /// Alloc/AllocArray/loads). kNoReg for calls, stores and terminators.
 Reg pureProducerDst(const Instruction &I);
 
-/// Appends every register \p I reads to \p Out (Dst excluded).
+/// Appends every register \p I reads to \p Out (Dst excluded), in operand
+/// order.
 void appendUsedRegs(const Instruction &I, std::vector<Reg> &Out);
 
 } // namespace lud

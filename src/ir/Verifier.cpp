@@ -3,8 +3,7 @@
 #include "ir/Verifier.h"
 
 #include "ir/Module.h"
-
-#include <functional>
+#include "ir/Rewrite.h"
 
 using namespace lud;
 
@@ -220,116 +219,6 @@ private:
   std::vector<std::string> &Errors;
 };
 
-/// Calls \p Use for every register \p I reads and \p Def for the register
-/// it writes (if any). kNoReg operands are skipped.
-void visitRegs(const Instruction &I, const std::function<void(Reg)> &Use,
-               const std::function<void(Reg)> &Def) {
-  auto U = [&](Reg R) {
-    if (R != kNoReg)
-      Use(R);
-  };
-  auto D = [&](Reg R) {
-    if (R != kNoReg)
-      Def(R);
-  };
-  switch (I.getKind()) {
-  case Instruction::Kind::Const:
-    D(cast<ConstInst>(&I)->Dst);
-    break;
-  case Instruction::Kind::Assign: {
-    const auto *A = cast<AssignInst>(&I);
-    U(A->Src);
-    D(A->Dst);
-    break;
-  }
-  case Instruction::Kind::Bin: {
-    const auto *B = cast<BinInst>(&I);
-    U(B->Lhs);
-    U(B->Rhs);
-    D(B->Dst);
-    break;
-  }
-  case Instruction::Kind::Un: {
-    const auto *N = cast<UnInst>(&I);
-    U(N->Src);
-    D(N->Dst);
-    break;
-  }
-  case Instruction::Kind::Alloc:
-    D(cast<AllocInst>(&I)->Dst);
-    break;
-  case Instruction::Kind::AllocArray: {
-    const auto *A = cast<AllocArrayInst>(&I);
-    U(A->Len);
-    D(A->Dst);
-    break;
-  }
-  case Instruction::Kind::LoadField: {
-    const auto *L = cast<LoadFieldInst>(&I);
-    U(L->Base);
-    D(L->Dst);
-    break;
-  }
-  case Instruction::Kind::StoreField: {
-    const auto *S = cast<StoreFieldInst>(&I);
-    U(S->Base);
-    U(S->Src);
-    break;
-  }
-  case Instruction::Kind::LoadStatic:
-    D(cast<LoadStaticInst>(&I)->Dst);
-    break;
-  case Instruction::Kind::StoreStatic:
-    U(cast<StoreStaticInst>(&I)->Src);
-    break;
-  case Instruction::Kind::LoadElem: {
-    const auto *L = cast<LoadElemInst>(&I);
-    U(L->Base);
-    U(L->Index);
-    D(L->Dst);
-    break;
-  }
-  case Instruction::Kind::StoreElem: {
-    const auto *S = cast<StoreElemInst>(&I);
-    U(S->Base);
-    U(S->Index);
-    U(S->Src);
-    break;
-  }
-  case Instruction::Kind::ArrayLen: {
-    const auto *A = cast<ArrayLenInst>(&I);
-    U(A->Base);
-    D(A->Dst);
-    break;
-  }
-  case Instruction::Kind::Call: {
-    const auto *C = cast<CallInst>(&I);
-    for (Reg A : C->Args)
-      U(A);
-    D(C->Dst);
-    break;
-  }
-  case Instruction::Kind::NativeCall: {
-    const auto *N = cast<NativeCallInst>(&I);
-    for (Reg A : N->Args)
-      U(A);
-    D(N->Dst);
-    break;
-  }
-  case Instruction::Kind::Br:
-    break;
-  case Instruction::Kind::CondBr: {
-    const auto *C = cast<CondBrInst>(&I);
-    U(C->Lhs);
-    U(C->Rhs);
-    break;
-  }
-  case Instruction::Kind::Return:
-    U(cast<ReturnInst>(&I)->Src);
-    break;
-  }
-}
-
 /// The generator post-condition: every register a function reads is a
 /// parameter or written by some instruction of the same function. Plain
 /// verifyModule allows reading never-written registers (they hold the
@@ -342,23 +231,18 @@ void checkUsesAreDefined(const Function &F,
     Defined[P] = true;
   for (const auto &BB : F.blocks())
     for (const auto &IPtr : BB->insts())
-      visitRegs(
-          *IPtr, [](Reg) {},
-          [&](Reg R) {
-            if (R < Defined.size())
-              Defined[R] = true;
-          });
+      if (Reg R = definedReg(*IPtr); R != kNoReg && R < Defined.size())
+        Defined[R] = true;
+  std::vector<Reg> Used;
   for (const auto &BB : F.blocks())
-    for (const auto &IPtr : BB->insts())
-      visitRegs(
-          *IPtr,
-          [&](Reg R) {
-            if (R < Defined.size() && !Defined[R])
-              Errors.push_back("in " + F.getName() + ": r" +
-                               std::to_string(R) +
-                               " is read but never written");
-          },
-          [](Reg) {});
+    for (const auto &IPtr : BB->insts()) {
+      Used.clear();
+      appendUsedRegs(*IPtr, Used);
+      for (Reg R : Used)
+        if (R != kNoReg && R < Defined.size() && !Defined[R])
+          Errors.push_back("in " + F.getName() + ": r" + std::to_string(R) +
+                           " is read but never written");
+    }
 }
 
 } // namespace

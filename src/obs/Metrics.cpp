@@ -200,3 +200,31 @@ void MetricsRegistry::writeText(OutStream &OS) const {
     OS << "\n";
   }
 }
+
+bool obs::parseStatsFormat(std::string_view V, StatsFormat &F) {
+  if (V.empty() || V == "text")
+    F = StatsFormat::Text;
+  else if (V == "json")
+    F = StatsFormat::Json;
+  else if (V == "csv")
+    F = StatsFormat::Csv;
+  else {
+    errs() << "unknown stats format '" << V << "' (valid: text, json, csv)\n";
+    return false;
+  }
+  return true;
+}
+
+void obs::writeStats(const MetricsRegistry &R, StatsFormat F, OutStream &OS) {
+  switch (F) {
+  case StatsFormat::Off:
+    return;
+  case StatsFormat::Text:
+    return R.writeText(OS);
+  case StatsFormat::Json:
+    return R.writeJson(OS);
+  case StatsFormat::Csv:
+    return R.writeCsv(OS);
+  }
+  lud_unreachable("unknown StatsFormat");
+}

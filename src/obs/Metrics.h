@@ -44,6 +44,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -143,6 +144,19 @@ private:
   std::vector<Metric> Metrics;
   std::unordered_map<std::string, MetricId> ByName;
 };
+
+/// Export format of a registry: the value of --stats[=text|json|csv] in
+/// the tools and the bench binaries, and of LUD_STATS in the latter.
+enum class StatsFormat : uint8_t { Off, Text, Json, Csv };
+
+/// Parses a --stats / LUD_STATS value ("" and "text" mean text). Anything
+/// else prints "unknown stats format '<V>' (valid: text, json, csv)" to
+/// errs() and returns false, leaving \p F unchanged.
+bool parseStatsFormat(std::string_view V, StatsFormat &F);
+
+/// Writes \p R to \p OS in format \p F (nothing for Off). Timing metrics
+/// are included.
+void writeStats(const MetricsRegistry &R, StatsFormat F, OutStream &OS);
 
 } // namespace obs
 } // namespace lud

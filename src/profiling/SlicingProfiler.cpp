@@ -79,7 +79,7 @@ void SlicingProfiler::onEntryFrame(const Function &F) {
   FrameDepth = 1;
   CurRegs = RegShadow[0].data();
   FuncStack.assign(1, F.getId());
-  if (Enabled && Cfg.TrackCR) {
+  if (Enabled) {
     seenContextsFor(F.getId()).insert(Ctx.current());
     LastCtxFunc = F.getId();
     LastCtxVal = Ctx.current();
@@ -426,7 +426,7 @@ void SlicingProfiler::onCallEnter(const CallInst &I, const Function &Callee,
   ++FrameDepth;
   CurRegs = Params.data();
   FuncStack.push_back(Callee.getId());
-  if (Enabled && Cfg.TrackCR) {
+  if (Enabled) {
     uint64_t C = Ctx.current();
     FuncId F = Callee.getId();
     if (F != LastCtxFunc || C != LastCtxVal) {

@@ -49,8 +49,6 @@ struct SlicingConfig {
   /// Object-sensitive contexts; false collapses the domain to one slot
   /// (context-insensitive ablation).
   bool ContextSensitive = true;
-  /// Record distinct encoded contexts per function for CR (Table 1).
-  bool TrackCR = true;
   /// Hot-path memo caches: the per-instruction (domain -> node) memo, the
   /// last-edge memo, and table pre-sizing from the module. Results are
   /// bit-identical either way; turning this off selects the cache-free

@@ -45,6 +45,9 @@ struct RunConfig {
 
 enum class RunStatus : uint8_t { Finished, Trapped, BudgetExceeded };
 
+/// Printable status word: "finished", "trapped" or "budget-exceeded".
+const char *runStatusName(RunStatus S);
+
 /// Comparison semantics shared by every execution engine: promote to float
 /// when either side is a float, otherwise compare as int64 (refs compare by
 /// id). Both Interpreter and ThreadedEngine evaluate predicates and cmp*

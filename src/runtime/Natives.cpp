@@ -13,7 +13,9 @@ uint64_t mixInto(uint64_t Hash, uint64_t Bits) {
   return Hash;
 }
 
-uint64_t valueBits(const Value &V) {
+} // namespace
+
+uint64_t lud::valueBits(const Value &V) {
   switch (V.Kind) {
   case ValueKind::Int:
     return uint64_t(V.I);
@@ -28,6 +30,8 @@ uint64_t valueBits(const Value &V) {
   }
   return 0;
 }
+
+namespace {
 
 Value nativePrint(NativeContext &Ctx, const Value *Args, size_t N) {
   for (size_t I = 0; I != N; ++I) {

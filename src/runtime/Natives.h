@@ -53,6 +53,11 @@ struct NativeDecl {
   bool HasResult = false;
 };
 
+/// Bit pattern of \p V: the word the sink natives fold into SinkHash, and
+/// the exact-identity key for comparing values (floats compare bitwise;
+/// refs carry bit 63, so compare Kind first when it matters).
+uint64_t valueBits(const Value &V);
+
 /// Name-keyed collection of native implementations. The interpreter binds a
 /// module's interned native names against a registry at run start.
 class NativeRegistry {

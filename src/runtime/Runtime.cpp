@@ -1,6 +1,7 @@
 //===- runtime/Runtime.cpp - Misc runtime helpers --------------------------===//
 
 #include "runtime/Engine.h"
+#include "runtime/Interpreter.h"
 #include "runtime/ProfilerConcept.h"
 
 #include "support/ErrorHandling.h"
@@ -69,4 +70,16 @@ const char *lud::trapKindName(TrapKind K) {
     return "unbound native method";
   }
   lud_unreachable("unknown TrapKind");
+}
+
+const char *lud::runStatusName(RunStatus S) {
+  switch (S) {
+  case RunStatus::Finished:
+    return "finished";
+  case RunStatus::Trapped:
+    return "trapped";
+  case RunStatus::BudgetExceeded:
+    return "budget-exceeded";
+  }
+  lud_unreachable("unknown RunStatus");
 }

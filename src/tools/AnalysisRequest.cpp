@@ -47,18 +47,7 @@ void AnalysisRequest::declare(OptionSet &P, unsigned Groups) {
              "[=text|json|csv]  emit the profiler's own telemetry "
              "(default: text)",
              [this](const std::string &V) {
-               if (V.empty() || V == "text")
-                 Stats = StatsFormat::Text;
-               else if (V == "json")
-                 Stats = StatsFormat::Json;
-               else if (V == "csv")
-                 Stats = StatsFormat::Csv;
-               else {
-                 errs() << "unknown stats format '" << V
-                        << "' (valid: text, json, csv)\n";
-                 return false;
-               }
-               return true;
+               return obs::parseStatsFormat(V, Stats);
              });
     P.str("--stats-out", StatsOut,
           "F  write the telemetry to file F instead of stdout");
@@ -70,7 +59,7 @@ SessionConfig AnalysisRequest::sessionConfig() const {
   Cfg.Engine = Engine;
   Cfg.Slicing.ContextSlots = uint32_t(Slots);
   Cfg.Clients = Clients;
-  Cfg.CollectStats = Stats != StatsFormat::Off;
+  Cfg.CollectStats = Stats != obs::StatsFormat::Off;
   return Cfg;
 }
 
@@ -84,16 +73,9 @@ bool AnalysisRequest::dumpGraph(const FrozenGraph &FG, OutStream &OS) const {
 }
 
 bool AnalysisRequest::emitStats(const obs::MetricsRegistry *R) const {
-  if (!R || Stats == StatsFormat::Off)
+  if (!R || Stats == obs::StatsFormat::Off)
     return true;
-  auto Write = [this, R](OutStream &OS) {
-    if (Stats == StatsFormat::Json)
-      R->writeJson(OS);
-    else if (Stats == StatsFormat::Csv)
-      R->writeCsv(OS);
-    else
-      R->writeText(OS);
-  };
+  auto Write = [this, R](OutStream &OS) { obs::writeStats(*R, Stats, OS); };
   if (!StatsOut.empty())
     return writeFile(StatsOut, Write);
   Write(outs());

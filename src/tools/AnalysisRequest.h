@@ -17,6 +17,7 @@
 #ifndef LUD_TOOLS_ANALYSISREQUEST_H
 #define LUD_TOOLS_ANALYSISREQUEST_H
 
+#include "obs/Metrics.h"
 #include "service/Render.h"
 #include "tools/CliOptions.h"
 #include "workloads/Driver.h"
@@ -28,8 +29,6 @@ namespace lud {
 class FrozenGraph;
 
 namespace cli {
-
-enum class StatsFormat : uint8_t { Off, Text, Json, Csv };
 
 struct AnalysisRequest {
   /// Option groups, for declare().
@@ -56,7 +55,7 @@ struct AnalysisRequest {
   int64_t Slots = 16;
   EngineKind Engine = defaultEngineKind();
   std::string DumpGraph;
-  StatsFormat Stats = StatsFormat::Off;
+  obs::StatsFormat Stats = obs::StatsFormat::Off;
   std::string StatsOut;
 
   AnalysisRequest() = default;

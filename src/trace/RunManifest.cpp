@@ -134,18 +134,6 @@ std::string lud::trace::hashHex(uint64_t V) {
   return Out;
 }
 
-const char *lud::trace::runStatusName(RunStatus S) {
-  switch (S) {
-  case RunStatus::Finished:
-    return "finished";
-  case RunStatus::Trapped:
-    return "trapped";
-  case RunStatus::BudgetExceeded:
-    return "budget-exceeded";
-  }
-  return "unknown";
-}
-
 void lud::trace::writeRecord(const RunRecord &R, OutStream &OS) {
   OS << kManifestMagic << " module=" << hashHex(R.ModuleHash)
      << " max_instructions=" << R.MaxInstructions

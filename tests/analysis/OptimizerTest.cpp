@@ -1,7 +1,7 @@
 //===- tests/analysis/OptimizerTest.cpp - Profile-guided bloat removal -----===//
 
 #include "analysis/Optimizer.h"
-#include "ir/Clone.h"
+#include "ir/Rewrite.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "workloads/DaCapo.h"
@@ -33,7 +33,7 @@ OptimizeResult optimizeChecked(const Module &M) {
 
 TEST(CloneModuleTest, IdentityCloneBehavesIdentically) {
   Workload W = buildWorkload("eclipse", 48);
-  std::unique_ptr<Module> C = cloneModule(*W.M);
+  std::unique_ptr<Module> C = ModuleRewriter(*W.M).apply();
   TimedRun R1 = baselineRun(*W.M);
   TimedRun R2 = baselineRun(*C);
   EXPECT_EQ(R1.Run.ExecutedInstrs, R2.Run.ExecutedInstrs);

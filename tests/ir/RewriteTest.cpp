@@ -201,4 +201,69 @@ TEST(RewriteTest, AddGlobalRoundTrip) {
   EXPECT_EQ(Before.SinkHash, After.SinkHash);
 }
 
+TEST(RewriteTest, AddClassTakesFieldsAsTheyAreEmitted) {
+  Reg A = kNoReg, S = kNoReg;
+  std::unique_ptr<Module> M = buildArith(&A, &S);
+  Instruction *Ret = findFirst(*M, Instruction::Kind::Return);
+  ASSERT_NE(Ret, nullptr);
+  size_t Classes = M->classes().size();
+  FuncId Main = M->findFunction("main");
+  ModuleRewriter RW(*M);
+  ClassId Box = RW.addClass("Box");
+  EXPECT_EQ(Box, ClassId(Classes));
+  FieldSlot First = RW.addField(Box, "first", Type::makeInt());
+  EXPECT_EQ(First, 0u);
+  // Store s into a fresh Box and return it read back; the second field is
+  // declared after the code that uses it was recorded.
+  Reg O = RW.newReg(Main), T = RW.newReg(Main);
+  RW.insertBefore(Ret->getId(), {new AllocInst(O, Box),
+                                 new StoreFieldInst(O, Box, 1, S),
+                                 new LoadFieldInst(T, O, Box, 1)});
+  RW.replaceWith(Ret->getId(), {new ReturnInst(T)});
+  EXPECT_EQ(RW.addField(Box, "second", Type::makeInt()), 1u);
+  std::unique_ptr<Module> Out = RW.apply();
+  expectVerifies(*Out);
+  ASSERT_EQ(Out->classes().size(), Classes + 1);
+  EXPECT_EQ(Out->findClass("Box"), Box);
+  const ClassDecl *C = Out->getClass(Box);
+  ASSERT_EQ(C->ownFields().size(), 2u);
+  EXPECT_EQ(C->ownFields()[0].Name, "first");
+  EXPECT_EQ(C->ownFields()[1].Name, "second");
+  EXPECT_EQ(Out->fieldName(Box, 1), "second");
+  EXPECT_EQ(Out->describeAllocSite(0).find("new Box"), 0u);
+  RunResult Before = plainRun(*M), After = plainRun(*Out);
+  EXPECT_EQ(After.ReturnValue.asInt(), Before.ReturnValue.asInt());
+  EXPECT_EQ(Before.SinkHash, After.SinkHash);
+}
+
+TEST(RewriteTest, AppendedBlocksAreBranchTargets) {
+  Reg A = kNoReg, S = kNoReg;
+  std::unique_ptr<Module> M = buildArith(&A, &S);
+  Instruction *Ret = findFirst(*M, Instruction::Kind::Return);
+  ASSERT_NE(Ret, nullptr);
+  FuncId Main = M->findFunction("main");
+  size_t Blocks = M->getFunction(Main)->blocks().size();
+  ModuleRewriter RW(*M);
+  Reg T = RW.newReg(Main);
+  // The replaced return branches to a chain of two appended blocks: the
+  // first sets t = 42, the second returns it.
+  uint32_t Exit = RW.appendBlock(Main, {new ReturnInst(T)});
+  uint32_t Set =
+      RW.appendBlock(Main, {ConstInst::makeInt(T, 42), new BrInst(Exit)});
+  EXPECT_EQ(Exit, Blocks);
+  EXPECT_EQ(Set, Blocks + 1);
+  EXPECT_TRUE(RW.changed());
+  RW.replaceWith(Ret->getId(), {new BrInst(Set)});
+  std::unique_ptr<Module> Out = RW.apply();
+  expectVerifies(*Out);
+  const Function *F = Out->getFunction(Main);
+  ASSERT_EQ(F->blocks().size(), Blocks + 2);
+  EXPECT_EQ(F->getBlock(Set)->insts().size(), 2u);
+  EXPECT_EQ(F->getNumRegs(), M->getFunction(Main)->getNumRegs() + 1);
+  RunResult Before = plainRun(*M), After = plainRun(*Out);
+  EXPECT_EQ(After.ReturnValue.asInt(), 42);
+  EXPECT_EQ(Before.SinkHash, After.SinkHash);
+  EXPECT_EQ(After.ExecutedInstrs, Before.ExecutedInstrs + 3);
+}
+
 } // namespace

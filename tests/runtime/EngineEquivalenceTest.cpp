@@ -16,6 +16,7 @@
 #include "ir/IRBuilder.h"
 #include "profiling/GraphIO.h"
 #include "runtime/ComposedProfiler.h"
+#include "runtime/Natives.h"
 #include "runtime/ThreadedEngine.h"
 #include "support/OutStream.h"
 #include "workloads/DaCapo.h"
@@ -23,20 +24,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 using namespace lud;
 
 namespace {
-
-uint64_t valueBits(const Value &V) {
-  uint64_t Bits = 0;
-  if (V.Kind == ValueKind::Float)
-    std::memcpy(&Bits, &V.F, sizeof(Bits));
-  else
-    Bits = uint64_t(V.Kind == ValueKind::Ref ? V.R : uint64_t(V.I));
-  return Bits;
-}
 
 void expectSameRun(const RunResult &A, const RunResult &B,
                    const std::string &What) {
