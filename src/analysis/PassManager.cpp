@@ -3,12 +3,15 @@
 #include "analysis/PassManager.h"
 
 #include "ir/Module.h"
+#include "ir/Verifier.h"
 #include "obs/Metrics.h"
+#include "obs/PhaseTimer.h"
 #include "runtime/ComposedProfiler.h"
 #include "runtime/Natives.h"
 #include "runtime/ThreadedEngine.h"
 #include "support/OutStream.h"
 
+#include <thread>
 
 using namespace lud;
 using namespace lud::opt;
@@ -17,7 +20,7 @@ RewritePass::~RewritePass() = default;
 
 namespace {
 
-/// Uninstrumented run — the observable behaviour a rewrite must preserve.
+/// Uninstrumented run: the other engine's half of the validation.
 RunResult plainRun(const Module &M, EngineKind E, const RunConfig &RC) {
   Heap H;
   ComposedProfiler<> P;
@@ -45,33 +48,44 @@ bool sameObservables(const RunResult &Ref, const RunResult &Got,
   return true;
 }
 
-/// One profiled snapshot of the current module: the evidence every pass
-/// reads. Rebuilt after each committed rewrite so later proposals see
-/// the structure landscape they actually face.
-struct ProfileState {
+/// A profile the pipeline ran itself: the input module's (unseeded run)
+/// or a candidate's, whose run is also its primary-engine validation.
+struct OwnedProfile {
   FrozenGraph G;
   HeapLocMap<LocationActivity> Activity;
-  DeadValueAnalysis DV;
-  UsageEvidence Usage;
-  std::vector<uint64_t> InstrFreq;
   RunResult Run;
+
+  ModuleProfile view() const { return {G, Activity, Run}; }
 };
 
-ProfileState profileModule(const Module &M, const PipelineOptions &Opts) {
-  ProfileState P;
+OwnedProfile profileModule(const Module &M, const PipelineOptions &Opts,
+                           const RunConfig &RC) {
+  OwnedProfile P;
   Heap H;
   SlicingProfiler SP(Opts.Slicing);
-  RunConfig RC = Opts.Run;
-  RC.PrintStream = nullptr;
   P.Run = runWithEngine(Opts.Engine, M, H, SP, RC);
   P.G = FrozenGraph(SP.graph());
   P.Activity = SP.locationActivity();
-  P.DV = computeDeadValues(P.G, P.Run.ExecutedInstrs);
-  P.Usage = summarizeUsage(M, P.G, P.Activity, &P.DV);
-  P.InstrFreq.assign(M.getNumInstrs(), 0);
-  for (size_t N = 0; N != P.G.numNodes(); ++N)
-    P.InstrFreq[P.G.instr(NodeId(N))] += P.G.freq(NodeId(N));
   return P;
+}
+
+/// What the passes read beyond the profile itself, derived from the
+/// current module's profile. Re-derived after each committed rewrite so
+/// later proposals see the structure landscape they actually face.
+struct RoundEvidence {
+  DeadValueAnalysis DV;
+  UsageEvidence Usage;
+  std::vector<uint64_t> InstrFreq;
+};
+
+RoundEvidence deriveEvidence(const Module &M, const ModuleProfile &P) {
+  RoundEvidence E;
+  E.DV = computeDeadValues(P.G, P.Run.ExecutedInstrs);
+  E.Usage = summarizeUsage(M, P.G, P.Activity, &E.DV);
+  E.InstrFreq.assign(M.getNumInstrs(), 0);
+  for (size_t N = 0; N != P.G.numNodes(); ++N)
+    E.InstrFreq[P.G.instr(NodeId(N))] += P.G.freq(NodeId(N));
+  return E;
 }
 
 } // namespace
@@ -118,13 +132,18 @@ void PassManager::addDefaultPasses() {
 }
 
 PipelineResult PassManager::run(const Module &M) {
+  RunConfig RC = Opts.Run;
+  RC.PrintStream = nullptr;
+  OwnedProfile P = profileModule(M, Opts, RC);
+  return run(M, P.view());
+}
+
+PipelineResult PassManager::run(const Module &M, const ModuleProfile &Seed) {
   PipelineResult R;
   if (Passes.empty())
     addDefaultPasses();
 
-  RunConfig RefCfg = Opts.Run;
-  RefCfg.PrintStream = nullptr;
-  RunResult Ref = plainRun(M, Opts.Engine, RefCfg);
+  const RunResult &Ref = Seed.Run;
   R.ReferenceStatus = Ref.Status;
   R.InstrsBefore = R.InstrsAfter = Ref.ExecutedInstrs;
   R.AllocsBefore = R.AllocsAfter = Ref.ObjectsAllocated;
@@ -140,16 +159,21 @@ PipelineResult PassManager::run(const Module &M) {
 
   // Candidate runs get a hard budget: a rewrite that quadruples the work
   // (or loops) is broken regardless of what it would eventually output.
-  RunConfig ValCfg = RefCfg;
+  RunConfig ValCfg = Opts.Run;
+  ValCfg.PrintStream = nullptr;
   uint64_t Guard = Ref.ExecutedInstrs < (~uint64_t(0) >> 3)
                        ? Ref.ExecutedInstrs * 4 + 10000
                        : ~uint64_t(0);
   if (Guard < ValCfg.MaxInstructions)
     ValCfg.MaxInstructions = Guard;
 
-  ProfileState P = profileModule(M, Opts);
+  // The current module and its profile: the input and the seed until a
+  // commit, then the committed candidate and its own validation profile.
+  // Evidence is derived lazily, so a commit that hits the cap derives none.
   std::unique_ptr<Module> Owned;
   const Module *Cur = &M;
+  std::optional<OwnedProfile> Committed;
+  std::optional<RoundEvidence> Ev;
   std::set<std::string> Attempted;
   size_t Applications = 0;
 
@@ -158,15 +182,22 @@ PipelineResult PassManager::run(const Module &M) {
     RewritePass &Pass = *Passes[PI];
     PassStats &PS = R.PerPass[PI].second;
     while (Applications < Opts.MaxApplications) {
-      PassEvidence E;
-      E.M = Cur;
-      E.G = &P.G;
-      E.Usage = &P.Usage;
-      E.DV = &P.DV;
-      E.ExecutedInstrs = P.Run.ExecutedInstrs;
-      E.Attempted = &Attempted;
-      E.InstrFreq = &P.InstrFreq;
-      std::optional<RewriteCandidate> Cand = Pass.next(E);
+      std::optional<RewriteCandidate> Cand;
+      {
+        obs::PhaseTimer Span(Opts.Stats, "optimize.propose");
+        ModuleProfile P = Committed ? Committed->view() : Seed;
+        if (!Ev)
+          Ev = deriveEvidence(*Cur, P);
+        PassEvidence E;
+        E.M = Cur;
+        E.G = &P.G;
+        E.Usage = &Ev->Usage;
+        E.DV = &Ev->DV;
+        E.ExecutedInstrs = P.Run.ExecutedInstrs;
+        E.Attempted = &Attempted;
+        E.InstrFreq = &Ev->InstrFreq;
+        Cand = Pass.next(E);
+      }
       if (!Cand)
         break;
       Attempted.insert(Cand->Target);
@@ -176,14 +207,34 @@ PipelineResult PassManager::run(const Module &M) {
       O.Target = Cand->Target;
       O.Rationale = Cand->Rationale;
 
-      std::string Why;
-      RunResult A = plainRun(*Cand->M, Opts.Engine, ValCfg);
-      bool OK = sameObservables(Ref, A, engineKindName(Opts.Engine), Why);
-      if (OK && Opts.ValidateBothEngines)
-        OK = sameObservables(Ref, plainRun(*Cand->M, Other, ValCfg),
-                             engineKindName(Other), Why);
-      if (!OK) {
-        O.Reason = Why;
+      // Verify, then profile the candidate on the primary engine while
+      // the other engine runs it plain alongside. The primary result is
+      // checked first; on commit its profile is the next round's evidence.
+      std::optional<OwnedProfile> CandProf;
+      {
+        obs::PhaseTimer Span(Opts.Stats, "optimize.validate");
+        std::vector<std::string> Diags;
+        if (!verifyModule(*Cand->M, Diags)) {
+          O.Reason = "verifier: " + (Diags.empty() ? std::string() : Diags[0]);
+        } else {
+          RunResult OtherRun;
+          std::jthread OtherJob;
+          if (Opts.ValidateBothEngines) {
+            ++R.OtherEngineRuns;
+            OtherJob = std::jthread([&] {
+              OtherRun = plainRun(*Cand->M, Other, ValCfg);
+            });
+          }
+          CandProf = profileModule(*Cand->M, Opts, ValCfg);
+          if (OtherJob.joinable())
+            OtherJob.join();
+          if (sameObservables(Ref, CandProf->Run, engineKindName(Opts.Engine),
+                              O.Reason) &&
+              Opts.ValidateBothEngines)
+            sameObservables(Ref, OtherRun, engineKindName(Other), O.Reason);
+        }
+      }
+      if (!O.Reason.empty()) {
         ++PS.RolledBack;
         R.Outcomes.push_back(std::move(O));
         continue;
@@ -197,18 +248,18 @@ PipelineResult PassManager::run(const Module &M) {
       R.Stats.RemovedStores += Cand->RemovedStores;
       R.Stats.RemovedPure += Cand->RemovedPure;
       R.Outcomes.push_back(std::move(O));
+      R.InstrsAfter = CandProf->Run.ExecutedInstrs;
+      R.AllocsAfter = CandProf->Run.ObjectsAllocated;
+      Ev.reset();
+      Committed = std::move(CandProf);
       Owned = std::move(Cand->M);
       Cur = Owned.get();
-      R.InstrsAfter = A.ExecutedInstrs;
-      R.AllocsAfter = A.ObjectsAllocated;
       ++Applications;
-      if (Applications >= Opts.MaxApplications)
-        break;
-      P = profileModule(*Cur, Opts);
     }
   }
 
   R.Changed = Applications != 0;
+  R.Capped = Applications >= Opts.MaxApplications;
   R.Stats.Iterations = unsigned(Applications);
   R.M = std::move(Owned);
   return R;
@@ -238,6 +289,7 @@ void PassManager::accountStats(const PipelineResult &R,
   }
   Reg.add(Reg.counter("opt.passes_applied"), Applied);
   Reg.add(Reg.counter("opt.passes_rolled_back"), Rolled);
+  Reg.add(Reg.counter("opt.capped"), R.Capped ? 1 : 0);
   Reg.set(Reg.gauge("opt.executed_before"), R.InstrsBefore);
   Reg.set(Reg.gauge("opt.executed_after"), R.InstrsAfter);
   Reg.set(Reg.gauge("opt.allocs_before"), R.AllocsBefore);
@@ -265,6 +317,9 @@ void lud::opt::renderOptimizeReport(const PipelineResult &R, OutStream &OS) {
       OS << "[rolled-back: " << O.Reason << "] ";
     OS << O.Pass << " " << O.Target << ": " << O.Rationale << "\n";
   }
+  if (R.Capped)
+    OS << "stopped at the cap of " << uint64_t(R.applied())
+       << " applications; later passes did not run\n";
   if (R.Changed) {
     OS << "executed instrs: " << R.InstrsBefore << " -> " << R.InstrsAfter;
     if (R.InstrsBefore && R.InstrsAfter <= R.InstrsBefore) {

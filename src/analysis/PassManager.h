@@ -12,11 +12,13 @@
 /// Profile-Guided Replacement of Data Structures" (PAPERS.md). Each
 /// RewritePass proposes one candidate module at a time from shared
 /// PassEvidence (the sealed graph, the per-structure UsageSummary records,
-/// the dead-value classification); the PassManager validates every
-/// candidate against the original module's observables — run status, sink
-/// hash, return value, on both execution engines — and either commits it
-/// (re-profiling so later passes see fresh evidence) or rolls it back.
-/// Every decision carries a machine-checkable rationale into the report.
+/// the dead-value classification); the PassManager verifies every
+/// candidate and validates it against the original module's observables —
+/// run status, sink hash, return value, on both execution engines — and
+/// either commits it or rolls it back. The candidate's primary-engine
+/// validation run is profiled, so a committed candidate's validation is
+/// also the evidence later passes read. Every decision carries a
+/// machine-checkable rationale into the report.
 ///
 /// The transformations are profile-guided and speculative exactly like
 /// the dead-store deleter (analysis/Optimizer.h): sound for executions
@@ -129,6 +131,8 @@ struct PassOutcome {
 };
 
 struct PipelineOptions {
+  /// The primary engine: the reference run and every candidate's profiled
+  /// validation run execute on it.
   EngineKind Engine = defaultEngineKind();
   SlicingConfig Slicing;
   RunConfig Run;
@@ -139,8 +143,14 @@ struct PipelineOptions {
   /// dead-stores, map-to-array, clone-per-op, once-read-memo,
   /// dead-stores-final.
   std::vector<std::string> Passes;
-  /// Ceiling on committed rewrites (each one re-profiles).
+  /// Ceiling on committed rewrites. Reaching it stops the pipeline; the
+  /// result says so (PipelineResult::Capped).
   size_t MaxApplications = 32;
+  /// When non-null, the pipeline's phase spans land here:
+  /// phase.optimize.propose (next() plus evidence derivation) and
+  /// phase.optimize.validate (verify, the profiled candidate run and the
+  /// join with the other engine's run). Null costs one pointer test.
+  obs::MetricsRegistry *Stats = nullptr;
 };
 
 struct PipelineResult {
@@ -159,6 +169,12 @@ struct PipelineResult {
   uint64_t AllocsAfter = 0;
   /// Status of the reference run; passes only run when it Finished.
   RunStatus ReferenceStatus = RunStatus::Finished;
+  /// The pipeline reached PipelineOptions::MaxApplications and asked no
+  /// pass for further candidates.
+  bool Capped = false;
+  /// Plain other-engine validation runs, each on its own thread alongside
+  /// the candidate's profiled run (0 without ValidateBothEngines).
+  size_t OtherEngineRuns = 0;
 
   size_t applied() const {
     size_t N = 0;
@@ -166,6 +182,19 @@ struct PipelineResult {
       N += S.Applied;
     return N;
   }
+};
+
+/// A finished whole-program profile of one module, borrowed from whoever
+/// ran it: the sealed graph, the substrate's location activity, and the
+/// run's result. The pipeline's first round derives its evidence from the
+/// graph in place, and the RunResult is the reference every candidate is
+/// validated against: it must come from one run of the module under
+/// PipelineOptions::Slicing and PipelineOptions::Run on
+/// PipelineOptions::Engine, as a single-shard ProfileSession's does.
+struct ModuleProfile {
+  const FrozenGraph &G;
+  const HeapLocMap<LocationActivity> &Activity;
+  RunResult Run;
 };
 
 /// Drives the pipeline: profile, propose, validate, commit-or-rollback.
@@ -180,7 +209,12 @@ public:
   void addDefaultPasses();
 
   /// Runs every pass over \p M. The input module is never mutated.
+  /// Profiles \p M, then continues as run(M, Seed) with that profile.
   PipelineResult run(const Module &M);
+  /// Runs every pass over \p M, starting from \p Seed, a profile of \p M
+  /// the caller already holds (lud-run's report session), so \p M itself
+  /// is never executed again.
+  PipelineResult run(const Module &M, const ModuleProfile &Seed);
 
   /// Publishes opt.* counters/gauges for \p R into \p Reg
   /// (opt.removed_stores, opt.rewrites.<pass>, ... — lud.stats.v1).

@@ -213,15 +213,21 @@ int main(int argc, char **argv) {
 
   serve::renderAnalysisSections(*M, &Session, FG, O.Req.Spec, OS);
   if (O.Optimize) {
-    // The pipeline profiles, proposes, validates (both engines) and
-    // commits or rolls back each candidate on its own; the session above
-    // only supplied the human-facing reports.
+    // The pipeline proposes, validates (both engines) and commits or
+    // rolls back each candidate on its own. A single session's profile is
+    // exactly the one the pipeline would take of M, so its first round
+    // starts from it; a sharded session's merged graph is not, so the
+    // pipeline profiles M itself.
     opt::PipelineOptions PO;
     PO.Engine = O.Req.Engine;
-    PO.Slicing.ContextSlots = uint32_t(O.Req.Slots);
+    PO.Slicing = Session.config().Slicing;
     PO.Passes = O.OptimizePasses;
+    PO.Stats = Session.stats();
     opt::PassManager PM(std::move(PO));
-    opt::PipelineResult R = PM.run(*M);
+    opt::PipelineResult R =
+        O.Shards == 1
+            ? PM.run(*M, opt::ModuleProfile{FG, Prof.locationActivity(), Run})
+            : PM.run(*M);
     OS << "\n";
     opt::renderOptimizeReport(R, OS);
     if (obs::MetricsRegistry *Stats = Session.stats())

@@ -4,12 +4,16 @@
 
 #include "analysis/Optimizer.h"
 #include "ir/IRBuilder.h"
+#include "ir/Obfuscate.h"
+#include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "obs/Metrics.h"
 #include "support/OutStream.h"
 #include "workloads/DaCapo.h"
 #include "workloads/Driver.h"
 
+#include <deque>
+#include <functional>
 #include <gtest/gtest.h>
 
 #include "../TestUtil.h"
@@ -252,9 +256,230 @@ TEST(PassPipelineTest, AllRecipesPreservedOnBothEngines) {
     opt::PipelineResult R = runPipeline(*W.M);
     EXPECT_EQ(R.ReferenceStatus, RunStatus::Finished) << Name;
     expectPreserved(*W.M, R, Name);
-    if (R.Changed)
+    if (R.Changed) {
       EXPECT_LE(R.InstrsAfter, R.InstrsBefore) << Name;
+    }
   }
+}
+
+std::string printed(const Module &M) {
+  StringOutStream OS;
+  printModule(M, OS);
+  return OS.str();
+}
+
+/// Expects two pipeline results to have made the same decisions and
+/// produced the same module.
+void expectSameResult(const opt::PipelineResult &A,
+                      const opt::PipelineResult &B, const std::string &Ctx) {
+  ASSERT_EQ(A.Outcomes.size(), B.Outcomes.size()) << Ctx;
+  for (size_t I = 0; I != A.Outcomes.size(); ++I) {
+    const opt::PassOutcome &X = A.Outcomes[I], &Y = B.Outcomes[I];
+    EXPECT_EQ(X.Pass, Y.Pass) << Ctx << " #" << I;
+    EXPECT_EQ(X.Target, Y.Target) << Ctx << " #" << I;
+    EXPECT_EQ(X.Rationale, Y.Rationale) << Ctx << " #" << I;
+    EXPECT_EQ(X.Applied, Y.Applied) << Ctx << " #" << I;
+    EXPECT_EQ(X.Reason, Y.Reason) << Ctx << " #" << I;
+  }
+  ASSERT_EQ(A.PerPass.size(), B.PerPass.size()) << Ctx;
+  for (size_t I = 0; I != A.PerPass.size(); ++I) {
+    const auto &[NA, SA] = A.PerPass[I];
+    const auto &[NB, SB] = B.PerPass[I];
+    EXPECT_EQ(NA, NB) << Ctx;
+    EXPECT_EQ(SA.Applied, SB.Applied) << Ctx << " " << NA;
+    EXPECT_EQ(SA.RolledBack, SB.RolledBack) << Ctx << " " << NA;
+    EXPECT_EQ(SA.RemovedStores, SB.RemovedStores) << Ctx << " " << NA;
+    EXPECT_EQ(SA.RemovedPure, SB.RemovedPure) << Ctx << " " << NA;
+    EXPECT_EQ(SA.RewrittenInstrs, SB.RewrittenInstrs) << Ctx << " " << NA;
+  }
+  EXPECT_EQ(A.InstrsBefore, B.InstrsBefore) << Ctx;
+  EXPECT_EQ(A.InstrsAfter, B.InstrsAfter) << Ctx;
+  EXPECT_EQ(A.AllocsBefore, B.AllocsBefore) << Ctx;
+  EXPECT_EQ(A.AllocsAfter, B.AllocsAfter) << Ctx;
+  ASSERT_EQ(A.M == nullptr, B.M == nullptr) << Ctx;
+  if (A.M) {
+    EXPECT_EQ(printed(*A.M), printed(*B.M)) << Ctx;
+  }
+}
+
+TEST(PassPipelineTest, SeededPipelineMatchesUnseeded) {
+  // lud-run hands the pipeline its report session's profile; the result
+  // must be exactly what the pipeline reaches by profiling on its own.
+  for (const std::string &Name : dacapoNames()) {
+    Workload W = buildWorkload(Name, 200);
+    ObfuscateOptions OO;
+    OO.Seed = 1;
+    OO.Junk = OO.Opaque = OO.Strings = true;
+    ObfuscationResult Obf = obfuscateModule(*W.M, OO);
+    const Module *Inputs[] = {W.M.get(), Obf.M.get()};
+    for (const Module *M : Inputs) {
+      for (EngineKind E : {EngineKind::Interp, EngineKind::Threaded}) {
+        std::string Ctx = Name + (M == W.M.get() ? "" : " obfuscated") +
+                          " on " + engineKindName(E);
+        opt::PipelineOptions PO;
+        PO.Engine = E;
+        opt::PipelineResult Unseeded = opt::PassManager(PO).run(*M);
+
+        SessionConfig SC = SessionConfig::profiled();
+        SC.Engine = E;
+        ProfileSession S(SC);
+        RunResult Run = S.run(*M).Run;
+        FrozenGraph FG(S.slicing()->graph());
+        opt::PipelineResult Seeded = opt::PassManager(PO).run(
+            *M, opt::ModuleProfile{FG, S.slicing()->locationActivity(), Run});
+        expectSameResult(Unseeded, Seeded, Ctx);
+      }
+    }
+  }
+}
+
+/// Hands out scripted candidates, recording the evidence each next() saw.
+class ScriptedPass : public opt::RewritePass {
+public:
+  using Step = std::function<std::unique_ptr<Module>()>;
+  explicit ScriptedPass(std::vector<uint64_t> &Seen, std::deque<Step> Steps)
+      : Seen(Seen), Steps(std::move(Steps)) {}
+  const char *name() const override { return "scripted"; }
+  std::optional<opt::RewriteCandidate>
+  next(const opt::PassEvidence &E) override {
+    Seen.push_back(E.ExecutedInstrs);
+    if (Steps.empty())
+      return std::nullopt;
+    opt::RewriteCandidate C;
+    C.M = Steps.front()();
+    C.Target = "step " + std::to_string(Seen.size());
+    C.Rationale = "scripted";
+    Steps.pop_front();
+    return C;
+  }
+
+private:
+  std::vector<uint64_t> &Seen;
+  std::deque<Step> Steps;
+};
+
+/// main: \p Pad dead constants, then sink(42) and return \p Ret. When
+/// \p BadReg is set the sink reads a register past the frame.
+std::unique_ptr<Module> buildStraightLine(int Pad, int64_t Ret,
+                                          bool BadReg = false) {
+  auto M = std::make_unique<Module>();
+  IRBuilder B(*M);
+  B.beginFunction("main", 0);
+  for (int I = 0; I != Pad; ++I)
+    B.iconst(I);
+  Reg V = B.iconst(42);
+  B.ncallVoid("sink", {BadReg ? Reg(V + 100) : V});
+  B.ret(B.iconst(Ret));
+  B.endFunction();
+  M->finalize();
+  return M;
+}
+
+opt::PipelineResult runScripted(const Module &M, std::vector<uint64_t> &Seen,
+                                std::deque<ScriptedPass::Step> Steps,
+                                opt::PipelineOptions PO = {}) {
+  PO.Engine = EngineKind::Interp;
+  opt::PassManager PM(std::move(PO));
+  PM.addPass(std::make_unique<ScriptedPass>(Seen, std::move(Steps)));
+  return PM.run(M);
+}
+
+TEST(PassPipelineTest, VerifierRejectsCandidateBeforeRunningIt) {
+  std::unique_ptr<Module> M = buildStraightLine(4, 7);
+  std::unique_ptr<Module> Bad = buildStraightLine(4, 7, /*BadReg=*/true);
+  std::vector<std::string> Diags;
+  ASSERT_FALSE(verifyModule(*Bad, Diags));
+  ASSERT_FALSE(Diags.empty());
+
+  std::vector<uint64_t> Seen;
+  opt::PipelineResult R = runScripted(
+      *M, Seen, {[] { return buildStraightLine(4, 7, /*BadReg=*/true); }});
+  ASSERT_EQ(R.Outcomes.size(), 1u);
+  EXPECT_FALSE(R.Outcomes[0].Applied);
+  EXPECT_EQ(R.Outcomes[0].Reason, "verifier: " + Diags[0]);
+  EXPECT_FALSE(R.Changed);
+  // Rejected unrun: no other-engine run was started for it either.
+  EXPECT_EQ(R.OtherEngineRuns, 0u);
+}
+
+TEST(PassPipelineTest, RollbackKeepsPreviousEvidence) {
+  std::unique_ptr<Module> M = buildStraightLine(4, 7);
+  std::vector<uint64_t> Seen;
+  opt::PipelineResult R = runScripted(
+      *M, Seen,
+      {[] { return buildStraightLine(6, 8); },   // diverges: rolled back
+       [] { return buildStraightLine(1, 7); }}); // preserves: committed
+  ASSERT_EQ(R.Outcomes.size(), 2u);
+  EXPECT_FALSE(R.Outcomes[0].Applied);
+  EXPECT_EQ(R.Outcomes[0].Reason, "return value diverged on interp");
+  EXPECT_TRUE(R.Outcomes[1].Applied);
+  // next() #2 still faces the input's evidence; next() #3 the committed
+  // candidate's own validation profile.
+  ASSERT_EQ(Seen.size(), 3u);
+  EXPECT_EQ(Seen[0], R.InstrsBefore);
+  EXPECT_EQ(Seen[1], R.InstrsBefore);
+  EXPECT_EQ(Seen[2], R.InstrsAfter);
+  EXPECT_EQ(R.InstrsAfter + 3, R.InstrsBefore);
+}
+
+TEST(PassPipelineTest, SingleEngineValidationStartsNoOtherEngineRun) {
+  Workload W = buildWorkload("sunflow", 200);
+  opt::PipelineOptions Both;
+  Both.Engine = EngineKind::Interp;
+  opt::PipelineResult A = opt::PassManager(Both).run(*W.M);
+  opt::PipelineOptions One = Both;
+  One.ValidateBothEngines = false;
+  opt::PipelineResult B = opt::PassManager(One).run(*W.M);
+  ASSERT_FALSE(A.Outcomes.empty());
+  EXPECT_EQ(A.OtherEngineRuns, A.Outcomes.size());
+  EXPECT_EQ(B.OtherEngineRuns, 0u);
+  expectSameResult(A, B, "sunflow, one engine vs both");
+}
+
+TEST(PassPipelineTest, CapStopsPipelineAndSaysSo) {
+  Workload W = buildWorkload("sunflow", 200);
+  opt::PipelineResult Full = runPipeline(*W.M);
+  ASSERT_GE(Full.applied(), 2u);
+  EXPECT_FALSE(Full.Capped);
+
+  opt::PipelineOptions PO;
+  PO.Engine = EngineKind::Interp;
+  PO.MaxApplications = 1;
+  opt::PipelineResult R = opt::PassManager(PO).run(*W.M);
+  EXPECT_TRUE(R.Capped);
+  EXPECT_EQ(R.applied(), 1u);
+
+  StringOutStream Capped, Uncapped;
+  opt::renderOptimizeReport(R, Capped);
+  opt::renderOptimizeReport(Full, Uncapped);
+  const std::string Line =
+      "stopped at the cap of 1 applications; later passes did not run\n";
+  EXPECT_NE(Capped.str().find(Line), std::string::npos);
+  EXPECT_EQ(Uncapped.str().find("stopped at the cap"), std::string::npos);
+
+  obs::MetricsRegistry RegCapped, RegFull;
+  opt::PassManager::accountStats(R, RegCapped);
+  opt::PassManager::accountStats(Full, RegFull);
+  EXPECT_EQ(RegCapped.value(RegCapped.find("opt.capped")), 1u);
+  EXPECT_EQ(RegFull.value(RegFull.find("opt.capped")), 0u);
+}
+
+TEST(PassPipelineTest, PhaseSpansCountProposalsAndValidations) {
+  Workload W = buildWorkload("sunflow", 200);
+  obs::MetricsRegistry Reg;
+  opt::PipelineOptions PO;
+  PO.Engine = EngineKind::Interp;
+  PO.Stats = &Reg;
+  opt::PipelineResult R = opt::PassManager(PO).run(*W.M);
+  ASSERT_FALSE(R.Outcomes.empty());
+  obs::MetricId Validate = Reg.find("phase.optimize.validate.spans");
+  obs::MetricId Propose = Reg.find("phase.optimize.propose.spans");
+  ASSERT_NE(Validate, obs::kNoMetric);
+  ASSERT_NE(Propose, obs::kNoMetric);
+  EXPECT_EQ(Reg.value(Validate), R.Outcomes.size());
+  // One proposal per candidate plus one per pass that ran dry.
+  EXPECT_EQ(Reg.value(Propose), R.Outcomes.size() + R.PerPass.size());
+  EXPECT_NE(Reg.find("phase.optimize.validate.nanos"), obs::kNoMetric);
 }
 
 } // namespace
