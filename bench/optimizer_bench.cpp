@@ -58,7 +58,7 @@ void printTable() {
 
     opt::PassManager PM;
     opt::PipelineResult R = PM.run(*W.M);
-    const Module &After = R.Changed ? *R.M : *W.M;
+    const Module &After = R.M ? *R.M : *W.M;
 
     size_t RolledBack = 0;
     for (const auto &[PassName, PS] : R.PerPass)

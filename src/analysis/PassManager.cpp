@@ -20,6 +20,9 @@ RewritePass::~RewritePass() = default;
 
 namespace {
 
+/// Committed rewrites after which the pipeline stops asking for more.
+constexpr size_t MaxApplications = 32;
+
 /// Uninstrumented run: the other engine's half of the validation.
 RunResult plainRun(const Module &M, EngineKind E, const RunConfig &RC) {
   Heap H;
@@ -88,12 +91,17 @@ RoundEvidence deriveEvidence(const Module &M, const ModuleProfile &P) {
   return E;
 }
 
+const PassInfo *findPass(std::string_view Name) {
+  for (const PassInfo &P : passTable())
+    if (Name == P.Name)
+      return &P;
+  return nullptr;
+}
+
 } // namespace
 
-bool lud::opt::isKnownPassName(const std::string &Name) {
-  return Name == "dead-stores" || Name == "map-to-array" ||
-         Name == "clone-per-op" || Name == "once-read-memo" ||
-         Name == "dead-stores-final";
+bool lud::opt::isKnownPassName(std::string_view Name) {
+  return findPass(Name) != nullptr;
 }
 
 PassManager::PassManager(PipelineOptions Opts) : Opts(std::move(Opts)) {}
@@ -105,30 +113,14 @@ void PassManager::addPass(std::unique_ptr<RewritePass> P) {
 }
 
 void PassManager::addDefaultPasses() {
-  auto AddByName = [&](const std::string &Name) {
-    if (Name == "dead-stores")
-      addPass(createDeadStorePass("dead-stores"));
-    else if (Name == "map-to-array")
-      addPass(createMapToArrayPass());
-    else if (Name == "clone-per-op")
-      addPass(createClonePerOpPass());
-    else if (Name == "once-read-memo")
-      addPass(createOnceReadMemoPass());
-    else if (Name == "dead-stores-final")
-      addPass(createDeadStorePass("dead-stores-final"));
-  };
-  if (!Opts.Passes.empty()) {
-    for (const std::string &Name : Opts.Passes)
-      AddByName(Name);
+  if (Opts.Passes.empty()) {
+    for (const PassInfo &P : passTable())
+      addPass(P.Create(P.Name));
     return;
   }
-  // Dead-store deletion runs first (rewrites then face less noise) and
-  // once more last to sweep the stores the structure rewrites orphaned.
-  addPass(createDeadStorePass("dead-stores"));
-  addPass(createMapToArrayPass());
-  addPass(createClonePerOpPass());
-  addPass(createOnceReadMemoPass());
-  addPass(createDeadStorePass("dead-stores-final"));
+  for (const std::string &Name : Opts.Passes)
+    if (const PassInfo *P = findPass(Name))
+      addPass(P->Create(P->Name));
 }
 
 PipelineResult PassManager::run(const Module &M) {
@@ -177,11 +169,10 @@ PipelineResult PassManager::run(const Module &M, const ModuleProfile &Seed) {
   std::set<std::string> Attempted;
   size_t Applications = 0;
 
-  for (size_t PI = 0;
-       PI != Passes.size() && Applications < Opts.MaxApplications; ++PI) {
+  for (size_t PI = 0; PI != Passes.size(); ++PI) {
     RewritePass &Pass = *Passes[PI];
     PassStats &PS = R.PerPass[PI].second;
-    while (Applications < Opts.MaxApplications) {
+    while (Applications < MaxApplications) {
       std::optional<RewriteCandidate> Cand;
       {
         obs::PhaseTimer Span(Opts.Stats, "optimize.propose");
@@ -218,19 +209,13 @@ PipelineResult PassManager::run(const Module &M, const ModuleProfile &Seed) {
           O.Reason = "verifier: " + (Diags.empty() ? std::string() : Diags[0]);
         } else {
           RunResult OtherRun;
-          std::jthread OtherJob;
-          if (Opts.ValidateBothEngines) {
-            ++R.OtherEngineRuns;
-            OtherJob = std::jthread([&] {
-              OtherRun = plainRun(*Cand->M, Other, ValCfg);
-            });
-          }
+          ++R.OtherEngineRuns;
+          std::jthread OtherJob(
+              [&] { OtherRun = plainRun(*Cand->M, Other, ValCfg); });
           CandProf = profileModule(*Cand->M, Opts, ValCfg);
-          if (OtherJob.joinable())
-            OtherJob.join();
+          OtherJob.join();
           if (sameObservables(Ref, CandProf->Run, engineKindName(Opts.Engine),
-                              O.Reason) &&
-              Opts.ValidateBothEngines)
+                              O.Reason))
             sameObservables(Ref, OtherRun, engineKindName(Other), O.Reason);
         }
       }
@@ -245,8 +230,6 @@ PipelineResult PassManager::run(const Module &M, const ModuleProfile &Seed) {
       PS.RemovedStores += Cand->RemovedStores;
       PS.RemovedPure += Cand->RemovedPure;
       PS.RewrittenInstrs += Cand->RewrittenInstrs;
-      R.Stats.RemovedStores += Cand->RemovedStores;
-      R.Stats.RemovedPure += Cand->RemovedPure;
       R.Outcomes.push_back(std::move(O));
       R.InstrsAfter = CandProf->Run.ExecutedInstrs;
       R.AllocsAfter = CandProf->Run.ObjectsAllocated;
@@ -258,9 +241,7 @@ PipelineResult PassManager::run(const Module &M, const ModuleProfile &Seed) {
     }
   }
 
-  R.Changed = Applications != 0;
-  R.Capped = Applications >= Opts.MaxApplications;
-  R.Stats.Iterations = unsigned(Applications);
+  R.Capped = Applications >= MaxApplications;
   R.M = std::move(Owned);
   return R;
 }
@@ -279,16 +260,20 @@ std::string metricName(const std::string &Pass) {
 
 void PassManager::accountStats(const PipelineResult &R,
                                obs::MetricsRegistry &Reg) {
-  Reg.add(Reg.counter("opt.removed_stores"), R.Stats.RemovedStores);
-  Reg.add(Reg.counter("opt.removed_pure"), R.Stats.RemovedPure);
-  size_t Applied = 0, Rolled = 0;
+  PassStats Sum;
   for (const auto &[Name, S] : R.PerPass) {
-    Applied += S.Applied;
-    Rolled += S.RolledBack;
-    Reg.add(Reg.counter(metricName(Name)), S.Applied);
+    Sum.Applied += S.Applied;
+    Sum.RolledBack += S.RolledBack;
+    Sum.RemovedStores += S.RemovedStores;
+    Sum.RemovedPure += S.RemovedPure;
   }
-  Reg.add(Reg.counter("opt.passes_applied"), Applied);
-  Reg.add(Reg.counter("opt.passes_rolled_back"), Rolled);
+  // Registration order is the lud.stats.v1 output order.
+  Reg.add(Reg.counter("opt.removed_stores"), Sum.RemovedStores);
+  Reg.add(Reg.counter("opt.removed_pure"), Sum.RemovedPure);
+  for (const auto &[Name, S] : R.PerPass)
+    Reg.add(Reg.counter(metricName(Name)), S.Applied);
+  Reg.add(Reg.counter("opt.passes_applied"), Sum.Applied);
+  Reg.add(Reg.counter("opt.passes_rolled_back"), Sum.RolledBack);
   Reg.add(Reg.counter("opt.capped"), R.Capped ? 1 : 0);
   Reg.set(Reg.gauge("opt.executed_before"), R.InstrsBefore);
   Reg.set(Reg.gauge("opt.executed_after"), R.InstrsAfter);
@@ -320,7 +305,7 @@ void lud::opt::renderOptimizeReport(const PipelineResult &R, OutStream &OS) {
   if (R.Capped)
     OS << "stopped at the cap of " << uint64_t(R.applied())
        << " applications; later passes did not run\n";
-  if (R.Changed) {
+  if (R.M) {
     OS << "executed instrs: " << R.InstrsBefore << " -> " << R.InstrsAfter;
     if (R.InstrsBefore && R.InstrsAfter <= R.InstrsBefore) {
       double Saved = 100.0 * double(R.InstrsBefore - R.InstrsAfter) /

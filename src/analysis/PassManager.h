@@ -31,7 +31,6 @@
 #define LUD_ANALYSIS_PASSMANAGER_H
 
 #include "analysis/Evidence.h"
-#include "analysis/Optimizer.h"
 #include "profiling/SlicingProfiler.h"
 #include "runtime/Engine.h"
 #include "runtime/Interpreter.h"
@@ -39,7 +38,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -92,25 +93,20 @@ public:
   virtual std::optional<RewriteCandidate> next(const PassEvidence &E) = 0;
 };
 
-/// The profiled-dead-store deleter re-homed as a pipeline pass (it runs
-/// first, and once more last to sweep stores the structure rewrites
-/// orphaned). \p Label distinguishes the two placements in stats.
-std::unique_ptr<RewritePass> createDeadStorePass(const char *Label);
-/// Linear map scans over build-once-read-many arrays become binary
-/// searches over the (already sorted) data.
-std::unique_ptr<RewritePass> createMapToArrayPass();
-/// Clone-per-operation chains: hoists loop-invariant fresh-structure
-/// call chains out of loops, then specializes clone-then-update callees
-/// to update in place.
-std::unique_ptr<RewritePass> createClonePerOpPass();
-/// Memo tables whose values are read at most once: loads recompute the
-/// value locally, leaving the table to the final dead-store sweep.
-std::unique_ptr<RewritePass> createOnceReadMemoPass();
+/// One pass-table entry: a pass name and the factory that builds the pass
+/// under that name.
+struct PassInfo {
+  const char *Name;
+  std::unique_ptr<RewritePass> (*Create)(const char *Name);
+};
 
-/// True for the pass names the default pipeline understands
-/// ("dead-stores", "map-to-array", "clone-per-op", "once-read-memo",
-/// "dead-stores-final") — CLI validation uses this.
-bool isKnownPassName(const std::string &Name);
+/// Every pass the pipeline knows, in default pipeline order — the one
+/// place pass names and their order are written (Passes.cpp describes
+/// each pass).
+std::span<const PassInfo> passTable();
+
+/// True for a name in passTable() — CLI validation uses this.
+bool isKnownPassName(std::string_view Name);
 
 struct PassStats {
   size_t Applied = 0;
@@ -136,16 +132,8 @@ struct PipelineOptions {
   EngineKind Engine = defaultEngineKind();
   SlicingConfig Slicing;
   RunConfig Run;
-  /// Validate candidates on the other engine too (the oracle contract);
-  /// disable only in tests probing single-engine behaviour.
-  bool ValidateBothEngines = true;
-  /// Pass names to run, in order. Empty = the default pipeline:
-  /// dead-stores, map-to-array, clone-per-op, once-read-memo,
-  /// dead-stores-final.
+  /// Pass names to run, in order. Empty = every pass in passTable().
   std::vector<std::string> Passes;
-  /// Ceiling on committed rewrites. Reaching it stops the pipeline; the
-  /// result says so (PipelineResult::Capped).
-  size_t MaxApplications = 32;
   /// When non-null, the pipeline's phase spans land here:
   /// phase.optimize.propose (next() plus evidence derivation) and
   /// phase.optimize.validate (verify, the profiled candidate run and the
@@ -156,9 +144,6 @@ struct PipelineOptions {
 struct PipelineResult {
   /// The rewritten module; null when no candidate survived validation.
   std::unique_ptr<Module> M;
-  bool Changed = false;
-  /// Aggregated legacy stats (dead-store passes feed these).
-  OptimizerStats Stats;
   /// Per-pass stats in pipeline order.
   std::vector<std::pair<std::string, PassStats>> PerPass;
   /// Every candidate's fate, in decision order.
@@ -169,11 +154,11 @@ struct PipelineResult {
   uint64_t AllocsAfter = 0;
   /// Status of the reference run; passes only run when it Finished.
   RunStatus ReferenceStatus = RunStatus::Finished;
-  /// The pipeline reached PipelineOptions::MaxApplications and asked no
+  /// The pipeline reached its cap of 32 committed rewrites and asked no
   /// pass for further candidates.
   bool Capped = false;
   /// Plain other-engine validation runs, each on its own thread alongside
-  /// the candidate's profiled run (0 without ValidateBothEngines).
+  /// the candidate's profiled run.
   size_t OtherEngineRuns = 0;
 
   size_t applied() const {
@@ -204,8 +189,8 @@ public:
   ~PassManager();
 
   void addPass(std::unique_ptr<RewritePass> P);
-  /// Installs the default pipeline (or Opts.Passes when set). Unknown
-  /// pass names are ignored by name resolution in Opts handling.
+  /// Installs the passes named in Opts.Passes, or the whole pass table
+  /// when it is empty. Unknown names are skipped.
   void addDefaultPasses();
 
   /// Runs every pass over \p M. The input module is never mutated.

@@ -30,6 +30,7 @@
 
 #include "analysis/PassManager.h"
 
+#include "analysis/Optimizer.h"
 #include "ir/Clone.h"
 #include "ir/Module.h"
 #include "ir/Rewrite.h"
@@ -130,15 +131,57 @@ uint64_t blockFreq(const BasicBlock &BB, const std::vector<uint64_t> &Freq) {
   return Out;
 }
 
+/// The loop entry both loop matchers demand: header \p H has exactly two
+/// predecessors, the backedge from \p Latch and a preheader ending in a
+/// plain `br H`. Returns the preheader's br, or null.
+BrInst *preheaderBr(const Function &F, const FuncIndex &IX, uint32_t H,
+                    uint32_t Latch) {
+  if (IX.Preds[H].size() != 2)
+    return nullptr;
+  uint32_t PreId = IX.Preds[H][0] == Latch ? IX.Preds[H][1] : IX.Preds[H][0];
+  if (PreId == Latch)
+    return nullptr;
+  auto *PreBr = dyn_cast<BrInst>(F.getBlock(PreId)->terminator());
+  return PreBr && PreBr->Target == H ? PreBr : nullptr;
+}
+
+/// The evidence both clone-per-op strategies cite: the first allocation
+/// site classified clone-per-op for which \p InScope(alloc, owner) holds,
+/// as "<site> (instances=N, writes=W, reads=R)"; empty when none does.
+template <class Pred>
+std::string clonePerOpEvidence(const Module &M, const PassEvidence &E,
+                               Pred InScope) {
+  for (AllocSiteId S = 0; S != M.getNumAllocSites(); ++S) {
+    const UsageSummary *U = E.Usage->bySite(S);
+    if (!U || U->Kind != UsageKind::ClonePerOp)
+      continue;
+    const Instruction *AI = M.getAllocSite(S);
+    if (InScope(*AI, M.getInstrFunction(AI->getId())))
+      return U->Description + " (instances=" + itos(U->Instances) +
+             ", writes=" + itos(U->Writes) + ", reads=" + itos(U->Reads) +
+             ")";
+  }
+  return {};
+}
+
+/// A pass named by its pass-table entry.
+class NamedPass : public RewritePass {
+public:
+  explicit NamedPass(const char *Name) : Name(Name) {}
+  const char *name() const override { return Name.c_str(); }
+
+protected:
+  std::string Name;
+};
+
 //===----------------------------------------------------------------------===//
 // dead-stores: removeProfiledDeadCode re-homed as the first and last
 // pipeline pass.
 //===----------------------------------------------------------------------===//
 
-class DeadStorePass : public RewritePass {
+class DeadStorePass : public NamedPass {
 public:
-  explicit DeadStorePass(const char *L) : Label(L) {}
-  const char *name() const override { return Label.c_str(); }
+  using NamedPass::NamedPass;
 
   std::optional<RewriteCandidate> next(const PassEvidence &E) override {
     // Evidence only refreshes when a candidate commits. If we already
@@ -154,7 +197,7 @@ public:
     LastExec = E.ExecutedInstrs;
     RewriteCandidate C;
     C.M = std::move(R.M);
-    C.Target = Label + "#" + itos(Round++);
+    C.Target = Name + "#" + itos(Round++);
     C.Rationale = "profiled-dead sweep: " + itos(R.Stats.RemovedStores) +
                   " dead stores + " + itos(R.Stats.RemovedPure) +
                   " unread pure producers (" + itos(R.Stats.Iterations) +
@@ -166,7 +209,6 @@ public:
   }
 
 private:
-  std::string Label;
   uint64_t Round = 0;
   uint64_t LastExec = 0;
   bool Proposed = false;
@@ -270,17 +312,12 @@ std::optional<ScanLoop> matchScanLoop(const Function &F, const FuncIndex &IX,
   if (!OneC || OneC->Lit != ConstInst::LitKind::Int || OneC->IntVal != 1)
     return std::nullopt;
 
-  // Loop structure: scan and step are private to the loop; the header has
-  // exactly one entry edge besides the backedge, ending in a plain br.
-  if (IX.Preds[ScanId].size() != 1 || IX.Preds[StepId].size() != 1 ||
-      IX.Preds[H].size() != 2)
+  // Loop structure: scan and step are private to the loop, entered from
+  // one preheader.
+  if (IX.Preds[ScanId].size() != 1 || IX.Preds[StepId].size() != 1)
     return std::nullopt;
-  uint32_t PreId = IX.Preds[H][0] == StepId ? IX.Preds[H][1] : IX.Preds[H][0];
-  if (PreId == StepId)
-    return std::nullopt;
-  const BasicBlock *Pre = F.getBlock(PreId);
-  auto *PreBr = dyn_cast<BrInst>(Pre->terminator());
-  if (!PreBr || PreBr->Target != H)
+  BrInst *PreBr = preheaderBr(F, IX, H, StepId);
+  if (!PreBr)
     return std::nullopt;
 
   // The probe result feeds only the comparison; the cursor is the only
@@ -309,7 +346,7 @@ std::optional<ScanLoop> matchScanLoop(const Function &F, const FuncIndex &IX,
   uint64_t Probes = (*E.InstrFreq)[Load->getId()];
   // The preheader's terminator is a plain Br (no Gcost node); the block's
   // other instructions carry its execution count.
-  uint64_t Lookups = blockFreq(*Pre, *E.InstrFreq);
+  uint64_t Lookups = blockFreq(*PreBr->getParent(), *E.InstrFreq);
   if (Probes < 8 || Probes < 4 * std::max<uint64_t>(1, Lookups))
     return std::nullopt;
 
@@ -328,9 +365,9 @@ std::optional<ScanLoop> matchScanLoop(const Function &F, const FuncIndex &IX,
   return S;
 }
 
-class MapToArrayPass : public RewritePass {
+class MapToArrayPass : public NamedPass {
 public:
-  const char *name() const override { return "map-to-array"; }
+  using NamedPass::NamedPass;
 
   std::optional<RewriteCandidate> next(const PassEvidence &E) override {
     for (const auto &FP : E.M->functions()) {
@@ -338,7 +375,7 @@ public:
         continue;
       FuncIndex IX(*FP);
       for (uint32_t H = 0; H != FP->blocks().size(); ++H) {
-        std::string Target = "map-to-array " + FP->getName() + "#b" + itos(H);
+        std::string Target = Name + " " + FP->getName() + "#b" + itos(H);
         if (E.Attempted->count(Target))
           continue;
         std::optional<ScanLoop> S = matchScanLoop(*FP, IX, H, E);
@@ -630,13 +667,8 @@ std::optional<HoistMatch> matchHoist(const Module &M, const Function &F,
     BodyId = HBr->FalseBlock;
   else
     return std::nullopt;
-  if (IX.Preds[H].size() != 2)
-    return std::nullopt;
-  uint32_t PreId = IX.Preds[H][0] == BodyId ? IX.Preds[H][1] : IX.Preds[H][0];
-  if (PreId == BodyId)
-    return std::nullopt;
-  auto *PreBr = dyn_cast<BrInst>(F.getBlock(PreId)->terminator());
-  if (!PreBr || PreBr->Target != H)
+  BrInst *PreBr = preheaderBr(F, IX, H, BodyId);
+  if (!PreBr)
     return std::nullopt;
 
   const BasicBlock *BB = F.getBlock(BodyId);
@@ -817,23 +849,13 @@ std::optional<HoistMatch> matchHoist(const Module &M, const Function &F,
           if (!C2->isVirtual())
             Work.push_back(C2->Callee);
   }
-  std::string Evidence;
-  for (AllocSiteId S = 0; S != M.getNumAllocSites(); ++S) {
-    const UsageSummary *U = E.Usage->bySite(S);
-    if (!U || U->Kind != UsageKind::ClonePerOp)
-      continue;
-    Instruction *AI = M.getAllocSite(S);
-    Function *Owner = M.getInstrFunction(AI->getId());
-    bool InChain = Owner && Closure.count(Owner->getId());
-    if (!InChain && AI->getParent() == BB)
-      InChain = std::find(Hoisted.begin(), Hoisted.end(), AI) != Hoisted.end();
-    if (InChain) {
-      Evidence = U->Description + " (instances=" + itos(U->Instances) +
-                 ", writes=" + itos(U->Writes) + ", reads=" + itos(U->Reads) +
-                 ")";
-      break;
-    }
-  }
+  std::string Evidence = clonePerOpEvidence(
+      M, E, [&](const Instruction &AI, const Function *Owner) {
+        return (Owner && Closure.count(Owner->getId())) ||
+               (AI.getParent() == BB &&
+                std::find(Hoisted.begin(), Hoisted.end(), &AI) !=
+                    Hoisted.end());
+      });
   if (Evidence.empty())
     return std::nullopt;
 
@@ -1016,24 +1038,16 @@ std::optional<InPlaceCallee> matchInPlaceCallee(const Module &M,
   InPlaceCallee R;
   R.F2 = &F2;
   R.CloneCall = CC;
-  for (AllocSiteId S = 0; S != M.getNumAllocSites(); ++S) {
-    const UsageSummary *U = E.Usage->bySite(S);
-    if (!U || U->Kind != UsageKind::ClonePerOp)
-      continue;
-    Function *Owner = M.getInstrFunction(M.getAllocSite(S)->getId());
-    if (Owner && Owner->getId() == CC->Callee) {
-      R.CloneDesc = U->Description + " (instances=" + itos(U->Instances) +
-                    ", writes=" + itos(U->Writes) +
-                    ", reads=" + itos(U->Reads) + ")";
-      break;
-    }
-  }
+  R.CloneDesc = clonePerOpEvidence(
+      M, E, [&](const Instruction &, const Function *Owner) {
+        return Owner && Owner->getId() == CC->Callee;
+      });
   return R;
 }
 
-class ClonePerOpPass : public RewritePass {
+class ClonePerOpPass : public NamedPass {
 public:
-  const char *name() const override { return "clone-per-op"; }
+  using NamedPass::NamedPass;
 
   std::optional<RewriteCandidate> next(const PassEvidence &E) override {
     const Module &M = *E.M;
@@ -1170,9 +1184,9 @@ private:
 // the BitsF consumer directly.
 //===----------------------------------------------------------------------===//
 
-class OnceReadMemoPass : public RewritePass {
+class OnceReadMemoPass : public NamedPass {
 public:
-  const char *name() const override { return "once-read-memo"; }
+  using NamedPass::NamedPass;
 
   std::optional<RewriteCandidate> next(const PassEvidence &E) override {
     for (const auto &FP : E.M->functions()) {
@@ -1185,7 +1199,7 @@ public:
           if (!AA)
             continue;
           std::string Target =
-              "once-read-memo " + FP->getName() + "#s" + itos(AA->Site);
+              Name + " " + FP->getName() + "#s" + itos(AA->Site);
           if (E.Attempted->count(Target))
             continue;
           std::optional<RewriteCandidate> C =
@@ -1379,20 +1393,18 @@ private:
   }
 };
 
+template <class P> std::unique_ptr<RewritePass> create(const char *Name) {
+  return std::make_unique<P>(Name);
+}
+
+constexpr PassInfo PassTable[] = {
+    {"dead-stores", create<DeadStorePass>},
+    {"map-to-array", create<MapToArrayPass>},
+    {"clone-per-op", create<ClonePerOpPass>},
+    {"once-read-memo", create<OnceReadMemoPass>},
+    {"dead-stores-final", create<DeadStorePass>},
+};
+
 } // namespace
 
-std::unique_ptr<RewritePass> lud::opt::createDeadStorePass(const char *Label) {
-  return std::make_unique<DeadStorePass>(Label);
-}
-
-std::unique_ptr<RewritePass> lud::opt::createMapToArrayPass() {
-  return std::make_unique<MapToArrayPass>();
-}
-
-std::unique_ptr<RewritePass> lud::opt::createClonePerOpPass() {
-  return std::make_unique<ClonePerOpPass>();
-}
-
-std::unique_ptr<RewritePass> lud::opt::createOnceReadMemoPass() {
-  return std::make_unique<OnceReadMemoPass>();
-}
+std::span<const PassInfo> lud::opt::passTable() { return PassTable; }

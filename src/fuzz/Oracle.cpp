@@ -235,9 +235,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
     PO.Run.MaxInstructions = Cfg.MaxInstructions;
     opt::PassManager PM(PO);
     opt::PipelineResult PR = PM.run(M);
-    if (PR.Changed) {
-      if (!PR.M)
-        return Fail("optimize", "pipeline reported Changed without a module");
+    if (PR.M) {
       std::vector<std::string> Errors;
       if (!verifyModule(*PR.M, Errors)) {
         std::string D = "rewritten module failed the verifier";

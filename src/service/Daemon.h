@@ -37,9 +37,9 @@
 #ifndef LUD_SERVICE_DAEMON_H
 #define LUD_SERVICE_DAEMON_H
 
-#include "service/Render.h"
 #include "service/SessionManager.h"
 #include "service/Socket.h"
+#include "workloads/Render.h"
 
 #include <atomic>
 #include <condition_variable>

@@ -11,7 +11,7 @@ using namespace lud;
 using namespace lud::cli;
 
 void AnalysisRequest::declare(OptionSet &P, unsigned Groups) {
-  serve::ReportSpec &S = Spec;
+  ReportSpec &S = Spec;
   if (Groups & SectionOpts) {
     P.flag("--report", S.Report, "rank data structures by cost/benefit");
     P.flag("--dead", S.Dead, "print IPD/IPP/NLD bloat metrics");

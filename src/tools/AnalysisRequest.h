@@ -18,9 +18,9 @@
 #define LUD_TOOLS_ANALYSISREQUEST_H
 
 #include "obs/Metrics.h"
-#include "service/Render.h"
 #include "tools/CliOptions.h"
 #include "workloads/Driver.h"
+#include "workloads/Render.h"
 
 #include <string>
 
@@ -50,7 +50,7 @@ struct AnalysisRequest {
     AllOpts = (1u << 7) - 1,
   };
 
-  serve::ReportSpec Spec;
+  ReportSpec Spec;
   ClientSet Clients;
   int64_t Slots = 16;
   EngineKind Engine = defaultEngineKind();

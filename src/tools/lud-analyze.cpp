@@ -18,10 +18,10 @@
 
 #include "profiling/FrozenGraph.h"
 #include "profiling/GraphIO.h"
-#include "service/Render.h"
 #include "support/OutStream.h"
 #include "tools/AnalysisRequest.h"
 #include "tools/ProgramSource.h"
+#include "workloads/Render.h"
 
 #include <string>
 #include <vector>
@@ -76,8 +76,8 @@ int main(int argc, char **argv) {
   // No profiler state offline: the graph-only sections, relative to the
   // instances the graph covers.
   Req.Spec.Report = Req.Spec.Caches = true;
-  serve::renderAnalysisSections(*M, nullptr, FG, Req.Spec, OS);
-  serve::renderBloatMetrics(FG, FG.totalFreq(), OS,
+  renderAnalysisSections(*M, nullptr, FG, Req.Spec, OS);
+  renderBloatMetrics(FG, FG.totalFreq(), OS,
                             "relative to covered instances");
   return 0;
 }

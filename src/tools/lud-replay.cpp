@@ -26,11 +26,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "profiling/FrozenGraph.h"
-#include "service/Render.h"
 #include "support/OutStream.h"
 #include "tools/AnalysisRequest.h"
 #include "tools/ProgramSource.h"
 #include "workloads/ParallelDriver.h"
+#include "workloads/Render.h"
 
 #include <string>
 #include <vector>
@@ -81,13 +81,13 @@ int main(int argc, char **argv) {
   if (obs::MetricsRegistry *Stats = Session.stats())
     FG.accountStats(*Stats);
 
-  serve::renderReplaySummary(Session, FG, SR.Events, uint64_t(Manifests.size()),
+  renderReplaySummary(Session, FG, SR.Events, uint64_t(Manifests.size()),
                              OS);
   if (!Req.dumpGraph(FG, OS))
     return 1;
-  serve::renderAnalysisSections(*M, &Session, FG, Req.Spec, OS);
+  renderAnalysisSections(*M, &Session, FG, Req.Spec, OS);
   if (Req.Spec.Dead)
-    serve::renderBloatMetrics(FG, FG.totalFreq(), OS);
+    renderBloatMetrics(FG, FG.totalFreq(), OS);
   if (!Req.emitStats(Session.stats()))
     return 1;
   return 0;

@@ -28,12 +28,13 @@
 #include "analysis/PassManager.h"
 #include "ir/Printer.h"
 #include "profiling/FrozenGraph.h"
-#include "service/Render.h"
 #include "support/OutStream.h"
 #include "tools/AnalysisRequest.h"
 #include "tools/ProgramSource.h"
 #include "workloads/ParallelDriver.h"
+#include "workloads/Render.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,21 @@ struct Options {
 
 bool isPowerOfTwo(uint32_t N) { return N != 0 && (N & (N - 1)) == 0; }
 
+/// The pass table's names, comma-separated, with \p Last before the final
+/// one.
+std::string passNames(const char *Last) {
+  std::string Out;
+  std::span<const opt::PassInfo> Table = opt::passTable();
+  for (size_t I = 0; I != Table.size(); ++I) {
+    if (I)
+      Out += ", ";
+    if (I + 1 == Table.size())
+      Out += Last;
+    Out += Table[I].Name;
+  }
+  return Out;
+}
+
 void declareOptions(cli::OptionSet &P, Options &O) {
   O.Req.declare(P, cli::AnalysisRequest::AllOpts);
   P.flag("--baseline", O.Baseline, "run without instrumentation (timing)");
@@ -65,9 +81,9 @@ void declareOptions(cli::OptionSet &P, Options &O) {
   O.Src.declare(P, cli::ProgramSource::WorkloadOpts |
                        cli::ProgramSource::ObfuscateOpts);
   P.custom("--optimize", cli::ValueMode::Optional,
-           "[=LIST]  run the rewrite-pass pipeline (dead-stores, "
-           "map-to-array, clone-per-op, once-read-memo, dead-stores-final) "
-           "and print its report; LIST restricts to those passes, in order",
+           "[=LIST]  run the rewrite-pass pipeline (" + passNames("") +
+               ") and print its report; LIST restricts to those passes, in "
+               "order",
            [&O](const std::string &V) {
              O.Optimize = true;
              std::string Cur;
@@ -75,10 +91,8 @@ void declareOptions(cli::OptionSet &P, Options &O) {
                if (I == V.size() || V[I] == ',') {
                  if (!Cur.empty()) {
                    if (!opt::isKnownPassName(Cur)) {
-                     errs() << "unknown pass '" << Cur
-                            << "' (expected dead-stores, map-to-array, "
-                               "clone-per-op, once-read-memo, or "
-                               "dead-stores-final)\n";
+                     errs() << "unknown pass '" << Cur << "' (expected "
+                            << passNames("or ") << ")\n";
                      return false;
                    }
                    O.OptimizePasses.push_back(Cur);
@@ -211,7 +225,7 @@ int main(int argc, char **argv) {
   if (!O.Req.dumpGraph(FG, OS))
     return 1;
 
-  serve::renderAnalysisSections(*M, &Session, FG, O.Req.Spec, OS);
+  renderAnalysisSections(*M, &Session, FG, O.Req.Spec, OS);
   if (O.Optimize) {
     // The pipeline proposes, validates (both engines) and commits or
     // rolls back each candidate on its own. A single session's profile is
@@ -241,7 +255,7 @@ int main(int argc, char **argv) {
     }
   }
   if (O.Req.Spec.Dead)
-    serve::renderBloatMetrics(FG, Run.ExecutedInstrs, OS);
+    renderBloatMetrics(FG, Run.ExecutedInstrs, OS);
   if (!O.Req.emitStats(Session.stats()))
     return 1;
   return Run.Status == RunStatus::Finished ? 0 : 1;

@@ -4,17 +4,19 @@
 // folded GET /report is byte-identical to the offline renderer over the
 // same manifests (at 1 and 4 worker threads, with interleaved frames),
 // per-session failure isolation with verbatim
-// diagnostics on the wire, the telemetry endpoints, and clean shutdown.
+// diagnostics on the wire, the telemetry endpoints, the optimizer section
+// and metrics under --optimize, and clean shutdown.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/PassManager.h"
 #include "profiling/FrozenGraph.h"
 #include "service/Client.h"
 #include "service/Daemon.h"
-#include "service/Render.h"
 #include "support/OutStream.h"
 #include "trace/RunManifest.h"
 #include "workloads/DaCapo.h"
+#include "workloads/Render.h"
 
 #include <gtest/gtest.h>
 
@@ -248,6 +250,44 @@ TEST(DaemonTest, TelemetryAndHealthEndpoints) {
 
   ASSERT_TRUE(httpGet(D.httpPort(), "/sessions", Body, Err)) << Err;
   EXPECT_NE(Body.find("\"id\": 1"), std::string::npos) << Body;
+  D.stop();
+}
+
+// --optimize: the pipeline runs once over the served module at start();
+// /report appends its section to the folded report and /stats carries
+// the opt.* metrics.
+TEST(DaemonTest, OptimizeAppendsPipelineSectionAndStats) {
+  Workload W = buildWorkload("sunflow", 60);
+  std::string Trace = recordTrace(*W.M);
+  std::string Socket = socketPath("optimize");
+  DaemonConfig Cfg = daemonConfig(Socket, 1);
+  Cfg.Optimize = true;
+
+  opt::PipelineOptions PO;
+  PO.Engine = Cfg.Base.Engine;
+  PO.Slicing = Cfg.Base.Slicing;
+  StringOutStream Section;
+  opt::renderOptimizeReport(opt::PassManager(PO).run(*W.M), Section);
+  ASSERT_NE(Section.str().find("[applied]"), std::string::npos);
+
+  Daemon D(*W.M, std::move(Cfg));
+  std::string Err;
+  ASSERT_TRUE(D.start(Err)) << Err;
+  ServeClient C;
+  ASSERT_TRUE(C.connect(Socket, Err)) << Err;
+  ASSERT_TRUE(C.open(Err)) << Err;
+  ASSERT_TRUE(C.feed(Trace, Err)) << Err;
+  ASSERT_TRUE(C.done(Err)) << Err;
+  C.close();
+
+  std::string Body;
+  ASSERT_TRUE(httpGet(D.httpPort(), "/report", Body, Err)) << Err;
+  EXPECT_EQ(Body, offlineReport(*W.M, {Trace}, fullSpec()) + "\n" +
+                      Section.str());
+
+  ASSERT_TRUE(httpGet(D.httpPort(), "/stats", Body, Err)) << Err;
+  EXPECT_NE(Body.find("\"opt.passes_applied\""), std::string::npos);
+  EXPECT_NE(Body.find("\"opt.capped\""), std::string::npos);
   D.stop();
 }
 
