@@ -36,6 +36,9 @@ public:
     return I;
   }
 
+  /// Makes room for \p N more instructions.
+  void reserve(size_t N) { Insts.reserve(Insts.size() + N); }
+
   uint32_t getId() const { return Id; }
   const std::vector<std::unique_ptr<Instruction>> &insts() const {
     return Insts;

@@ -131,23 +131,23 @@ GlobalId Module::addGlobal(std::string Name, Type Ty) {
   return Id;
 }
 
-MethodNameId Module::internMethodName(const std::string &Name) {
+MethodNameId Module::internMethodName(std::string_view Name) {
   auto It = MethodNameIds.find(Name);
   if (It != MethodNameIds.end())
     return It->second;
   MethodNameId Id = MethodNames.size();
-  MethodNames.push_back(Name);
-  MethodNameIds.emplace(Name, Id);
+  MethodNames.emplace_back(Name);
+  MethodNameIds.emplace(MethodNames.back(), Id);
   return Id;
 }
 
-NativeId Module::internNativeName(const std::string &Name) {
+NativeId Module::internNativeName(std::string_view Name) {
   auto It = NativeNameIds.find(Name);
   if (It != NativeNameIds.end())
     return It->second;
   NativeId Id = NativeNames.size();
-  NativeNames.push_back(Name);
-  NativeNameIds.emplace(Name, Id);
+  NativeNames.emplace_back(Name);
+  NativeNameIds.emplace(NativeNames.back(), Id);
   return Id;
 }
 
@@ -166,6 +166,12 @@ void Module::finalize() {
   }
 
   // Dense instruction and allocation-site numbering.
+  size_t NumInstrs = 0;
+  for (auto &F : Functions)
+    for (auto &BB : F->blocks())
+      NumInstrs += BB->insts().size();
+  InstrTable.reserve(NumInstrs);
+  InstrOwner.reserve(NumInstrs);
   for (auto &F : Functions) {
     for (auto &BB : F->blocks()) {
       for (auto &I : BB->insts()) {
@@ -184,22 +190,22 @@ void Module::finalize() {
   }
 }
 
-ClassId Module::findClass(const std::string &Name) const {
+ClassId Module::findClass(std::string_view Name) const {
   auto It = ClassByName.find(Name);
   return It == ClassByName.end() ? kNoClass : It->second;
 }
 
-FuncId Module::findFunction(const std::string &Name) const {
+FuncId Module::findFunction(std::string_view Name) const {
   auto It = FuncByName.find(Name);
   return It == FuncByName.end() ? kNoFunc : It->second;
 }
 
-GlobalId Module::findGlobal(const std::string &Name) const {
+GlobalId Module::findGlobal(std::string_view Name) const {
   auto It = GlobalByName.find(Name);
   return It == GlobalByName.end() ? kNoGlobal : It->second;
 }
 
-MethodNameId Module::findMethodName(const std::string &Name) const {
+MethodNameId Module::findMethodName(std::string_view Name) const {
   auto It = MethodNameIds.find(Name);
   return It == MethodNameIds.end() ? kNoMethodName : It->second;
 }
@@ -219,7 +225,7 @@ FieldSlot Module::classFirstSlot(ClassId Class) const {
   return First;
 }
 
-bool Module::resolveField(ClassId Class, const std::string &Name,
+bool Module::resolveField(ClassId Class, std::string_view Name,
                           FieldSlot &SlotOut) const {
   for (ClassId C = Class; C != kNoClass; C = Classes[C]->getSuper()) {
     const ClassDecl *D = Classes[C].get();
@@ -233,7 +239,7 @@ bool Module::resolveField(ClassId Class, const std::string &Name,
   return false;
 }
 
-bool Module::resolveFieldUnqualified(const std::string &Name,
+bool Module::resolveFieldUnqualified(std::string_view Name,
                                      ClassId &ClassOut,
                                      FieldSlot &SlotOut) const {
   bool Found = false;

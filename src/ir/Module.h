@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -56,11 +57,11 @@ public:
   GlobalId addGlobal(std::string Name, Type Ty);
 
   /// Interns a virtual method name.
-  MethodNameId internMethodName(const std::string &Name);
+  MethodNameId internMethodName(std::string_view Name);
 
   /// Interns a native function name (bound to an implementation by the
   /// runtime's NativeRegistry at execution time).
-  NativeId internNativeName(const std::string &Name);
+  NativeId internNativeName(std::string_view Name);
 
   /// Computes class layouts and vtables, numbers instructions and
   /// allocation sites, and freezes the module. Must be called exactly once.
@@ -92,10 +93,10 @@ public:
   }
 
   /// Returns the class/function/global with the given name, or the sentinel.
-  ClassId findClass(const std::string &Name) const;
-  FuncId findFunction(const std::string &Name) const;
-  GlobalId findGlobal(const std::string &Name) const;
-  MethodNameId findMethodName(const std::string &Name) const;
+  ClassId findClass(std::string_view Name) const;
+  FuncId findFunction(std::string_view Name) const;
+  GlobalId findGlobal(std::string_view Name) const;
+  MethodNameId findMethodName(std::string_view Name) const;
 
   /// Layout slot of the first own field of \p Class (computed lazily; the
   /// first query freezes the superclass chain's field lists).
@@ -103,12 +104,12 @@ public:
 
   /// Resolves field \p Name against the layout of \p Class (searching
   /// superclasses). Returns false if no such field.
-  bool resolveField(ClassId Class, const std::string &Name,
+  bool resolveField(ClassId Class, std::string_view Name,
                     FieldSlot &SlotOut) const;
 
   /// Resolves a field name against all classes; succeeds only if the name
   /// is unambiguous module-wide (used by the parser for unqualified names).
-  bool resolveFieldUnqualified(const std::string &Name, ClassId &ClassOut,
+  bool resolveFieldUnqualified(std::string_view Name, ClassId &ClassOut,
                                FieldSlot &SlotOut) const;
 
   /// Printable name of the field at \p Slot in instances of \p Class.
@@ -148,17 +149,28 @@ public:
   void setEntry(FuncId F) { Entry = F; }
 
 private:
+  /// Hashes names as string_views, so lookups take a std::string_view
+  /// without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>{}(S);
+    }
+  };
+  template <typename T>
+  using NameMap = std::unordered_map<std::string, T, NameHash, std::equal_to<>>;
+
   bool Finalized = false;
   std::vector<std::unique_ptr<ClassDecl>> Classes;
   std::vector<std::unique_ptr<Function>> Functions;
   std::vector<GlobalDecl> Globals;
   std::vector<std::string> MethodNames;
   std::vector<std::string> NativeNames;
-  std::unordered_map<std::string, ClassId> ClassByName;
-  std::unordered_map<std::string, FuncId> FuncByName;
-  std::unordered_map<std::string, GlobalId> GlobalByName;
-  std::unordered_map<std::string, MethodNameId> MethodNameIds;
-  std::unordered_map<std::string, NativeId> NativeNameIds;
+  NameMap<ClassId> ClassByName;
+  NameMap<FuncId> FuncByName;
+  NameMap<GlobalId> GlobalByName;
+  NameMap<MethodNameId> MethodNameIds;
+  NameMap<NativeId> NativeNameIds;
 
   std::vector<Instruction *> InstrTable;
   std::vector<FuncId> InstrOwner;

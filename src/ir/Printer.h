@@ -26,8 +26,11 @@ class OutStream;
 /// Writes the whole module in textual form.
 void printModule(const Module &M, OutStream &OS);
 
-/// Returns the one-line textual form of \p I (no trailing newline), e.g.
-/// "r3 = add r1, r2". Useful for reports and diagnostics.
+/// Writes the one-line textual form of \p I (no trailing newline), e.g.
+/// "r3 = add r1, r2".
+void printInst(const Module &M, const Instruction &I, OutStream &OS);
+
+/// printInst into a string, for reports and diagnostics.
 std::string instToString(const Module &M, const Instruction &I);
 
 } // namespace lud

@@ -3,10 +3,12 @@
 #include "analysis/Clients.h"
 #include "analysis/DeadValues.h"
 #include "analysis/Report.h"
+#include "ir/Obfuscate.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "support/OutStream.h"
+#include "workloads/Composed.h"
 #include "workloads/DaCapo.h"
 #include "workloads/Driver.h"
 
@@ -167,26 +169,37 @@ TEST(WorkloadTest, OptimizedVariantsOnlyForCaseStudies) {
   EXPECT_FALSE(hasOptimizedVariant("chart"));
 }
 
+/// \p M survives print -> parse -> print unchanged and behaves identically.
+void expectTextRoundTrip(const Module &M, const std::string &Name) {
+  StringOutStream Text1;
+  printModule(M, Text1);
+  std::vector<std::string> Errors;
+  std::unique_ptr<Module> M2 = parseModule(Text1.str(), Errors);
+  for (const std::string &E : Errors)
+    ADD_FAILURE() << Name << ": " << E;
+  ASSERT_TRUE(M2) << Name;
+  StringOutStream Text2;
+  printModule(*M2, Text2);
+  EXPECT_EQ(Text1.str(), Text2.str()) << Name;
+  TimedRun R1 = baselineRun(M);
+  TimedRun R2 = baselineRun(*M2);
+  EXPECT_EQ(R1.Run.ExecutedInstrs, R2.Run.ExecutedInstrs) << Name;
+  EXPECT_EQ(R1.Run.SinkHash, R2.Run.SinkHash) << Name;
+}
+
 TEST(WorkloadTest, TextRoundTripPreservesBehaviour) {
-  // Every generated workload survives print -> parse -> print unchanged
-  // and behaves identically — a heavy stress of the textual frontend.
+  // Every generated workload, plain and obfuscated as the benchmark
+  // obfuscates it, and the composed tier survive the text round trip — a
+  // heavy stress of the textual frontend.
+  ObfuscateOptions Obf;
+  Obf.Junk = Obf.Opaque = Obf.Strings = true;
+  Obf.Seed = 1;
   for (const std::string &Name : dacapoNames()) {
     Workload W = buildWorkload(Name, 32);
-    StringOutStream Text1;
-    printModule(*W.M, Text1);
-    std::vector<std::string> Errors;
-    std::unique_ptr<Module> M2 = parseModule(Text1.str(), Errors);
-    for (const std::string &E : Errors)
-      ADD_FAILURE() << Name << ": " << E;
-    ASSERT_TRUE(M2) << Name;
-    StringOutStream Text2;
-    printModule(*M2, Text2);
-    EXPECT_EQ(Text1.str(), Text2.str()) << Name;
-    TimedRun R1 = baselineRun(*W.M);
-    TimedRun R2 = baselineRun(*M2);
-    EXPECT_EQ(R1.Run.ExecutedInstrs, R2.Run.ExecutedInstrs) << Name;
-    EXPECT_EQ(R1.Run.SinkHash, R2.Run.SinkHash) << Name;
+    expectTextRoundTrip(*W.M, Name);
+    expectTextRoundTrip(*obfuscateModule(*W.M, Obf).M, Name + " obfuscated");
   }
+  expectTextRoundTrip(*buildComposedWorkload(40).M, "composed");
 }
 
 TEST(WorkloadTest, CollectionRankingClientFiltersContainers) {
