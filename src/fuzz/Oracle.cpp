@@ -12,17 +12,20 @@
 #include "support/OutStream.h"
 #include "workloads/ParallelDriver.h"
 
-
 using namespace lud;
 using namespace lud::fuzz;
 
 namespace {
 
-std::string graphBytes(const ProfileSession &S) {
+std::string graphBytes(const DepGraph *G) {
   StringOutStream OS;
-  if (S.slicing())
-    writeGraph(S.slicing()->graph(), OS);
+  if (G)
+    writeGraph(*G, OS);
   return OS.str();
+}
+
+template <typename ProfilerT> const DepGraph *graphOf(const ProfilerT *P) {
+  return P ? &P->graph() : nullptr;
 }
 
 std::string clientReports(const ProfileSession &S, const Module &M) {
@@ -35,12 +38,20 @@ std::string clientReports(const ProfileSession &S, const Module &M) {
 struct Snapshot {
   RunResult Run;
   std::string Graph;
+  /// The copy, nullness and typestate graphs' serializations (empty for a
+  /// client that did not run).
+  std::string CopyGraph, NullnessGraph, TypestateGraph;
   std::string Reports;
 };
 
 Snapshot snapshot(const ProfileSession &S, const Module &M,
                   const RunResult &Run) {
-  return {Run, graphBytes(S), clientReports(S, M)};
+  return {Run,
+          graphBytes(graphOf(S.slicing())),
+          graphBytes(graphOf(S.copy())),
+          graphBytes(graphOf(S.nullness())),
+          graphBytes(graphOf(S.typestate())),
+          clientReports(S, M)};
 }
 
 /// Locates the first differing byte and shows both sides around it.
@@ -95,6 +106,15 @@ std::string diffSnapshots(const Snapshot &Ref, const Snapshot &Got) {
     return D;
   if (Ref.Graph != Got.Graph)
     return firstDiff("Gcost serialization", Ref.Graph, Got.Graph);
+  if (Ref.CopyGraph != Got.CopyGraph)
+    return firstDiff("copy graph serialization", Ref.CopyGraph,
+                     Got.CopyGraph);
+  if (Ref.NullnessGraph != Got.NullnessGraph)
+    return firstDiff("nullness graph serialization", Ref.NullnessGraph,
+                     Got.NullnessGraph);
+  if (Ref.TypestateGraph != Got.TypestateGraph)
+    return firstDiff("typestate graph serialization", Ref.TypestateGraph,
+                     Got.TypestateGraph);
   if (Ref.Reports != Got.Reports)
     return firstDiff("client reports", Ref.Reports, Got.Reports);
   return "";
@@ -273,7 +293,8 @@ std::string fuzz::configFlags(const OracleConfig &Cfg) {
   Out += " --thin-slicing=" + std::to_string(int(Cfg.Slicing.ThinSlicing));
   Out += " --context-sensitive=" +
          std::to_string(int(Cfg.Slicing.ContextSensitive));
-  Out += " --caches=" + std::to_string(int(Cfg.Slicing.HotPathCaches));
+  Out += " --hot-path-caches=" +
+         std::to_string(int(Cfg.Slicing.HotPathCaches));
   Out += std::string(" --engine=") + engineKindName(Cfg.Engine);
   Out += " --engines=" + std::to_string(int(Cfg.CheckEngines));
   Out += " --optimize=" + std::to_string(int(Cfg.CheckOptimize));

@@ -29,8 +29,9 @@
 ///     engines — an independent re-check of the validation the pipeline
 ///     already performed internally.
 ///
-/// Compared artifacts: the canonical Gcost serialization, every client
-/// report section, and the RunResult facts of the execution (status,
+/// Compared artifacts: the canonical Gcost serialization, the copy,
+/// nullness and typestate graphs' serializations, every client report
+/// section, and the RunResult facts of the execution (status,
 /// executed instructions, calls, allocations, sink hash). Any mismatch is
 /// reported with the failing mode and a first-difference diagnostic.
 ///

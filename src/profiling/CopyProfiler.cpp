@@ -10,25 +10,23 @@
 
 using namespace lud;
 
-OriginId CopyProfiler::intern(const HeapLoc &L) {
-  uint64_t Key = L.Tag * 4096 + L.Slot % 4096;
-  auto [It, Inserted] = OriginIds.try_emplace(Key, OriginId(0));
-  if (Inserted) {
-    OriginTable.push_back(L);
-    It->second = OriginId(OriginTable.size()); // 1-based; 0 is bottom.
-  }
-  return It->second;
+CopyProfiler::CopyProfiler(const SlicingProfiler &Substrate) : Sub(&Substrate) {
+  G.setHotPathMemo(Substrate.config().HotPathCaches);
 }
 
-NodeId CopyProfiler::hit(const Instruction &I, OriginId Origin) {
-  NodeId N = G.getOrCreate(I.getId(), Origin);
-  ++G.freq(N);
-  return N;
+OriginId CopyProfiler::intern(const HeapLoc &L) {
+  // 1-based; 0 is bottom.
+  auto [Id, Inserted] = OriginIds.insert(L.Tag * 4096 + L.Slot % 4096,
+                                         OriginId(OriginTable.size() + 1));
+  if (Inserted)
+    OriginTable.push_back(L);
+  return Id;
 }
 
 void CopyProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   H = &Heap_;
   Sh.startRun(Heap_, Mod.globals().size());
+  G.armMemo(Mod.getNumInstrs());
 }
 
 void CopyProfiler::onEntryFrame(const Function &F) {
@@ -43,16 +41,19 @@ void CopyProfiler::onAssign(const AssignInst &I) {
   // A register copy keeps the origin alive: this is an intermediate stack
   // hop of a copy chain.
   ShadowVal Src = regs()[I.Src];
-  NodeId N = hit(I, Src.Origin);
-  edgeFrom(Src, N);
-  regs()[I.Dst] = {N, Src.Origin};
+  regs()[I.Dst] = {hit(I, Src.Origin, Src.N), Src.Origin};
   if (Src.Origin != kBottomOrigin)
     ++CopyCount;
 }
 
-void CopyProfiler::onBin(const BinInst &I) { compute(I, I.Dst, I.Lhs, I.Rhs); }
+void CopyProfiler::onBin(const BinInst &I) {
+  regs()[I.Dst] = {hit(I, kBottomOrigin, regs()[I.Lhs].N, regs()[I.Rhs].N),
+                   kBottomOrigin};
+}
 
-void CopyProfiler::onUn(const UnInst &I) { compute(I, I.Dst, I.Src); }
+void CopyProfiler::onUn(const UnInst &I) {
+  regs()[I.Dst] = {hit(I, kBottomOrigin, regs()[I.Src].N), kBottomOrigin};
+}
 
 void CopyProfiler::onAlloc(const AllocInst &I, ObjId O) {
   regs()[I.Dst] = {hit(I, kBottomOrigin), kBottomOrigin};
@@ -60,9 +61,7 @@ void CopyProfiler::onAlloc(const AllocInst &I, ObjId O) {
 }
 
 void CopyProfiler::onAllocArray(const AllocArrayInst &I, ObjId O) {
-  NodeId N = hit(I, kBottomOrigin);
-  edgeFrom(regs()[I.Len], N);
-  regs()[I.Dst] = {N, kBottomOrigin};
+  regs()[I.Dst] = {hit(I, kBottomOrigin, regs()[I.Len].N), kBottomOrigin};
   Sh.objShadow(O);
 }
 
@@ -72,9 +71,7 @@ void CopyProfiler::onLoadField(const LoadFieldInst &I, ObjId Base,
   AllocSiteId Site = siteOf(Base);
   OriginId Origin =
       Site == kNoAllocSite ? kBottomOrigin : intern(HeapLoc{Site, I.Slot});
-  NodeId N = hit(I, Origin);
-  edgeFrom(Sh.objShadow(Base)[I.Slot], N);
-  regs()[I.Dst] = {N, Origin};
+  regs()[I.Dst] = {hit(I, Origin, Sh.objShadow(Base)[I.Slot].N), Origin};
   if (Origin != kBottomOrigin)
     ++CopyCount;
 }
@@ -82,8 +79,7 @@ void CopyProfiler::onLoadField(const LoadFieldInst &I, ObjId Base,
 void CopyProfiler::onStoreField(const StoreFieldInst &I, ObjId Base,
                                 const Value &) {
   ShadowVal Src = regs()[I.Src];
-  NodeId N = hit(I, Src.Origin);
-  edgeFrom(Src, N);
+  NodeId N = hit(I, Src.Origin, Src.N);
   Sh.objShadow(Base)[I.Slot] = {N, Src.Origin};
   AllocSiteId Site = siteOf(Base);
   if (Src.Origin != kBottomOrigin && Site != kNoAllocSite) {
@@ -94,16 +90,13 @@ void CopyProfiler::onStoreField(const StoreFieldInst &I, ObjId Base,
 
 void CopyProfiler::onLoadStatic(const LoadStaticInst &I, const Value &) {
   OriginId Origin = intern(HeapLoc{kStaticTagBase + I.Global, 0});
-  NodeId N = hit(I, Origin);
-  edgeFrom(Sh.staticAt(I.Global), N);
-  regs()[I.Dst] = {N, Origin};
+  regs()[I.Dst] = {hit(I, Origin, Sh.staticAt(I.Global).N), Origin};
   ++CopyCount;
 }
 
 void CopyProfiler::onStoreStatic(const StoreStaticInst &I, const Value &) {
   ShadowVal Src = regs()[I.Src];
-  NodeId N = hit(I, Src.Origin);
-  edgeFrom(Src, N);
+  NodeId N = hit(I, Src.Origin, Src.N);
   Sh.staticAt(I.Global) = {N, Src.Origin};
   if (Src.Origin != kBottomOrigin) {
     ++CopyCount;
@@ -116,9 +109,7 @@ void CopyProfiler::onLoadElem(const LoadElemInst &I, ObjId Base, uint32_t Index,
   AllocSiteId Site = siteOf(Base);
   OriginId Origin =
       Site == kNoAllocSite ? kBottomOrigin : intern(HeapLoc{Site, kElemSlot});
-  NodeId N = hit(I, Origin);
-  edgeFrom(Sh.objShadow(Base)[Index], N);
-  regs()[I.Dst] = {N, Origin};
+  regs()[I.Dst] = {hit(I, Origin, Sh.objShadow(Base)[Index].N), Origin};
   if (Origin != kBottomOrigin)
     ++CopyCount;
 }
@@ -126,8 +117,7 @@ void CopyProfiler::onLoadElem(const LoadElemInst &I, ObjId Base, uint32_t Index,
 void CopyProfiler::onStoreElem(const StoreElemInst &I, ObjId Base,
                                uint32_t Index, const Value &) {
   ShadowVal Src = regs()[I.Src];
-  NodeId N = hit(I, Src.Origin);
-  edgeFrom(Src, N);
+  NodeId N = hit(I, Src.Origin, Src.N);
   Sh.objShadow(Base)[Index] = {N, Src.Origin};
   AllocSiteId Site = siteOf(Base);
   if (Src.Origin != kBottomOrigin && Site != kNoAllocSite) {
@@ -141,21 +131,15 @@ void CopyProfiler::onArrayLen(const ArrayLenInst &I, ObjId) {
 }
 
 void CopyProfiler::onPredicate(const CondBrInst &I, bool) {
-  NodeId N = G.getOrCreate(I.getId(), kNoDomain);
-  DepGraph::Node &Node = G.node(N);
-  Node.Consumer = ConsumerKind::Predicate;
-  ++G.freq(N);
-  edgeFrom(regs()[I.Lhs], N);
-  edgeFrom(regs()[I.Rhs], N);
+  NodeId N = hit(I, kNoDomain, regs()[I.Lhs].N, regs()[I.Rhs].N);
+  G.node(N).Consumer = ConsumerKind::Predicate;
 }
 
 void CopyProfiler::onNativeCall(const NativeCallInst &I) {
-  NodeId N = G.getOrCreate(I.getId(), kNoDomain);
-  DepGraph::Node &Node = G.node(N);
-  Node.Consumer = ConsumerKind::Native;
-  ++G.freq(N);
+  NodeId N = hit(I, kNoDomain);
+  G.node(N).Consumer = ConsumerKind::Native;
   for (Reg A : I.Args)
-    edgeFrom(regs()[A], N);
+    G.addEdge(regs()[A].N, N);
   if (I.Dst != kNoReg)
     regs()[I.Dst] = {N, kBottomOrigin};
 }
@@ -169,9 +153,7 @@ void CopyProfiler::onReturn(const ReturnInst &I) {
   Sh.Pending = ShadowVal();
   if (I.Src != kNoReg) {
     ShadowVal Src = regs()[I.Src];
-    NodeId N = hit(I, Src.Origin);
-    edgeFrom(Src, N);
-    Sh.Pending = {N, Src.Origin};
+    Sh.Pending = {hit(I, Src.Origin, Src.N), Src.Origin};
     if (Src.Origin != kBottomOrigin)
       ++CopyCount;
   }
@@ -187,11 +169,11 @@ void CopyProfiler::onReturnBound(Reg Dst) {
 void CopyProfiler::recordChain(OriginId From, const HeapLoc &To,
                                NodeId Store) {
   const HeapLoc &FromLoc = originLoc(From);
-  auto [It, Inserted] = ChainIndex.try_emplace(chainKey(FromLoc, To),
-                                               Chains.size());
+  auto [Idx, Inserted] = ChainIndex.insert(chainKey(FromLoc, To),
+                                           Chains.size());
   if (Inserted)
     Chains.push_back({FromLoc, To, 0, Store});
-  ++Chains[It->second].Count;
+  ++Chains[Idx].Count;
 }
 
 void CopyProfiler::accountStats(obs::MetricsRegistry &R) const {
@@ -205,7 +187,7 @@ void CopyProfiler::accountStats(obs::MetricsRegistry &R) const {
   R.set(R.gauge("copy.graph.nodes"), G.numNodes());
   R.set(R.gauge("copy.graph.edges"), G.numEdges());
   R.set(R.gauge("mem.copy.graph_bytes", obs::Unit::Bytes),
-        G.memoryFootprint().total() + G.internTableBytes());
+        G.memoryFootprint().total() + G.internTableBytes() + G.memoBytes());
 }
 
 void CopyProfiler::mergeFrom(const CopyProfiler &O) {
@@ -222,11 +204,11 @@ void CopyProfiler::mergeFrom(const CopyProfiler &O) {
     (void)R;
   }
   for (const CopyChain &C : O.Chains) {
-    auto [It, Inserted] = ChainIndex.try_emplace(chainKey(C.From, C.To),
-                                                 Chains.size());
+    auto [Idx, Inserted] = ChainIndex.insert(chainKey(C.From, C.To),
+                                             Chains.size());
     if (Inserted)
       Chains.push_back({C.From, C.To, 0, Remap[C.StoreNode]});
-    Chains[It->second].Count += C.Count;
+    Chains[Idx].Count += C.Count;
   }
 }
 

@@ -31,8 +31,8 @@
 #include "profiling/SlicingProfiler.h"
 #include "runtime/Heap.h"
 #include "runtime/ProfilerConcept.h"
+#include "support/FlatMap.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace lud {
@@ -47,7 +47,8 @@ class CopyProfiler {
 public:
   /// \p Substrate is the slicing profiler whose heap tags provide the
   /// allocation sites; it must run in the same pipeline, before this stage.
-  explicit CopyProfiler(const SlicingProfiler &Substrate) : Sub(&Substrate) {}
+  /// The client graph follows the substrate's SlicingConfig::HotPathCaches.
+  explicit CopyProfiler(const SlicingProfiler &Substrate);
 
   DepGraph &graph() { return G; }
   const DepGraph &graph() const { return G; }
@@ -129,17 +130,9 @@ private:
   ShadowVal *regs() { return Sh.regs(); }
 
   OriginId intern(const HeapLoc &L);
-  NodeId hit(const Instruction &I, OriginId Origin);
-  void edgeFrom(const ShadowVal &Src, NodeId To) {
-    if (Src.N != kNoNode)
-      G.addEdge(Src.N, To);
-  }
-  /// Produces a non-copy (bottom) value into Dst, consuming Srcs.
-  template <typename... Srcs>
-  void compute(const Instruction &I, Reg Dst, Srcs... Ss) {
-    NodeId N = hit(I, kBottomOrigin);
-    (edgeFrom(regs()[Ss], N), ...);
-    regs()[Dst] = {N, kBottomOrigin};
+  NodeId hit(const Instruction &I, OriginId Origin, NodeId SrcA = kNoNode,
+             NodeId SrcB = kNoNode) {
+    return G.hit(I.getId(), Origin, SrcA, SrcB);
   }
 
   /// Site of the object's allocation, recovered from the heap tag the
@@ -165,9 +158,9 @@ private:
   uint64_t CopyCount = 0;
 
   std::vector<HeapLoc> OriginTable;
-  std::unordered_map<uint64_t, OriginId> OriginIds;
+  FlatMap<uint64_t, OriginId> OriginIds;
   std::vector<CopyChain> Chains;
-  std::unordered_map<uint64_t, size_t> ChainIndex;
+  FlatMap<uint64_t, size_t> ChainIndex;
 };
 
 } // namespace lud

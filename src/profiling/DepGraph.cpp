@@ -6,6 +6,19 @@
 
 using namespace lud;
 
+NodeId DepGraph::hitSlow(InstrId Instr, uint32_t Domain, NodeId SrcA,
+                         NodeId SrcB) {
+  NodeId N = getOrCreate(Instr, Domain);
+  ++Freqs[N];
+  addEdge(SrcA, N);
+  addEdge(SrcB, N);
+  if (Memo.size() < MemoInstrs)
+    Memo.resize(MemoInstrs);
+  if (Instr < Memo.size())
+    Memo[Instr] = {Domain, N, SrcA, SrcB};
+  return N;
+}
+
 std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
   assert((Nodes.empty() || ContextSlots == O.ContextSlots) &&
          "merging graphs built with different context-slot counts");

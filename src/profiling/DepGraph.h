@@ -22,9 +22,14 @@
 /// rather than node-based std containers: Definition 2 bounds the node set
 /// by |I| x s, so the tables can be sized up front and every profiling
 /// event resolves its node and edge membership in O(1) probes on
-/// contiguous memory. addEdge additionally memoizes the last inserted edge
-/// key, because consecutive dynamic instances of the same static
-/// instruction pair produce the same abstract edge (see docs/PERFORMANCE.md).
+/// contiguous memory.
+///
+/// On top of the tables sits the per-instruction memo that every profiler
+/// resolves its events through (hit()): per static instruction, the node
+/// and the def-use sources of its last event. These abstractions bound the
+/// domain, so a repeated event under the same domain element and sources
+/// resolves to the node and edges it produced last time and touches only
+/// the frequency counter (see docs/PERFORMANCE.md, "Memo caches").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +40,6 @@
 #include "support/FlatMap.h"
 #include "support/FlatSet.h"
 
-#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -144,25 +148,46 @@ public:
   size_t numEdges() const { return EdgeSet.size(); }
   size_t numRefEdges() const { return RefEdgeSet.size(); }
 
-  /// Records a def-use edge From -> To (dedup'd). The direct-mapped memo of
-  /// recently seen edge keys short-circuits the duplicate case: a hot loop
-  /// re-executes the same static def-use pairs cyclically with the same
-  /// domain elements millions of times, and the loop body's edge working
-  /// set is tiny, so nearly every event hits the memo and skips the
-  /// interning table entirely.
+  /// Resolves one event of \p Instr under \p Domain whose value flows from
+  /// up to two def-use sources (kNoNode for none): returns the node for
+  /// (Instr, Domain) with its frequency bumped, after recording the edges
+  /// SrcA -> node and SrcB -> node, in that order. This is the one event
+  /// entry point of the substrate and the clients; an event with more
+  /// sources adds the rest through addEdge.
+  ///
+  /// With the memo armed (armMemo), an instruction repeating its last
+  /// domain element skips the node-table probe, and each source equal to
+  /// the last event's skips addEdge: that edge is already in EdgeSet, so
+  /// the call could not change anything.
+  NodeId hit(InstrId Instr, uint32_t Domain, NodeId SrcA = kNoNode,
+             NodeId SrcB = kNoNode) {
+    if (Instr < Memo.size()) {
+      InstrMemo &E = Memo[Instr];
+      if (E.Domain == Domain && E.Node != kNoNode) {
+        ++Freqs[E.Node];
+        if (E.SrcA != SrcA) {
+          addEdge(SrcA, E.Node);
+          E.SrcA = SrcA;
+        }
+        if (E.SrcB != SrcB) {
+          addEdge(SrcB, E.Node);
+          E.SrcB = SrcB;
+        }
+        return E.Node;
+      }
+    }
+    return hitSlow(Instr, Domain, SrcA, SrcB);
+  }
+
+  /// Records a def-use edge From -> To (dedup'd); a kNoNode source (an
+  /// untracked value) and a self-edge record nothing.
   void addEdge(NodeId From, NodeId To) {
-    if (From == To)
+    if (From == To || From == kNoNode)
       return;
-    uint64_t Key = edgeKey(From, To);
-    uint64_t &Memo = RecentEdges[(Key * 0x9E3779B97F4A7C15ULL) >>
-                                 (64 - kRecentEdgeBits)];
-    if (HotPathMemo && Memo == Key)
-      return;
-    Memo = Key;
-    if (!EdgeSet.insert(Key))
-      return;
-    Nodes[From].Out.push_back(To);
-    Nodes[To].In.push_back(From);
+    if (EdgeSet.insert(edgeKey(From, To))) {
+      Nodes[From].Out.push_back(To);
+      Nodes[To].In.push_back(From);
+    }
   }
 
   /// Records a reference edge: heap-store node -> allocation node of the
@@ -179,13 +204,30 @@ public:
     return RefEdges;
   }
 
-  /// Enables/disables the edge memos (on by default; the cache-free
-  /// reference path of the equivalence tests turns them off).
+  /// Enables/disables the memos (on by default; SlicingConfig::HotPathCaches
+  /// off selects the cache-free reference path the equivalence tests
+  /// compare against). Off, hit() always probes the node table and calls
+  /// addEdge.
   void setHotPathMemo(bool On) {
     HotPathMemo = On;
-    RecentEdges.fill(~uint64_t(0));
+    if (!On) {
+      Memo.clear();
+      MemoInstrs = 0;
+    }
     LastRefEdgeKey = ~uint64_t(0);
   }
+
+  /// Arms the per-instruction memo for a module with \p NumInstrs static
+  /// instructions (a no-op while the memos are off). The first event
+  /// allocates it, so a graph that sees none costs nothing. Entries name
+  /// only this graph's nodes and edges, which are never renumbered or
+  /// removed, so they stay true across runs, modules and merges.
+  void armMemo(uint32_t NumInstrs) {
+    if (HotPathMemo)
+      MemoInstrs = NumInstrs;
+  }
+  /// Bytes held by the per-instruction memo.
+  size_t memoBytes() const { return Memo.capacity() * sizeof(InstrMemo); }
 
   /// Pre-sizes the interning tables for a module with \p NumInstrs static
   /// instructions. Definition 2 bounds nodes by |I| x s, but CR ~ 0 means
@@ -292,6 +334,18 @@ public:
   }
 
 private:
+  /// Per static instruction: the domain element, node and def-use sources
+  /// of its last event. Node == kNoNode marks a vacant entry.
+  struct InstrMemo {
+    uint32_t Domain = kNoDomain;
+    NodeId Node = kNoNode;
+    NodeId SrcA = kNoNode;
+    NodeId SrcB = kNoNode;
+  };
+  static_assert(sizeof(InstrMemo) == 16, "one memo entry per 16 bytes");
+
+  NodeId hitSlow(InstrId Instr, uint32_t Domain, NodeId SrcA, NodeId SrcB);
+
   static uint64_t edgeKey(NodeId A, NodeId B) {
     return (uint64_t(A) << 32) | B;
   }
@@ -325,22 +379,13 @@ private:
   HeapLocMap<std::vector<NodeId>> Writers;
   HeapLocMap<std::vector<NodeId>> Readers;
   HeapLocMap<std::vector<uint64_t>> RefChildren;
-  /// Direct-mapped cache of recently inserted edge keys. ~0 doubles as the
-  /// vacant marker; it is never a real key (kNoNode is filtered upstream).
-  /// 512 entries (4 KiB) covers the loop-body edge working set without
-  /// crowding L1 — the duplicate-edge rate is ~10^5:1, so conflict misses
-  /// here are the dominant residual cost of addEdge.
-  static constexpr unsigned kRecentEdgeBits = 9;
-  std::array<uint64_t, 1u << kRecentEdgeBits> RecentEdges = makeVacantMemo();
+  /// Indexed by InstrId; grown to MemoInstrs (the armMemo size) by the
+  /// first event, and empty while the memos are off.
+  std::vector<InstrMemo> Memo;
+  uint32_t MemoInstrs = 0;
   uint64_t LastRefEdgeKey = ~uint64_t(0);
   bool HotPathMemo = true;
   uint32_t ContextSlots = 1;
-
-  static std::array<uint64_t, 1u << kRecentEdgeBits> makeVacantMemo() {
-    std::array<uint64_t, 1u << kRecentEdgeBits> A;
-    A.fill(~uint64_t(0));
-    return A;
-  }
 };
 
 } // namespace lud

@@ -11,14 +11,20 @@
 
 using namespace lud;
 
-NodeId NullnessProfiler::hit(const Instruction &I, bool IsNull) {
-  NodeId N = G.getOrCreate(I.getId(), IsNull ? kNullDom : kNotNullDom);
-  ++G.freq(N);
-  return N;
+NullnessProfiler::NullnessProfiler(bool HotPathCaches) {
+  G.setHotPathMemo(HotPathCaches);
+}
+
+NullnessProfiler::ShadowVal NullnessProfiler::hit(const Instruction &I,
+                                                  bool IsNull, NodeId SrcA,
+                                                  NodeId SrcB) {
+  return {G.hit(I.getId(), IsNull ? kNullDom : kNotNullDom, SrcA, SrcB),
+          IsNull};
 }
 
 void NullnessProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   Sh.startRun(Heap_, Mod.globals().size());
+  G.armMemo(Mod.getNumInstrs());
 }
 
 void NullnessProfiler::onEntryFrame(const Function &F) {
@@ -30,24 +36,16 @@ void NullnessProfiler::onConst(const ConstInst &I) {
 }
 
 void NullnessProfiler::onAssign(const AssignInst &I) {
-  NodeId Src = regs()[I.Src];
-  bool IsNull = Src != kNoNode && G.node(Src).Domain == kNullDom;
-  NodeId N = hit(I, IsNull);
-  edgeFrom(Src, N);
-  regs()[I.Dst] = N;
+  ShadowVal Src = regs()[I.Src];
+  regs()[I.Dst] = hit(I, Src.IsNull, Src.N);
 }
 
 void NullnessProfiler::onBin(const BinInst &I) {
-  NodeId N = hit(I, /*IsNull=*/false);
-  edgeFrom(regs()[I.Lhs], N);
-  edgeFrom(regs()[I.Rhs], N);
-  regs()[I.Dst] = N;
+  regs()[I.Dst] = hit(I, /*IsNull=*/false, regs()[I.Lhs].N, regs()[I.Rhs].N);
 }
 
 void NullnessProfiler::onUn(const UnInst &I) {
-  NodeId N = hit(I, /*IsNull=*/false);
-  edgeFrom(regs()[I.Src], N);
-  regs()[I.Dst] = N;
+  regs()[I.Dst] = hit(I, /*IsNull=*/false, regs()[I.Src].N);
 }
 
 void NullnessProfiler::onAlloc(const AllocInst &I, ObjId O) {
@@ -56,54 +54,40 @@ void NullnessProfiler::onAlloc(const AllocInst &I, ObjId O) {
 }
 
 void NullnessProfiler::onAllocArray(const AllocArrayInst &I, ObjId O) {
-  NodeId N = hit(I, /*IsNull=*/false);
-  edgeFrom(regs()[I.Len], N);
-  regs()[I.Dst] = N;
+  regs()[I.Dst] = hit(I, /*IsNull=*/false, regs()[I.Len].N);
   Sh.objShadow(O);
 }
 
 void NullnessProfiler::onLoadField(const LoadFieldInst &I, ObjId Base,
                                    const Value &Loaded) {
-  NodeId N = hit(I, Loaded.isNullRef());
-  edgeFrom(Sh.objShadow(Base)[I.Slot], N);
-  regs()[I.Dst] = N;
+  regs()[I.Dst] = hit(I, Loaded.isNullRef(), Sh.objShadow(Base)[I.Slot].N);
 }
 
 void NullnessProfiler::onStoreField(const StoreFieldInst &I, ObjId Base,
                                     const Value &Stored) {
-  NodeId N = hit(I, Stored.isNullRef());
-  edgeFrom(regs()[I.Src], N);
-  Sh.objShadow(Base)[I.Slot] = N;
+  Sh.objShadow(Base)[I.Slot] = hit(I, Stored.isNullRef(), regs()[I.Src].N);
 }
 
 void NullnessProfiler::onLoadStatic(const LoadStaticInst &I,
                                     const Value &Loaded) {
-  NodeId N = hit(I, Loaded.isNullRef());
-  edgeFrom(Sh.staticAt(I.Global), N);
-  regs()[I.Dst] = N;
+  regs()[I.Dst] = hit(I, Loaded.isNullRef(), Sh.staticAt(I.Global).N);
 }
 
 void NullnessProfiler::onStoreStatic(const StoreStaticInst &I,
                                      const Value &Stored) {
-  NodeId N = hit(I, Stored.isNullRef());
-  edgeFrom(regs()[I.Src], N);
-  Sh.staticAt(I.Global) = N;
+  Sh.staticAt(I.Global) = hit(I, Stored.isNullRef(), regs()[I.Src].N);
 }
 
 void NullnessProfiler::onLoadElem(const LoadElemInst &I, ObjId Base,
                                   uint32_t Index, const Value &Loaded) {
-  NodeId N = hit(I, Loaded.isNullRef());
-  edgeFrom(Sh.objShadow(Base)[Index], N);
-  edgeFrom(regs()[I.Index], N);
-  regs()[I.Dst] = N;
+  regs()[I.Dst] = hit(I, Loaded.isNullRef(), Sh.objShadow(Base)[Index].N,
+                      regs()[I.Index].N);
 }
 
 void NullnessProfiler::onStoreElem(const StoreElemInst &I, ObjId Base,
                                    uint32_t Index, const Value &Stored) {
-  NodeId N = hit(I, Stored.isNullRef());
-  edgeFrom(regs()[I.Src], N);
-  edgeFrom(regs()[I.Index], N);
-  Sh.objShadow(Base)[Index] = N;
+  Sh.objShadow(Base)[Index] =
+      hit(I, Stored.isNullRef(), regs()[I.Src].N, regs()[I.Index].N);
 }
 
 void NullnessProfiler::onArrayLen(const ArrayLenInst &I, ObjId) {
@@ -111,23 +95,17 @@ void NullnessProfiler::onArrayLen(const ArrayLenInst &I, ObjId) {
 }
 
 void NullnessProfiler::onPredicate(const CondBrInst &I, bool) {
-  NodeId N = G.getOrCreate(I.getId(), kNoDomain);
-  DepGraph::Node &Node = G.node(N);
-  Node.Consumer = ConsumerKind::Predicate;
-  ++G.freq(N);
-  edgeFrom(regs()[I.Lhs], N);
-  edgeFrom(regs()[I.Rhs], N);
+  NodeId N = G.hit(I.getId(), kNoDomain, regs()[I.Lhs].N, regs()[I.Rhs].N);
+  G.node(N).Consumer = ConsumerKind::Predicate;
 }
 
 void NullnessProfiler::onNativeCall(const NativeCallInst &I) {
-  NodeId N = G.getOrCreate(I.getId(), kNoDomain);
-  DepGraph::Node &Node = G.node(N);
-  Node.Consumer = ConsumerKind::Native;
-  ++G.freq(N);
+  NodeId N = G.hit(I.getId(), kNoDomain);
+  G.node(N).Consumer = ConsumerKind::Native;
   for (Reg A : I.Args)
-    edgeFrom(regs()[A], N);
+    G.addEdge(regs()[A].N, N);
   if (I.Dst != kNoReg)
-    regs()[I.Dst] = N;
+    regs()[I.Dst] = {N, false};
 }
 
 void NullnessProfiler::onCallEnter(const CallInst &I, const Function &Callee,
@@ -136,13 +114,10 @@ void NullnessProfiler::onCallEnter(const CallInst &I, const Function &Callee,
 }
 
 void NullnessProfiler::onReturn(const ReturnInst &I) {
-  Sh.Pending = kNoNode;
+  Sh.Pending = ShadowVal();
   if (I.Src != kNoReg) {
-    NodeId Src = regs()[I.Src];
-    bool IsNull = Src != kNoNode && G.node(Src).Domain == kNullDom;
-    NodeId N = hit(I, IsNull);
-    edgeFrom(Src, N);
-    Sh.Pending = N;
+    ShadowVal Src = regs()[I.Src];
+    Sh.Pending = hit(I, Src.IsNull, Src.N);
   }
   Sh.popFrame();
 }
@@ -150,13 +125,13 @@ void NullnessProfiler::onReturn(const ReturnInst &I) {
 void NullnessProfiler::onReturnBound(Reg Dst) {
   if (Dst != kNoReg)
     regs()[Dst] = Sh.Pending;
-  Sh.Pending = kNoNode;
+  Sh.Pending = ShadowVal();
 }
 
 void NullnessProfiler::onTrap(const Instruction &I, TrapKind K, Reg FaultReg) {
   if (K != TrapKind::NullDeref || FaultReg == kNoReg)
     return;
-  Fault = regs()[FaultReg];
+  Fault = regs()[FaultReg].N;
   FaultInstr = I.getId();
 }
 
@@ -165,7 +140,7 @@ void NullnessProfiler::accountStats(obs::MetricsRegistry &R) const {
   R.set(R.gauge("nullness.graph.edges"), G.numEdges());
   R.set(R.gauge("nullness.fault"), Fault != kNoNode ? 1 : 0);
   R.set(R.gauge("mem.nullness.graph_bytes", obs::Unit::Bytes),
-        G.memoryFootprint().total() + G.internTableBytes());
+        G.memoryFootprint().total() + G.internTableBytes() + G.memoBytes());
 }
 
 void NullnessProfiler::mergeFrom(const NullnessProfiler &O) {

@@ -42,6 +42,10 @@ inline constexpr uint32_t kNotNullDom = 1;
 
 class NullnessProfiler {
 public:
+  /// \p HotPathCaches arms the graph's memos, as SlicingConfig's field of
+  /// the same name does for the substrate.
+  explicit NullnessProfiler(bool HotPathCaches = true);
+
   DepGraph &graph() { return G; }
   const DepGraph &graph() const { return G; }
 
@@ -89,18 +93,23 @@ public:
   void onTrap(const Instruction &I, TrapKind K, Reg FaultReg);
 
 private:
-  NodeId *regs() { return Sh.regs(); }
+  /// Shadow payload: the node that produced the location's value, and
+  /// whether that value was null (the node's domain element, carried here
+  /// so propagation never reads the node back).
+  struct ShadowVal {
+    NodeId N = kNoNode;
+    bool IsNull = false;
+  };
 
-  /// Creates/bumps the node for (I, null or not-null) and returns it.
-  NodeId hit(const Instruction &I, bool IsNull);
+  ShadowVal *regs() { return Sh.regs(); }
 
-  void edgeFrom(NodeId Src, NodeId To) {
-    if (Src != kNoNode)
-      G.addEdge(Src, To);
-  }
+  /// Resolves the event of \p I under (null or not-null) with its def-use
+  /// sources (DepGraph::hit) and returns the value it produces.
+  ShadowVal hit(const Instruction &I, bool IsNull, NodeId SrcA = kNoNode,
+                NodeId SrcB = kNoNode);
 
   DepGraph G;
-  ShadowMachine<NodeId> Sh{kNoNode};
+  ShadowMachine<ShadowVal> Sh;
   NodeId Fault = kNoNode;
   InstrId FaultInstr = kNoInstr;
 };

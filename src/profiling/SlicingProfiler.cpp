@@ -19,26 +19,15 @@ SlicingProfiler::SlicingProfiler(SlicingConfig Cfg)
   Ctx.reset();
 }
 
-NodeId SlicingProfiler::hit(const Instruction &I, uint32_t Domain) {
-  InstrId Instr = I.getId();
-  if (Instr < HitMemo.size()) {
-    InstrMemo &Memo = HitMemo[Instr];
-    if (Memo.Node != kNoNode && Memo.Domain == Domain) {
-      ++G.freq(Memo.Node);
-      return Memo.Node;
-    }
-  }
-  NodeId Id = G.getOrCreate(Instr, Domain);
-  uint64_t &F = G.freq(Id);
-  if (F == 0) {
+NodeId SlicingProfiler::hit(const Instruction &I, uint32_t Domain,
+                            NodeId SrcA, NodeId SrcB) {
+  NodeId Id = G.hit(I.getId(), Domain, SrcA, SrcB);
+  if (G.freq(Id) == 1) {
     DepGraph::Node &N = G.node(Id);
     N.ReadsHeap = I.readsHeap();
     N.WritesHeap = I.writesHeap();
     N.IsAlloc = I.isAlloc();
   }
-  ++F;
-  if (Instr < HitMemo.size())
-    HitMemo[Instr] = {Domain, Id};
   return Id;
 }
 
@@ -61,11 +50,9 @@ void SlicingProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   // (accumulating one graph), matching a merge of single-run profilers.
   HeapShadow.clear();
   PendingRet = kNoNode;
-  if (Cfg.HotPathCaches) {
-    if (HitMemo.size() != Mod.getNumInstrs())
-      HitMemo.assign(Mod.getNumInstrs(), InstrMemo{});
+  if (Cfg.HotPathCaches)
     G.reserveForRun(Mod.getNumInstrs());
-  }
+  G.armMemo(Mod.getNumInstrs());
   Enabled = (Cfg.TrackedPhaseMask & 1) != 0;
 }
 
@@ -107,9 +94,7 @@ void SlicingProfiler::onAssign(const AssignInst &I) {
     regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom());
-  edgeFrom(regs()[I.Src], N);
-  regs()[I.Dst] = N;
+  regs()[I.Dst] = hit(I, dom(), regs()[I.Src]);
 }
 
 void SlicingProfiler::onBin(const BinInst &I) {
@@ -117,10 +102,7 @@ void SlicingProfiler::onBin(const BinInst &I) {
     regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom());
-  edgeFrom(regs()[I.Lhs], N);
-  edgeFrom(regs()[I.Rhs], N);
-  regs()[I.Dst] = N;
+  regs()[I.Dst] = hit(I, dom(), regs()[I.Lhs], regs()[I.Rhs]);
 }
 
 void SlicingProfiler::onUn(const UnInst &I) {
@@ -128,9 +110,7 @@ void SlicingProfiler::onUn(const UnInst &I) {
     regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom());
-  edgeFrom(regs()[I.Src], N);
-  regs()[I.Dst] = N;
+  regs()[I.Dst] = hit(I, dom(), regs()[I.Src]);
 }
 
 void SlicingProfiler::onAlloc(const AllocInst &I, ObjId O) {
@@ -154,8 +134,7 @@ void SlicingProfiler::onAllocArray(const AllocArrayInst &I, ObjId O) {
     regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom());
-  edgeFrom(regs()[I.Len], N);
+  NodeId N = hit(I, dom(), regs()[I.Len]);
   uint64_t Tag = G.makeTag(I.Site, dom());
   H->obj(O).Tag = Tag;
   G.noteAlloc(Tag, N);
@@ -174,12 +153,10 @@ void SlicingProfiler::onLoadField(const LoadFieldInst &I, ObjId Base,
     regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom());
-  ShadowObject &SO = ensureShadow(Base);
-  uint64_t &E = SO.Slots[I.Slot];
-  edgeFrom(slotNode(E), N);
+  uint64_t &E = ensureShadow(Base).Slots[I.Slot];
+  NodeId N = hit(I, dom(), slotNode(E));
   if (!Cfg.ThinSlicing)
-    edgeFrom(regs()[I.Base], N);
+    G.addEdge(regs()[I.Base], N);
   if (slotState(E) == WrittenUnread)
     E = packSlot(slotNode(E), WrittenRead);
   regs()[I.Dst] = N;
@@ -193,12 +170,10 @@ void SlicingProfiler::onStoreField(const StoreFieldInst &I, ObjId Base,
     E = packSlot(kNoNode, slotState(E));
     return;
   }
-  NodeId N = hit(I, dom());
-  edgeFrom(regs()[I.Src], N);
+  NodeId N = hit(I, dom(), regs()[I.Src]);
   if (!Cfg.ThinSlicing)
-    edgeFrom(regs()[I.Base], N);
-  ShadowObject &SO = ensureShadow(Base);
-  uint64_t &E = SO.Slots[I.Slot];
+    G.addEdge(regs()[I.Base], N);
+  uint64_t &E = ensureShadow(Base).Slots[I.Slot];
   if (slotState(E) == WrittenUnread) {
     uint64_t Tag = H->obj(Base).Tag;
     if (Tag != kNoTag)
@@ -292,8 +267,7 @@ void SlicingProfiler::onLoadStatic(const LoadStaticInst &I, const Value &) {
     regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom());
-  edgeFrom(StaticShadow[I.Global], N);
+  NodeId N = hit(I, dom(), StaticShadow[I.Global]);
   if (StaticStates[I.Global] == WrittenUnread)
     StaticStates[I.Global] = WrittenRead;
   regs()[I.Dst] = N;
@@ -306,8 +280,7 @@ void SlicingProfiler::onStoreStatic(const StoreStaticInst &I,
     StaticShadow[I.Global] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom());
-  edgeFrom(regs()[I.Src], N);
+  NodeId N = hit(I, dom(), regs()[I.Src]);
   if (StaticStates[I.Global] == WrittenUnread)
     ++Activity[HeapLoc{DepGraph::makeStaticTag(I.Global), 0}].Overwrites;
   StaticShadow[I.Global] = N;
@@ -321,14 +294,11 @@ void SlicingProfiler::onLoadElem(const LoadElemInst &I, ObjId Base,
     regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom());
-  ShadowObject &SO = ensureShadow(Base);
-  uint64_t &E = SO.Slots[Index];
-  edgeFrom(slotNode(E), N);
+  uint64_t &E = ensureShadow(Base).Slots[Index];
   // The element index is a use even under thin slicing (Section 2.1).
-  edgeFrom(regs()[I.Index], N);
+  NodeId N = hit(I, dom(), slotNode(E), regs()[I.Index]);
   if (!Cfg.ThinSlicing)
-    edgeFrom(regs()[I.Base], N);
+    G.addEdge(regs()[I.Base], N);
   if (slotState(E) == WrittenUnread)
     E = packSlot(slotNode(E), WrittenRead);
   regs()[I.Dst] = N;
@@ -342,13 +312,10 @@ void SlicingProfiler::onStoreElem(const StoreElemInst &I, ObjId Base,
     E = packSlot(kNoNode, slotState(E));
     return;
   }
-  NodeId N = hit(I, dom());
-  edgeFrom(regs()[I.Src], N);
-  edgeFrom(regs()[I.Index], N);
+  NodeId N = hit(I, dom(), regs()[I.Src], regs()[I.Index]);
   if (!Cfg.ThinSlicing)
-    edgeFrom(regs()[I.Base], N);
-  ShadowObject &SO = ensureShadow(Base);
-  uint64_t &E = SO.Slots[Index];
+    G.addEdge(regs()[I.Base], N);
+  uint64_t &E = ensureShadow(Base).Slots[Index];
   if (slotState(E) == WrittenUnread) {
     uint64_t Tag = H->obj(Base).Tag;
     if (Tag != kNoTag)
@@ -363,11 +330,9 @@ void SlicingProfiler::onArrayLen(const ArrayLenInst &I, ObjId Base) {
     regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom());
-  ShadowObject &SO = ensureShadow(Base);
-  edgeFrom(SO.Len, N);
+  NodeId N = hit(I, dom(), ensureShadow(Base).Len);
   if (!Cfg.ThinSlicing)
-    edgeFrom(regs()[I.Base], N);
+    G.addEdge(regs()[I.Base], N);
   regs()[I.Dst] = N;
   noteLoad(N, H->obj(Base).Tag, kLenSlot);
 }
@@ -375,10 +340,8 @@ void SlicingProfiler::onArrayLen(const ArrayLenInst &I, ObjId Base) {
 void SlicingProfiler::onPredicate(const CondBrInst &I, bool Taken) {
   if (!Enabled)
     return;
-  NodeId N = hit(I, kNoDomain);
+  NodeId N = hit(I, kNoDomain, regs()[I.Lhs], regs()[I.Rhs]);
   G.node(N).Consumer = ConsumerKind::Predicate;
-  edgeFrom(regs()[I.Lhs], N);
-  edgeFrom(regs()[I.Rhs], N);
   PredicateOutcome &O = predRef(N);
   if (Taken)
     ++O.TakenCount;
@@ -395,7 +358,7 @@ void SlicingProfiler::onNativeCall(const NativeCallInst &I) {
   NodeId N = hit(I, kNoDomain);
   G.node(N).Consumer = ConsumerKind::Native;
   for (Reg A : I.Args)
-    edgeFrom(regs()[A], N);
+    G.addEdge(regs()[A], N);
   if (I.Dst != kNoReg)
     regs()[I.Dst] = N;
 }
@@ -440,9 +403,7 @@ void SlicingProfiler::onCallEnter(const CallInst &I, const Function &Callee,
 void SlicingProfiler::onReturn(const ReturnInst &I) {
   PendingRet = kNoNode;
   if (Enabled && I.Src != kNoReg) {
-    NodeId N = hit(I, dom());
-    edgeFrom(regs()[I.Src], N);
-    PendingRet = N;
+    PendingRet = hit(I, dom(), regs()[I.Src]);
   }
   if (FrameDepth > 1) {
     --FrameDepth;
@@ -559,8 +520,7 @@ void SlicingProfiler::accountStats(obs::MetricsRegistry &R) const {
         StaticShadow.capacity() * sizeof(NodeId) +
             StaticStates.capacity() * sizeof(uint8_t));
 
-  size_t MemoBytes = HitMemo.capacity() * sizeof(InstrMemo) +
-                     NodeAct.capacity() * sizeof(ActMemo) +
+  size_t MemoBytes = G.memoBytes() + NodeAct.capacity() * sizeof(ActMemo) +
                      NodePred.capacity() * sizeof(ActMemo);
   size_t CtxBytes = SeenContexts.capacity() * sizeof(FlatSet<uint64_t>);
   for (const FlatSet<uint64_t> &S : SeenContexts)
@@ -604,6 +564,4 @@ void SlicingProfiler::mergeFrom(const SlicingProfiler &O) {
       SeenContexts[F].insert(C);
   if (!M)
     M = O.M;
-  // The hit memo refers to this graph's node ids, which a merge never
-  // renumbers, so it stays valid.
 }

@@ -11,6 +11,10 @@
 /// location (register, heap slot, static) to the graph node that last wrote
 /// it; a tracking stack passes shadows and receiver-object chains across
 /// calls; object tags (environment P) live in the heap object headers.
+/// Every fixed-arity event resolves its node, frequency and up to two
+/// def-use edges in one DepGraph::hit call, the same per-instruction memo
+/// the client graphs use; only natives and the base-pointer edge of
+/// non-thin slicing add further edges one by one.
 ///
 /// Phase markers (the `phase` pseudo-native) gate tracking so the paper's
 /// selective-phase overhead experiment (Section 4.1) can be reproduced:
@@ -49,10 +53,11 @@ struct SlicingConfig {
   /// Object-sensitive contexts; false collapses the domain to one slot
   /// (context-insensitive ablation).
   bool ContextSensitive = true;
-  /// Hot-path memo caches: the per-instruction (domain -> node) memo, the
-  /// last-edge memo, and table pre-sizing from the module. Results are
-  /// bit-identical either way; turning this off selects the cache-free
-  /// reference path the equivalence tests compare against.
+  /// Hot-path memo caches: DepGraph's per-instruction memo (in the
+  /// substrate's graph and in every client graph), the last-ref-edge memo,
+  /// the per-node activity memos, and table pre-sizing from the module.
+  /// Results are bit-identical either way; turning this off selects the
+  /// cache-free reference path the equivalence tests compare against.
   bool HotPathCaches = true;
 };
 
@@ -180,16 +185,9 @@ private:
 
   uint32_t dom() const { return Cfg.ContextSensitive ? Ctx.slot() : 0; }
 
-  /// Node for (I, Domain), with flags initialized and frequency bumped.
-  /// The common case — this static instruction re-executing under the
-  /// domain element it was last seen with — is answered from HitMemo, a
-  /// dense vector indexed by InstrId, without touching the interning table.
-  NodeId hit(const Instruction &I, uint32_t Domain);
-
-  void edgeFrom(NodeId Src, NodeId To) {
-    if (Src != kNoNode)
-      G.addEdge(Src, To);
-  }
+  /// DepGraph::hit, plus the node's heap flags on its first event.
+  NodeId hit(const Instruction &I, uint32_t Domain, NodeId SrcA = kNoNode,
+             NodeId SrcB = kNoNode);
 
   ShadowObject &ensureShadow(ObjId O);
 
@@ -231,14 +229,6 @@ private:
   std::vector<FlatSet<uint64_t>> SeenContexts;
   FlatMap<NodeId, PredicateOutcome> PredOutcomes;
   HeapLocMap<LocationActivity> Activity;
-
-  /// Last (domain -> node) resolved per static instruction; Node==kNoNode
-  /// means no memo. Empty when Cfg.HotPathCaches is off.
-  struct InstrMemo {
-    uint32_t Domain = kNoDomain;
-    NodeId Node = kNoNode;
-  };
-  std::vector<InstrMemo> HitMemo;
 
   /// Per-node memo of the Activity slot for the node's current effect
   /// location, valid while the map generation matches (raw-slot API of

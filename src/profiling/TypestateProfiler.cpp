@@ -7,8 +7,23 @@
 
 using namespace lud;
 
-void TypestateProfiler::onRunStart(const Module &, Heap &Heap_) {
+TypestateProfiler::TypestateProfiler(TypestateSpec Spec_,
+                                     const SlicingProfiler &Substrate)
+    : Spec(std::move(Spec_)), Sub(&Substrate) {
+  G.setHotPathMemo(Substrate.config().HotPathCaches);
+  for (const auto &[Key, To] : Spec.Transitions)
+    if ((Key >> 32) < Spec.NumStates)
+      Alphabet.insert(MethodNameId(Key));
+}
+
+void TypestateProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   H = &Heap_;
+  // Object ids restart with every run's heap, so per-object state does
+  // not carry over: a reused profiler must match a merge of single-run
+  // profilers, as the substrate's per-run shadow reset does.
+  StateOf.clear();
+  LastEvent.clear();
+  G.armMemo(Mod.getNumInstrs());
 }
 
 void TypestateProfiler::ensure(ObjId O) {
@@ -36,30 +51,13 @@ void TypestateProfiler::onCallEnter(const CallInst &I, const Function &,
     return;
   ensure(Receiver);
   // Only events in the protocol's alphabet are state-changing.
-  uint32_t State = StateOf[Receiver];
-  bool InAlphabet = false;
-  for (uint32_t S = 0; S != Spec.NumStates && !InAlphabet; ++S)
-    InAlphabet = Spec.Transitions.count(TypestateSpec::key(S, I.Method)) != 0;
-  if (!InAlphabet)
+  if (!Alphabet.contains(I.Method))
     return;
-
-  NodeId N = G.getOrCreate(I.getId(), domainOf(Site, State));
-  ++G.freq(N);
-  if (LastEvent[Receiver] != kNoNode &&
-      (Events.empty() || Events.back().From != LastEvent[Receiver] ||
-       Events.back().To != N || Events.back().Method != I.Method)) {
-    // Memorize the last event per object (Section 2.1); deduplicate the
-    // common repeat case cheaply, the full set below.
-    bool Seen = false;
-    for (const EventEdge &E : Events)
-      if (E.From == LastEvent[Receiver] && E.To == N &&
-          E.Method == I.Method) {
-        Seen = true;
-        break;
-      }
-    if (!Seen)
-      Events.push_back({LastEvent[Receiver], N, I.Method});
-  }
+  uint32_t State = StateOf[Receiver];
+  NodeId N = G.hit(I.getId(), domainOf(Site, State));
+  // Memorize the last event per object (Section 2.1).
+  if (LastEvent[Receiver] != kNoNode)
+    addEvent({LastEvent[Receiver], N, I.Method});
   LastEvent[Receiver] = N;
 
   auto It = Spec.Transitions.find(TypestateSpec::key(State, I.Method));
@@ -76,24 +74,15 @@ void TypestateProfiler::accountStats(obs::MetricsRegistry &R) const {
   R.set(R.gauge("typestate.graph.nodes"), G.numNodes());
   R.set(R.gauge("typestate.graph.edges"), G.numEdges());
   R.set(R.gauge("mem.typestate.graph_bytes", obs::Unit::Bytes),
-        G.memoryFootprint().total() + G.internTableBytes());
+        G.memoryFootprint().total() + G.internTableBytes() + G.memoBytes());
 }
 
 void TypestateProfiler::mergeFrom(const TypestateProfiler &O) {
   std::vector<NodeId> Remap = G.mergeFrom(O.G);
   for (const TypestateViolation &V : O.Violations)
     Violations.push_back(V);
-  for (const EventEdge &E : O.Events) {
-    EventEdge R{Remap[E.From], Remap[E.To], E.Method};
-    bool Seen = false;
-    for (const EventEdge &X : Events)
-      if (X.From == R.From && X.To == R.To && X.Method == R.Method) {
-        Seen = true;
-        break;
-      }
-    if (!Seen)
-      Events.push_back(R);
-  }
+  for (const EventEdge &E : O.Events)
+    addEvent({Remap[E.From], Remap[E.To], E.Method});
 }
 
 std::string TypestateProfiler::describeHistory(const Module &Mod) const {

@@ -31,6 +31,7 @@
 #include "profiling/SlicingProfiler.h"
 #include "runtime/Heap.h"
 #include "runtime/ProfilerConcept.h"
+#include "support/FlatSet.h"
 
 #include <string>
 #include <unordered_map>
@@ -87,8 +88,8 @@ public:
   /// \p Substrate is the slicing profiler whose heap tags provide the
   /// receivers' allocation sites; it must run in the same pipeline, before
   /// this stage.
-  TypestateProfiler(TypestateSpec Spec, const SlicingProfiler &Substrate)
-      : Spec(std::move(Spec)), Sub(&Substrate) {}
+  /// The client graph follows the substrate's SlicingConfig::HotPathCaches.
+  TypestateProfiler(TypestateSpec Spec, const SlicingProfiler &Substrate);
 
   DepGraph &graph() { return G; }
   const DepGraph &graph() const { return G; }
@@ -104,6 +105,9 @@ public:
     NodeId From;
     NodeId To;
     MethodNameId Method;
+    bool operator==(const EventEdge &O) const {
+      return From == O.From && To == O.To && Method == O.Method;
+    }
   };
   const std::vector<EventEdge> &eventEdges() const { return Events; }
 
@@ -140,6 +144,27 @@ private:
   std::vector<NodeId> LastEvent;        // per ObjId
   std::vector<TypestateViolation> Violations;
   std::vector<EventEdge> Events;
+  /// Methods with a transition out of some state: the events that can
+  /// change a tracked object's state. Computed once from the spec.
+  FlatSet<MethodNameId> Alphabet;
+
+  struct EventEdgeHash {
+    size_t operator()(const EventEdge &E) const {
+      return FlatIntHash{}(((uint64_t(E.From) << 32) | E.To) ^
+                           (uint64_t(E.Method) * 0x9E3779B97F4A7C15ULL));
+    }
+  };
+  struct EventEdgeEmpty {
+    static EventEdge value() { return {kNoNode, kNoNode, kNoMethodName}; }
+  };
+  /// The members of Events, for deduplication.
+  FlatSet<EventEdge, EventEdgeHash, EventEdgeEmpty> EventSet;
+
+  /// Appends \p E to Events unless it is already there.
+  void addEvent(const EventEdge &E) {
+    if (EventSet.insert(E))
+      Events.push_back(E);
+  }
 
   void ensure(ObjId O);
   /// Receiver's allocation site from its substrate-written heap tag

@@ -124,10 +124,19 @@ int main(int argc, char **argv) {
              return parseBool("--context-sensitive", S,
                               Check.Slicing.ContextSensitive);
            });
-  P.custom("--caches", cli::ValueMode::Required,
+  P.custom("--hot-path-caches", cli::ValueMode::Required,
            "0|1  base HotPathCaches setting for --check (default 1)",
            [&](const std::string &S) {
-             return parseBool("--caches", S, Check.Slicing.HotPathCaches);
+             return parseBool("--hot-path-caches", S,
+                              Check.Slicing.HotPathCaches);
+           });
+  // Everywhere else --caches is a report section, so lud-fuzz's old
+  // spelling of this knob is refused by name rather than reinterpreted.
+  P.custom("--caches", cli::ValueMode::Optional,
+           "renamed to --hot-path-caches", [](const std::string &) {
+             errs() << "option '--caches' was renamed to "
+                       "'--hot-path-caches'\n";
+             return false;
            });
   P.custom("--engines", cli::ValueMode::Required,
            "0|1  cross-check threaded vs interpreted execution (default 1)",

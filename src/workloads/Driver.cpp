@@ -61,7 +61,7 @@ void ProfileSession::ensureProfilers(const Module &M) {
   if (Cfg.Clients.hasCopy() && !Copy)
     Copy = std::make_unique<CopyProfiler>(*Slicing);
   if (Cfg.Clients.hasNullness() && !Null)
-    Null = std::make_unique<NullnessProfiler>();
+    Null = std::make_unique<NullnessProfiler>(Cfg.Slicing.HotPathCaches);
   if (Cfg.Clients.hasTypestate() && !Type) {
     TypestateSpec Spec =
         Cfg.Typestate.NumStates ? Cfg.Typestate : lifecycleSpec(M);

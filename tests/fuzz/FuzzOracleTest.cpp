@@ -131,7 +131,7 @@ TEST(FuzzOracleTest, ConfigFlagsSpellOutEveryKnob) {
   EXPECT_NE(Flags.find("--clients="), std::string::npos) << Flags;
   EXPECT_NE(Flags.find("--thin-slicing="), std::string::npos) << Flags;
   EXPECT_NE(Flags.find("--context-sensitive="), std::string::npos) << Flags;
-  EXPECT_NE(Flags.find("--caches="), std::string::npos) << Flags;
+  EXPECT_NE(Flags.find("--hot-path-caches="), std::string::npos) << Flags;
 
   EXPECT_EQ(clientSetName(ClientSet::none()), "none");
   EXPECT_EQ(clientSetName(ClientSet::all()), "all");

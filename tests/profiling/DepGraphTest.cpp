@@ -2,6 +2,7 @@
 
 #include "profiling/Context.h"
 #include "profiling/DepGraph.h"
+#include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,40 @@ TEST(DepGraphTest, EdgesAreDeduplicated) {
   // Reverse direction is a distinct edge.
   G.addEdge(B, A);
   EXPECT_EQ(G.numEdges(), 2u);
+}
+
+// hit() with the per-instruction memo armed must build exactly the graph
+// the memo-free path builds: same nodes, frequencies, and In/Out lists in
+// the same order — including partial hits, where the domain repeats but
+// one source changes, and self-edges.
+TEST(DepGraphTest, HitMemoIsObservationFree) {
+  DepGraph On, Off;
+  Off.setHotPathMemo(false);
+  On.armMemo(6);
+  Off.armMemo(6);
+  RNG R(7);
+  std::vector<NodeId> Last(6, kNoNode);
+  for (int Step = 0; Step != 4000; ++Step) {
+    InstrId I = InstrId(R.nextBelow(6));
+    uint32_t D = R.nextBelow(3) == 0 ? kNoDomain : uint32_t(R.nextBelow(2));
+    auto Src = [&] {
+      return R.nextBelow(4) == 0 ? kNoNode : Last[R.nextBelow(6)];
+    };
+    NodeId A = Src(), B = Src();
+    NodeId N = On.hit(I, D, A, B);
+    ASSERT_EQ(Off.hit(I, D, A, B), N);
+    Last[I] = N;
+  }
+  ASSERT_EQ(On.numNodes(), Off.numNodes());
+  EXPECT_EQ(On.numEdges(), Off.numEdges());
+  EXPECT_GT(On.numEdges(), 0u);
+  EXPECT_GT(On.memoBytes(), 0u);
+  EXPECT_EQ(Off.memoBytes(), 0u);
+  for (NodeId N = 0; N != NodeId(On.numNodes()); ++N) {
+    EXPECT_EQ(On.freq(N), Off.freq(N));
+    EXPECT_EQ(On.node(N).In, Off.node(N).In);
+    EXPECT_EQ(On.node(N).Out, Off.node(N).Out);
+  }
 }
 
 TEST(DepGraphTest, RefEdgesSeparateFromDataEdges) {
