@@ -89,19 +89,24 @@ UsageEvidence lud::summarizeUsage(const Module &M, const FrozenGraph &G,
     if (UsageSummary *S = structureFor(Tag); S && !S->IsStatic)
       S->Instances += G.freq(Node);
 
-  // Phase counters per location, folded per structure, plus the
-  // dead-write volume over each location's writer nodes.
-  for (const LocPhaseSummary &P : buildPhaseSummaries(G, Activity)) {
-    UsageSummary *S = structureFor(P.Loc.Tag);
+  // Phase counters per location of the sealed universe, folded per
+  // structure, plus the dead-write volume over each location's writer
+  // nodes. Locations with no activity (pure spine locations) still count.
+  for (size_t I = 0; I != G.numLocs(); ++I) {
+    HeapLoc L = G.loc(I);
+    UsageSummary *S = structureFor(L.Tag);
     if (!S)
       continue;
     ++S->Locs;
-    S->Writes += P.Writes;
-    S->Reads += P.Reads;
-    S->Overwrites += P.Overwrites;
-    S->ReadsAfterLastWrite += P.ReadsAfterLastWrite;
+    if (auto It = Activity.find(L); It != Activity.end()) {
+      const LocationActivity &A = It->second;
+      S->Writes += A.Writes;
+      S->Reads += A.Reads;
+      S->Overwrites += A.Overwrites;
+      S->ReadsAfterLastWrite += A.ReadsAfterLastWrite;
+    }
     if (DV)
-      for (NodeId W : G.writersOf(P.Loc))
+      for (NodeId W : G.writersOf(L))
         if (W < DV->Dead.size() && DV->Dead[W])
           S->DeadWriteFreq += G.freq(W);
   }

@@ -23,7 +23,8 @@
 #define LUD_ANALYSIS_EVIDENCE_H
 
 #include "analysis/DeadValues.h"
-#include "profiling/PhaseSummary.h"
+#include "profiling/FrozenGraph.h"
+#include "profiling/SlicingProfiler.h"
 
 #include <string>
 #include <vector>

@@ -1,4 +1,4 @@
-//===- profiling/ShadowMachine.h - Shared client shadow state --*- C++ -*-===//
+//===- profiling/ShadowMachine.h - Shared shadow environments --*- C++ -*-===//
 //
 // Part of the lud project: a reproduction of "Finding Low-Utility Data
 // Structures" (PLDI 2010).
@@ -6,20 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shadow-location machinery every abstract-slicing client needs
+/// The shadow-location machinery every abstract-slicing profiler needs
 /// (Figure 4's environments, minus the graph): per-register shadows with a
 /// call stack, per-object per-slot heap shadows, per-global static shadows,
-/// and the in-flight return shadow. Before the pipeline refactor each
-/// client profiler carried its own copy of this; now CopyProfiler and
-/// NullnessProfiler instantiate ShadowMachine over their shadow value type
-/// and keep only the domain logic.
+/// and the in-flight return shadow. SlicingProfiler, CopyProfiler and
+/// NullnessProfiler all instantiate it and keep only their domain logic.
+/// Registers and heap/static slots may hold different types: the substrate
+/// keeps a bare writer node per register but packs a read/overwrite state
+/// next to the writer in every slot.
 ///
-/// The register stack uses the SlicingProfiler frame-pool idiom: returning
-/// pops the logical depth but keeps the frame vector's buffer, so a call
-/// re-entering that depth assigns in place instead of mallocing a fresh
-/// frame. Inner buffers stay put when the outer pool grows because vector
-/// moves steal them, so the cached current-frame pointer stays valid across
-/// pushes at already-visited depths.
+/// The register stack is a depth-indexed stack over a reused frame pool:
+/// returning pops the logical depth but keeps the frame vector's buffer, so
+/// a call re-entering that depth assigns in place instead of mallocing a
+/// fresh frame (calls are the second-hottest event after loads). Inner
+/// buffers stay put when the outer pool grows because vector moves steal
+/// them, so the cached current-frame pointer stays valid across pushes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,22 +30,27 @@
 #include "ir/Instruction.h"
 #include "runtime/Heap.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace lud {
 
 class Function;
 
-template <typename ShadowT> class ShadowMachine {
+template <typename RegT, typename SlotT = RegT> class ShadowMachine {
 public:
-  explicit ShadowMachine(ShadowT NullVal = ShadowT()) : Null(NullVal) {}
+  /// \p NullR and \p NullS are what a register and a heap or static slot
+  /// hold before anything is written to them.
+  explicit ShadowMachine(RegT NullR = RegT(), SlotT NullS = SlotT())
+      : Pending(NullR), NullReg(NullR), NullSlot(NullS) {}
 
-  /// Binds the run's heap and resets the static shadows (onRunStart).
+  /// Binds the run's heap and resets the heap, static and return shadows
+  /// (onRunStart).
   void startRun(Heap &Heap_, size_t NumGlobals) {
     H = &Heap_;
-    Statics.assign(NumGlobals, Null);
+    Statics.assign(NumGlobals, NullSlot);
     Objects.clear();
-    Pending = Null;
+    Pending = NullReg;
   }
 
   /// Resets the register stack to one frame for the entry function
@@ -52,14 +58,14 @@ public:
   void enterEntry(uint32_t NumRegs) {
     if (Frames.empty())
       Frames.emplace_back();
-    Frames[0].assign(NumRegs, Null);
+    Frames[0].assign(NumRegs, NullReg);
     Depth = 1;
     CurRegs = Frames[0].data();
   }
 
   /// Current frame's register shadows.
-  ShadowT *regs() { return CurRegs; }
-  const ShadowT *regs() const { return CurRegs; }
+  RegT *regs() { return CurRegs; }
+  const RegT *regs() const { return CurRegs; }
 
   /// Pushes the callee frame, copying the actuals' shadows into the leading
   /// parameter registers and nulling the rest (onCallEnter: fires while the
@@ -67,49 +73,73 @@ public:
   void pushFrame(const CallInst &I, uint32_t CalleeRegs) {
     if (Frames.size() <= Depth)
       Frames.emplace_back();
-    std::vector<ShadowT> &Callee = Frames[Depth];
-    Callee.assign(CalleeRegs, Null);
-    const ShadowT *Caller = CurRegs;
-    for (size_t A = 0, E = I.Args.size(); A != E; ++A)
+    std::vector<RegT> &Callee = Frames[Depth];
+    Callee.resize(CalleeRegs);
+    const RegT *Caller = CurRegs;
+    size_t NumArgs = I.Args.size();
+    for (size_t A = 0; A != NumArgs; ++A)
       Callee[A] = Caller[I.Args[A]];
+    // Only the non-parameter registers need clearing; the first NumArgs
+    // were just overwritten with the actuals' shadows.
+    std::fill(Callee.begin() + NumArgs, Callee.end(), NullReg);
     ++Depth;
     CurRegs = Callee.data();
   }
 
-  /// Pops back to the caller frame (onReturn; the entry frame stays).
-  void popFrame() {
-    if (Depth > 1) {
-      --Depth;
-      CurRegs = Frames[Depth - 1].data();
-    }
+  /// Pops back to the caller frame (onReturn). The entry frame stays;
+  /// returns whether a frame was popped.
+  bool popFrame() {
+    if (Depth <= 1)
+      return false;
+    --Depth;
+    CurRegs = Frames[Depth - 1].data();
+    return true;
   }
 
-  ShadowT &staticAt(GlobalId G) { return Statics[G]; }
+  SlotT &staticAt(GlobalId G) { return Statics[G]; }
 
   /// Per-slot shadows of object \p O, grown on demand to the object's slot
   /// count (arrays included).
-  std::vector<ShadowT> &objShadow(ObjId O) {
+  std::vector<SlotT> &objShadow(ObjId O) {
     if (Objects.size() <= O)
       Objects.resize(H->idBound());
-    std::vector<ShadowT> &S = Objects[O];
+    std::vector<SlotT> &S = Objects[O];
     size_t Need = H->obj(O).Slots.size();
     if (S.size() < Need)
-      S.resize(Need, Null);
+      S.resize(Need, NullSlot);
     return S;
   }
 
+  /// Object shadows indexed by ObjId; objects no event touched are empty.
+  const std::vector<std::vector<SlotT>> &objects() const { return Objects; }
+
+  /// Retained bytes of the object shadows, the register-frame pool and the
+  /// static shadows (the `mem.shadow.*` gauges).
+  size_t heapBytes() const { return poolBytes(Objects); }
+  size_t regBytes() const { return poolBytes(Frames); }
+  size_t staticBytes() const { return Statics.capacity() * sizeof(SlotT); }
+
   /// The return value's shadow, in flight between onReturn (callee side)
   /// and onReturnBound (caller side).
-  ShadowT Pending;
+  RegT Pending;
 
 private:
-  ShadowT Null;
+  template <typename T>
+  static size_t poolBytes(const std::vector<std::vector<T>> &Pool) {
+    size_t Bytes = Pool.capacity() * sizeof(std::vector<T>);
+    for (const std::vector<T> &V : Pool)
+      Bytes += V.capacity() * sizeof(T);
+    return Bytes;
+  }
+
+  RegT NullReg;
+  SlotT NullSlot;
   Heap *H = nullptr;
-  std::vector<std::vector<ShadowT>> Frames;
+  std::vector<std::vector<RegT>> Frames;
   size_t Depth = 0;
-  ShadowT *CurRegs = nullptr;
-  std::vector<std::vector<ShadowT>> Objects;
-  std::vector<ShadowT> Statics;
+  RegT *CurRegs = nullptr;
+  std::vector<std::vector<SlotT>> Objects;
+  std::vector<SlotT> Statics;
 };
 
 } // namespace lud

@@ -31,25 +31,13 @@ NodeId SlicingProfiler::hit(const Instruction &I, uint32_t Domain,
   return Id;
 }
 
-SlicingProfiler::ShadowObject &SlicingProfiler::ensureShadow(ObjId O) {
-  if (HeapShadow.size() <= O)
-    HeapShadow.resize(H->idBound());
-  ShadowObject &SO = HeapShadow[O];
-  size_t Need = H->obj(O).Slots.size();
-  if (SO.Slots.size() < Need)
-    SO.Slots.resize(Need, packSlot(kNoNode, Virgin));
-  return SO;
-}
-
 void SlicingProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   M = &Mod;
   H = &Heap_;
-  StaticShadow.assign(Mod.globals().size(), kNoNode);
-  StaticStates.assign(Mod.globals().size(), Virgin);
   // Per-run shadow state resets so a profiler can be reused across runs
   // (accumulating one graph), matching a merge of single-run profilers.
-  HeapShadow.clear();
-  PendingRet = kNoNode;
+  Sh.startRun(Heap_, Mod.globals().size());
+  LenShadow.clear();
   if (Cfg.HotPathCaches)
     G.reserveForRun(Mod.getNumInstrs());
   G.armMemo(Mod.getNumInstrs());
@@ -60,12 +48,7 @@ void SlicingProfiler::onRunEnd() {}
 
 void SlicingProfiler::onEntryFrame(const Function &F) {
   Ctx.reset();
-  if (RegShadow.empty())
-    RegShadow.emplace_back();
-  RegShadow[0].assign(F.getNumRegs(), kNoNode);
-  FrameDepth = 1;
-  CurRegs = RegShadow[0].data();
-  FuncStack.assign(1, F.getId());
+  Sh.enterEntry(F.getNumRegs());
   if (Enabled) {
     seenContextsFor(F.getId()).insert(Ctx.current());
     LastCtxFunc = F.getId();
@@ -125,7 +108,7 @@ void SlicingProfiler::onAlloc(const AllocInst &I, ObjId O) {
   DepGraph::Node &Node = G.node(N);
   Node.Effect = EffectKind::Alloc;
   Node.EffectLoc = {Tag, 0};
-  ensureShadow(O);
+  Sh.objShadow(O);
   regs()[I.Dst] = N;
 }
 
@@ -141,8 +124,8 @@ void SlicingProfiler::onAllocArray(const AllocArrayInst &I, ObjId O) {
   DepGraph::Node &Node = G.node(N);
   Node.Effect = EffectKind::Alloc;
   Node.EffectLoc = {Tag, 0};
-  ShadowObject &SO = ensureShadow(O);
-  SO.Len = N;
+  Sh.objShadow(O);
+  lenShadow(O) = N;
   G.noteWriter({Tag, kLenSlot}, N);
   regs()[I.Dst] = N;
 }
@@ -153,34 +136,32 @@ void SlicingProfiler::onLoadField(const LoadFieldInst &I, ObjId Base,
     regs()[I.Dst] = kNoNode;
     return;
   }
-  uint64_t &E = ensureShadow(Base).Slots[I.Slot];
-  NodeId N = hit(I, dom(), slotNode(E));
-  if (!Cfg.ThinSlicing)
-    G.addEdge(regs()[I.Base], N);
-  if (slotState(E) == WrittenUnread)
-    E = packSlot(slotNode(E), WrittenRead);
+  NodeId N = hit(I, dom(), loadSlot(Sh.objShadow(Base)[I.Slot]));
+  baseEdge(I.Base, N);
   regs()[I.Dst] = N;
   noteLoad(N, H->obj(Base).Tag, I.Slot);
 }
 
 void SlicingProfiler::onStoreField(const StoreFieldInst &I, ObjId Base,
                                    const Value &Stored) {
-  if (!Enabled) {
-    uint64_t &E = ensureShadow(Base).Slots[I.Slot];
+  NodeId N = kNoNode;
+  if (Enabled) {
+    N = hit(I, dom(), regs()[I.Src]);
+    baseEdge(I.Base, N);
+  }
+  storeSlot(Sh.objShadow(Base)[I.Slot], N, H->obj(Base).Tag, I.Slot, Stored);
+}
+
+void SlicingProfiler::storeSlot(uint64_t &E, NodeId N, uint64_t Tag,
+                                FieldSlot Slot, const Value &Stored) {
+  if (N == kNoNode) {
     E = packSlot(kNoNode, slotState(E));
     return;
   }
-  NodeId N = hit(I, dom(), regs()[I.Src]);
-  if (!Cfg.ThinSlicing)
-    G.addEdge(regs()[I.Base], N);
-  uint64_t &E = ensureShadow(Base).Slots[I.Slot];
-  if (slotState(E) == WrittenUnread) {
-    uint64_t Tag = H->obj(Base).Tag;
-    if (Tag != kNoTag)
-      ++Activity[HeapLoc{Tag, I.Slot}].Overwrites;
-  }
+  if (slotState(E) == WrittenUnread && Tag != kNoTag)
+    ++Activity[HeapLoc{Tag, Slot}].Overwrites;
   E = packSlot(N, WrittenUnread);
-  noteStore(N, H->obj(Base).Tag, I.Slot, Stored);
+  noteStore(N, Tag, Slot, Stored);
 }
 
 void SlicingProfiler::noteStore(NodeId N, uint64_t Tag, FieldSlot Slot,
@@ -267,25 +248,16 @@ void SlicingProfiler::onLoadStatic(const LoadStaticInst &I, const Value &) {
     regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom(), StaticShadow[I.Global]);
-  if (StaticStates[I.Global] == WrittenUnread)
-    StaticStates[I.Global] = WrittenRead;
+  NodeId N = hit(I, dom(), loadSlot(Sh.staticAt(I.Global)));
   regs()[I.Dst] = N;
   noteLoad(N, DepGraph::makeStaticTag(I.Global), 0);
 }
 
 void SlicingProfiler::onStoreStatic(const StoreStaticInst &I,
                                     const Value &Stored) {
-  if (!Enabled) {
-    StaticShadow[I.Global] = kNoNode;
-    return;
-  }
-  NodeId N = hit(I, dom(), regs()[I.Src]);
-  if (StaticStates[I.Global] == WrittenUnread)
-    ++Activity[HeapLoc{DepGraph::makeStaticTag(I.Global), 0}].Overwrites;
-  StaticShadow[I.Global] = N;
-  StaticStates[I.Global] = WrittenUnread;
-  noteStore(N, DepGraph::makeStaticTag(I.Global), 0, Stored);
+  NodeId N = Enabled ? hit(I, dom(), regs()[I.Src]) : kNoNode;
+  storeSlot(Sh.staticAt(I.Global), N, DepGraph::makeStaticTag(I.Global), 0,
+            Stored);
 }
 
 void SlicingProfiler::onLoadElem(const LoadElemInst &I, ObjId Base,
@@ -294,35 +266,23 @@ void SlicingProfiler::onLoadElem(const LoadElemInst &I, ObjId Base,
     regs()[I.Dst] = kNoNode;
     return;
   }
-  uint64_t &E = ensureShadow(Base).Slots[Index];
   // The element index is a use even under thin slicing (Section 2.1).
-  NodeId N = hit(I, dom(), slotNode(E), regs()[I.Index]);
-  if (!Cfg.ThinSlicing)
-    G.addEdge(regs()[I.Base], N);
-  if (slotState(E) == WrittenUnread)
-    E = packSlot(slotNode(E), WrittenRead);
+  NodeId N =
+      hit(I, dom(), loadSlot(Sh.objShadow(Base)[Index]), regs()[I.Index]);
+  baseEdge(I.Base, N);
   regs()[I.Dst] = N;
   noteLoad(N, H->obj(Base).Tag, kElemSlot);
 }
 
 void SlicingProfiler::onStoreElem(const StoreElemInst &I, ObjId Base,
                                   uint32_t Index, const Value &Stored) {
-  if (!Enabled) {
-    uint64_t &E = ensureShadow(Base).Slots[Index];
-    E = packSlot(kNoNode, slotState(E));
-    return;
+  NodeId N = kNoNode;
+  if (Enabled) {
+    N = hit(I, dom(), regs()[I.Src], regs()[I.Index]);
+    baseEdge(I.Base, N);
   }
-  NodeId N = hit(I, dom(), regs()[I.Src], regs()[I.Index]);
-  if (!Cfg.ThinSlicing)
-    G.addEdge(regs()[I.Base], N);
-  uint64_t &E = ensureShadow(Base).Slots[Index];
-  if (slotState(E) == WrittenUnread) {
-    uint64_t Tag = H->obj(Base).Tag;
-    if (Tag != kNoTag)
-      ++Activity[HeapLoc{Tag, kElemSlot}].Overwrites;
-  }
-  E = packSlot(N, WrittenUnread);
-  noteStore(N, H->obj(Base).Tag, kElemSlot, Stored);
+  storeSlot(Sh.objShadow(Base)[Index], N, H->obj(Base).Tag, kElemSlot,
+            Stored);
 }
 
 void SlicingProfiler::onArrayLen(const ArrayLenInst &I, ObjId Base) {
@@ -330,9 +290,11 @@ void SlicingProfiler::onArrayLen(const ArrayLenInst &I, ObjId Base) {
     regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, dom(), ensureShadow(Base).Len);
-  if (!Cfg.ThinSlicing)
-    G.addEdge(regs()[I.Base], N);
+  // Materialize the object's slot shadows as every other tracked access
+  // does, so the shadow.heap_* gauges count the objects events touched.
+  Sh.objShadow(Base);
+  NodeId N = hit(I, dom(), lenShadow(Base));
+  baseEdge(I.Base, N);
   regs()[I.Dst] = N;
   noteLoad(N, H->obj(Base).Tag, kLenSlot);
 }
@@ -374,21 +336,8 @@ void SlicingProfiler::onCallEnter(const CallInst &I, const Function &Callee,
   }
   Ctx.pushCall(Extends, Site);
   // Tracking stack: formal parameters receive the actuals' shadows (rule
-  // METHOD ENTRY). The frame buffer at this depth is reused across calls.
-  if (RegShadow.size() <= FrameDepth)
-    RegShadow.emplace_back();
-  std::vector<NodeId> &Params = RegShadow[FrameDepth];
-  size_t NumArgs = I.Args.size();
-  Params.resize(Callee.getNumRegs());
-  const std::vector<NodeId> &Caller = RegShadow[FrameDepth - 1];
-  for (size_t A = 0; A != NumArgs; ++A)
-    Params[A] = Caller[I.Args[A]];
-  // Only the non-parameter registers need clearing; the first NumArgs
-  // were just overwritten with the actuals' shadows.
-  std::fill(Params.begin() + NumArgs, Params.end(), kNoNode);
-  ++FrameDepth;
-  CurRegs = Params.data();
-  FuncStack.push_back(Callee.getId());
+  // METHOD ENTRY).
+  Sh.pushFrame(I, Callee.getNumRegs());
   if (Enabled) {
     uint64_t C = Ctx.current();
     FuncId F = Callee.getId();
@@ -401,22 +350,16 @@ void SlicingProfiler::onCallEnter(const CallInst &I, const Function &Callee,
 }
 
 void SlicingProfiler::onReturn(const ReturnInst &I) {
-  PendingRet = kNoNode;
-  if (Enabled && I.Src != kNoReg) {
-    PendingRet = hit(I, dom(), regs()[I.Src]);
-  }
-  if (FrameDepth > 1) {
-    --FrameDepth;
-    CurRegs = RegShadow[FrameDepth - 1].data();
+  Sh.Pending =
+      Enabled && I.Src != kNoReg ? hit(I, dom(), regs()[I.Src]) : kNoNode;
+  if (Sh.popFrame())
     Ctx.popCall();
-    FuncStack.pop_back();
-  }
 }
 
 void SlicingProfiler::onReturnBound(Reg Dst) {
   if (Dst != kNoReg)
-    regs()[Dst] = PendingRet;
-  PendingRet = kNoNode;
+    regs()[Dst] = Sh.Pending;
+  Sh.Pending = kNoNode;
 }
 
 void SlicingProfiler::onTrap(const Instruction &, TrapKind, Reg) {}
@@ -498,27 +441,20 @@ void SlicingProfiler::accountStats(obs::MetricsRegistry &R) const {
   R.set(R.gauge("mem.gcost.intern_bytes", Unit::Bytes),
         G.internTableBytes());
 
-  size_t HeapBytes = HeapShadow.capacity() * sizeof(ShadowObject);
   uint64_t ShadowSlots = 0;
   obs::MetricId SlotsHist = R.histogram("shadow.object_slots");
   R.clear(SlotsHist);
-  for (const ShadowObject &SO : HeapShadow) {
-    HeapBytes += SO.Slots.capacity() * sizeof(uint64_t);
-    ShadowSlots += SO.Slots.size();
-    if (!SO.Slots.empty())
-      R.observe(SlotsHist, SO.Slots.size());
+  for (const std::vector<uint64_t> &Slots : Sh.objects()) {
+    ShadowSlots += Slots.size();
+    if (!Slots.empty())
+      R.observe(SlotsHist, Slots.size());
   }
-  R.set(R.gauge("mem.shadow.heap_bytes", Unit::Bytes), HeapBytes);
-  R.set(R.gauge("shadow.heap_objects"), HeapShadow.size());
+  R.set(R.gauge("mem.shadow.heap_bytes", Unit::Bytes),
+        Sh.heapBytes() + LenShadow.capacity() * sizeof(NodeId));
+  R.set(R.gauge("shadow.heap_objects"), Sh.objects().size());
   R.set(R.gauge("shadow.heap_slots"), ShadowSlots);
-
-  size_t RegBytes = RegShadow.capacity() * sizeof(std::vector<NodeId>);
-  for (const std::vector<NodeId> &F : RegShadow)
-    RegBytes += F.capacity() * sizeof(NodeId);
-  R.set(R.gauge("mem.shadow.reg_bytes", Unit::Bytes), RegBytes);
-  R.set(R.gauge("mem.shadow.static_bytes", Unit::Bytes),
-        StaticShadow.capacity() * sizeof(NodeId) +
-            StaticStates.capacity() * sizeof(uint8_t));
+  R.set(R.gauge("mem.shadow.reg_bytes", Unit::Bytes), Sh.regBytes());
+  R.set(R.gauge("mem.shadow.static_bytes", Unit::Bytes), Sh.staticBytes());
 
   size_t MemoBytes = G.memoBytes() + NodeAct.capacity() * sizeof(ActMemo) +
                      NodePred.capacity() * sizeof(ActMemo);

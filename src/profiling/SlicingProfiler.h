@@ -9,8 +9,9 @@
 /// The online profiler that builds Gcost: an implementation of every
 /// inference rule of Figure 4. Shadow locations map each runtime storage
 /// location (register, heap slot, static) to the graph node that last wrote
-/// it; a tracking stack passes shadows and receiver-object chains across
-/// calls; object tags (environment P) live in the heap object headers.
+/// it, in the ShadowMachine the client profilers use too; a tracking stack
+/// passes shadows and receiver-object chains across calls; object tags
+/// (environment P) live in the heap object headers.
 /// Every fixed-arity event resolves its node, frequency and up to two
 /// def-use edges in one DepGraph::hit call, the same per-instruction memo
 /// the client graphs use; only natives and the base-pointer edge of
@@ -28,6 +29,7 @@
 
 #include "profiling/Context.h"
 #include "profiling/DepGraph.h"
+#include "profiling/ShadowMachine.h"
 #include "runtime/Heap.h"
 #include "runtime/ProfilerConcept.h"
 #include "support/FlatMap.h"
@@ -160,28 +162,16 @@ private:
   /// Per-slot write/read state for overwrite detection.
   enum SlotState : uint8_t { Virgin = 0, WrittenUnread = 1, WrittenRead = 2 };
 
-  /// A shadow heap slot packs the last writer node (low half) with its
-  /// SlotState (high half): one array, one malloc per object, and one
-  /// cache touch per load/store event instead of two.
+  /// A shadow heap or static slot packs the last writer node (low half)
+  /// with its SlotState (high half): one array, one malloc per object, and
+  /// one cache touch per load/store event instead of two.
   static constexpr uint64_t packSlot(NodeId N, uint8_t S) {
     return (uint64_t(S) << 32) | N;
   }
   static constexpr NodeId slotNode(uint64_t E) { return NodeId(E); }
   static constexpr uint8_t slotState(uint64_t E) { return uint8_t(E >> 32); }
 
-  struct ShadowObject {
-    NodeId Len = kNoNode;
-    std::vector<uint64_t> Slots;
-  };
-
-  /// Shadow register frames are a depth-indexed stack over a reused pool:
-  /// returning pops the logical depth but keeps the vector's buffer, so a
-  /// call re-entering that depth assigns in place instead of mallocing a
-  /// fresh frame (calls are the second-hottest event after loads). CurRegs
-  /// caches the current frame's buffer, refreshed at every frame
-  /// transition; inner buffers stay put when the outer pool grows because
-  /// vector moves steal them.
-  NodeId *regs() { return CurRegs; }
+  NodeId *regs() { return Sh.regs(); }
 
   uint32_t dom() const { return Cfg.ContextSensitive ? Ctx.slot() : 0; }
 
@@ -189,7 +179,34 @@ private:
   NodeId hit(const Instruction &I, uint32_t Domain, NodeId SrcA = kNoNode,
              NodeId SrcB = kNoNode);
 
-  ShadowObject &ensureShadow(ObjId O);
+  /// The base-pointer use of a heap access: an edge only when thin
+  /// slicing is off (Definition 2).
+  void baseEdge(Reg Base, NodeId N) {
+    if (!Cfg.ThinSlicing)
+      G.addEdge(regs()[Base], N);
+  }
+
+  /// Load through shadow slot \p E (field, element or static): marks the
+  /// slot's value read and returns its writer, the load's use.
+  static NodeId loadSlot(uint64_t &E) {
+    if (slotState(E) == WrittenUnread)
+      E = packSlot(slotNode(E), WrittenRead);
+    return slotNode(E);
+  }
+
+  /// Store by node \p N through shadow slot \p E of location {Tag, Slot}:
+  /// counts an overwrite when the slot's value was never read, makes N the
+  /// writer, and records the store (noteStore). Under a tracking-off phase
+  /// (\p N is kNoNode) it only clears the writer; the slot keeps its state.
+  void storeSlot(uint64_t &E, NodeId N, uint64_t Tag, FieldSlot Slot,
+                 const Value &Stored);
+
+  /// Array-length shadow of \p O: the node that allocated it.
+  NodeId &lenShadow(ObjId O) {
+    if (LenShadow.size() <= O)
+      LenShadow.resize(H->idBound(), kNoNode);
+    return LenShadow[O];
+  }
 
   /// Store-side bookkeeping shared by field/elem/static stores: activity
   /// counters, writer map, reference edges, reference-tree children.
@@ -216,15 +233,11 @@ private:
   Heap *H = nullptr;
   bool Enabled = true;
 
-  std::vector<std::vector<NodeId>> RegShadow;
-  size_t FrameDepth = 0;
-  NodeId *CurRegs = nullptr;
-  std::vector<ShadowObject> HeapShadow;
-  std::vector<NodeId> StaticShadow;
-  std::vector<uint8_t> StaticStates;
-  NodeId PendingRet = kNoNode;
+  /// Register frames, heap and static slots (packed), and the in-flight
+  /// return; array lengths are shadowed separately, per object.
+  ShadowMachine<NodeId, uint64_t> Sh{kNoNode, packSlot(kNoNode, Virgin)};
+  std::vector<NodeId> LenShadow;
 
-  std::vector<FuncId> FuncStack;
   /// Distinct encoded contexts per function, indexed by FuncId (dense).
   std::vector<FlatSet<uint64_t>> SeenContexts;
   FlatMap<NodeId, PredicateOutcome> PredOutcomes;

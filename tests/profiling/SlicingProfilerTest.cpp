@@ -286,34 +286,177 @@ TEST(SlicingProfilerTest, PhaseGatingSuppressesTracking) {
   EXPECT_EQ(nodesFor(G, AddD).size(), 1u);
 }
 
-TEST(SlicingProfilerTest, OverwriteDetection) {
-  Module M;
-  ClassDecl *A = M.addClass("A");
-  A->addField("f", Type::makeInt());
-  IRBuilder B(M);
-  B.beginFunction("main", 0);
-  Reg O = B.alloc(A->getId());
-  Reg V = B.iconst(1);
-  B.storeField(O, A->getId(), "f", V); // write 1 (clobbered unread)
-  B.storeField(O, A->getId(), "f", V); // write 2 (read below)
-  Reg L = B.loadField(O, A->getId(), "f");
-  B.storeField(O, A->getId(), "f", L); // write 3 (never read again)
-  B.ncallVoid("sink", {L});
-  B.ret();
-  B.endFunction();
-  M.finalize();
+/// The three kinds of shadow slot a load or store goes through.
+enum class SlotKind { Field, Element, Static };
+constexpr SlotKind kSlotKinds[] = {SlotKind::Field, SlotKind::Element,
+                                   SlotKind::Static};
 
-  SlicingProfiler P = profileRun(M);
-  FieldSlot Slot;
-  ASSERT_TRUE(M.resolveField(A->getId(), "f", Slot));
-  const DepGraph &G = P.graph();
-  NodeId NAlloc = soleNodeFor(G, 0);
-  uint64_t Tag = G.node(NAlloc).EffectLoc.Tag;
-  auto It = P.locationActivity().find(HeapLoc{Tag, Slot});
-  ASSERT_NE(It, P.locationActivity().end());
-  EXPECT_EQ(It->second.Writes, 3u);
-  EXPECT_EQ(It->second.Reads, 1u);
-  EXPECT_EQ(It->second.Overwrites, 1u);
+const char *slotKindName(SlotKind K) {
+  switch (K) {
+  case SlotKind::Field:
+    return "field";
+  case SlotKind::Element:
+    return "element";
+  case SlotKind::Static:
+    return "static";
+  }
+  return "?";
+}
+
+/// One int slot of kind K, accessed from the function \p B is building:
+/// field `f` of a fresh object, element 0 of a fresh one-element array, or
+/// a global. The constructor emits the holder's allocation, if any.
+class OneSlot {
+public:
+  OneSlot(Module &M, IRBuilder &B, SlotKind K) : B(B), K(K) {
+    switch (K) {
+    case SlotKind::Field: {
+      ClassDecl *A = M.addClass("A");
+      A->addField("f", Type::makeInt());
+      Class = A->getId();
+      M.resolveField(Class, "f", Field);
+      Holder = B.alloc(Class);
+      AllocInst = B.block()->terminator();
+      break;
+    }
+    case SlotKind::Element:
+      Index = B.iconst(0);
+      Holder = B.allocArray(TypeKind::Int, B.iconst(1));
+      AllocInst = B.block()->terminator();
+      break;
+    case SlotKind::Static:
+      Global = M.addGlobal("g", Type::makeInt());
+      break;
+    }
+  }
+
+  /// Emits a load of the slot.
+  Reg load() {
+    switch (K) {
+    case SlotKind::Field:
+      return B.loadField(Holder, Class, "f");
+    case SlotKind::Element:
+      return B.loadElem(Holder, Index);
+    case SlotKind::Static:
+      return B.loadStatic(Global);
+    }
+    return kNoReg;
+  }
+
+  /// Emits a store of \p V to the slot.
+  void store(Reg V) {
+    switch (K) {
+    case SlotKind::Field:
+      B.storeField(Holder, Class, "f", V);
+      break;
+    case SlotKind::Element:
+      B.storeElem(Holder, Index, V);
+      break;
+    case SlotKind::Static:
+      B.storeStatic(Global, V);
+      break;
+    }
+  }
+
+  /// The slot's abstract heap location in \p G (after the run).
+  HeapLoc loc(const DepGraph &G) const {
+    if (K == SlotKind::Static)
+      return HeapLoc{DepGraph::makeStaticTag(Global), 0};
+    uint64_t Tag = G.node(soleNodeFor(G, AllocInst->getId())).EffectLoc.Tag;
+    return HeapLoc{Tag, K == SlotKind::Field ? Field : kElemSlot};
+  }
+
+private:
+  IRBuilder &B;
+  SlotKind K;
+  ClassId Class = kNoClass;
+  FieldSlot Field = 0;
+  GlobalId Global = 0;
+  Reg Holder = kNoReg, Index = kNoReg;
+  const Instruction *AllocInst = nullptr;
+};
+
+TEST(SlicingProfilerTest, OverwriteDetection) {
+  for (SlotKind K : kSlotKinds) {
+    SCOPED_TRACE(slotKindName(K));
+    Module M;
+    IRBuilder B(M);
+    B.beginFunction("main", 0);
+    OneSlot S(M, B, K);
+    Reg V = B.iconst(1);
+    S.store(V); // write 1 (clobbered unread)
+    S.store(V); // write 2 (read below)
+    Reg L = S.load();
+    S.store(L); // write 3 (never read again)
+    B.ncallVoid("sink", {L});
+    B.ret();
+    B.endFunction();
+    M.finalize();
+
+    SlicingProfiler P = profileRun(M);
+    auto It = P.locationActivity().find(S.loc(P.graph()));
+    ASSERT_NE(It, P.locationActivity().end());
+    EXPECT_EQ(It->second.Writes, 3u);
+    EXPECT_EQ(It->second.Reads, 1u);
+    EXPECT_EQ(It->second.Overwrites, 1u);
+  }
+}
+
+TEST(SlicingProfilerTest, UntrackedAccessesKeepSlotState) {
+  for (SlotKind K : kSlotKinds) {
+    SCOPED_TRACE(slotKindName(K));
+    Module M;
+    IRBuilder B(M);
+    B.beginFunction("main", 0);
+    OneSlot S(M, B, K);
+    auto Phase = [&](int64_t N) { B.ncallVoid("phase", {B.iconst(N)}); };
+    Reg V = B.iconst(1);
+    S.store(V); // Phase 0, tracked: written, unread.
+    Phase(1);
+    Reg Untracked = S.load(); // Untracked: must not mark the slot read.
+    S.store(V); // Untracked: clears the writer, keeps "unread".
+    Phase(2);
+    S.store(V); // Still unread since phase 0: an overwrite.
+    Reg L1 = S.load(); // Now read.
+    const Instruction *Read1 = B.block()->terminator();
+    Phase(3);
+    S.store(V); // Untracked: clears the writer, keeps "read".
+    Phase(4);
+    S.store(V); // Read since the last tracked store: no overwrite.
+    Phase(5);
+    S.store(V); // Untracked: the next load must see no writer.
+    Phase(6);
+    Reg L2 = S.load();
+    const Instruction *Read2 = B.block()->terminator();
+    Reg Sum = B.add(Untracked, Untracked);
+    const Instruction *Add = B.block()->terminator();
+    B.ncallVoid("sink", {Sum});
+    B.ncallVoid("sink", {L1});
+    B.ncallVoid("sink", {L2});
+    B.ret();
+    B.endFunction();
+    M.finalize();
+
+    SlicingConfig Cfg;
+    Cfg.TrackedPhaseMask = (1ull << 0) | (1ull << 2) | (1ull << 4) |
+                           (1ull << 6);
+    SlicingProfiler P = profileRun(M, Cfg);
+    const DepGraph &G = P.graph();
+    auto It = P.locationActivity().find(S.loc(G));
+    ASSERT_NE(It, P.locationActivity().end());
+    EXPECT_EQ(It->second.Writes, 3u);
+    EXPECT_EQ(It->second.Reads, 2u);
+    EXPECT_EQ(It->second.Overwrites, 1u);
+    // The untracked load left no writer in its destination register,
+    // though the slot still held a tracked one.
+    EXPECT_TRUE(G.node(soleNodeFor(G, Add->getId())).In.empty());
+    // A tracked load sees the tracked store before it, but nothing through
+    // an untracked store.
+    EXPECT_EQ(G.node(soleNodeFor(G, Read1->getId())).In.size(),
+              K == SlotKind::Element ? 2u : 1u);
+    EXPECT_EQ(G.node(soleNodeFor(G, Read2->getId())).In.size(),
+              K == SlotKind::Element ? 1u : 0u);
+  }
 }
 
 TEST(SlicingProfilerTest, PredicateOutcomeCounts) {
