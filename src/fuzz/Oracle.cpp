@@ -151,6 +151,8 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
   TimedRun RefRun = Ref.run(M);
   if (!Ref.recordError().empty())
     return Fail("record", Ref.recordError());
+  if (!RefRun.Error.empty())
+    return Fail("clients", RefRun.Error);
   Snapshot RefSnap = snapshot(Ref, M, RefRun.Run);
 
   // Mode 1: hot-path caches flipped. The caches must be observation-free.

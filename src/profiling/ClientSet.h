@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// ClientSet: which client analyses (copy, nullness, typestate) ride the
-/// slicing substrate in a profiling session. The value type replaces the
+/// ClientSet: which client analyses (copy, nullness, typestate) a profiling
+/// session runs beside the slicing substrate. The value type replaces the
 /// raw `uint32_t Clients` bitmask + loose `kClient*` enum that used to live
 /// in workloads/Driver.h, keeping the exact bit layout (copy = bit 0,
 /// nullness = bit 1, typestate = bit 2) so recorded configurations and

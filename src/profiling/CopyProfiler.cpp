@@ -10,14 +10,15 @@
 
 using namespace lud;
 
-CopyProfiler::CopyProfiler(const SlicingProfiler &Substrate) : Sub(&Substrate) {
-  G.setHotPathMemo(Substrate.config().HotPathCaches);
+CopyProfiler::CopyProfiler(const SlicingConfig &Cfg)
+    : ContextSlots(Cfg.ContextSlots) {
+  G.setHotPathMemo(Cfg.HotPathCaches);
 }
 
 OriginId CopyProfiler::intern(const HeapLoc &L) {
   // 1-based; 0 is bottom.
-  auto [Id, Inserted] = OriginIds.insert(L.Tag * 4096 + L.Slot % 4096,
-                                         OriginId(OriginTable.size() + 1));
+  auto [Id, Inserted] =
+      OriginIds.insert(L, OriginId(OriginTable.size() + 1));
   if (Inserted)
     OriginTable.push_back(L);
   return Id;
@@ -84,7 +85,7 @@ void CopyProfiler::onStoreField(const StoreFieldInst &I, ObjId Base,
   AllocSiteId Site = siteOf(Base);
   if (Src.Origin != kBottomOrigin && Site != kNoAllocSite) {
     ++CopyCount;
-    recordChain(Src.Origin, HeapLoc{Site, I.Slot}, N);
+    addChain(originLoc(Src.Origin), HeapLoc{Site, I.Slot}, N, 1);
   }
 }
 
@@ -100,7 +101,8 @@ void CopyProfiler::onStoreStatic(const StoreStaticInst &I, const Value &) {
   Sh.staticAt(I.Global) = {N, Src.Origin};
   if (Src.Origin != kBottomOrigin) {
     ++CopyCount;
-    recordChain(Src.Origin, HeapLoc{kStaticTagBase + I.Global, 0}, N);
+    addChain(originLoc(Src.Origin), HeapLoc{kStaticTagBase + I.Global, 0}, N,
+             1);
   }
 }
 
@@ -122,7 +124,7 @@ void CopyProfiler::onStoreElem(const StoreElemInst &I, ObjId Base,
   AllocSiteId Site = siteOf(Base);
   if (Src.Origin != kBottomOrigin && Site != kNoAllocSite) {
     ++CopyCount;
-    recordChain(Src.Origin, HeapLoc{Site, kElemSlot}, N);
+    addChain(originLoc(Src.Origin), HeapLoc{Site, kElemSlot}, N, 1);
   }
 }
 
@@ -166,14 +168,12 @@ void CopyProfiler::onReturnBound(Reg Dst) {
   Sh.Pending = ShadowVal();
 }
 
-void CopyProfiler::recordChain(OriginId From, const HeapLoc &To,
-                               NodeId Store) {
-  const HeapLoc &FromLoc = originLoc(From);
-  auto [Idx, Inserted] = ChainIndex.insert(chainKey(FromLoc, To),
-                                           Chains.size());
+void CopyProfiler::addChain(const HeapLoc &From, const HeapLoc &To,
+                            NodeId Store, uint64_t Count) {
+  auto [Idx, Inserted] = ChainIndex.insert(ChainKey{From, To}, Chains.size());
   if (Inserted)
-    Chains.push_back({FromLoc, To, 0, Store});
-  ++Chains[Idx].Count;
+    Chains.push_back({From, To, 0, Store});
+  Chains[Idx].Count += Count;
 }
 
 void CopyProfiler::accountStats(obs::MetricsRegistry &R) const {
@@ -203,13 +203,8 @@ void CopyProfiler::mergeFrom(const CopyProfiler &O) {
            "merged profilers interned origins in different orders");
     (void)R;
   }
-  for (const CopyChain &C : O.Chains) {
-    auto [Idx, Inserted] = ChainIndex.insert(chainKey(C.From, C.To),
-                                             Chains.size());
-    if (Inserted)
-      Chains.push_back({C.From, C.To, 0, Remap[C.StoreNode]});
-    Chains[Idx].Count += C.Count;
-  }
+  for (const CopyChain &C : O.Chains)
+    addChain(C.From, C.To, Remap[C.StoreNode], C.Count);
 }
 
 std::vector<InstrId> CopyProfiler::stackHops(const CopyChain &Chain) const {

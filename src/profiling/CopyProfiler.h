@@ -13,13 +13,14 @@
 /// chain O1.f -> stack copies -> O3.f can be recovered *including* the
 /// intermediate stack hops (unlike the flat copy-graph of prior work).
 ///
-/// A pipeline stage attached to the SlicingProfiler substrate: allocation
-/// sites are read from the heap object tags the substrate writes
-/// (environment P), instead of a duplicate per-object site table, and the
-/// shadow-location machinery is the shared ShadowMachine. Compose it after
-/// the substrate (runtime/ComposedProfiler.h) so tags exist by the time a
-/// load or store touches the object. Objects allocated while the substrate
-/// had tracking gated off carry no tag and take no part in chains.
+/// Allocation sites are read from the heap object tags (environment P)
+/// instead of a duplicate per-object site table, and the shadow-location
+/// machinery is the shared ShadowMachine. Compose it after a stage that
+/// writes the tags — the TagEnv of a session's client execution, or the
+/// SlicingProfiler substrate, which owns one (runtime/ComposedProfiler.h) —
+/// so tags exist by the time a load or store touches the object. Objects
+/// allocated while tracking was gated off carry no tag and take no part in
+/// chains.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +29,7 @@
 
 #include "profiling/DepGraph.h"
 #include "profiling/ShadowMachine.h"
-#include "profiling/SlicingProfiler.h"
+#include "profiling/TagEnv.h"
 #include "runtime/Heap.h"
 #include "runtime/ProfilerConcept.h"
 #include "support/FlatMap.h"
@@ -38,17 +39,22 @@
 namespace lud {
 
 class Module;
+namespace obs {
+class MetricsRegistry;
+}
 
 /// Interned origin: the ⊥ element is 0 ("not from any field").
 using OriginId = uint32_t;
 inline constexpr OriginId kBottomOrigin = 0;
 
-class CopyProfiler {
+/// Cache-line aligned: a session drives the clients on a thread of their
+/// own, and no line may also hold the substrate's data (false sharing).
+class alignas(64) CopyProfiler {
 public:
-  /// \p Substrate is the slicing profiler whose heap tags provide the
-  /// allocation sites; it must run in the same pipeline, before this stage.
-  /// The client graph follows the substrate's SlicingConfig::HotPathCaches.
-  explicit CopyProfiler(const SlicingProfiler &Substrate);
+  /// \p Cfg is the configuration of the stage that tags the heap: its
+  /// ContextSlots decode a tag's allocation site, and the client graph
+  /// follows its HotPathCaches.
+  explicit CopyProfiler(const SlicingConfig &Cfg);
 
   DepGraph &graph() { return G; }
   const DepGraph &graph() const { return G; }
@@ -136,31 +142,45 @@ private:
   }
 
   /// Site of the object's allocation, recovered from the heap tag the
-  /// substrate's ALLOC rule wrote (kNoAllocSite when the object was
-  /// allocated untracked).
+  /// ALLOC rule wrote (kNoAllocSite when the object was allocated
+  /// untracked).
   AllocSiteId siteOf(ObjId O) const {
-    uint64_t Tag = H->obj(O).Tag;
-    if (Tag == kNoTag || DepGraph::isStaticTag(Tag))
-      return kNoAllocSite;
-    return Sub->graph().tagSite(Tag);
+    return tagAllocSite(H->obj(O).Tag, ContextSlots);
   }
 
-  static uint64_t chainKey(const HeapLoc &From, const HeapLoc &To) {
-    return (From.Tag * 4096 + From.Slot % 4096) * 2654435761ULL ^
-           (To.Tag * 4096 + To.Slot % 4096);
-  }
-  void recordChain(OriginId From, const HeapLoc &To, NodeId Store);
+  /// A chain's identity: its source and destination locations.
+  struct ChainKey {
+    HeapLoc From, To;
+    bool operator==(const ChainKey &O) const {
+      return From == O.From && To == O.To;
+    }
+  };
+  struct ChainKeyHash {
+    size_t operator()(const ChainKey &K) const {
+      return HeapLocHash{}(K.From) * 0x9E3779B97F4A7C15ULL ^
+             HeapLocHash{}(K.To);
+    }
+  };
+  struct ChainKeyEmpty {
+    static ChainKey value() {
+      return {HeapLocEmpty::value(), HeapLocEmpty::value()};
+    }
+  };
+  /// Adds \p Count copies to the chain From -> To, created with store
+  /// node \p Store when new.
+  void addChain(const HeapLoc &From, const HeapLoc &To, NodeId Store,
+                uint64_t Count);
 
-  const SlicingProfiler *Sub = nullptr;
+  uint32_t ContextSlots;
   DepGraph G;
   Heap *H = nullptr;
   ShadowMachine<ShadowVal> Sh;
   uint64_t CopyCount = 0;
 
   std::vector<HeapLoc> OriginTable;
-  FlatMap<uint64_t, OriginId> OriginIds;
+  HeapLocMap<OriginId> OriginIds;
   std::vector<CopyChain> Chains;
-  FlatMap<uint64_t, size_t> ChainIndex;
+  FlatMap<ChainKey, size_t, ChainKeyHash, ChainKeyEmpty> ChainIndex;
 };
 
 } // namespace lud

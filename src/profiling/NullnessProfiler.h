@@ -13,9 +13,10 @@
 /// more than origin-only tracking gives.
 ///
 /// A pipeline stage: shadow-location bookkeeping lives in the shared
-/// ShadowMachine, and the client composes with the SlicingProfiler
-/// substrate in one interpretation pass (see runtime/ComposedProfiler.h).
-/// It stays runnable standalone — nullness needs no allocation-site tags.
+/// ShadowMachine, and a session composes the client with the other clients
+/// in an execution of their own (runtime/ComposedProfiler.h,
+/// workloads/Driver.h). It stays runnable standalone — nullness needs no
+/// allocation-site tags.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +41,9 @@ class MetricsRegistry;
 inline constexpr uint32_t kNullDom = 0;
 inline constexpr uint32_t kNotNullDom = 1;
 
-class NullnessProfiler {
+/// Cache-line aligned: a session drives the clients on a thread of their
+/// own, and no line may also hold the substrate's data (false sharing).
+class alignas(64) NullnessProfiler {
 public:
   /// \p HotPathCaches arms the graph's memos, as SlicingConfig's field of
   /// the same name does for the substrate.

@@ -10,7 +10,9 @@
 /// (Figure 4's environments, minus the graph): per-register shadows with a
 /// call stack, per-object per-slot heap shadows, per-global static shadows,
 /// and the in-flight return shadow. SlicingProfiler, CopyProfiler and
-/// NullnessProfiler all instantiate it and keep only their domain logic.
+/// NullnessProfiler each instantiate their own and keep only their domain
+/// logic; a session runs the substrate's and the clients' in separate
+/// executions on separate threads.
 /// Registers and heap/static slots may hold different types: the substrate
 /// keeps a bare writer node per register but packs a read/overwrite state
 /// next to the writer in every slot.

@@ -12,11 +12,9 @@
 
 using namespace lud;
 
-SlicingProfiler::SlicingProfiler(SlicingConfig Cfg)
-    : Cfg(Cfg), Ctx(Cfg.ContextSlots) {
+SlicingProfiler::SlicingProfiler(SlicingConfig Cfg) : Cfg(Cfg), Env(Cfg) {
   G.setContextSlots(Cfg.ContextSlots);
   G.setHotPathMemo(Cfg.HotPathCaches);
-  Ctx.reset();
 }
 
 NodeId SlicingProfiler::hit(const Instruction &I, uint32_t Domain,
@@ -41,31 +39,26 @@ void SlicingProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   if (Cfg.HotPathCaches)
     G.reserveForRun(Mod.getNumInstrs());
   G.armMemo(Mod.getNumInstrs());
-  Enabled = (Cfg.TrackedPhaseMask & 1) != 0;
+  Env.onRunStart(Mod, Heap_);
 }
 
 void SlicingProfiler::onRunEnd() {}
 
 void SlicingProfiler::onEntryFrame(const Function &F) {
-  Ctx.reset();
+  Env.onEntryFrame(F);
   Sh.enterEntry(F.getNumRegs());
-  if (Enabled) {
-    seenContextsFor(F.getId()).insert(Ctx.current());
+  if (Env.enabled()) {
+    uint64_t C = Env.contexts().current();
+    seenContextsFor(F.getId()).insert(C);
     LastCtxFunc = F.getId();
-    LastCtxVal = Ctx.current();
+    LastCtxVal = C;
   }
 }
 
-void SlicingProfiler::onPhase(int64_t Phase) {
-  if (Phase < 0 || Phase >= 64) {
-    Enabled = true;
-    return;
-  }
-  Enabled = (Cfg.TrackedPhaseMask >> Phase) & 1;
-}
+void SlicingProfiler::onPhase(int64_t Phase) { Env.onPhase(Phase); }
 
 void SlicingProfiler::onConst(const ConstInst &I) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     regs()[I.Dst] = kNoNode;
     return;
   }
@@ -73,7 +66,7 @@ void SlicingProfiler::onConst(const ConstInst &I) {
 }
 
 void SlicingProfiler::onAssign(const AssignInst &I) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     regs()[I.Dst] = kNoNode;
     return;
   }
@@ -81,7 +74,7 @@ void SlicingProfiler::onAssign(const AssignInst &I) {
 }
 
 void SlicingProfiler::onBin(const BinInst &I) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     regs()[I.Dst] = kNoNode;
     return;
   }
@@ -89,7 +82,7 @@ void SlicingProfiler::onBin(const BinInst &I) {
 }
 
 void SlicingProfiler::onUn(const UnInst &I) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     regs()[I.Dst] = kNoNode;
     return;
   }
@@ -97,13 +90,12 @@ void SlicingProfiler::onUn(const UnInst &I) {
 }
 
 void SlicingProfiler::onAlloc(const AllocInst &I, ObjId O) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     regs()[I.Dst] = kNoNode;
     return;
   }
   NodeId N = hit(I, dom());
-  uint64_t Tag = G.makeTag(I.Site, dom());
-  H->obj(O).Tag = Tag;
+  uint64_t Tag = Env.tagAlloc(I.Site, O);
   G.noteAlloc(Tag, N);
   DepGraph::Node &Node = G.node(N);
   Node.Effect = EffectKind::Alloc;
@@ -113,13 +105,12 @@ void SlicingProfiler::onAlloc(const AllocInst &I, ObjId O) {
 }
 
 void SlicingProfiler::onAllocArray(const AllocArrayInst &I, ObjId O) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     regs()[I.Dst] = kNoNode;
     return;
   }
   NodeId N = hit(I, dom(), regs()[I.Len]);
-  uint64_t Tag = G.makeTag(I.Site, dom());
-  H->obj(O).Tag = Tag;
+  uint64_t Tag = Env.tagAlloc(I.Site, O);
   G.noteAlloc(Tag, N);
   DepGraph::Node &Node = G.node(N);
   Node.Effect = EffectKind::Alloc;
@@ -132,7 +123,7 @@ void SlicingProfiler::onAllocArray(const AllocArrayInst &I, ObjId O) {
 
 void SlicingProfiler::onLoadField(const LoadFieldInst &I, ObjId Base,
                                   const Value &) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     regs()[I.Dst] = kNoNode;
     return;
   }
@@ -145,7 +136,7 @@ void SlicingProfiler::onLoadField(const LoadFieldInst &I, ObjId Base,
 void SlicingProfiler::onStoreField(const StoreFieldInst &I, ObjId Base,
                                    const Value &Stored) {
   NodeId N = kNoNode;
-  if (Enabled) {
+  if (Env.enabled()) {
     N = hit(I, dom(), regs()[I.Src]);
     baseEdge(I.Base, N);
   }
@@ -244,7 +235,7 @@ SlicingProfiler::PredicateOutcome &SlicingProfiler::predRef(NodeId N) {
 }
 
 void SlicingProfiler::onLoadStatic(const LoadStaticInst &I, const Value &) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     regs()[I.Dst] = kNoNode;
     return;
   }
@@ -255,14 +246,14 @@ void SlicingProfiler::onLoadStatic(const LoadStaticInst &I, const Value &) {
 
 void SlicingProfiler::onStoreStatic(const StoreStaticInst &I,
                                     const Value &Stored) {
-  NodeId N = Enabled ? hit(I, dom(), regs()[I.Src]) : kNoNode;
+  NodeId N = Env.enabled() ? hit(I, dom(), regs()[I.Src]) : kNoNode;
   storeSlot(Sh.staticAt(I.Global), N, DepGraph::makeStaticTag(I.Global), 0,
             Stored);
 }
 
 void SlicingProfiler::onLoadElem(const LoadElemInst &I, ObjId Base,
                                  uint32_t Index, const Value &) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     regs()[I.Dst] = kNoNode;
     return;
   }
@@ -277,7 +268,7 @@ void SlicingProfiler::onLoadElem(const LoadElemInst &I, ObjId Base,
 void SlicingProfiler::onStoreElem(const StoreElemInst &I, ObjId Base,
                                   uint32_t Index, const Value &Stored) {
   NodeId N = kNoNode;
-  if (Enabled) {
+  if (Env.enabled()) {
     N = hit(I, dom(), regs()[I.Src], regs()[I.Index]);
     baseEdge(I.Base, N);
   }
@@ -286,7 +277,7 @@ void SlicingProfiler::onStoreElem(const StoreElemInst &I, ObjId Base,
 }
 
 void SlicingProfiler::onArrayLen(const ArrayLenInst &I, ObjId Base) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     regs()[I.Dst] = kNoNode;
     return;
   }
@@ -300,7 +291,7 @@ void SlicingProfiler::onArrayLen(const ArrayLenInst &I, ObjId Base) {
 }
 
 void SlicingProfiler::onPredicate(const CondBrInst &I, bool Taken) {
-  if (!Enabled)
+  if (!Env.enabled())
     return;
   NodeId N = hit(I, kNoDomain, regs()[I.Lhs], regs()[I.Rhs]);
   G.node(N).Consumer = ConsumerKind::Predicate;
@@ -312,7 +303,7 @@ void SlicingProfiler::onPredicate(const CondBrInst &I, bool Taken) {
 }
 
 void SlicingProfiler::onNativeCall(const NativeCallInst &I) {
-  if (!Enabled) {
+  if (!Env.enabled()) {
     if (I.Dst != kNoReg)
       regs()[I.Dst] = kNoNode;
     return;
@@ -327,19 +318,12 @@ void SlicingProfiler::onNativeCall(const NativeCallInst &I) {
 
 void SlicingProfiler::onCallEnter(const CallInst &I, const Function &Callee,
                                   ObjId Receiver) {
-  bool Extends = Callee.isMethod() && Receiver != kNullObj;
-  AllocSiteId Site = 0;
-  if (Extends) {
-    uint64_t Tag = H->obj(Receiver).Tag;
-    // ALLOCID strips the context annotation, leaving the allocation site.
-    Site = Tag == kNoTag ? 0 : G.tagSite(Tag);
-  }
-  Ctx.pushCall(Extends, Site);
+  Env.onCallEnter(I, Callee, Receiver);
   // Tracking stack: formal parameters receive the actuals' shadows (rule
   // METHOD ENTRY).
   Sh.pushFrame(I, Callee.getNumRegs());
-  if (Enabled) {
-    uint64_t C = Ctx.current();
+  if (Env.enabled()) {
+    uint64_t C = Env.contexts().current();
     FuncId F = Callee.getId();
     if (F != LastCtxFunc || C != LastCtxVal) {
       seenContextsFor(F).insert(C);
@@ -350,10 +334,11 @@ void SlicingProfiler::onCallEnter(const CallInst &I, const Function &Callee,
 }
 
 void SlicingProfiler::onReturn(const ReturnInst &I) {
-  Sh.Pending =
-      Enabled && I.Src != kNoReg ? hit(I, dom(), regs()[I.Src]) : kNoNode;
-  if (Sh.popFrame())
-    Ctx.popCall();
+  Sh.Pending = Env.enabled() && I.Src != kNoReg
+                   ? hit(I, dom(), regs()[I.Src])
+                   : kNoNode;
+  Sh.popFrame();
+  Env.onReturn(I);
 }
 
 void SlicingProfiler::onReturnBound(Reg Dst) {
@@ -381,7 +366,7 @@ double SlicingProfiler::averageCR() const {
       const FlatSet<uint64_t> &Ctxs = SeenContexts[Func];
       std::unordered_set<uint32_t> UsedSlots;
       for (uint64_t C : Ctxs)
-        UsedSlots.insert(Ctx.slotOf(C));
+        UsedSlots.insert(Env.contexts().slotOf(C));
       double NumCtx = double(Ctxs.size());
       CR = (NumCtx - double(UsedSlots.size())) / (NumCtx - 1);
     }

@@ -10,8 +10,9 @@
 /// inference rule of Figure 4. Shadow locations map each runtime storage
 /// location (register, heap slot, static) to the graph node that last wrote
 /// it, in the ShadowMachine the client profilers use too; a tracking stack
-/// passes shadows and receiver-object chains across calls; object tags
-/// (environment P) live in the heap object headers.
+/// passes shadows across calls; object tags and receiver-object context
+/// chains (environment P) come from the TagEnv the substrate owns, which
+/// writes the tags into the heap object headers.
 /// Every fixed-arity event resolves its node, frequency and up to two
 /// def-use edges in one DepGraph::hit call, the same per-instruction memo
 /// the client graphs use; only natives and the base-pointer edge of
@@ -27,9 +28,9 @@
 #ifndef LUD_PROFILING_SLICINGPROFILER_H
 #define LUD_PROFILING_SLICINGPROFILER_H
 
-#include "profiling/Context.h"
 #include "profiling/DepGraph.h"
 #include "profiling/ShadowMachine.h"
+#include "profiling/TagEnv.h"
 #include "runtime/Heap.h"
 #include "runtime/ProfilerConcept.h"
 #include "support/FlatMap.h"
@@ -41,27 +42,6 @@ class Module;
 namespace obs {
 class MetricsRegistry;
 }
-
-struct SlicingConfig {
-  /// The paper's s: number of context slots per instruction.
-  uint32_t ContextSlots = 16;
-  /// Bit i set => instructions executed in phase i are tracked. Phase 0 is
-  /// active from entry until the first `phase` marker.
-  uint64_t TrackedPhaseMask = ~uint64_t(0);
-  /// Thin slicing (Definition 2): base-pointer values are not uses. Setting
-  /// this false adds base-pointer edges, approximating traditional dynamic
-  /// slicing for the ablation benchmark.
-  bool ThinSlicing = true;
-  /// Object-sensitive contexts; false collapses the domain to one slot
-  /// (context-insensitive ablation).
-  bool ContextSensitive = true;
-  /// Hot-path memo caches: DepGraph's per-instruction memo (in the
-  /// substrate's graph and in every client graph), the last-ref-edge memo,
-  /// the per-node activity memos, and table pre-sizing from the module.
-  /// Results are bit-identical either way; turning this off selects the
-  /// cache-free reference path the equivalence tests compare against.
-  bool HotPathCaches = true;
-};
 
 /// Write/read/overwrite counters per abstract heap location, feeding the
 /// "rewritten before read" client (Section 3.2, derby case study).
@@ -173,7 +153,7 @@ private:
 
   NodeId *regs() { return Sh.regs(); }
 
-  uint32_t dom() const { return Cfg.ContextSensitive ? Ctx.slot() : 0; }
+  uint32_t dom() const { return Env.domain(); }
 
   /// DepGraph::hit, plus the node's heap flags on its first event.
   NodeId hit(const Instruction &I, uint32_t Domain, NodeId SrcA = kNoNode,
@@ -228,10 +208,10 @@ private:
 
   SlicingConfig Cfg;
   DepGraph G;
-  ContextEncoder Ctx;
+  /// Environment P: contexts, the phase gate and the ALLOC tag rule.
+  TagEnv Env;
   const Module *M = nullptr;
   Heap *H = nullptr;
-  bool Enabled = true;
 
   /// Register frames, heap and static slots (packed), and the in-flight
   /// return; array lengths are shadowed separately, per object.

@@ -8,9 +8,9 @@
 using namespace lud;
 
 TypestateProfiler::TypestateProfiler(TypestateSpec Spec_,
-                                     const SlicingProfiler &Substrate)
-    : Spec(std::move(Spec_)), Sub(&Substrate) {
-  G.setHotPathMemo(Substrate.config().HotPathCaches);
+                                     const SlicingConfig &Cfg)
+    : Spec(std::move(Spec_)), ContextSlots(Cfg.ContextSlots) {
+  G.setHotPathMemo(Cfg.HotPathCaches);
   for (const auto &[Key, To] : Spec.Transitions)
     if ((Key >> 32) < Spec.NumStates)
       Alphabet.insert(MethodNameId(Key));

@@ -15,12 +15,12 @@
 /// with the abstract node, so the merged history (a DFA-like graph) can be
 /// inspected afterwards.
 ///
-/// A pipeline stage attached to the SlicingProfiler substrate: the
-/// receiver's allocation site comes from the heap tag the substrate's
-/// ALLOC rule wrote, and trackedness from the heap object's class — no
-/// duplicate per-object site table. Compose it after the substrate
-/// (runtime/ComposedProfiler.h); untagged objects (allocated while the
-/// substrate had tracking gated off) produce no events.
+/// The receiver's allocation site comes from the heap tag the ALLOC rule
+/// wrote (environment P), and trackedness from the heap object's class — no
+/// duplicate per-object site table. Compose it after a stage that writes
+/// the tags — the TagEnv of a session's client execution, or the
+/// SlicingProfiler substrate (runtime/ComposedProfiler.h); untagged objects
+/// (allocated while tracking was gated off) produce no events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +28,7 @@
 #define LUD_PROFILING_TYPESTATEPROFILER_H
 
 #include "profiling/DepGraph.h"
-#include "profiling/SlicingProfiler.h"
+#include "profiling/TagEnv.h"
 #include "runtime/Heap.h"
 #include "runtime/ProfilerConcept.h"
 #include "support/FlatSet.h"
@@ -40,6 +40,9 @@
 namespace lud {
 
 class Module;
+namespace obs {
+class MetricsRegistry;
+}
 
 /// A typestate protocol: states are small integers, transitions are keyed
 /// by (state, method name). Missing transitions are protocol violations.
@@ -83,13 +86,14 @@ struct TypestateViolation {
   MethodNameId Method = kNoMethodName;
 };
 
-class TypestateProfiler : public NoopProfiler {
+/// Cache-line aligned: a session drives the clients on a thread of their
+/// own, and no line may also hold the substrate's data (false sharing).
+class alignas(64) TypestateProfiler : public NoopProfiler {
 public:
-  /// \p Substrate is the slicing profiler whose heap tags provide the
-  /// receivers' allocation sites; it must run in the same pipeline, before
-  /// this stage.
-  /// The client graph follows the substrate's SlicingConfig::HotPathCaches.
-  TypestateProfiler(TypestateSpec Spec, const SlicingProfiler &Substrate);
+  /// \p Cfg is the configuration of the stage that tags the heap: its
+  /// ContextSlots decode a receiver's allocation site, and the client graph
+  /// follows its HotPathCaches.
+  TypestateProfiler(TypestateSpec Spec, const SlicingConfig &Cfg);
 
   DepGraph &graph() { return G; }
   const DepGraph &graph() const { return G; }
@@ -137,7 +141,7 @@ public:
 
 private:
   TypestateSpec Spec;
-  const SlicingProfiler *Sub = nullptr;
+  uint32_t ContextSlots;
   DepGraph G;
   Heap *H = nullptr;
   std::vector<uint32_t> StateOf;        // per ObjId
@@ -167,13 +171,10 @@ private:
   }
 
   void ensure(ObjId O);
-  /// Receiver's allocation site from its substrate-written heap tag
-  /// (kNoAllocSite when untagged — allocated before tracking).
+  /// Receiver's allocation site from its heap tag (kNoAllocSite when
+  /// untagged — allocated before tracking).
   AllocSiteId siteOf(ObjId O) const {
-    uint64_t Tag = H->obj(O).Tag;
-    if (Tag == kNoTag || DepGraph::isStaticTag(Tag))
-      return kNoAllocSite;
-    return Sub->graph().tagSite(Tag);
+    return tagAllocSite(H->obj(O).Tag, ContextSlots);
   }
 };
 

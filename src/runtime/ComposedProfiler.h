@@ -9,9 +9,12 @@
 /// ComposedProfiler<Ps...>: a profiler policy that fans every hook of the
 /// ProfilerConcept surface out to a tuple of member profilers, in template
 /// -parameter order. This is what makes the paper's framework claim concrete
-/// in this codebase: the interpreter is instantiated once per *pipeline
-/// shape*, not once per client analysis, and a single interpretation pass
-/// feeds the slicing substrate plus any set of client profilers.
+/// in this codebase: the engine is instantiated once per *pipeline shape*,
+/// not once per client analysis, and one execution feeds any set of client
+/// profilers. A profiling session composes its clients behind a TagEnv
+/// (profiling/TagEnv.h) and runs them in an execution of their own, beside
+/// the substrate's (workloads/Driver.h); the recorder composes ahead of the
+/// substrate.
 ///
 /// Stages are held by pointer and a null stage is skipped at every hook, so
 /// one static pipeline type serves every runtime-selected subset of clients
@@ -23,13 +26,13 @@
 /// costs zero, preserving the stock-JVM overhead property the Noop baseline
 /// exists for.
 ///
-/// Ordering contract: stages run in declaration order. The slicing
-/// substrate must be the first stage when clients that read heap object
-/// tags (environment P, written by the substrate's ALLOC rule) are
-/// composed after it — a client hook may then assume the substrate already
-/// processed every *earlier* event, in particular that objects allocated
-/// under tracking carry their tag by the time the client sees a later load,
-/// store, or call on them.
+/// Ordering contract: stages run in declaration order. The stage that
+/// writes heap object tags (environment P: a TagEnv, or the slicing
+/// substrate, which owns one) must come before the clients that read them —
+/// a client hook may then assume that stage already processed every
+/// *earlier* event, in particular that objects allocated under tracking
+/// carry their tag by the time the client sees a later load, store, or call
+/// on them.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -48,8 +48,9 @@ ShardedSession runShards(const Module &M, unsigned Shards, SessionConfig Cfg,
       Errors[S] = R.Error;
       return;
     }
-    Results[S] = PS.run(M).Run;
-    Errors[S] = PS.recordError();
+    TimedRun T = PS.run(M);
+    Results[S] = T.Run;
+    Errors[S] = T.Error.empty() ? PS.recordError() : T.Error;
     if (const trace::TraceRecorder *R = PS.recorder())
       Events[S] = R->events();
   });

@@ -31,7 +31,7 @@
 namespace lud {
 
 /// Result of profiling one module in shards. Each shard is a ProfileSession
-/// (substrate plus any enabled client analyses, one pass per shard), and
+/// (the substrate's execution plus, beside it, the enabled clients'), and
 /// the fold covers client state too. Shard-index order plus
 /// order-preserving client merges make the result independent of the
 /// thread count.
