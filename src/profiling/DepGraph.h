@@ -278,7 +278,10 @@ public:
   void setContextSlots(uint32_t S) { ContextSlots = S; }
   uint32_t contextSlots() const { return ContextSlots; }
 
-  uint64_t makeTag(AllocSiteId Site, uint32_t Slot) const {
+  /// The codec itself, shared by every holder of a slot count: the graphs
+  /// below, TagEnv's ALLOC rule, and the clients' site lookups.
+  static uint64_t makeTag(AllocSiteId Site, uint32_t Slot,
+                          uint32_t ContextSlots) {
     uint64_t Tag = uint64_t(Site) * ContextSlots + Slot;
     // site x slots must stay below the static pseudo-tag range: a
     // collision would silently alias an object field with a global.
@@ -289,12 +292,16 @@ public:
   }
   static uint64_t makeStaticTag(GlobalId G) { return kStaticTagBase + G; }
   static bool isStaticTag(uint64_t Tag) { return Tag >= kStaticTagBase; }
-  AllocSiteId tagSite(uint64_t Tag) const {
+  static AllocSiteId tagSite(uint64_t Tag, uint32_t ContextSlots) {
     return AllocSiteId(Tag / ContextSlots);
   }
-  uint32_t tagSlot(uint64_t Tag) const {
+  static uint32_t tagSlot(uint64_t Tag, uint32_t ContextSlots) {
     return uint32_t(Tag % ContextSlots);
   }
+  AllocSiteId tagSite(uint64_t Tag) const {
+    return tagSite(Tag, ContextSlots);
+  }
+  uint32_t tagSlot(uint64_t Tag) const { return tagSlot(Tag, ContextSlots); }
 
   /// Sum of node frequencies: the instruction instances the graph covers.
   uint64_t totalFreq() const {

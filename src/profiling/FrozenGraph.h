@@ -327,21 +327,20 @@ public:
   }
 
   //===--------------------------------------------------------------------===
-  // Tag codec (mirrors DepGraph's).
+  // Tag codec (DepGraph's, at this graph's slot count).
   //===--------------------------------------------------------------------===
 
   uint32_t contextSlots() const { return ContextSlots; }
-  uint64_t makeTag(AllocSiteId Site, uint32_t Slot) const {
-    return uint64_t(Site) * ContextSlots + Slot;
-  }
   static uint64_t makeStaticTag(GlobalId G) {
     return DepGraph::makeStaticTag(G);
   }
   static bool isStaticTag(uint64_t Tag) { return DepGraph::isStaticTag(Tag); }
   AllocSiteId tagSite(uint64_t Tag) const {
-    return AllocSiteId(Tag / ContextSlots);
+    return DepGraph::tagSite(Tag, ContextSlots);
   }
-  uint32_t tagSlot(uint64_t Tag) const { return uint32_t(Tag % ContextSlots); }
+  uint32_t tagSlot(uint64_t Tag) const {
+    return DepGraph::tagSlot(Tag, ContextSlots);
+  }
 
   //===--------------------------------------------------------------------===
   // Memory accounting (the `mem.frozen.*` telemetry lines).

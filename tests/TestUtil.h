@@ -6,6 +6,7 @@
 #include "profiling/FrozenGraph.h"
 #include "profiling/SlicingProfiler.h"
 #include "runtime/Interpreter.h"
+#include "support/CoreBudget.h"
 #include "workloads/Driver.h"
 
 #include <vector>
@@ -81,6 +82,14 @@ inline bool hasEdge(const DepGraph &G, NodeId From, NodeId To) {
       return true;
   return false;
 }
+
+/// Holds every core of the process budget for its lifetime, as a caller
+/// whose own threads cover the cores would: sessions then find no core
+/// spare and run their clients inline.
+struct SaturatedProcess {
+  CoreBudget::Hold Cores =
+      CoreBudget::process().hold(CoreBudget::process().cores());
+};
 
 } // namespace test
 } // namespace lud

@@ -113,7 +113,7 @@ TEST(DepGraphTest, TagCodecRoundTrips) {
   G.setContextSlots(16);
   for (AllocSiteId Site : {0u, 1u, 17u, 9999u}) {
     for (uint32_t Slot : {0u, 7u, 15u}) {
-      uint64_t Tag = G.makeTag(Site, Slot);
+      uint64_t Tag = DepGraph::makeTag(Site, Slot, G.contextSlots());
       EXPECT_EQ(G.tagSite(Tag), Site);
       EXPECT_EQ(G.tagSlot(Tag), Slot);
       EXPECT_FALSE(DepGraph::isStaticTag(Tag));

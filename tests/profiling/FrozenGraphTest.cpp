@@ -57,7 +57,8 @@ DepGraph buildSynthetic(size_t NumNodes, uint64_t Seed) {
   }
   // Allocation sites: every ~20th node is an allocation with a tag.
   for (size_t I = 0; I < Ids.size(); I += 20) {
-    uint64_t Tag = G.makeTag(AllocSiteId(I / 20), uint32_t(I % 16));
+    uint64_t Tag = DepGraph::makeTag(AllocSiteId(I / 20), uint32_t(I % 16),
+                                     G.contextSlots());
     G.node(Ids[I]).IsAlloc = true;
     G.noteAlloc(Tag, Ids[I]);
     G.addRefEdge(Ids[R.nextBelow(Ids.size())], Ids[I]);

@@ -181,6 +181,8 @@ TEST(FlatSetTest, ReservedEmptyKeyInsertable) {
 void buildFragment(DepGraph &G, int Which) {
   // Nodes keyed (Instr, Domain); edges and per-location maps exercise
   // every merged side table.
+  const uint64_t Tag5 = DepGraph::makeTag(5, 0, G.contextSlots());
+  const uint64_t Tag9 = DepGraph::makeTag(9, 1, G.contextSlots());
   if (Which == 0 || Which == 2) {
     NodeId A = G.getOrCreate(1, 0);
     NodeId B = G.getOrCreate(2, 0);
@@ -188,8 +190,8 @@ void buildFragment(DepGraph &G, int Which) {
     G.freq(B) += 1;
     G.node(A).WritesHeap = true;
     G.addEdge(A, B);
-    G.noteAlloc(G.makeTag(5, 0), A);
-    G.noteWriter(HeapLoc{G.makeTag(5, 0), 2}, A);
+    G.noteAlloc(Tag5, A);
+    G.noteWriter(HeapLoc{Tag5, 2}, A);
     G.addRefEdge(B, A);
   }
   if (Which == 1 || Which == 2) {
@@ -200,8 +202,8 @@ void buildFragment(DepGraph &G, int Which) {
     G.node(C).ReadsHeap = true;
     G.addEdge(B, C);
     G.addEdge(G.getOrCreate(1, 0), C);
-    G.noteReader(HeapLoc{G.makeTag(5, 0), 2}, C);
-    G.noteRefChild(HeapLoc{G.makeTag(5, 0), 2}, G.makeTag(9, 1));
+    G.noteReader(HeapLoc{Tag5, 2}, C);
+    G.noteRefChild(HeapLoc{Tag5, 2}, Tag9);
   }
 }
 
