@@ -1,17 +1,13 @@
 //===- bench/frozen_graph_bench.cpp - Sealed read-path latency -------------===//
 //
 // Measures what the FrozenGraph refactor buys on the paper-scale composed
-// workload: per-lookup latency of the branchless Eytzinger node index
-// against the build graph's FlatMap hash probe (hits over every interned
-// key and deliberate misses), the per-location activity sweep that the
-// analyses actually run (frozen offset-indexed spans vs a FlatMap::find
-// per location), seal cost, and the end-to-end wall time of report + n-RAC
-// generation over the sealed representation. The acceptance shape: the
-// frozen read-path sweep beats FlatMap::find by an order of magnitude,
-// Eytzinger wins the miss probes, and the full report pipeline stays under
-// a second at 100K+ nodes. (On uniform-random hit probes the single-probe
-// hash stays ahead of any comparison search — that number is reported too,
-// not hidden.)
+// workload: seal cost and retained bytes, the per-location activity sweep
+// that the analyses actually run (frozen offset-indexed spans, and the
+// same spans reached through the heap-location Eytzinger index, vs a
+// FlatMap::find per location), and the end-to-end wall time of report +
+// n-RAC generation over the sealed representation. The acceptance shape:
+// the frozen read-path sweep beats FlatMap::find by an order of magnitude,
+// and the full report pipeline stays under a second at 100K+ nodes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +17,6 @@
 #include "analysis/DeadValues.h"
 #include "analysis/Report.h"
 #include "profiling/FrozenGraph.h"
-#include "support/RNG.h"
 #include "workloads/Composed.h"
 
 #include <benchmark/benchmark.h>
@@ -29,7 +24,6 @@
 #include <algorithm>
 #include <chrono>
 #include <utility>
-#include <vector>
 
 using namespace lud;
 using namespace lud::bench;
@@ -59,39 +53,6 @@ SealedRun profileComposed(int64_t Scale) {
   return SealedRun{std::move(W), std::move(P), std::move(F), Seal};
 }
 
-/// Every interned (instruction, domain) key, shuffled so the probe order
-/// does not replay graph construction order.
-std::vector<std::pair<InstrId, uint32_t>> shuffledKeys(const FrozenGraph &G) {
-  std::vector<std::pair<InstrId, uint32_t>> Keys;
-  Keys.reserve(G.numNodes());
-  for (NodeId N = 0; N != G.numNodes(); ++N)
-    Keys.emplace_back(G.instr(N), G.domain(N));
-  RNG R(0x5EA1ED);
-  for (size_t I = Keys.size(); I > 1; --I)
-    std::swap(Keys[I - 1], Keys[R.nextBelow(I)]);
-  return Keys;
-}
-
-/// Miss probes: instruction ids far above anything the module interns.
-std::vector<std::pair<InstrId, uint32_t>>
-missKeys(const std::vector<std::pair<InstrId, uint32_t>> &Hits) {
-  std::vector<std::pair<InstrId, uint32_t>> Keys = Hits;
-  for (auto &K : Keys)
-    K.first |= 0x40000000u;
-  return Keys;
-}
-
-template <typename LookupFn>
-double nsPerLookup(const std::vector<std::pair<InstrId, uint32_t>> &Keys,
-                   LookupFn &&Lookup) {
-  auto T0 = std::chrono::steady_clock::now();
-  uint64_t Sum = 0;
-  for (const auto &K : Keys)
-    Sum += Lookup(K.first, K.second);
-  benchmark::DoNotOptimize(Sum);
-  return secondsSince(T0) * 1e9 / double(Keys.empty() ? 1 : Keys.size());
-}
-
 void printTable() {
   const int64_t S = tableScale();
   std::printf("=== FrozenGraph: sealed read path (composed scale %lld) ===\n",
@@ -108,34 +69,6 @@ void printTable() {
               MF.NodeBytes, MF.EdgeBytes, MF.LocBytes, MF.IndexBytes,
               double(MF.total()) / 1024.0,
               double(G.memoryFootprint().total()) / 1024.0);
-
-  std::vector<std::pair<InstrId, uint32_t>> Hits = shuffledKeys(F);
-  std::vector<std::pair<InstrId, uint32_t>> Misses = missKeys(Hits);
-  // A few repetitions, keep the best: the arrays dwarf L2, so the first
-  // pass is a cold-cache measurement and later ones steady-state.
-  double EytHit = 1e99, EytMiss = 1e99, MapHit = 1e99, MapMiss = 1e99;
-  for (int Rep = 0; Rep != 5; ++Rep) {
-    EytHit = std::min(EytHit, nsPerLookup(Hits, [&](InstrId I, uint32_t D) {
-                        return uint64_t(F.lookup(I, D));
-                      }));
-    MapHit = std::min(MapHit, nsPerLookup(Hits, [&](InstrId I, uint32_t D) {
-                        return uint64_t(G.lookup(I, D));
-                      }));
-    EytMiss = std::min(EytMiss, nsPerLookup(Misses, [&](InstrId I, uint32_t D) {
-                         return uint64_t(F.lookup(I, D));
-                       }));
-    MapMiss = std::min(MapMiss, nsPerLookup(Misses, [&](InstrId I, uint32_t D) {
-                         return uint64_t(G.lookup(I, D));
-                       }));
-  }
-  std::printf("%-24s | %10s %10s\n", "node lookup (ns/op)", "hit", "miss");
-  std::printf("%-24s | %10.1f %10.1f\n", "FlatMap::find (build)", MapHit,
-              MapMiss);
-  std::printf("%-24s | %10.1f %10.1f\n", "Eytzinger (frozen)", EytHit,
-              EytMiss);
-  std::printf("%-24s | %9.2fx %9.2fx\n", "speedup",
-              EytHit > 0 ? MapHit / EytHit : 0,
-              EytMiss > 0 ? MapMiss / EytMiss : 0);
 
   // Heap-location activity: the lookup the read path actually replaced.
   // The old Report/CacheCost passes did a FlatMap::find per location per
@@ -203,34 +136,10 @@ void printTable() {
   std::printf("report + %u-RAC + dead-value generation: %.3f s\n",
               unsigned(Opts.Depth), ReportSec);
 
-  emitJsonRow("frozen_graph/lookup_hit_eytzinger_ns", S, EytHit * 1e-9,
-              F.numNodes(), F.numEdges());
-  emitJsonRow("frozen_graph/lookup_hit_flatmap_ns", S, MapHit * 1e-9,
-              F.numNodes(), F.numEdges());
   emitJsonRow("frozen_graph/report_nrac", S, ReportSec, F.numNodes(),
               F.numEdges());
   std::printf("\n");
 }
-
-/// Timing aspect: Eytzinger vs FlatMap lookups under the harness.
-void BM_NodeLookup(benchmark::State &State) {
-  static SealedRun R = profileComposed(tableScale() / 4);
-  static std::vector<std::pair<InstrId, uint32_t>> Keys =
-      shuffledKeys(R.Frozen);
-  const bool UseFrozen = State.range(0) != 0;
-  size_t I = 0;
-  for (auto _ : State) {
-    const auto &K = Keys[I];
-    if (++I == Keys.size())
-      I = 0;
-    uint64_t N = UseFrozen ? uint64_t(R.Frozen.lookup(K.first, K.second))
-                           : uint64_t(R.Run.Prof->graph().lookup(K.first,
-                                                                 K.second));
-    benchmark::DoNotOptimize(N);
-  }
-  State.SetLabel(UseFrozen ? "eytzinger" : "flatmap");
-}
-BENCHMARK(BM_NodeLookup)->Arg(0)->Arg(1);
 
 /// Timing aspect: sealing the composed build graph.
 void BM_Seal(benchmark::State &State) {

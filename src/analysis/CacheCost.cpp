@@ -16,7 +16,7 @@ std::vector<CacheScore> lud::rankCacheEffectiveness(const CostModel &CM,
   const FrozenGraph &G = CM.graph();
   std::map<AllocSiteId, CacheScore> BySite;
 
-  for (uint64_t Tag : CM.allTags()) {
+  for (const auto &[Tag, Alloc] : G.allocEntries()) {
     if (FrozenGraph::isStaticTag(Tag))
       continue;
     AllocSiteId Site = G.tagSite(Tag);
@@ -26,9 +26,7 @@ std::vector<CacheScore> lud::rankCacheEffectiveness(const CostModel &CM,
       S.Description = M.describeAllocSite(Site);
     }
     // Spine: the allocation instances themselves...
-    NodeId Alloc = G.allocNodeFor(Tag);
-    if (Alloc != kNoNode)
-      S.SpineCost += double(G.freq(Alloc));
+    S.SpineCost += double(G.freq(Alloc));
 
     for (FieldSlot Slot : CM.fieldsOf(Tag)) {
       HeapLoc L{Tag, Slot};

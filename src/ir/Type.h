@@ -51,25 +51,9 @@ struct Type {
     }
   }
 
-  bool isRefLike() const {
-    return Kind == TypeKind::Ref || isArray();
-  }
   bool isArray() const {
     return Kind == TypeKind::IntArray || Kind == TypeKind::FloatArray ||
            Kind == TypeKind::RefArray;
-  }
-  /// Element kind for array types.
-  TypeKind elementKind() const {
-    switch (Kind) {
-    case TypeKind::IntArray:
-      return TypeKind::Int;
-    case TypeKind::FloatArray:
-      return TypeKind::Float;
-    case TypeKind::RefArray:
-      return TypeKind::Ref;
-    default:
-      return TypeKind::Int;
-    }
   }
 };
 

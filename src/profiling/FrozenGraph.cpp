@@ -100,35 +100,11 @@ FrozenGraph::FrozenGraph(const DepGraph &G) {
   InOffsets[N] = uint32_t(InTargets.size());
   RefEdges = G.refEdges();
 
-  // Frozen node-key table.
-  {
-    std::vector<std::pair<uint64_t, NodeId>> Pairs;
-    Pairs.reserve(N);
-    for (NodeId I = 0; I != NodeId(N); ++I)
-      Pairs.emplace_back((uint64_t(Instrs[I]) << 32) | Domains[I], I);
-    std::sort(Pairs.begin(), Pairs.end());
-    std::vector<uint64_t> Keys;
-    Keys.reserve(N);
-    NodeByRank.resize(N);
-    for (size_t I = 0; I != Pairs.size(); ++I) {
-      Keys.push_back(Pairs[I].first);
-      NodeByRank[I] = Pairs[I].second;
-    }
-    NodeIndex = EytzingerIndex(Keys);
-  }
-
-  // Frozen allocation-tag table.
-  {
-    AllocEntries.reserve(G.allocNodes().size());
-    for (const auto &Entry : G.allocNodes())
-      AllocEntries.push_back(Entry);
-    std::sort(AllocEntries.begin(), AllocEntries.end());
-    std::vector<uint64_t> Tags;
-    Tags.reserve(AllocEntries.size());
-    for (const auto &[Tag, Node] : AllocEntries)
-      Tags.push_back(Tag);
-    AllocIndex = EytzingerIndex(Tags);
-  }
+  // Allocation table, sorted by tag.
+  AllocEntries.reserve(G.allocNodes().size());
+  for (const auto &Entry : G.allocNodes())
+    AllocEntries.push_back(Entry);
+  std::sort(AllocEntries.begin(), AllocEntries.end());
 
   // Heap-location universe: union of the three maps' keys, sorted by
   // (Tag, Slot). Presence in a map is "non-empty span": the build phase
@@ -201,11 +177,9 @@ FrozenGraph::MemoryFootprint FrozenGraph::memoryFootprint() const {
                 (WriterVals.capacity() + ReaderVals.capacity()) *
                     sizeof(NodeId) +
                 RefChildVals.capacity() * sizeof(uint64_t);
-  FP.IndexBytes = NodeIndex.memoryBytes() +
-                  NodeByRank.capacity() * sizeof(NodeId) +
-                  AllocIndex.memoryBytes() +
-                  AllocEntries.capacity() * sizeof(std::pair<uint64_t, NodeId>) +
-                  LocIndex.memoryBytes();
+  FP.IndexBytes =
+      AllocEntries.capacity() * sizeof(std::pair<uint64_t, NodeId>) +
+      LocIndex.memoryBytes();
   return FP;
 }
 

@@ -24,12 +24,15 @@
 ///     arrays, so a sweep touches only the bytes it reads (DeadValues
 ///     reads one meta byte + one freq word per node, not a ~100-byte
 ///     Node record);
-///   - sorted key tables searched with a branchless Eytzinger layout
-///     (`i = 2i + (keys[i] < target)` with per-level prefetch) for the
-///     node-key, allocation-tag and HeapLoc lookups, replacing the
-///     open-addressing probe sequences;
 ///   - writers/readers/refChildren flattened into offset-indexed spans
-///     over one shared sorted HeapLoc universe.
+///     over one shared sorted HeapLoc universe, whose keyed lookups
+///     (writersOf/readersOf/refChildrenOf) search a branchless Eytzinger
+///     layout (`i = 2i + (keys[i] < target)` with per-level prefetch)
+///     instead of open-addressing probe sequences;
+///   - the (tag, allocation node) pairs as one tag-sorted array.
+///
+/// Nothing is indexed by node key: the analyses walk nodes by id, and the
+/// only per-key reads of a sealed graph are by heap location.
 ///
 /// Node ids are preserved exactly, and the per-location value sequences
 /// dedup to the first-occurrence order the build phase's insertUnique
@@ -52,91 +55,24 @@ namespace obs {
 class MetricsRegistry;
 }
 
-/// Branchless lookup table over a sorted key sequence, stored in Eytzinger
-/// (BFS) order: element 1 is the root, element i's children are 2i and
-/// 2i+1. The search loop is a data-independent multiply-free descent whose
-/// next index depends only on one comparison, so it pipelines and
-/// prefetches where a binary search over the sorted array stalls on every
-/// level. Payloads are the keys' ranks in sorted order.
-class EytzingerIndex {
-public:
-  EytzingerIndex() = default;
-
-  /// Builds from \p SortedKeys (strictly ascending). The tree is padded to
-  /// a full power of two with +inf sentinel keys so every real key sits in
-  /// a complete tree: the descent then runs a fixed number of levels with
-  /// no data-dependent exit (a half-full bottom level would otherwise cost
-  /// a mispredicted branch on most lookups).
-  explicit EytzingerIndex(const std::vector<uint64_t> &SortedKeys) {
-    size_t Cap = 2;
-    Levels = 1;
-    while (Cap - 1 < SortedKeys.size()) {
-      Cap <<= 1;
-      ++Levels;
-    }
-    Keys.assign(Cap, ~uint64_t(0));
-    Rank.assign(Cap, 0);
-    size_t Next = 0;
-    fill(SortedKeys, Next, 1);
-  }
-
-  /// Rank of \p X in the sorted key sequence, or npos when absent.
-  static constexpr uint32_t npos = 0xFFFFFFFF;
-  uint32_t find(uint64_t X) const {
-    // All-ones is the padding sentinel; no interned key space reaches it.
-    if (Keys.empty() || X == ~uint64_t(0))
-      return npos;
-    const uint64_t *K = Keys.data();
-    const size_t Last = Keys.size() - 1;
-    size_t I = 1;
-    for (uint32_t L = 0; L != Levels; ++L) {
-      // Pull the grandchildren's cache line while comparing: 4 levels of
-      // the implicit tree (16 keys, two lines) ahead of the descent.
-      __builtin_prefetch(&K[std::min(I * 16, Last)]);
-      I = 2 * I + (K[I] < X);
-    }
-    // The descent ends on a virtual leaf; undoing the trailing right
-    // turns (+1) recovers the lower bound. I == 0 means every key < X.
-    I >>= __builtin_ffsll((long long)~I);
-    if (I == 0 || K[I] != X)
-      return npos;
-    return Rank[I];
-  }
-
-  size_t memoryBytes() const {
-    return Keys.capacity() * sizeof(uint64_t) +
-           Rank.capacity() * sizeof(uint32_t);
-  }
-
-private:
-  void fill(const std::vector<uint64_t> &Sorted, size_t &Next, size_t I) {
-    if (I >= Keys.size() || Next >= Sorted.size())
-      return;
-    fill(Sorted, Next, 2 * I);
-    if (Next < Sorted.size()) {
-      Keys[I] = Sorted[Next];
-      Rank[I] = uint32_t(Next);
-      ++Next;
-    }
-    fill(Sorted, Next, 2 * I + 1);
-  }
-
-  /// 1-indexed; slot 0 unused. Power-of-two size, +inf padded.
-  std::vector<uint64_t> Keys;
-  std::vector<uint32_t> Rank;
-  uint32_t Levels = 0;
-};
-
-/// EytzingerIndex over (Tag, Slot) pairs — a HeapLoc key is 96 bits, so
-/// the key lives in two parallel columns and each level compares
-/// lexicographically. The descent stays branchless: the comparison result
-/// is computed with integer ops, never a branch.
+/// Branchless lookup table over the heap-location keys, sorted by
+/// (Tag, Slot) and stored in Eytzinger (BFS) order: element 1 is the root,
+/// element i's children are 2i and 2i+1. A HeapLoc key is 96 bits, so it
+/// lives in two parallel columns and each level compares lexicographically
+/// with integer ops, never a branch. The descent's next index depends only
+/// on that one comparison, so it pipelines and prefetches where a binary
+/// search over the sorted array stalls on every level. Payloads are the
+/// keys' ranks in sorted order.
 class LocEytzingerIndex {
 public:
   LocEytzingerIndex() = default;
 
-  /// Builds from parallel columns sorted ascending by (Tag, Slot). Padded
-  /// to a full power of two with +inf sentinels, same as EytzingerIndex.
+  /// Builds from parallel columns sorted strictly ascending by (Tag,
+  /// Slot). The tree is padded to a full power of two with +inf sentinel
+  /// keys so every real key sits in a complete tree: the descent then runs
+  /// a fixed number of levels with no data-dependent exit (a half-full
+  /// bottom level would otherwise cost a mispredicted branch on most
+  /// lookups).
   LocEytzingerIndex(const std::vector<uint64_t> &SortedTags,
                     const std::vector<FieldSlot> &SortedSlots) {
     assert(SortedTags.size() == SortedSlots.size());
@@ -153,6 +89,7 @@ public:
     fill(SortedTags, SortedSlots, Next, 1);
   }
 
+  /// Rank of \p L in the sorted key sequence, or npos when absent.
   static constexpr uint32_t npos = 0xFFFFFFFF;
   uint32_t find(const HeapLoc &L) const {
     // All-ones tags are the padding sentinel; real tags stay below 2^63.
@@ -163,11 +100,15 @@ public:
     const size_t Last = Tags.size() - 1;
     size_t I = 1;
     for (uint32_t Lv = 0; Lv != Levels; ++Lv) {
+      // Pull the grandchildren's cache line while comparing: 4 levels of
+      // the implicit tree (16 keys, two lines) ahead of the descent.
       __builtin_prefetch(&T[std::min(I * 16, Last)]);
       unsigned Less = unsigned(T[I] < L.Tag) |
                       (unsigned(T[I] == L.Tag) & unsigned(S[I] < L.Slot));
       I = 2 * I + Less;
     }
+    // The descent ends on a virtual leaf; undoing the trailing right
+    // turns (+1) recovers the lower bound. I == 0 means every key < L.
     I >>= __builtin_ffsll((long long)~I);
     if (I == 0 || T[I] != L.Tag || S[I] != L.Slot)
       return npos;
@@ -195,6 +136,7 @@ private:
     fill(ST, SS, Next, 2 * I + 1);
   }
 
+  /// 1-indexed; slot 0 unused. Power-of-two size, +inf padded.
   std::vector<uint64_t> Tags;
   std::vector<FieldSlot> Slots;
   std::vector<uint32_t> Rank;
@@ -266,23 +208,9 @@ public:
     return RefEdges;
   }
 
-  //===--------------------------------------------------------------------===
-  // Frozen interning tables.
-  //===--------------------------------------------------------------------===
-
-  /// Node for (Instr, Domain), or kNoNode.
-  NodeId lookup(InstrId Instr, uint32_t Domain) const {
-    uint32_t R = NodeIndex.find((uint64_t(Instr) << 32) | Domain);
-    return R == EytzingerIndex::npos ? kNoNode : NodeByRank[R];
-  }
-
-  /// Allocation node for \p Tag, or kNoNode.
-  NodeId allocNodeFor(uint64_t Tag) const {
-    uint32_t R = AllocIndex.find(Tag);
-    return R == EytzingerIndex::npos ? kNoNode : AllocEntries[R].second;
-  }
   /// (tag, allocation node) pairs sorted by tag — the deterministic
-  /// iteration CostModel::allTags and the serializer need.
+  /// iteration the cache ranking, CostModel::allTags and the serializer
+  /// need.
   const std::vector<std::pair<uint64_t, NodeId>> &allocEntries() const {
     return AllocEntries;
   }
@@ -298,17 +226,17 @@ public:
 
   std::span<const NodeId> writersOf(const HeapLoc &L) const {
     uint32_t I = findLoc(L);
-    return I == EytzingerIndex::npos ? std::span<const NodeId>()
+    return I == LocEytzingerIndex::npos ? std::span<const NodeId>()
                                      : writersAt(I);
   }
   std::span<const NodeId> readersOf(const HeapLoc &L) const {
     uint32_t I = findLoc(L);
-    return I == EytzingerIndex::npos ? std::span<const NodeId>()
+    return I == LocEytzingerIndex::npos ? std::span<const NodeId>()
                                      : readersAt(I);
   }
   std::span<const uint64_t> refChildrenOf(const HeapLoc &L) const {
     uint32_t I = findLoc(L);
-    return I == EytzingerIndex::npos ? std::span<const uint64_t>()
+    return I == LocEytzingerIndex::npos ? std::span<const uint64_t>()
                                      : refChildrenAt(I);
   }
 
@@ -353,7 +281,7 @@ public:
     size_t EdgeBytes = 0;
     /// Location universe keys, per-map offsets and value arrays.
     size_t LocBytes = 0;
-    /// Eytzinger lookup tables (node key, alloc tag, heap loc).
+    /// Heap-location Eytzinger tree plus the tag-sorted allocation table.
     size_t IndexBytes = 0;
     size_t total() const {
       return NodeBytes + EdgeBytes + LocBytes + IndexBytes;
@@ -388,13 +316,7 @@ private:
   std::vector<NodeId> OutTargets, InTargets;
   std::vector<std::pair<NodeId, NodeId>> RefEdges;
 
-  // Frozen node-key table: Eytzinger over (Instr<<32)|Domain, payload is
-  // the key's sorted rank into NodeByRank.
-  EytzingerIndex NodeIndex;
-  std::vector<NodeId> NodeByRank;
-
-  // Frozen allocation-tag table.
-  EytzingerIndex AllocIndex;
+  // Allocation table, sorted by tag.
   std::vector<std::pair<uint64_t, NodeId>> AllocEntries;
 
   // Heap-location universe, sorted by (Tag, Slot).

@@ -128,11 +128,10 @@ void NullnessProfiler::onReturnBound(Reg Dst) {
   Sh.Pending = ShadowVal();
 }
 
-void NullnessProfiler::onTrap(const Instruction &I, TrapKind K, Reg FaultReg) {
+void NullnessProfiler::onTrap(const Instruction &, TrapKind K, Reg FaultReg) {
   if (K != TrapKind::NullDeref || FaultReg == kNoReg)
     return;
   Fault = regs()[FaultReg].N;
-  FaultInstr = I.getId();
 }
 
 void NullnessProfiler::accountStats(obs::MetricsRegistry &R) const {
@@ -145,10 +144,8 @@ void NullnessProfiler::accountStats(obs::MetricsRegistry &R) const {
 
 void NullnessProfiler::mergeFrom(const NullnessProfiler &O) {
   std::vector<NodeId> Remap = G.mergeFrom(O.G);
-  if (O.Fault != kNoNode) {
+  if (O.Fault != kNoNode)
     Fault = Remap[O.Fault];
-    FaultInstr = O.FaultInstr;
-  }
 }
 
 NullTrace lud::traceNullOrigin(const NullnessProfiler &P) {

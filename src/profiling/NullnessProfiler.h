@@ -55,7 +55,6 @@ public:
   /// Node whose value was dereferenced when the trap fired (kNoNode if no
   /// trap happened or the value was untracked).
   NodeId faultNode() const { return Fault; }
-  InstrId faultInstr() const { return FaultInstr; }
 
   /// Merges another profiler's results into this one, treating \p O as the
   /// later of two sequential runs: the graph is folded with
@@ -114,7 +113,6 @@ private:
   DepGraph G;
   ShadowMachine<ShadowVal> Sh;
   NodeId Fault = kNoNode;
-  InstrId FaultInstr = kNoInstr;
 };
 
 /// Result of tracing a null dereference backwards (Figure 2(a)).

@@ -14,6 +14,9 @@
 ///   lud-run --dump-graph prog.graph prog.lud
 ///   lud-analyze prog.lud prog.graph [--depth N] [--top K]
 ///
+/// A graph that is not a profile of the program is refused with exit 1
+/// before anything indexes the module with its ids.
+///
 //===----------------------------------------------------------------------===//
 
 #include "profiling/FrozenGraph.h"
@@ -27,6 +30,64 @@
 #include <vector>
 
 using namespace lud;
+
+namespace {
+
+/// Checks that \p G is a profile of \p M: every node's instruction lies in
+/// the module and carries that instruction's heap and allocation flags,
+/// every allocation tag names the allocation site of its node's
+/// instruction, and every heap-location tag names an allocation site or a
+/// global of the module. The analyses index the module with these ids
+/// unchecked, so a graph dumped from another program has to stop here.
+/// Returns the first mismatch, or an empty string.
+std::string findModuleMismatch(const DepGraph &G, const Module &M) {
+  auto NodeName = [&](NodeId N) {
+    return "node " + std::to_string(N) + " (instruction " +
+           std::to_string(G.node(N).Instr) + ")";
+  };
+  auto TagKnown = [&](uint64_t Tag) {
+    return DepGraph::isStaticTag(Tag)
+               ? Tag - kStaticTagBase < M.globals().size()
+               : Tag / G.contextSlots() < M.getNumAllocSites();
+  };
+  auto NoSuchTag = [](uint64_t Tag) {
+    return "tag " + std::to_string(Tag) +
+           ", which names no allocation site or global of the program";
+  };
+  for (NodeId N = 0; N != G.numNodes(); ++N) {
+    const DepGraph::Node &Node = G.node(N);
+    if (Node.Instr >= M.getNumInstrs())
+      return NodeName(N) + " lies past the program's " +
+             std::to_string(M.getNumInstrs()) + " instructions";
+    const Instruction &I = *M.getInstr(Node.Instr);
+    if (Node.ReadsHeap != I.readsHeap() ||
+        Node.WritesHeap != I.writesHeap() || Node.IsAlloc != I.isAlloc())
+      return NodeName(N) + " differs from the program's instruction in " +
+             "its heap/allocation flags";
+    if (Node.Effect != EffectKind::None && !TagKnown(Node.EffectLoc.Tag))
+      return NodeName(N) + " has an effect on " +
+             NoSuchTag(Node.EffectLoc.Tag);
+  }
+  for (const auto *Map : {&G.writers(), &G.readers()})
+    for (const auto &[Loc, Nodes] : *Map)
+      if (!TagKnown(Loc.Tag))
+        return NodeName(Nodes.front()) + " accesses " + NoSuchTag(Loc.Tag);
+  for (const auto &[Loc, Children] : G.refChildren()) {
+    if (!TagKnown(Loc.Tag))
+      return "a reference-child record names " + NoSuchTag(Loc.Tag);
+    for (uint64_t Child : Children)
+      if (!TagKnown(Child))
+        return "a reference-child record names " + NoSuchTag(Child);
+  }
+  for (const auto &[Tag, N] : G.allocNodes())
+    if (DepGraph::isStaticTag(Tag) || !TagKnown(Tag) ||
+        M.getAllocSite(G.tagSite(Tag))->getId() != G.node(N).Instr)
+      return NodeName(N) + " allocates tag " + std::to_string(Tag) +
+             ", which names no allocation site of the program there";
+  return {};
+}
+
+} // namespace
 
 int main(int argc, char **argv) {
   cli::ProgramSource Src;
@@ -60,6 +121,13 @@ int main(int argc, char **argv) {
   if (!G) {
     for (const std::string &E : Errors)
       errs() << GraphPath << ": " << E << "\n";
+    return 1;
+  }
+
+  std::string Mismatch = findModuleMismatch(*G, *M);
+  if (!Mismatch.empty()) {
+    errs() << GraphPath << ": not a profile of '" << Src.File
+           << "': " << Mismatch << "\n";
     return 1;
   }
 

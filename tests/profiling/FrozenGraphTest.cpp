@@ -1,11 +1,10 @@
 //===- tests/profiling/FrozenGraphTest.cpp - Sealed representation ---------===//
 //
 // Covers the build -> seal boundary: every FrozenGraph accessor must agree
-// with the DepGraph it was sealed from, at unit size, at power-of-two
-// boundary sizes (the Eytzinger tree pads to a full level), and at the
-// paper-scale 100K+ node tier, including merged shards and an
-// Eytzinger-lookup-vs-FlatMap-find equivalence sweep over every interned
-// key plus deliberate miss probes.
+// with the DepGraph it was sealed from, at unit size, at location-universe
+// sizes on either side of a power of two (the heap-location Eytzinger tree
+// pads to a full level) with deliberate miss probes, and at the
+// paper-scale 100K+ node tier, including merged shards.
 //
 //===----------------------------------------------------------------------===//
 
@@ -112,30 +111,12 @@ void expectEquivalent(const DepGraph &G, const FrozenGraph &F) {
   }
   ASSERT_EQ(F.totalFreq(), Total);
 
-  // Eytzinger vs FlatMap::find: every interned key must resolve to the
-  // same node id through both representations...
-  for (NodeId N = 0; N != G.numNodes(); ++N) {
-    InstrId Instr = G.node(N).Instr;
-    uint32_t Domain = G.node(N).Domain;
-    ASSERT_EQ(F.lookup(Instr, Domain), N);
-    ASSERT_EQ(F.lookup(Instr, Domain), G.lookup(Instr, Domain));
-  }
-  // ... and perturbed keys must miss through both.
-  for (NodeId N = 0; N < G.numNodes(); N += 3) {
-    InstrId Instr = G.node(N).Instr;
-    uint32_t Domain = G.node(N).Domain;
-    ASSERT_EQ(F.lookup(Instr, Domain + 100), G.lookup(Instr, Domain + 100));
-    ASSERT_EQ(F.lookup(Instr | 0x40000000u, Domain), kNoNode);
-    ASSERT_EQ(F.lookup(Instr | 0x40000000u, Domain),
-              G.lookup(Instr | 0x40000000u, Domain));
-  }
-
-  // Allocation tags, hits and misses.
-  for (const auto &[Tag, N] : G.allocNodes()) {
-    ASSERT_EQ(F.allocNodeFor(Tag), N);
-    ASSERT_EQ(F.allocNodeFor(Tag + (1ull << 40)), kNoNode);
-  }
-  ASSERT_EQ(F.allocEntries().size(), G.allocNodes().size());
+  // The allocation table is the build graph's, in tag order.
+  std::vector<std::pair<uint64_t, NodeId>> Allocs;
+  for (const auto &Entry : G.allocNodes())
+    Allocs.push_back(Entry);
+  std::sort(Allocs.begin(), Allocs.end());
+  ASSERT_EQ(F.allocEntries(), Allocs);
 
   // Heap-location maps: identical contents per key, empty spans on miss.
   auto checkMap = [&](const auto &Map, auto Spans) {
@@ -165,18 +146,62 @@ TEST(FrozenGraphTest, EmptyGraphSeals) {
   DepGraph G;
   FrozenGraph F(G);
   EXPECT_EQ(F.numNodes(), 0u);
-  EXPECT_EQ(F.lookup(0, 0), kNoNode);
-  EXPECT_EQ(F.allocNodeFor(42), kNoNode);
+  EXPECT_TRUE(F.allocEntries().empty());
   EXPECT_TRUE(F.writersOf(HeapLoc{1, 2}).empty());
 }
 
+/// A one-node graph whose heap-location universe holds exactly \p NumLocs
+/// locations: tags are multiples of 16 with two even slots each, so a tag
+/// or slot perturbed by one is never a member. The locations rotate
+/// through the writer, reader and ref-child maps.
+DepGraph buildLocUniverse(size_t NumLocs) {
+  DepGraph G;
+  NodeId N = G.getOrCreate(0, 0);
+  for (size_t I = 0; I != NumLocs; ++I) {
+    HeapLoc Loc{16 * (I / 2 + 1), FieldSlot(2 + 2 * (I % 2))};
+    if (I % 3 == 0)
+      G.noteWriter(Loc, N);
+    else if (I % 3 == 1)
+      G.noteReader(Loc, N);
+    else
+      G.noteRefChild(Loc, 16 * (I + 1));
+  }
+  return G;
+}
+
 TEST(FrozenGraphTest, BoundarySizesSealExactly) {
-  // Sizes straddling Eytzinger's power-of-two padding boundaries.
   for (size_t N : {1u, 2u, 3u, 7u, 8u, 9u, 63u, 64u, 65u, 1023u, 1024u,
                    1025u}) {
     DepGraph G = buildSynthetic(N, /*Seed=*/N);
     FrozenGraph F(G);
     expectEquivalent(G, F);
+  }
+  // Universe sizes straddling the heap-location tree's power-of-two
+  // padding: every member must hit, every perturbed key must miss.
+  for (size_t L : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 63u, 64u,
+                   65u, 1023u, 1024u, 1025u}) {
+    DepGraph G = buildLocUniverse(L);
+    FrozenGraph F(G);
+    ASSERT_EQ(F.numLocs(), L);
+    expectEquivalent(G, F);
+    auto Missing = [&](const HeapLoc &Loc) {
+      return F.writersOf(Loc).empty() && F.readersOf(Loc).empty() &&
+             F.refChildrenOf(Loc).empty();
+    };
+    for (size_t I = 0; I != L; ++I) {
+      HeapLoc Loc = F.loc(I);
+      ASSERT_FALSE(Missing(Loc)) << "L=" << L << " I=" << I;
+      for (HeapLoc Probe : {HeapLoc{Loc.Tag - 1, Loc.Slot},
+                            HeapLoc{Loc.Tag + 1, Loc.Slot},
+                            HeapLoc{Loc.Tag, Loc.Slot - 1},
+                            HeapLoc{Loc.Tag, Loc.Slot + 1}})
+        ASSERT_TRUE(Missing(Probe))
+            << "L=" << L << " probe " << Probe.Tag << "/" << Probe.Slot;
+    }
+    // Below the smallest key, above the largest, and the padding sentinel.
+    ASSERT_TRUE(Missing(HeapLoc{0, 0}));
+    ASSERT_TRUE(Missing(HeapLoc{16 * (L + 2), 2}));
+    ASSERT_TRUE(Missing(HeapLoc{~uint64_t(0), ~FieldSlot(0)}));
   }
 }
 
