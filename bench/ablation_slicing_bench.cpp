@@ -17,7 +17,7 @@
 
 #include "BenchUtil.h"
 
-#include "analysis/CostModel.h"
+#include "profiling/FrozenGraph.h"
 
 #include <benchmark/benchmark.h>
 
@@ -28,7 +28,7 @@ namespace {
 
 /// Mean backward-slice size (node count) over all heap-store nodes.
 double meanStoreSliceNodes(const DepGraph &G) {
-  CostModel CM(G);
+  const FrozenGraph F(G);
   uint64_t Total = 0, Count = 0;
   for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {
     if (!G.node(N).WritesHeap)
@@ -43,7 +43,7 @@ double meanStoreSliceNodes(const DepGraph &G) {
       NodeId X = Work.back();
       Work.pop_back();
       ++Size;
-      for (NodeId P : G.node(X).In)
+      for (NodeId P : F.in(X))
         if (!Seen[P]) {
           Seen[P] = true;
           Work.push_back(P);

@@ -3,17 +3,17 @@
 // What composing the clients buys, measured: one session running the
 // slicing substrate plus all three client analyses (copy, nullness,
 // typestate) versus one session per client. A session runs the substrate
-// on the calling thread and its clients, composed into one pipeline, in a
-// second execution beside it, so the single session should cost about the
-// slower of one substrate run and one all-clients run; the N-session
-// configuration pays the engine, the substrate and a client execution over
-// and over. The row names keep their single_pass / n_pass spelling.
+// on the calling thread and its clients in executions beside it, so the
+// single session should cost about the slowest of those executions; the
+// N-session configuration pays the engine, the substrate and a client
+// execution over and over. The row names keep their single_pass / n_pass spelling.
 //
-// The timing cases also cover both sides of where the clients' execution
-// runs (support/CoreBudget.h): on its own thread when a core is spare,
-// inline after the substrate when every core is held, and a sharded batch
-// at twice the core count on one thread per core, the saturated caller
-// the budget exists for.
+// The timing cases also cover every placement of the clients' executions
+// (support/CoreBudget.h): two on threads of their own with two cores
+// spare, one on one thread with one, inline after the substrate when every
+// core is held; a sharded batch at twice the core count on one thread per
+// core, the saturated caller the budget exists for; and a half-saturated
+// batch, one shard per core on half as many threads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +23,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <optional>
+#include <algorithm>
 
 using namespace lud;
 using namespace lud::bench;
@@ -115,14 +115,19 @@ void BM_NPassPerClient(benchmark::State &State) {
   }
 }
 
-/// Timing aspect: one all-clients session, with a spare core (Arg 0: the
-/// clients run on their own thread) or with every core held (Arg 1: they
-/// run inline after the substrate).
+/// Timing aspect: one all-clients session with 2, 1 or 0 cores spare
+/// beside its own (the Arg): the clients run as two executions on threads
+/// of their own, as one on one thread, or inline after the substrate.
+/// Other callers' threads are modelled by holding the remaining cores.
 void BM_ClientsBySpareCore(benchmark::State &State) {
+  const unsigned Cores = CoreBudget::process().cores();
+  const unsigned Spare = unsigned(State.range(0));
+  if (Spare + 1 > Cores) {
+    State.SkipWithError("not enough cores for this placement");
+    return;
+  }
   Workload W = buildWorkload("eclipse", tableScale() / 4);
-  std::optional<CoreBudget::Hold> Held;
-  if (State.range(0))
-    Held.emplace(CoreBudget::process().hold(CoreBudget::process().cores()));
+  CoreBudget::Hold Others = CoreBudget::process().hold(Cores - 1 - Spare);
   for (auto _ : State) {
     SessionConfig Cfg;
     Cfg.Clients = kAllClients;
@@ -145,16 +150,37 @@ void BM_ShardedClientsAtCoreCount(benchmark::State &State) {
   }
 }
 
+/// Timing aspect: a half-saturated caller, as many all-clients shards as
+/// cores on half as many threads (`--shards=<cores> --threads=<cores/2>`):
+/// the cores the batch leaves free must not be promised to every shard's
+/// clients twice over.
+void BM_ShardedClientsAtHalfCores(benchmark::State &State) {
+  Workload W = buildWorkload("eclipse", tableScale() / 8);
+  const unsigned Cores = CoreBudget::process().cores();
+  SessionConfig Cfg;
+  Cfg.Clients = kAllClients;
+  for (auto _ : State) {
+    ShardedSession S =
+        runShardedSession(*W.M, Cores, Cfg, std::max(Cores / 2, 1u));
+    benchmark::DoNotOptimize(S.TotalInstrs);
+  }
+}
+
 } // namespace
 
 BENCHMARK(BM_SinglePassAllClients)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NPassPerClient)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ClientsBySpareCore)
-    ->ArgName("no_spare_core")
-    ->Arg(0)
+    ->ArgName("spare_cores")
+    ->Arg(2)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK(BM_ShardedClientsAtCoreCount)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK(BM_ShardedClientsAtHalfCores)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

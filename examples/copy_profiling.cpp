@@ -94,11 +94,12 @@ int main() {
   };
 
   OS << "=== heap-to-heap copy chains ===\n";
+  const FrozenGraph Sealed(P.graph());
   for (const CopyProfiler::CopyChain &Chain : P.chains()) {
     OS << "  " << locName(Chain.From) << "  ->  " << locName(Chain.To)
        << "   x" << Chain.Count << "\n";
     OS << "    via stack hops:\n";
-    for (InstrId Hop : P.stackHops(Chain))
+    for (InstrId Hop : CopyProfiler::stackHops(Sealed, Chain))
       OS << "      " << M.getInstrFunction(Hop)->getName() << ": "
          << instToString(M, *M.getInstr(Hop)) << "\n";
   }

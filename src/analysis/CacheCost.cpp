@@ -28,12 +28,11 @@ std::vector<CacheScore> lud::rankCacheEffectiveness(const CostModel &CM,
     // Spine: the allocation instances themselves...
     S.SpineCost += double(G.freq(Alloc));
 
-    for (FieldSlot Slot : CM.fieldsOf(Tag)) {
-      HeapLoc L{Tag, Slot};
+    for (uint32_t Loc : CM.fieldsOf(Tag)) {
       uint64_t Writes = 0, Reads = 0;
-      for (NodeId W : G.writersOf(L))
+      for (NodeId W : G.writersAt(Loc))
         Writes += G.freq(W);
-      for (NodeId R : G.readersOf(L))
+      for (NodeId R : G.readersAt(Loc))
         Reads += G.freq(R);
       S.Writes += Writes;
       S.Reads += Reads;
@@ -42,7 +41,7 @@ std::vector<CacheScore> lud::rankCacheEffectiveness(const CostModel &CM,
       S.SpineCost += double(Writes);
       // Work one cached value costs to produce, excluding the store
       // instance itself.
-      LocCostBenefit CB = CM.locCostBenefit(L);
+      LocCostBenefit CB = CM.locCostBenefitAt(Loc);
       double CachedWork = std::max(CB.Rac - 1.0, 0.0);
       if (Reads > Writes)
         S.SavedWork += CachedWork * double(Reads - Writes);

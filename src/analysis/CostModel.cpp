@@ -14,16 +14,18 @@ CostModel::CostModel(const DepGraph &DG)
 }
 
 void CostModel::init() {
-  // The location universe is sorted by (Tag, Slot), so each tag's slots
-  // arrive in ascending order and adjacent-dedup reproduces the sorted
-  // unique slot list directly.
-  for (size_t I = 0; I != G.numLocs(); ++I) {
+  // The location universe is sorted by (Tag, Slot) and holds each
+  // location once, so each tag's fields arrive as one run of ascending
+  // slots.
+  for (uint32_t I = 0; I != G.numLocs(); ++I) {
     if (G.writersAt(I).empty() && G.readersAt(I).empty())
       continue; // refchild-only location: not an observed field access.
-    HeapLoc L = G.loc(I);
-    std::vector<FieldSlot> &Slots = FieldsByTag[L.Tag];
-    if (Slots.empty() || Slots.back() != L.Slot)
-      Slots.push_back(L.Slot);
+    auto It = FieldsByTag
+                  .try_emplace(G.loc(I).Tag, uint32_t(FieldLocs.size()),
+                               uint32_t(FieldLocs.size()))
+                  .first;
+    FieldLocs.push_back(I);
+    ++It->second.second;
   }
   const size_t N = G.numNodes();
   HracCache.resize(N);
@@ -116,9 +118,9 @@ const BenefitInfo &CostModel::hrab(NodeId N) const {
   return HrabCache[N];
 }
 
-LocCostBenefit CostModel::locCostBenefit(const HeapLoc &L) const {
+LocCostBenefit CostModel::locCostBenefitAt(uint32_t I) const {
   LocCostBenefit CB;
-  auto Writers = G.writersOf(L);
+  auto Writers = G.writersAt(I);
   if (!Writers.empty()) {
     uint64_t Sum = 0;
     for (NodeId W : Writers)
@@ -126,7 +128,7 @@ LocCostBenefit CostModel::locCostBenefit(const HeapLoc &L) const {
     CB.NumWriters = Writers.size();
     CB.Rac = double(Sum) / double(CB.NumWriters);
   }
-  auto Readers = G.readersOf(L);
+  auto Readers = G.readersAt(I);
   if (!Readers.empty()) {
     uint64_t Sum = 0;
     for (NodeId R : Readers) {
@@ -141,10 +143,12 @@ LocCostBenefit CostModel::locCostBenefit(const HeapLoc &L) const {
   return CB;
 }
 
-const std::vector<FieldSlot> &CostModel::fieldsOf(uint64_t Tag) const {
-  static const std::vector<FieldSlot> Empty;
+std::span<const uint32_t> CostModel::fieldsOf(uint64_t Tag) const {
   auto It = FieldsByTag.find(Tag);
-  return It == FieldsByTag.end() ? Empty : It->second;
+  if (It == FieldsByTag.end())
+    return {};
+  return {FieldLocs.data() + It->second.first,
+          FieldLocs.data() + It->second.second};
 }
 
 std::vector<uint64_t> CostModel::allTags() const {
@@ -169,8 +173,8 @@ ObjectCostBenefit CostModel::objectCostBenefit(uint64_t RootTag,
     unsigned D = DepthOf[Tag];
     if (D >= Depth)
       continue;
-    for (FieldSlot Slot : fieldsOf(Tag)) {
-      for (uint64_t Child : G.refChildrenOf(HeapLoc{Tag, Slot})) {
+    for (uint32_t Loc : fieldsOf(Tag)) {
+      for (uint64_t Child : G.refChildrenAt(Loc)) {
         if (DepthOf.count(Child))
           continue; // Cycle / diamond: keep the first (shallowest) depth.
         DepthOf[Child] = D + 1;
@@ -186,11 +190,10 @@ ObjectCostBenefit CostModel::objectCostBenefit(uint64_t RootTag,
   for (uint64_t Tag : Order) {
     if (DepthOf[Tag] >= Depth)
       continue;
-    for (FieldSlot Slot : fieldsOf(Tag)) {
-      HeapLoc L{Tag, Slot};
+    for (uint32_t Loc : fieldsOf(Tag)) {
       // Reference fields count only when a pointed-to object is in the
       // tree as well (Definition 7); scalar fields always count.
-      auto RC = G.refChildrenOf(L);
+      auto RC = G.refChildrenAt(Loc);
       if (!RC.empty()) {
         bool AnyChildInTree = false;
         for (uint64_t Child : RC) {
@@ -202,7 +205,7 @@ ObjectCostBenefit CostModel::objectCostBenefit(uint64_t RootTag,
         if (!AnyChildInTree)
           continue;
       }
-      LocCostBenefit CB = locCostBenefit(L);
+      LocCostBenefit CB = locCostBenefitAt(Loc);
       Out.NRac += CB.Rac;
       Out.NRab += CB.Rab;
       Out.ReachesPredicate |= CB.ReachesPredicate;

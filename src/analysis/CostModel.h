@@ -29,6 +29,7 @@
 #include "profiling/FrozenGraph.h"
 
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -91,15 +92,17 @@ public:
   /// heap-writing nodes. Also reports consumer reachability.
   const BenefitInfo &hrab(NodeId N) const;
 
-  /// RAC/RAB for one abstract heap location.
-  LocCostBenefit locCostBenefit(const HeapLoc &L) const;
+  /// RAC/RAB for one abstract heap location: the one at universe index
+  /// \p I of the graph (FrozenGraph::locIndexOf).
+  LocCostBenefit locCostBenefitAt(uint32_t I) const;
 
   /// n-RAC and n-RAB for the object(s) tagged \p RootTag, aggregating field
   /// RAC/RABs over the reference tree of height \p Depth (cycles cut).
   ObjectCostBenefit objectCostBenefit(uint64_t RootTag, unsigned Depth) const;
 
-  /// All field slots observed (written or read) on objects tagged \p Tag.
-  const std::vector<FieldSlot> &fieldsOf(uint64_t Tag) const;
+  /// The universe indices (FrozenGraph::loc) of every field observed
+  /// (written or read) on objects tagged \p Tag, by ascending slot.
+  std::span<const uint32_t> fieldsOf(uint64_t Tag) const;
 
   /// Tags whose allocations the graph recorded, in deterministic order.
   std::vector<uint64_t> allTags() const;
@@ -110,8 +113,11 @@ private:
   /// Set when this model sealed its own graph (DepGraph constructor).
   std::unique_ptr<FrozenGraph> Owned;
   const FrozenGraph &G;
-  /// tag -> observed field slots (sorted).
-  std::unordered_map<uint64_t, std::vector<FieldSlot>> FieldsByTag;
+  /// Universe indices of the observed fields, grouped by tag (a tag's
+  /// locations are contiguous in the universe), and tag -> its run in
+  /// FieldLocs as [begin, end).
+  std::vector<uint32_t> FieldLocs;
+  std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> FieldsByTag;
   /// Dense per-node memo columns; Valid bitmaps gate them (a saturated
   /// cost is a legal value, so no sentinel encoding).
   mutable std::vector<uint64_t> HracCache;

@@ -106,7 +106,7 @@ UsageEvidence lud::summarizeUsage(const Module &M, const FrozenGraph &G,
       S->ReadsAfterLastWrite += A.ReadsAfterLastWrite;
     }
     if (DV)
-      for (NodeId W : G.writersOf(L))
+      for (NodeId W : G.writersAt(I))
         if (W < DV->Dead.size() && DV->Dead[W])
           S->DeadWriteFreq += G.freq(W);
   }

@@ -34,7 +34,7 @@ uint64_t multiHopCost(const FrozenGraph &G, NodeId N, unsigned Hops);
 BenefitInfo multiHopBenefit(const FrozenGraph &G, NodeId N, unsigned Hops);
 
 /// RAC/RAB of one abstract heap location under k-hop traversal (means over
-/// its writer/reader nodes, as in CostModel::locCostBenefit).
+/// its writer/reader nodes, as in CostModel::locCostBenefitAt).
 LocCostBenefit multiHopLocCostBenefit(const FrozenGraph &G, const HeapLoc &L,
                                       unsigned Hops);
 

@@ -37,10 +37,10 @@ LowUtilityReport::LowUtilityReport(const CostModel &CM, const Module &M,
     S.ReachesNative |= CB.ReachesNative;
     ++S.NumContexts;
     // Raw activity for the report columns.
-    for (FieldSlot Slot : CM.fieldsOf(Tag)) {
-      for (NodeId W : G.writersOf(HeapLoc{Tag, Slot}))
+    for (uint32_t Loc : CM.fieldsOf(Tag)) {
+      for (NodeId W : G.writersAt(Loc))
         S.Writes += G.freq(W);
-      for (NodeId R : G.readersOf(HeapLoc{Tag, Slot}))
+      for (NodeId R : G.readersAt(Loc))
         S.Reads += G.freq(R);
     }
   }
@@ -160,12 +160,13 @@ void lud::printCopyChains(const CopyProfiler &P, const Module &M,
   std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
     return P.chains()[A].Count > P.chains()[B].Count;
   });
+  const FrozenGraph Sealed(P.graph());
   for (size_t I = 0; I != Order.size() && I != TopK; ++I) {
     const CopyProfiler::CopyChain &Chain = P.chains()[Order[I]];
     OS << "  " << heapLocName(M, Chain.From) << "  ->  "
        << heapLocName(M, Chain.To) << "   x" << Chain.Count << "\n";
     OS << "    via stack hops:\n";
-    for (InstrId Hop : P.stackHops(Chain))
+    for (InstrId Hop : CopyProfiler::stackHops(Sealed, Chain))
       OS << "      " << instrAt(M, Hop) << "\n";
   }
 }

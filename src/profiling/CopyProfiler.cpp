@@ -207,19 +207,20 @@ void CopyProfiler::mergeFrom(const CopyProfiler &O) {
     addChain(C.From, C.To, Remap[C.StoreNode], C.Count);
 }
 
-std::vector<InstrId> CopyProfiler::stackHops(const CopyChain &Chain) const {
+std::vector<InstrId> CopyProfiler::stackHops(const FrozenGraph &G,
+                                             const CopyChain &Chain) {
   std::vector<InstrId> Hops;
   // Follow same-origin predecessors from the final store back to the load
   // that started the chain.
-  OriginId Origin = G.node(Chain.StoreNode).Domain;
+  OriginId Origin = G.domain(Chain.StoreNode);
   NodeId N = Chain.StoreNode;
   std::vector<bool> Seen(G.numNodes(), false);
   while (N != kNoNode && !Seen[N]) {
     Seen[N] = true;
-    Hops.push_back(G.node(N).Instr);
+    Hops.push_back(G.instr(N));
     NodeId Next = kNoNode;
-    for (NodeId P : G.node(N).In) {
-      if (G.node(P).Domain == Origin) {
+    for (NodeId P : G.in(N)) {
+      if (G.domain(P) == Origin) {
         Next = P;
         break;
       }

@@ -28,6 +28,7 @@
 #define LUD_PROFILING_COPYPROFILER_H
 
 #include "profiling/DepGraph.h"
+#include "profiling/FrozenGraph.h"
 #include "profiling/ShadowMachine.h"
 #include "profiling/TagEnv.h"
 #include "runtime/Heap.h"
@@ -83,8 +84,10 @@ public:
 
   /// Walks backward from a chain's store node through nodes with the same
   /// origin annotation, returning the intermediate copy instructions
-  /// (store first, the load that started the chain last).
-  std::vector<InstrId> stackHops(const CopyChain &Chain) const;
+  /// (store first, the load that started the chain last). \p Sealed is
+  /// a FrozenGraph of graph(): seal once, then walk every chain.
+  static std::vector<InstrId> stackHops(const FrozenGraph &Sealed,
+                                        const CopyChain &Chain);
 
   /// Writes this client's state-derived telemetry (`copy.*` gauges) into
   /// \p R. Idempotent set()s; see SlicingProfiler::accountStats.

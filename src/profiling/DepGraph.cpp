@@ -19,6 +19,26 @@ NodeId DepGraph::hitSlow(InstrId Instr, uint32_t Domain, NodeId SrcA,
   return N;
 }
 
+void DepGraph::groupEdges(bool BySource, std::vector<uint32_t> &Offsets,
+                          std::vector<NodeId> &Targets) const {
+  const size_t N = Nodes.size();
+  Offsets.assign(N + 1, 0);
+  for (auto [From, To] : Edges)
+    ++Offsets[(BySource ? From : To) + 1];
+  for (size_t I = 0; I != N; ++I)
+    Offsets[I + 1] += Offsets[I];
+  Targets.resize(Edges.size());
+  // Fill cursors start at each node's offset; placing the log front to
+  // back keeps every node's run in log order.
+  std::vector<uint32_t> Next(Offsets.begin(), Offsets.end() - 1);
+  for (auto [From, To] : Edges) {
+    if (BySource)
+      Targets[Next[From]++] = To;
+    else
+      Targets[Next[To]++] = From;
+  }
+}
+
 std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
   assert((Nodes.empty() || ContextSlots == O.ContextSlots) &&
          "merging graphs built with different context-slot counts");
@@ -49,9 +69,14 @@ std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
     }
   }
 
+  // O's edges by source id, each source's in insertion order: the order
+  // in which a merge has always replayed them.
+  std::vector<uint32_t> OutOffsets;
+  std::vector<NodeId> OutTargets;
+  O.groupEdges(/*BySource=*/true, OutOffsets, OutTargets);
   for (NodeId N = 0, E = NodeId(O.Nodes.size()); N != E; ++N)
-    for (NodeId S : O.Nodes[N].Out)
-      addEdge(Remap[N], Remap[S]);
+    for (uint32_t I = OutOffsets[N]; I != OutOffsets[N + 1]; ++I)
+      addEdge(Remap[N], Remap[OutTargets[I]]);
   for (auto [Store, Alloc] : O.RefEdges)
     addRefEdge(Remap[Store], Remap[Alloc]);
 
@@ -72,12 +97,10 @@ std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
 DepGraph::MemoryFootprint DepGraph::memoryFootprint() const {
   MemoryFootprint F;
   F.NodeBytes = Nodes.capacity() * sizeof(Node) +
-                Freqs.capacity() * sizeof(uint64_t);
-  for (const Node &N : Nodes)
-    F.NodeBytes += (N.In.capacity() + N.Out.capacity()) * sizeof(NodeId);
-  F.NodeBytes += NodeByKey.memoryBytes();
+                Freqs.capacity() * sizeof(uint64_t) + NodeByKey.memoryBytes();
   F.EdgeBytes = EdgeSet.memoryBytes() + RefEdgeSet.memoryBytes() +
-                RefEdges.capacity() * sizeof(std::pair<NodeId, NodeId>);
+                (Edges.capacity() + RefEdges.capacity()) *
+                    sizeof(std::pair<NodeId, NodeId>);
   F.LocMapBytes = Writers.memoryBytes() + Readers.memoryBytes() +
                   RefChildren.memoryBytes() + AllocNodeByTag.memoryBytes();
   for (const auto &[L, V] : Writers)

@@ -18,6 +18,11 @@
 /// per-abstract-heap-location writer/reader/points-to maps the relative
 /// cost-benefit analysis aggregates over.
 ///
+/// Adjacency is one insertion-ordered edge log, not per-node vectors: a
+/// node record stays 40 bytes with no allocation of its own, and the
+/// readers of adjacency read it from the sealed graph (FrozenGraph), whose
+/// CSR the seal groups out of the log.
+///
 /// All interning tables are flat open-addressing tables (support/FlatMap.h)
 /// rather than node-based std containers: Definition 2 bounds the node set
 /// by |I| x s, so the tables can be sized up front and every profiling
@@ -116,9 +121,10 @@ public:
     /// value flow — consumers of this fact: the optimizer must not treat
     /// such stores as removable dead values.
     bool StoredRef = false;
-    std::vector<NodeId> In;
-    std::vector<NodeId> Out;
   };
+  /// Adjacency is not per node: the graph keeps one edge log (edges()),
+  /// and FrozenGraph groups it by node when it seals.
+  static_assert(sizeof(Node) == 40, "no per-node allocation");
 
   /// Returns the node for (Instr, Domain), creating it on first use.
   NodeId getOrCreate(InstrId Instr, uint32_t Domain) {
@@ -184,11 +190,20 @@ public:
   void addEdge(NodeId From, NodeId To) {
     if (From == To || From == kNoNode)
       return;
-    if (EdgeSet.insert(edgeKey(From, To))) {
-      Nodes[From].Out.push_back(To);
-      Nodes[To].In.push_back(From);
-    }
+    if (EdgeSet.insert(edgeKey(From, To)))
+      Edges.emplace_back(From, To);
   }
+
+  /// Every def-use edge (From, To), once each, in the order addEdge first
+  /// recorded it. A node's out-list (in-list) is the subsequence of edges
+  /// leaving (entering) it, so this one log fixes both orders.
+  const std::vector<std::pair<NodeId, NodeId>> &edges() const { return Edges; }
+
+  /// Groups the edge log by source (\p BySource) or by target, as CSR: the
+  /// edges of node N are Targets[Offsets[N], Offsets[N + 1]), holding the
+  /// far end of each, in log order (one stable counting pass).
+  void groupEdges(bool BySource, std::vector<uint32_t> &Offsets,
+                  std::vector<NodeId> &Targets) const;
 
   /// Records a reference edge: heap-store node -> allocation node of the
   /// object whose field was written (Figure 3's dashed arrows).
@@ -380,6 +395,8 @@ private:
   std::vector<uint64_t> Freqs;
   FlatMap<uint64_t, NodeId> NodeByKey;
   FlatSet<uint64_t> EdgeSet;
+  /// The edges EdgeSet admitted, in insertion order (edges()).
+  std::vector<std::pair<NodeId, NodeId>> Edges;
   FlatSet<uint64_t> RefEdgeSet;
   std::vector<std::pair<NodeId, NodeId>> RefEdges;
   FlatMap<uint64_t, NodeId> AllocNodeByTag;

@@ -77,27 +77,12 @@ FrozenGraph::FrozenGraph(const DepGraph &G) {
     TotalFreq += G.freq(I);
   }
 
-  // CSR adjacency, preserving per-node insertion order.
-  size_t TotalOut = 0, TotalIn = 0;
-  for (NodeId I = 0; I != NodeId(N); ++I) {
-    TotalOut += G.node(I).Out.size();
-    TotalIn += G.node(I).In.size();
-  }
-  if (TotalOut > 0xFFFFFFFFull || TotalIn > 0xFFFFFFFFull)
+  // CSR adjacency, both directions grouped out of the edge log, so each
+  // node's out- and in-list keep insertion order.
+  if (G.numEdges() > 0xFFFFFFFFull)
     lud_unreachable("edge count exceeds CSR offset range");
-  OutOffsets.resize(N + 1);
-  InOffsets.resize(N + 1);
-  OutTargets.reserve(TotalOut);
-  InTargets.reserve(TotalIn);
-  for (NodeId I = 0; I != NodeId(N); ++I) {
-    OutOffsets[I] = uint32_t(OutTargets.size());
-    InOffsets[I] = uint32_t(InTargets.size());
-    const DepGraph::Node &Node = G.node(I);
-    OutTargets.insert(OutTargets.end(), Node.Out.begin(), Node.Out.end());
-    InTargets.insert(InTargets.end(), Node.In.begin(), Node.In.end());
-  }
-  OutOffsets[N] = uint32_t(OutTargets.size());
-  InOffsets[N] = uint32_t(InTargets.size());
+  G.groupEdges(/*BySource=*/true, OutOffsets, OutTargets);
+  G.groupEdges(/*BySource=*/false, InOffsets, InTargets);
   RefEdges = G.refEdges();
 
   // Allocation table, sorted by tag.

@@ -8,8 +8,8 @@
 /// \file
 /// The analysis-phase half of the graph lifecycle. A DepGraph is optimized
 /// for interning: open-addressing tables resolve node/edge membership in
-/// O(1) while profiling events stream in, and adjacency grows in per-node
-/// vectors. Once profiling (and the sharded fold) is done, the graph never
+/// O(1) while profiling events stream in, and adjacency grows as one
+/// insertion-ordered edge log. Once profiling (and the sharded fold) is done, the graph never
 /// mutates again — but the paper-scale read paths (CostModel closures,
 /// DeadValues sweeps, report aggregation over every heap location) then
 /// walk those pointer-chasing structures millions of times.
@@ -18,8 +18,9 @@
 /// form sized for 139K-860K-node Gcosts (the paper's Table 1):
 ///
 ///   - CSR adjacency: one offsets array + one dense targets array per
-///     direction, preserving each node's insertion order, so BFS closures
-///     stream contiguous memory instead of hopping between vectors;
+///     direction, grouped out of the edge log by one stable counting pass
+///     each, so every node's list keeps insertion order and BFS closures
+///     stream contiguous memory;
 ///   - SoA node attributes: Instr/Domain/freq/flag columns in parallel
 ///     arrays, so a sweep touches only the bytes it reads (DeadValues
 ///     reads one meta byte + one freq word per node, not a ~100-byte
@@ -224,23 +225,29 @@ public:
   size_t numLocs() const { return LocTags.size(); }
   HeapLoc loc(size_t I) const { return HeapLoc{LocTags[I], LocSlots[I]}; }
 
+  /// Universe index of \p L, or LocEytzingerIndex::npos when no map
+  /// mentions it. The analyses resolve a location once and read the
+  /// per-index spans below.
+  uint32_t locIndexOf(const HeapLoc &L) const { return LocIndex.find(L); }
+
   std::span<const NodeId> writersOf(const HeapLoc &L) const {
-    uint32_t I = findLoc(L);
+    uint32_t I = locIndexOf(L);
     return I == LocEytzingerIndex::npos ? std::span<const NodeId>()
                                      : writersAt(I);
   }
   std::span<const NodeId> readersOf(const HeapLoc &L) const {
-    uint32_t I = findLoc(L);
+    uint32_t I = locIndexOf(L);
     return I == LocEytzingerIndex::npos ? std::span<const NodeId>()
                                      : readersAt(I);
   }
   std::span<const uint64_t> refChildrenOf(const HeapLoc &L) const {
-    uint32_t I = findLoc(L);
+    uint32_t I = locIndexOf(L);
     return I == LocEytzingerIndex::npos ? std::span<const uint64_t>()
                                      : refChildrenAt(I);
   }
 
   /// Per-universe-index spans, for full-map sweeps in sorted-key order.
+  /// A tag's locations are contiguous in the universe, by ascending slot.
   std::span<const NodeId> writersAt(size_t I) const {
     return {WriterVals.data() + WriterOffsets[I],
             WriterVals.data() + WriterOffsets[I + 1]};
@@ -293,8 +300,6 @@ public:
   void accountStats(obs::MetricsRegistry &R) const;
 
 private:
-  uint32_t findLoc(const HeapLoc &L) const { return LocIndex.find(L); }
-
   // SoA meta byte layout.
   static constexpr uint8_t kReadsHeap = 1u << 0;
   static constexpr uint8_t kWritesHeap = 1u << 1;

@@ -4,6 +4,7 @@
 
 #include "ir/Function.h"
 #include "ir/Module.h"
+#include "profiling/FrozenGraph.h"
 #include "obs/Metrics.h"
 
 #include <algorithm>
@@ -150,10 +151,10 @@ void NullnessProfiler::mergeFrom(const NullnessProfiler &O) {
 
 NullTrace lud::traceNullOrigin(const NullnessProfiler &P) {
   NullTrace Trace;
-  const DepGraph &G = P.graph();
   NodeId Fault = P.faultNode();
-  if (Fault == kNoNode || G.node(Fault).Domain != kNullDom)
+  if (Fault == kNoNode || P.graph().node(Fault).Domain != kNullDom)
     return Trace;
+  const FrozenGraph G(P.graph());
 
   // Backward BFS restricted to null-annotated nodes, recording parents so
   // a shortest propagation path can be reconstructed.
@@ -164,8 +165,8 @@ NullTrace lud::traceNullOrigin(const NullnessProfiler &P) {
   for (size_t Head = 0; Head != Queue.size(); ++Head) {
     NodeId N = Queue[Head];
     bool HasNullPred = false;
-    for (NodeId M : G.node(N).In) {
-      if (G.node(M).Domain != kNullDom)
+    for (NodeId M : G.in(N)) {
+      if (G.domain(M) != kNullDom)
         continue;
       HasNullPred = true;
       if (!Parent.count(M)) {
@@ -179,8 +180,8 @@ NullTrace lud::traceNullOrigin(const NullnessProfiler &P) {
   if (Origin == kNoNode)
     return Trace;
 
-  Trace.Origin = G.node(Origin).Instr;
+  Trace.Origin = G.instr(Origin);
   for (NodeId N = Origin; N != kNoNode; N = Parent[N])
-    Trace.Flow.push_back(G.node(N).Instr);
+    Trace.Flow.push_back(G.instr(N));
   return Trace;
 }

@@ -23,11 +23,26 @@ unsigned processCores() {
 
 thread_local bool ThreadOnHeldCore = false;
 
+std::atomic<CoreBudget *> Installed{nullptr};
+
 } // namespace
 
 CoreBudget &CoreBudget::process() {
+  if (CoreBudget *O = Installed.load(std::memory_order_acquire))
+    return *O;
   static CoreBudget B(processCores());
   return B;
+}
+
+CoreBudget::Override::Override(unsigned Cores)
+    : Outer(Installed.load(std::memory_order_acquire)),
+      Budget(new CoreBudget(Cores)) {
+  Installed.store(Budget, std::memory_order_release);
+}
+
+CoreBudget::Override::~Override() {
+  Installed.store(Outer, std::memory_order_release);
+  delete Budget;
 }
 
 CoreBudget::OnHeldCore::OnHeldCore() : Outer(ThreadOnHeldCore) {

@@ -131,9 +131,11 @@ bool OptionSet::parse(int argc, char **argv) {
 
 void cli::clientsOption(OptionSet &P, ClientSet &Set) {
   P.custom("--clients", ValueMode::Required,
-           "LIST  client analyses to run, in a second execution (on a "
-           "thread of its own while a core is spare), comma-separated: "
-           "copy, nullness, typestate, all, or none",
+           "LIST  client analyses to run, in executions of their own "
+           "beside the substrate's (copy+typestate and nullness on two "
+           "threads while two cores are spare, all on one thread while "
+           "one is, else after the substrate), comma-separated: copy, "
+           "nullness, typestate, all, or none",
            [&Set, Seen = false](const std::string &List) mutable {
              ClientSet Parsed;
              std::string Err;

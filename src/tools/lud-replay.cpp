@@ -45,8 +45,9 @@ int main(int argc, char **argv) {
   Req.declare(Cli, cli::AnalysisRequest::AllOpts);
   Cli.number("--threads", Threads,
              "N  worker threads for multiple manifests (with --clients a "
-             "manifest re-executes on two threads while a core is spare, "
-             "else on one)",
+             "manifest re-executes on three threads while the free cores "
+             "cover two per worker, on two while a core is free, else on "
+             "one)",
              /*Min=*/1);
   if (!Cli.parse(argc, argv)) {
     Cli.usage();

@@ -9,8 +9,8 @@
 /// The user-facing driver: loads a textual .lud program, executes it (with
 /// or without profiling), and prints the requested diagnoses. The Gcost-based
 /// reports come from the slicing substrate's execution; any --clients client
-/// profilers run in a second execution of the same program, concurrently on
-/// a thread of their own while the process has a spare core.
+/// profilers run in executions of their own of the same program,
+/// concurrently on threads of their own while the process has spare cores.
 ///
 ///   lud-run program.lud                       # just run it
 ///   lud-run --report program.lud              # low-utility ranking
@@ -109,12 +109,13 @@ void declareOptions(cli::OptionSet &P, Options &O) {
         "F  write the rewritten program to F (implies --optimize)");
   P.number("--shards", O.Shards,
            "N  profile N sharded runs and merge them (default 1; with "
-           "--clients each run takes a second thread while a core is "
-           "spare)",
+           "--clients each run's clients take two threads while the free "
+           "cores cover two per worker, one while a core is free)",
            /*Min=*/1);
   P.number("--threads", O.Threads,
            "N  worker threads for --shards (with --clients a shard runs "
-           "on two threads while a core is spare, else on one)",
+           "on three threads while the free cores cover two per worker, "
+           "on two while a core is free, else on one)",
            /*Min=*/1);
 }
 

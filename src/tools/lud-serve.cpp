@@ -65,8 +65,9 @@ void declareOptions(cli::OptionSet &P, Options &O) {
            /*Min=*/0);
   P.number("--workers", O.Workers,
            "N  FEED frames re-executed at once across all sessions "
-           "(default 4; with --clients each takes a second thread while a "
-           "core is spare)",
+           "(default 4; with --clients each takes two more threads while "
+           "the free cores cover two per busy worker, one while a core is "
+           "free)",
            /*Min=*/1);
   O.Req.declare(P, cli::AnalysisRequest::SectionOpts |
                        cli::AnalysisRequest::ClientOpts |

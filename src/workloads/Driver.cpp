@@ -28,7 +28,7 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double>(T1 - T0).count();
 }
 
-/// The first run fact on which the clients' execution \p C differs from
+/// The first run fact on which a clients' execution \p C differs from
 /// the substrate's \p S, or "" when the two executions agree.
 std::string diffExecutions(const RunResult &S, const RunResult &C) {
   auto Differs = [](const char *Fact, const std::string &Sub,
@@ -51,6 +51,39 @@ std::string diffExecutions(const RunResult &S, const RunResult &C) {
                    trace::hashHex(valueBits(C.ReturnValue)));
   return "";
 }
+
+/// One execution of the clients beside the substrate's. A null stage is
+/// skipped, so the one instantiation runs any subset of the clients.
+struct ClientExecution {
+  CopyProfiler *Copy = nullptr;
+  NullnessProfiler *Null = nullptr;
+  TypestateProfiler *Type = nullptr;
+  RunResult Run;
+  uint64_t Nanos = 0;
+  /// What the execution threw, rethrown on the session's thread.
+  std::exception_ptr Err;
+
+  void run(const SessionConfig &Cfg, const Module &M, const RunConfig &RC) {
+    try {
+      auto T0 = std::chrono::steady_clock::now();
+      {
+        RunConfig ClientRC = RC;
+        ClientRC.PrintStream = nullptr;
+        Heap H;
+        TagEnv Env(Cfg.Slicing);
+        ComposedProfiler<TagEnv, CopyProfiler, NullnessProfiler,
+                         TypestateProfiler>
+            P(&Env, Copy, Null, Type);
+        Run = runWithEngine(Cfg.Engine, M, H, P, ClientRC);
+      }
+      Nanos = uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - T0)
+                           .count());
+    } catch (...) {
+      Err = std::current_exception();
+    }
+  }
+};
 
 } // namespace
 
@@ -100,45 +133,41 @@ void ProfileSession::ensureProfilers(const Module &M) {
 RunResult ProfileSession::execute(const Module &M, const RunConfig &RC,
                                   trace::TraceRecorder *Counter,
                                   std::string &Diverged) {
-  // The clients get an execution of their own: its own heap, engine and
+  // The clients get executions of their own: each its own heap, engine and
   // TagEnv (which tags objects exactly as the substrate's does), and no
-  // output. The two executions share only the const module and run
-  // configuration. It runs on a second thread while the callers' threads
-  // leave a core free, else on this thread after the substrate's.
-  RunResult ClientRun;
-  uint64_t ClientNanos = 0;
-  std::exception_ptr ClientErr;
-  auto RunClients = [&] {
-    try {
-      auto T0 = std::chrono::steady_clock::now();
-      {
-        RunConfig ClientRC = RC;
-        ClientRC.PrintStream = nullptr;
-        Heap H;
-        TagEnv Env(Cfg.Slicing);
-        ComposedProfiler<TagEnv, CopyProfiler, NullnessProfiler,
-                         TypestateProfiler>
-            P(&Env, Copy.get(), Null.get(), Type.get());
-        ClientRun = runWithEngine(Cfg.Engine, M, H, P, ClientRC);
-      }
-      ClientNanos = uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - T0)
-              .count());
-    } catch (...) {
-      ClientErr = std::current_exception();
-    }
-  };
+  // output. They share only the const module and run configuration with
+  // the substrate's execution and with each other. Placement follows the
+  // cores the callers' threads leave free (CoreBudget::clientThreads):
+  // with two, {copy, typestate} and {nullness} run as two executions on
+  // threads of their own (copy and nullness cost about the same); with
+  // one, every client runs in one execution on one thread; with none, that
+  // one execution runs on this thread after the substrate's.
   CoreBudget &Cores = CoreBudget::process();
   CoreBudget::Hold Self = Cores.holdCallingThread();
-  std::jthread ClientJob;
-  if (Cfg.Clients.any() && Cores.spare())
-    ClientJob = std::jthread(RunClients);
+  const unsigned Threads = Cfg.Clients.any() ? Cores.clientThreads() : 0;
+  ClientExecution Execs[2];
+  size_t NumExecs = 0;
+  auto Plan = [&](CopyProfiler *C, NullnessProfiler *N, TypestateProfiler *T) {
+    ClientExecution &E = Execs[NumExecs++];
+    E.Copy = C;
+    E.Null = N;
+    E.Type = T;
+  };
+  if (Threads == 2 && (Copy || Type) && Null) {
+    Plan(Copy.get(), nullptr, Type.get());
+    Plan(nullptr, Null.get(), nullptr);
+  } else if (Cfg.Clients.any()) {
+    Plan(Copy.get(), Null.get(), Type.get());
+  }
+  std::jthread Jobs[2];
+  if (Threads)
+    for (size_t I = 0; I != NumExecs; ++I)
+      Jobs[I] = std::jthread([&, I] { Execs[I].run(Cfg, M, RC); });
 
   RunResult Run;
   {
-    // The substrate's heap is freed before the clients' execution ends
-    // (concurrent) or starts (inline).
+    // The substrate's heap is freed before the clients' executions end
+    // (concurrent) or start (inline).
     Heap H;
     if (Counter) {
       // Recording or re-executing: the counter leads the substrate (a hook's
@@ -160,27 +189,40 @@ RunResult ProfileSession::execute(const Module &M, const RunConfig &RC,
     }
   }
 
-  if (Cfg.Clients.empty())
+  if (NumExecs == 0)
     return Run;
-  bool Inline = !ClientJob.joinable();
-  if (Inline)
-    RunClients();
-  else
-    ClientJob.join();
-  if (ClientErr)
-    std::rethrow_exception(ClientErr);
+  for (size_t I = 0; I != NumExecs; ++I) {
+    if (Threads)
+      Jobs[I].join();
+    else
+      Execs[I].run(Cfg, M, RC);
+  }
+  for (size_t I = 0; I != NumExecs; ++I)
+    if (Execs[I].Err)
+      std::rethrow_exception(Execs[I].Err);
   if (Stats) {
-    // The clients' execution timed itself; the registry is only touched
+    // Each client execution timed itself; the registry is only touched
     // here, on this thread.
     obs::MetricsRegistry &R = *Stats;
-    R.add(R.counter("phase.clients.nanos", obs::Unit::Nanos), ClientNanos);
+    uint64_t Nanos = 0;
+    for (size_t I = 0; I != NumExecs; ++I)
+      Nanos += Execs[I].Nanos;
+    // spans counts runs, not executions, so the deterministic exports do
+    // not depend on the cores the process had free; the placement shows
+    // only in the nanos metrics.
+    R.add(R.counter("phase.clients.nanos", obs::Unit::Nanos), Nanos);
     R.add(R.counter("phase.clients.spans", obs::Unit::Count), 1);
-    if (Inline)
-      R.add(R.counter("phase.clients.inline_nanos", obs::Unit::Nanos),
-            ClientNanos);
+    if (!Threads)
+      R.add(R.counter("phase.clients.inline_nanos", obs::Unit::Nanos), Nanos);
+    else if (NumExecs == 2)
+      R.add(R.counter("phase.clients.split_nanos", obs::Unit::Nanos), Nanos);
   }
-  if (std::string D = diffExecutions(Run, ClientRun); !D.empty())
-    Diverged = "client execution diverged from the substrate's: " + D;
+  for (size_t I = 0; I != NumExecs; ++I) {
+    if (std::string D = diffExecutions(Run, Execs[I].Run); !D.empty()) {
+      Diverged = "client execution diverged from the substrate's: " + D;
+      break;
+    }
+  }
   return Run;
 }
 

@@ -9,13 +9,15 @@
 /// ProfileSession: every requested analysis over one run of a module. A
 /// session owns the slicing substrate and any enabled client profilers
 /// (copy, nullness, typestate). With clients enabled it executes the module
-/// twice: the substrate on the calling thread and the clients, composed
-/// behind their own TagEnv (runtime/ComposedProfiler.h), with their own
-/// heap — each client is its own abstraction of the same deterministic
-/// execution, so re-executing it is exact, and the two executions' run
-/// facts are checked against each other. The clients' execution runs
-/// concurrently on a second thread when the process has a spare core
-/// (support/CoreBudget.h), else on the calling thread after the
+/// more than once: the substrate on the calling thread and the clients,
+/// composed behind their own TagEnv (runtime/ComposedProfiler.h), with
+/// their own heap — each client is its own abstraction of the same
+/// deterministic execution, so re-executing it is exact, and every client
+/// execution's run facts are checked against the substrate's. Where the
+/// clients run follows the cores the callers' threads leave free
+/// (support/CoreBudget.h): with two, as two concurrent executions,
+/// {copy, typestate} and {nullness}; with one, as one execution on one
+/// thread; with none, as one execution on the calling thread after the
 /// substrate's, so callers that already keep every core busy (the sharded
 /// drivers at --threads=<cores>, a loaded daemon) add no threads. Sessions
 /// merge (mergeFrom) so the parallel driver's sharded fold covers client
@@ -61,7 +63,7 @@ class TraceRecorder;
 struct TimedRun {
   RunResult Run;
   double Seconds = 0;
-  /// Non-empty when the clients' execution diverged from the substrate's
+  /// Non-empty when a clients' execution diverged from the substrate's
   /// (their state then describes a different run).
   std::string Error;
 };
@@ -77,8 +79,8 @@ struct SessionConfig {
   /// Build Gcost (the slicing substrate). False with no clients is the
   /// uninstrumented baseline; any enabled client forces the substrate on.
   bool Instrument = true;
-  /// Client analyses to run, in an execution of their own beside the
-  /// substrate's (on a second thread while a core is spare).
+  /// Client analyses to run, in executions of their own beside the
+  /// substrate's (on threads of their own while cores are spare).
   ClientSet Clients;
   SlicingConfig Slicing;
   RunConfig Run;
@@ -137,10 +139,10 @@ public:
   /// live profilers for the fold to land in.
   void prepare(const Module &M) { ensureProfilers(M); }
 
-  /// Executes \p M under the substrate and under the enabled clients (on a
-  /// second thread when a core is spare); returns once both executions
-  /// finished. An exception thrown in the clients' execution is rethrown
-  /// here.
+  /// Executes \p M under the substrate and under the enabled clients (on
+  /// threads of their own while cores are spare); returns once every
+  /// execution finished. An exception thrown in a clients' execution is
+  /// rethrown here.
   TimedRun run(const Module &M);
 
   /// Re-executes every record of an in-memory `lud.run.v1` manifest under
@@ -205,10 +207,10 @@ public:
 private:
   void ensureProfilers(const Module &M);
   /// One run of \p M: the substrate on this thread, with \p Counter (when
-  /// non-null) composed ahead of it, and the enabled clients in their own
-  /// execution, concurrently on a second thread when CoreBudget::process()
-  /// has a spare core, else here after the substrate. Returns the
-  /// substrate's result; sets \p Diverged when the clients' execution
+  /// non-null) composed ahead of it, and the enabled clients in executions
+  /// of their own, placed by CoreBudget::clientThreads(): two concurrent
+  /// ones, one concurrent one, or one here after the substrate. Returns
+  /// the substrate's result; sets \p Diverged when a clients' execution
   /// disagreed with it on a run fact.
   RunResult execute(const Module &M, const RunConfig &RC,
                     trace::TraceRecorder *Counter, std::string &Diverged);

@@ -76,19 +76,51 @@ inline NodeId soleNodeFor(const FrozenGraph &G, InstrId I) {
 }
 
 /// True if the graph has a def-use edge From -> To.
-inline bool hasEdge(const DepGraph &G, NodeId From, NodeId To) {
-  for (NodeId N : G.node(From).Out)
+inline bool hasEdge(const FrozenGraph &G, NodeId From, NodeId To) {
+  for (NodeId N : G.out(From))
     if (N == To)
       return true;
   return false;
 }
 
-/// Holds every core of the process budget for its lifetime, as a caller
-/// whose own threads cover the cores would: sessions then find no core
-/// spare and run their clients inline.
-struct SaturatedProcess {
-  CoreBudget::Hold Cores =
-      CoreBudget::process().hold(CoreBudget::process().cores());
+/// Where a session places its client executions (CoreBudget::clientThreads):
+/// two executions on threads of their own, one on one thread, or one on
+/// the session's thread after the substrate.
+enum class Placement { Split, OneThread, Inline };
+
+inline const char *placementName(Placement P) {
+  switch (P) {
+  case Placement::Split:
+    return "split";
+  case Placement::OneThread:
+    return "one thread";
+  case Placement::Inline:
+    return "inline";
+  }
+  return "?";
+}
+
+inline constexpr Placement kPlacements[] = {
+    Placement::Split, Placement::OneThread, Placement::Inline};
+
+/// The core count PlaceClients pretends the process has: enough for every
+/// placement, whatever the machine running the tests has.
+inline constexpr unsigned kPlacementCores = 4;
+
+/// Makes the process a kPlacementCores-core one for its lifetime
+/// (CoreBudget::Override) and holds the cores a caller's other threads
+/// would hold for a session run meanwhile on this thread (which holds one
+/// more) to place its clients as \p P says: none for a split, all but two
+/// for one thread, all but one for inline.
+struct PlaceClients {
+  explicit PlaceClients(Placement P)
+      : Budget(kPlacementCores),
+        Others(CoreBudget::process().hold(P == Placement::Split ? 0
+                                          : P == Placement::OneThread
+                                              ? kPlacementCores - 2
+                                              : kPlacementCores - 1)) {}
+  CoreBudget::Override Budget;
+  CoreBudget::Hold Others;
 };
 
 } // namespace test

@@ -214,7 +214,9 @@ TEST(CostModelTest, LocCostBenefitAveragesOverNodes) {
   ASSERT_TRUE(M.resolveField(A->getId(), "f", Slot));
   NodeId NAlloc = soleNodeFor(P.graph(), 0);
   uint64_t Tag = P.graph().node(NAlloc).EffectLoc.Tag;
-  LocCostBenefit CB = CM.locCostBenefit(HeapLoc{Tag, Slot});
+  uint32_t I = CM.graph().locIndexOf(HeapLoc{Tag, Slot});
+  ASSERT_NE(I, LocEytzingerIndex::npos);
+  LocCostBenefit CB = CM.locCostBenefitAt(I);
   EXPECT_EQ(CB.NumWriters, 2u);
   EXPECT_DOUBLE_EQ(CB.Rac, (2.0 + 5.0) / 2.0);
   EXPECT_EQ(CB.NumReaders, 1u);
@@ -343,7 +345,9 @@ TEST(CostModelTest, LocCostsSaturateAcrossWriterSums) {
   G.noteWriter(L, W1);
   G.noteWriter(L, W2);
   CostModel CM(G);
-  LocCostBenefit CB = CM.locCostBenefit(L);
+  uint32_t I = CM.graph().locIndexOf(L);
+  ASSERT_NE(I, LocEytzingerIndex::npos);
+  LocCostBenefit CB = CM.locCostBenefitAt(I);
   EXPECT_EQ(CB.NumWriters, 2u);
   // The per-writer hrac sum wraps to 9 without saturation; the average
   // must instead sit at the ceiling.

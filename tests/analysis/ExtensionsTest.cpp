@@ -118,9 +118,9 @@ TEST(MultiHopTest, ForwardHopsReachTheConsumer) {
   for (uint64_t Tag : CostModel(G).allTags()) {
     if (Tag == Prog.TagB || DepGraph::isStaticTag(Tag))
       continue;
-    for (FieldSlot Slot : CM.fieldsOf(Tag)) {
-      LocCostBenefit H1 = multiHopLocCostBenefit(G, HeapLoc{Tag, Slot}, 1);
-      LocCostBenefit H2 = multiHopLocCostBenefit(G, HeapLoc{Tag, Slot}, 2);
+    for (uint32_t Loc : CM.fieldsOf(Tag)) {
+      LocCostBenefit H1 = multiHopLocCostBenefit(G, G.loc(Loc), 1);
+      LocCostBenefit H2 = multiHopLocCostBenefit(G, G.loc(Loc), 2);
       EXPECT_FALSE(H1.ReachesNative);
       EXPECT_TRUE(H2.ReachesNative);
       EXPECT_GE(H2.Rab, H1.Rab);

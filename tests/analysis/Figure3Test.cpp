@@ -103,7 +103,9 @@ TEST(Figure3Test, RelativeCostMatchesHandComputation) {
   NodeId Store = soleNodeFor(G, Prog.StoreT);
   ASSERT_NE(Store, kNoNode);
   uint64_t Tag = G.node(Store).EffectLoc.Tag;
-  LocCostBenefit CB = CM.locCostBenefit(HeapLoc{Tag, Prog.SlotT});
+  uint32_t I = CM.graph().locIndexOf(HeapLoc{Tag, Prog.SlotT});
+  ASSERT_NE(I, LocEytzingerIndex::npos);
+  LocCostBenefit CB = CM.locCostBenefitAt(I);
 
   // RAC of B.t: store(1) + acc-add(1000) + acc0(1) + i-add(1000) + i0(1)
   // + one(1) = 2004. (The loop bound constant feeds only the predicate.)

@@ -1,10 +1,12 @@
 //===- tests/profiling/ClientExecutionTest.cpp - Clients beside the substrate //
 //
-// A profiling session with clients executes the module twice: the
-// substrate on the calling thread, the copy, nullness and typestate clients
-// behind their own TagEnv on a second one when the process has a spare
-// core, else after the substrate on the same thread. The contract pinned
-// here, for both placements: every
+// A profiling session with clients executes the module beside the
+// substrate's execution on the calling thread: the copy, nullness and
+// typestate clients run behind their own TagEnv as two executions
+// ({copy, typestate} and {nullness}) on threads of their own when the
+// process has two spare cores, as one on one thread when it has one, else
+// as one after the substrate on the same thread. The contract pinned here,
+// for every placement: every
 // client artifact — graph bytes, copy chains with their stack hops,
 // typestate violations and event edges, the null trace — and the substrate's
 // Gcost equal what one ComposedProfiler<SlicingProfiler, CopyProfiler,
@@ -28,7 +30,6 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,10 +56,11 @@ struct ClientArtifacts {
     auto Loc = [](const HeapLoc &L) {
       return std::to_string(L.Tag) + "." + std::to_string(L.Slot);
     };
+    const FrozenGraph CopySealed(Copy.graph());
     for (const CopyProfiler::CopyChain &C : Copy.chains()) {
       Chains += Loc(C.From) + " -> " + Loc(C.To) + " x" +
                 std::to_string(C.Count) + " via";
-      for (InstrId I : Copy.stackHops(C))
+      for (InstrId I : CopyProfiler::stackHops(CopySealed, C))
         Chains += " " + std::to_string(I);
       Chains += "\n";
     }
@@ -90,8 +92,8 @@ void expectSame(const ClientArtifacts &Want, const ClientArtifacts &Got,
 
 /// The session's artifacts against one composed pass over \p M, on both
 /// engines, under the default configuration, one context slot, and with
-/// phase 0 (every analogue's startup) gated off; the session runs once
-/// with the process's cores free and once with none spare.
+/// phase 0 (every analogue's startup) gated off; the session runs once in
+/// every placement this process's cores reach.
 void expectSessionMatchesOnePass(const Module &M, const std::string &Name) {
   SlicingConfig OneSlot;
   OneSlot.ContextSlots = 1;
@@ -116,16 +118,14 @@ void expectSessionMatchesOnePass(const Module &M, const std::string &Name) {
       Heap H;
       RunResult Ref = runWithEngine(E, M, H, Pipe, RunConfig{});
 
-      for (bool Saturated : {false, true}) {
-        std::string Where = What + (Saturated ? " / no spare core" : "");
+      for (test::Placement P : test::kPlacements) {
+        std::string Where = What + " / " + test::placementName(P);
         SessionConfig Cfg;
         Cfg.Engine = E;
         Cfg.Clients = ClientSet::all();
         Cfg.Slicing = SC;
         ProfileSession S(Cfg);
-        std::optional<test::SaturatedProcess> Busy;
-        if (Saturated)
-          Busy.emplace();
+        test::PlaceClients Held(P);
         RunResult Got = S.run(M).Run;
 
         EXPECT_EQ(Ref.Status, Got.Status) << Where;
@@ -201,64 +201,104 @@ TEST(ClientExecutionEquivalenceTest, TrappingProgramMatchesOnePass) {
 }
 
 TEST(ClientExecutionPlacementTest, SpareCoreDecidesWhereClientsRun) {
-  // While a core is free the clients run on a second thread; when the
+  // With two spare cores the clients run as two executions on threads of
+  // their own, with one as one execution on one thread, and when the
   // callers' threads hold every core — the session's own run counts as
-  // one — on the calling thread after the substrate. Either way
-  // phase.clients times them, and only the inline placement adds
+  // one — as one execution on the calling thread after the substrate.
+  // phase.clients times them in every placement and counts one span per
+  // run whatever the placement; the split placement alone adds
+  // phase.clients.split_nanos, the inline one alone
   // phase.clients.inline_nanos.
-  const unsigned Cores = CoreBudget::process().cores();
-  if (Cores < 2)
-    GTEST_SKIP() << "one core: the clients always run inline";
   Workload W = buildWorkload("chart", 30);
   unsigned Before = CoreBudget::process().busy();
-  for (unsigned Held : {0u, Cores - 1, Cores}) {
+  for (test::Placement P : test::kPlacements) {
     SessionConfig Cfg;
     Cfg.Clients = ClientSet::all();
     Cfg.CollectStats = true;
     ProfileSession S(Cfg);
     {
-      CoreBudget::Hold Others = CoreBudget::process().hold(Held);
+      test::PlaceClients Held(P);
       EXPECT_TRUE(S.run(*W.M).Error.empty());
     }
     const obs::MetricsRegistry &R = *S.stats();
     obs::MetricId Spans = R.find("phase.clients.spans");
     ASSERT_NE(Spans, obs::kNoMetric);
-    EXPECT_EQ(R.value(Spans), 1u);
-    EXPECT_EQ(R.find("phase.clients.inline_nanos") != obs::kNoMetric,
-              Held != 0)
-        << Held << " cores held";
+    EXPECT_EQ(R.value(Spans), 1u) << test::placementName(P);
+    obs::MetricId Nanos = R.find("phase.clients.nanos");
+    ASSERT_NE(Nanos, obs::kNoMetric);
+    for (auto [Name, Where] :
+         {std::pair{"phase.clients.split_nanos", test::Placement::Split},
+          std::pair{"phase.clients.inline_nanos", test::Placement::Inline}}) {
+      obs::MetricId Id = R.find(Name);
+      EXPECT_EQ(Id != obs::kNoMetric, P == Where)
+          << Name << ", " << test::placementName(P);
+      if (Id != obs::kNoMetric)
+        EXPECT_EQ(R.value(Id), R.value(Nanos)) << Name;
+    }
     // Every hold a session took is released when its run returns.
     EXPECT_EQ(CoreBudget::process().busy(), Before);
+  }
+}
+
+TEST(ClientExecutionPlacementTest, OneClientGroupIsOneExecution) {
+  // A split needs both halves: a session with the nullness client alone,
+  // or without it, runs one execution on one thread even with spare cores
+  // to split on.
+  Workload W = buildWorkload("chart", 30);
+  for (ClientSet Clients : {ClientSet::nullness(), ClientSet::copy()}) {
+    SessionConfig Cfg;
+    Cfg.Clients = Clients;
+    Cfg.CollectStats = true;
+    ProfileSession S(Cfg);
+    {
+      test::PlaceClients Held(test::Placement::Split);
+      EXPECT_TRUE(S.run(*W.M).Error.empty());
+    }
+    const obs::MetricsRegistry &R = *S.stats();
+    EXPECT_EQ(R.value(R.find("phase.clients.spans")), 1u);
+    EXPECT_EQ(R.find("phase.clients.split_nanos"), obs::kNoMetric);
+    EXPECT_EQ(R.find("phase.clients.inline_nanos"), obs::kNoMetric);
   }
 }
 
 TEST(ClientExecutionPlacementTest, BatchCoveringTheCoresRunsClientsInline) {
   // A sharded batch holds one core per worker thread before any shard
   // starts. With a worker per core every shard runs its clients inline;
-  // with a core left over, every shard gives them a thread.
-  const unsigned Cores = CoreBudget::process().cores();
-  if (Cores < 3)
-    GTEST_SKIP() << "needs a batch of two or more threads below the cores";
+  // with a core left over, every shard gives them a thread; a shard splits
+  // them over two threads only while the free cores cover two for every
+  // worker (one worker on three or more cores), so a half-saturated batch
+  // does not oversubscribe the cores. The process pretends to have
+  // test::kPlacementCores cores, so every case runs on any machine.
+  CoreBudget::Override Budget(test::kPlacementCores);
+  const unsigned Cores = test::kPlacementCores;
   Workload W = buildWorkload("chart", 30);
   SessionConfig Cfg;
   Cfg.Clients = ClientSet::all();
   Cfg.CollectStats = true;
-  unsigned Before = CoreBudget::process().busy();
-  for (unsigned Threads : {Cores - 1, Cores}) {
+  for (unsigned Threads : {1u, Cores / 2, Cores - 1, Cores}) {
     ShardedSession S = runShardedSession(*W.M, 2 * Cores, Cfg, Threads);
     ASSERT_TRUE(S.Error.empty()) << S.Error;
     const obs::MetricsRegistry &R = *S.Session->stats();
     obs::MetricId Nanos = R.find("phase.clients.nanos");
+    obs::MetricId Split = R.find("phase.clients.split_nanos");
     obs::MetricId Inline = R.find("phase.clients.inline_nanos");
     ASSERT_NE(Nanos, obs::kNoMetric);
-    EXPECT_EQ(R.value(R.find("phase.clients.spans")), 2 * Cores);
+    EXPECT_EQ(R.value(R.find("phase.clients.spans")), 2 * Cores)
+        << Threads << " threads";
+    if (Cores - Threads >= 2 * Threads) {
+      ASSERT_NE(Split, obs::kNoMetric) << Threads << " threads";
+      EXPECT_EQ(R.value(Split), R.value(Nanos));
+    } else {
+      EXPECT_EQ(Split, obs::kNoMetric) << Threads << " threads";
+    }
     if (Threads < Cores) {
       EXPECT_EQ(Inline, obs::kNoMetric) << Threads << " threads";
     } else {
       ASSERT_NE(Inline, obs::kNoMetric) << Threads << " threads";
       EXPECT_EQ(R.value(Inline), R.value(Nanos));
     }
-    EXPECT_EQ(CoreBudget::process().busy(), Before);
+    // The batch's and the sessions' holds are released.
+    EXPECT_EQ(CoreBudget::process().busy(), 0u);
   }
 }
 

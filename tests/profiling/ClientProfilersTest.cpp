@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -349,7 +348,7 @@ TEST(CopyProfilerTest, RecordsChainWithStackHops) {
   EXPECT_EQ(Chain.Count, 1u);
 
   // The intermediate stack hops: store <- copy <- load.
-  std::vector<InstrId> Hops = P.stackHops(Chain);
+  std::vector<InstrId> Hops = CopyProfiler::stackHops(FrozenGraph(P.graph()), Chain);
   ASSERT_EQ(Hops.size(), 3u);
   EXPECT_EQ(Hops[0], Store->getId());
   EXPECT_EQ(Hops[1], Copy->getId());
@@ -654,8 +653,9 @@ std::atomic<int64_t> TickCount{0};
 TEST(ProfileSessionTest, DivergentClientExecutionIsAnError) {
   // A native with state outside the run answers the two executions
   // differently; the session must say so rather than pair the substrate's
-  // run with clients that saw another one — whether the clients ran on
-  // their own thread or, with no core spare, after the substrate.
+  // run with clients that saw another one — whether the clients ran as two
+  // executions on threads of their own, as one on one thread or, with no
+  // core spare, after the substrate.
   NativeRegistry Natives;
   Natives.add({"tick",
                [](NativeContext &, const Value *, size_t) {
@@ -664,19 +664,17 @@ TEST(ProfileSessionTest, DivergentClientExecutionIsAnError) {
                /*IsConsumer=*/false, /*HasResult=*/true});
   std::unique_ptr<Module> M = buildTickProgram();
   SessionConfig Cfg;
-  Cfg.Clients = ClientSet::nullness();
+  Cfg.Clients = ClientSet::all();
   Cfg.Run.Natives = &Natives;
-  for (bool Saturated : {false, true}) {
-    std::optional<test::SaturatedProcess> Busy;
-    if (Saturated)
-      Busy.emplace();
+  for (test::Placement P : test::kPlacements) {
+    test::PlaceClients Held(P);
     ProfileSession S(Cfg);
     TimedRun R = S.run(*M);
     EXPECT_EQ(R.Run.Status, RunStatus::Finished);
     EXPECT_NE(R.Error.find("client execution diverged from the substrate's: "
                            "return value"),
               std::string::npos)
-        << R.Error;
+        << test::placementName(P) << ": " << R.Error;
 
     // The sharded driver reports it as the shard's error.
     ShardedSession Sh = runShardedSession(*M, 2, Cfg, /*Threads=*/1);
@@ -687,7 +685,7 @@ TEST(ProfileSessionTest, DivergentClientExecutionIsAnError) {
 
 TEST(ProfileSessionTest, ClientExecutionExceptionIsRethrown) {
   // Only the clients' execution runs without a print stream, so only it
-  // throws; the session rethrows on the caller in either placement.
+  // throws; the session rethrows on the caller in every placement.
   NativeRegistry Natives;
   Natives.add({"tick",
                [](NativeContext &Ctx, const Value *, size_t) {
@@ -702,12 +700,10 @@ TEST(ProfileSessionTest, ClientExecutionExceptionIsRethrown) {
   Cfg.Clients = ClientSet::all();
   Cfg.Run.Natives = &Natives;
   Cfg.Run.PrintStream = &Out;
-  for (bool Saturated : {false, true}) {
-    std::optional<test::SaturatedProcess> Busy;
-    if (Saturated)
-      Busy.emplace();
+  for (test::Placement P : test::kPlacements) {
+    test::PlaceClients Held(P);
     ProfileSession S(Cfg);
-    EXPECT_THROW(S.run(*M), std::runtime_error);
+    EXPECT_THROW(S.run(*M), std::runtime_error) << test::placementName(P);
   }
 }
 

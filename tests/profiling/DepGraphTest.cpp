@@ -2,9 +2,14 @@
 
 #include "profiling/Context.h"
 #include "profiling/DepGraph.h"
+#include "profiling/FrozenGraph.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <vector>
 
 using namespace lud;
 
@@ -40,8 +45,8 @@ TEST(DepGraphTest, EdgesAreDeduplicated) {
   G.addEdge(A, B);
   G.addEdge(A, B);
   EXPECT_EQ(G.numEdges(), 1u);
-  ASSERT_EQ(G.node(A).Out.size(), 1u);
-  ASSERT_EQ(G.node(B).In.size(), 1u);
+  ASSERT_EQ(FrozenGraph(G).outDegree(A), 1u);
+  ASSERT_EQ(FrozenGraph(G).inDegree(B), 1u);
   // Self-edges are dropped (loop-carried dependences collapse).
   G.addEdge(A, A);
   EXPECT_EQ(G.numEdges(), 1u);
@@ -77,11 +82,53 @@ TEST(DepGraphTest, HitMemoIsObservationFree) {
   EXPECT_GT(On.numEdges(), 0u);
   EXPECT_GT(On.memoBytes(), 0u);
   EXPECT_EQ(Off.memoBytes(), 0u);
+  const FrozenGraph FOn(On), FOff(Off);
   for (NodeId N = 0; N != NodeId(On.numNodes()); ++N) {
     EXPECT_EQ(On.freq(N), Off.freq(N));
-    EXPECT_EQ(On.node(N).In, Off.node(N).In);
-    EXPECT_EQ(On.node(N).Out, Off.node(N).Out);
+    EXPECT_TRUE(std::ranges::equal(FOn.in(N), FOff.in(N))) << "node " << N;
+    EXPECT_TRUE(std::ranges::equal(FOn.out(N), FOff.out(N))) << "node " << N;
   }
+}
+
+// A sealed graph's in- and out-lists keep first-insertion order. A merge
+// replays the other graph's edges by source id, each source's in its
+// insertion order, after the edges the target already has: the merged
+// in-lists follow the sources' ids, not the order in which the other
+// graph first saw the edges.
+TEST(DepGraphTest, SealedAdjacencyKeepsInsertionOrder) {
+  using Ids = std::vector<NodeId>;
+  auto Seq = [](std::span<const NodeId> S) { return Ids(S.begin(), S.end()); };
+  DepGraph O;
+  NodeId A = O.getOrCreate(1, 0), B = O.getOrCreate(2, 0);
+  NodeId C = O.getOrCreate(3, 0), D = O.getOrCreate(4, 0);
+  O.addEdge(C, D);
+  O.addEdge(A, D);
+  O.addEdge(B, D);
+  O.addEdge(A, C);
+  O.addEdge(C, D); // A duplicate moves nothing.
+  const FrozenGraph FO(O);
+  EXPECT_EQ(Seq(FO.in(D)), (Ids{C, A, B}));
+  EXPECT_EQ(Seq(FO.out(A)), (Ids{D, C}));
+  EXPECT_EQ(Seq(FO.in(C)), (Ids{A}));
+
+  // Into an empty graph the numbering is O's, and D's in-list is by
+  // source id.
+  DepGraph Empty;
+  Empty.mergeFrom(O);
+  const FrozenGraph FE(Empty);
+  EXPECT_EQ(Seq(FE.in(D)), (Ids{A, B, C}));
+  EXPECT_EQ(Seq(FE.out(A)), (Ids{D, C}));
+  EXPECT_EQ(Seq(FE.out(C)), (Ids{D}));
+
+  // Into a graph that already has B -> D, under another numbering.
+  DepGraph T;
+  NodeId TB = T.getOrCreate(2, 0), TD = T.getOrCreate(4, 0);
+  T.addEdge(TB, TD);
+  std::vector<NodeId> Remap = T.mergeFrom(O);
+  const FrozenGraph FT(T);
+  EXPECT_EQ(Seq(FT.in(TD)), (Ids{TB, Remap[A], Remap[C]}));
+  EXPECT_EQ(Seq(FT.out(Remap[A])), (Ids{TD, Remap[C]}));
+  EXPECT_EQ(Seq(FT.out(TB)), (Ids{TD}));
 }
 
 TEST(DepGraphTest, RefEdgesSeparateFromDataEdges) {
@@ -92,7 +139,7 @@ TEST(DepGraphTest, RefEdgesSeparateFromDataEdges) {
   G.addRefEdge(S, A);
   EXPECT_EQ(G.numRefEdges(), 1u);
   EXPECT_EQ(G.numEdges(), 0u);
-  EXPECT_TRUE(G.node(S).Out.empty());
+  EXPECT_EQ(FrozenGraph(G).outDegree(S), 0u);
 }
 
 TEST(DepGraphTest, LocationMapsDeduplicate) {

@@ -44,6 +44,7 @@ TEST(GraphIOTest, RoundTripPreservesStructure) {
   EXPECT_EQ(G2->readers().size(), G.readers().size());
   EXPECT_EQ(G2->refChildren().size(), G.refChildren().size());
   EXPECT_EQ(G2->allocNodes().size(), G.allocNodes().size());
+  const FrozenGraph F(G), F2(*G2);
   for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {
     const DepGraph::Node &A = G.node(N);
     const DepGraph::Node &B = G2->node(N);
@@ -53,8 +54,8 @@ TEST(GraphIOTest, RoundTripPreservesStructure) {
     ASSERT_EQ(A.Consumer, B.Consumer);
     ASSERT_EQ(A.ReadsHeap, B.ReadsHeap);
     ASSERT_EQ(A.WritesHeap, B.WritesHeap);
-    ASSERT_EQ(A.In.size(), B.In.size());
-    ASSERT_EQ(A.Out.size(), B.Out.size());
+    ASSERT_EQ(F.inDegree(N), F2.inDegree(N));
+    ASSERT_EQ(F.outDegree(N), F2.outDegree(N));
   }
 }
 

@@ -36,6 +36,7 @@ void expectGraphsEqual(const DepGraph &A, const DepGraph &B) {
   ASSERT_EQ(A.numEdges(), B.numEdges());
   ASSERT_EQ(A.numRefEdges(), B.numRefEdges());
   EXPECT_EQ(A.totalFreq(), B.totalFreq());
+  const FrozenGraph FA(A), FB(B);
   for (NodeId N = 0; N != NodeId(A.numNodes()); ++N) {
     const DepGraph::Node &X = A.node(N);
     const DepGraph::Node &Y = B.node(N);
@@ -48,7 +49,8 @@ void expectGraphsEqual(const DepGraph &A, const DepGraph &B) {
     EXPECT_EQ(X.StoredRef, Y.StoredRef);
     EXPECT_EQ(X.Consumer, Y.Consumer);
     EXPECT_EQ(X.Effect, Y.Effect);
-    std::vector<NodeId> XOut(X.Out), YOut(Y.Out);
+    std::vector<NodeId> XOut(FA.out(N).begin(), FA.out(N).end()),
+        YOut(FB.out(N).begin(), FB.out(N).end());
     std::sort(XOut.begin(), XOut.end());
     std::sort(YOut.begin(), YOut.end());
     EXPECT_EQ(XOut, YOut) << "out-edges of node " << N;

@@ -18,6 +18,7 @@
 #include "analysis/CostModel.h"
 #include "ir/IRBuilder.h"
 #include "profiling/ConcreteProfiler.h"
+#include "profiling/FrozenGraph.h"
 #include "profiling/SlicingProfiler.h"
 #include "runtime/Interpreter.h"
 #include "workloads/DaCapo.h"
@@ -72,6 +73,7 @@ void checkQuotient(const Module &M, const BothRuns &B) {
   }
 
   // (2) Every concrete edge maps to an abstract edge.
+  const FrozenGraph F(G);
   for (CNodeId CN = 0; CN != CNodeId(CNodes.size()); ++CN) {
     NodeId From = G.lookup(CNodes[CN].Instr, CNodes[CN].AbsDomain);
     ASSERT_NE(From, kNoNode);
@@ -81,7 +83,7 @@ void checkQuotient(const Module &M, const BothRuns &B) {
       if (From == To)
         continue; // Collapsed self-dependence.
       bool Found = false;
-      for (NodeId S : G.node(From).Out)
+      for (NodeId S : F.out(From))
         Found |= S == To;
       EXPECT_TRUE(Found) << "concrete edge missing in abstract graph";
     }

@@ -35,7 +35,7 @@ TEST(SlicingProfilerTest, StraightLineDependences) {
   RunResult R;
   SlicingProfiler P = profileRun(M, {}, &R);
   ASSERT_EQ(R.Status, RunStatus::Finished);
-  const DepGraph &G = P.graph();
+  const FrozenGraph G(P.graph());
 
   // One node per executed instruction (single context each); instructions:
   // f: iconst2, shr, ret ; main: iconst0, call(no node), iconst3, mul, add,
@@ -83,7 +83,7 @@ TEST(SlicingProfilerTest, ThinSlicingIgnoresBasePointers) {
   // Thin: the load depends only on the store (which depends on the const).
   {
     SlicingProfiler P = profileRun(M);
-    const DepGraph &G = P.graph();
+    const FrozenGraph G(P.graph());
     NodeId NLoad = soleNodeFor(G, LoadId);
     NodeId NStore = soleNodeFor(G, StoreId);
     NodeId NAlloc = soleNodeFor(G, AllocId);
@@ -100,7 +100,7 @@ TEST(SlicingProfilerTest, ThinSlicingIgnoresBasePointers) {
     SlicingConfig Cfg;
     Cfg.ThinSlicing = false;
     SlicingProfiler P = profileRun(M, Cfg);
-    const DepGraph &G = P.graph();
+    const FrozenGraph G(P.graph());
     NodeId NLoad = soleNodeFor(G, LoadId);
     NodeId NStore = soleNodeFor(G, StoreId);
     NodeId NAlloc = soleNodeFor(G, AllocId);
@@ -449,12 +449,13 @@ TEST(SlicingProfilerTest, UntrackedAccessesKeepSlotState) {
     EXPECT_EQ(It->second.Overwrites, 1u);
     // The untracked load left no writer in its destination register,
     // though the slot still held a tracked one.
-    EXPECT_TRUE(G.node(soleNodeFor(G, Add->getId())).In.empty());
+    const FrozenGraph F(G);
+    EXPECT_EQ(F.inDegree(soleNodeFor(F, Add->getId())), 0u);
     // A tracked load sees the tracked store before it, but nothing through
     // an untracked store.
-    EXPECT_EQ(G.node(soleNodeFor(G, Read1->getId())).In.size(),
+    EXPECT_EQ(F.inDegree(soleNodeFor(F, Read1->getId())),
               K == SlotKind::Element ? 2u : 1u);
-    EXPECT_EQ(G.node(soleNodeFor(G, Read2->getId())).In.size(),
+    EXPECT_EQ(F.inDegree(soleNodeFor(F, Read2->getId())),
               K == SlotKind::Element ? 1u : 0u);
   }
 }

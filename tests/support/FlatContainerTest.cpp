@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "profiling/DepGraph.h"
+#include "profiling/FrozenGraph.h"
 #include "support/FlatMap.h"
 #include "support/FlatSet.h"
 
@@ -222,6 +223,7 @@ TEST(DepGraphMergeTest, MergeEqualsSequentialBuild) {
   ASSERT_EQ(G1.numNodes(), Seq.numNodes());
   ASSERT_EQ(G1.numEdges(), Seq.numEdges());
   ASSERT_EQ(G1.numRefEdges(), Seq.numRefEdges());
+  const FrozenGraph F1(G1), FSeq(Seq);
   for (NodeId N = 0; N != NodeId(Seq.numNodes()); ++N) {
     const DepGraph::Node &A = G1.node(N);
     const DepGraph::Node &B = Seq.node(N);
@@ -230,7 +232,8 @@ TEST(DepGraphMergeTest, MergeEqualsSequentialBuild) {
     EXPECT_EQ(G1.freq(N), Seq.freq(N));
     EXPECT_EQ(A.ReadsHeap, B.ReadsHeap);
     EXPECT_EQ(A.WritesHeap, B.WritesHeap);
-    std::vector<NodeId> AOut(A.Out), BOut(B.Out);
+    std::vector<NodeId> AOut(F1.out(N).begin(), F1.out(N).end()),
+        BOut(FSeq.out(N).begin(), FSeq.out(N).end());
     std::sort(AOut.begin(), AOut.end());
     std::sort(BOut.begin(), BOut.end());
     EXPECT_EQ(AOut, BOut);

@@ -71,17 +71,18 @@ TEST_P(RandomProgramTest, GraphStructuralInvariants) {
             size_t(M->getNumInstrs()) * (P.Prof->config().ContextSlots + 1));
 
   // In/Out adjacency is symmetric and references valid nodes.
+  const FrozenGraph F(G);
   size_t OutTotal = 0, InTotal = 0;
   for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {
-    for (NodeId S : G.node(N).Out) {
+    for (NodeId S : F.out(N)) {
       ASSERT_LT(S, G.numNodes());
       bool Back = false;
-      for (NodeId Pred : G.node(S).In)
+      for (NodeId Pred : F.in(S))
         Back |= Pred == N;
       EXPECT_TRUE(Back) << "missing back edge";
     }
-    OutTotal += G.node(N).Out.size();
-    InTotal += G.node(N).In.size();
+    OutTotal += F.outDegree(N);
+    InTotal += F.inDegree(N);
     // Frequencies are positive: nodes only exist if they executed.
     EXPECT_GT(G.freq(N), 0u);
   }
