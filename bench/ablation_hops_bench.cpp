@@ -40,10 +40,10 @@ void printTable() {
       auto T0 = std::chrono::steady_clock::now();
       double RacSum = 0;
       uint64_t Locs = 0, NativeLocs = 0;
-      for (size_t LI = 0; LI != G.numLocs(); ++LI) {
+      for (uint32_t LI = 0; LI != G.numLocs(); ++LI) {
         if (G.writersAt(LI).empty())
           continue;
-        LocCostBenefit CB = multiHopLocCostBenefit(G, G.loc(LI), K);
+        LocCostBenefit CB = multiHopLocCostBenefit(G, LI, K);
         RacSum += CB.Rac;
         ++Locs;
         NativeLocs += CB.ReachesNative ? 1 : 0;
@@ -69,10 +69,10 @@ void BM_MultiHopSweep(benchmark::State &State) {
   unsigned K = unsigned(State.range(0));
   for (auto _ : State) {
     double Sum = 0;
-    for (size_t LI = 0; LI != G.numLocs(); ++LI) {
+    for (uint32_t LI = 0; LI != G.numLocs(); ++LI) {
       if (G.writersAt(LI).empty())
         continue;
-      Sum += multiHopLocCostBenefit(G, G.loc(LI), K).Rac;
+      Sum += multiHopLocCostBenefit(G, LI, K).Rac;
     }
     benchmark::DoNotOptimize(Sum);
   }

@@ -38,9 +38,9 @@ void printTable() {
     Workload W = buildWorkload(Name, S);
     TimedRun Before = baselineRun(*W.M);
     ProfiledRun P = profiledRun(*W.M);
-    DeadValueAnalysis DV =
-        computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
-    OptimizeResult R = removeProfiledDeadCode(*W.M, P.Prof->graph(), DV);
+    const FrozenGraph G(P.Prof->graph());
+    DeadValueAnalysis DV = computeDeadValues(G, P.Run.ExecutedInstrs);
+    OptimizeResult R = removeProfiledDeadCode(*W.M, G, DV);
     TimedRun After = baselineRun(*R.M);
     bool OutputOk = After.Run.SinkHash == Before.Run.SinkHash;
     double AutoPct = 100.0 *
@@ -67,9 +67,9 @@ void BM_ProfileOptimizeCycle(benchmark::State &State) {
   Workload W = buildWorkload("chart", tableScale() / 4);
   for (auto _ : State) {
     ProfiledRun P = profiledRun(*W.M);
-    DeadValueAnalysis DV =
-        computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
-    OptimizeResult R = removeProfiledDeadCode(*W.M, P.Prof->graph(), DV);
+    const FrozenGraph G(P.Prof->graph());
+    DeadValueAnalysis DV = computeDeadValues(G, P.Run.ExecutedInstrs);
+    OptimizeResult R = removeProfiledDeadCode(*W.M, G, DV);
     benchmark::DoNotOptimize(R.Stats.removedTotal());
   }
 }

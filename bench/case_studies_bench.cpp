@@ -42,7 +42,8 @@ void printTable() {
     TimedRun RF = baselineRun(*Opt.M);
 
     ProfiledRun P = profiledRun(*Orig.M);
-    CostModel CM(P.Prof->graph());
+    const FrozenGraph G(P.Prof->graph());
+    CostModel CM(G);
     LowUtilityReport Report(CM, *Orig.M);
     int BestRank = -1;
     for (AllocSiteId Site : Orig.PlantedSites) {

@@ -2,8 +2,7 @@
 //
 // Measures what the FrozenGraph refactor buys on the paper-scale composed
 // workload: seal cost and retained bytes, the per-location activity sweep
-// that the analyses actually run (frozen offset-indexed spans, and the
-// same spans reached through the heap-location Eytzinger index, vs a
+// that the analyses actually run (frozen offset-indexed spans vs a
 // FlatMap::find per location), and the end-to-end wall time of report +
 // n-RAC generation over the sealed representation. The acceptance shape:
 // the frozen read-path sweep beats FlatMap::find by an order of magnitude,
@@ -75,7 +74,7 @@ void printTable() {
   // map; the frozen universe makes the same sweep a direct offset index.
   const auto &WMap = G.writers();
   const auto &RMap = G.readers();
-  double MapSweep = 1e99, FrzSweep = 1e99, KeySweep = 1e99;
+  double MapSweep = 1e99, FrzSweep = 1e99;
   for (int Rep = 0; Rep != 5; ++Rep) {
     auto T0 = std::chrono::steady_clock::now();
     uint64_t Sum = 0;
@@ -104,23 +103,10 @@ void printTable() {
     benchmark::DoNotOptimize(Sum);
     FrzSweep = std::min(FrzSweep,
                         secondsSince(T0) * 1e9 / double(F.numLocs()));
-    T0 = std::chrono::steady_clock::now();
-    Sum = 0;
-    for (size_t LI = 0; LI != F.numLocs(); ++LI) {
-      HeapLoc L = F.loc(LI);
-      for (NodeId N : F.writersOf(L))
-        Sum += F.freq(N);
-      for (NodeId N : F.readersOf(L))
-        Sum += F.freq(N);
-    }
-    benchmark::DoNotOptimize(Sum);
-    KeySweep = std::min(KeySweep,
-                        secondsSince(T0) * 1e9 / double(F.numLocs()));
   }
   std::printf("%-24s | %10s\n", "loc activity (ns/loc)", "sweep");
   std::printf("%-24s | %10.1f\n", "FlatMap::find (build)", MapSweep);
   std::printf("%-24s | %10.1f\n", "frozen spans (indexed)", FrzSweep);
-  std::printf("%-24s | %10.1f\n", "frozen spans (by key)", KeySweep);
   std::printf("%-24s | %9.2fx\n", "speedup (indexed)",
               FrzSweep > 0 ? MapSweep / FrzSweep : 0);
 

@@ -36,7 +36,8 @@ void printTable() {
   for (const char *Name : kApps) {
     Workload W = buildWorkload(Name, S);
     ProfiledRun P = profiledRun(*W.M);
-    CostModel CM(P.Prof->graph());
+    const FrozenGraph G(P.Prof->graph());
+    CostModel CM(G);
     std::printf("%-12s", Name);
     for (unsigned N = 1; N <= 6; ++N) {
       ReportOptions Opts;
@@ -62,7 +63,8 @@ void printTable() {
 void BM_ReportDepth(benchmark::State &State) {
   Workload W = buildWorkload("eclipse", tableScale() / 2);
   ProfiledRun P = profiledRun(*W.M);
-  CostModel CM(P.Prof->graph());
+  const FrozenGraph G(P.Prof->graph());
+  CostModel CM(G);
   ReportOptions Opts;
   Opts.Depth = unsigned(State.range(0));
   for (auto _ : State) {

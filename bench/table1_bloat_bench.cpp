@@ -31,7 +31,7 @@ void printTable() {
     Workload W = buildWorkload(Name, S);
     ProfiledRun P = profiledRun(*W.M);
     DeadValueAnalysis DV =
-        computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
+        computeDeadValues(FrozenGraph(P.Prof->graph()), P.Run.ExecutedInstrs);
     std::printf("%-12s %12llu %8.1f %8.1f %8.1f\n", Name.c_str(),
                 (unsigned long long)DV.Metrics.TotalInstrInstances,
                 100.0 * DV.Metrics.ipd(), 100.0 * DV.Metrics.ipp(),
@@ -45,9 +45,9 @@ void BM_DeadValueAnalysis(benchmark::State &State) {
   const std::string &Name = dacapoNames()[State.range(0)];
   Workload W = buildWorkload(Name, tableScale() / 4);
   ProfiledRun P = profiledRun(*W.M);
+  const FrozenGraph G(P.Prof->graph());
   for (auto _ : State) {
-    DeadValueAnalysis DV =
-        computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
+    DeadValueAnalysis DV = computeDeadValues(G, P.Run.ExecutedInstrs);
     benchmark::DoNotOptimize(DV.Metrics.DeadFreq);
   }
   State.SetLabel(Name);

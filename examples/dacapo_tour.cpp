@@ -61,7 +61,8 @@ int main(int argc, char **argv) {
   OS.printFixed(SP.averageCR(), 3);
   OS << "\n\n";
 
-  CostModel CM(G);
+  const FrozenGraph FG(G);
+  CostModel CM(FG);
   LowUtilityReport Report(CM, *W.M);
   OS << "--- low-utility data structures (n-RAC / n-RAB ranking) ---\n";
   Report.print(OS, 8);
@@ -95,7 +96,7 @@ int main(int argc, char **argv) {
   OS << "\n--- cache effectiveness (least effective first) ---\n";
   printCacheScores(rankCacheEffectiveness(CM, *W.M), OS, 5);
 
-  DeadValueAnalysis DV = computeDeadValues(G, Prof.Run.ExecutedInstrs);
+  DeadValueAnalysis DV = computeDeadValues(FG, Prof.Run.ExecutedInstrs);
   OS << "\n--- bloat metrics ---\nIPD ";
   OS.printFixed(100.0 * DV.Metrics.ipd(), 1);
   OS << "%   IPP ";

@@ -124,7 +124,8 @@ int main() {
      << "queries positively, executing " << Run.ExecutedInstrs
      << " instructions.\n\n";
 
-  CostModel CM(Session.slicing()->graph());
+  const FrozenGraph G(Session.slicing()->graph());
+  CostModel CM(G);
   LowUtilityReport Report(CM, *M);
   OS << "=== Low-utility data structures ===\n";
   Report.print(OS, 5);

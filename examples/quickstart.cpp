@@ -74,15 +74,16 @@ int main() {
      << uint64_t(G.numNodes()) << " nodes and "
      << uint64_t(G.numEdges()) << " edges\n\n";
 
-  // 3. Rank data structures by relative cost/benefit (Definitions 5-7).
-  CostModel CM(G);
+  // 3. Seal the finished graph for the offline analyses, and rank data
+  //    structures by relative cost/benefit (Definitions 5-7).
+  const FrozenGraph FG(G);
+  CostModel CM(FG);
   LowUtilityReport Report(CM, M);
   OS << "=== Low-utility data structures (most suspicious first) ===\n";
   Report.print(OS, 5);
 
   // 4. The ultimately-dead value measurement (Table 1(c)).
-  DeadValueAnalysis DV =
-      computeDeadValues(G, Run.ExecutedInstrs);
+  DeadValueAnalysis DV = computeDeadValues(FG, Run.ExecutedInstrs);
   OS << "\nIPD (instances producing only dead values): ";
   OS.printFixed(100.0 * DV.Metrics.ipd(), 1);
   OS << "%\nNLD (dead graph nodes):                     ";

@@ -52,7 +52,8 @@ int main() {
      << " instruction instances ("
      << uint64_t(100 * G.totalFreq() / Run.ExecutedInstrs) << "%)\n\n";
 
-  CostModel CM(G);
+  const FrozenGraph FG(G);
+  CostModel CM(FG);
   LowUtilityReport Report(CM, *W.M);
   Report.print(OS, 5);
   OS << "\nThe KeyBlock/KeyIter wrappers surface immediately once the\n"

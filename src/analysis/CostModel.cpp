@@ -6,14 +6,7 @@
 
 using namespace lud;
 
-CostModel::CostModel(const FrozenGraph &G) : G(G) { init(); }
-
-CostModel::CostModel(const DepGraph &DG)
-    : Owned(std::make_unique<FrozenGraph>(DG)), G(*Owned) {
-  init();
-}
-
-void CostModel::init() {
+CostModel::CostModel(const FrozenGraph &G) : G(G) {
   // The location universe is sorted by (Tag, Slot) and holds each
   // location once, so each tag's fields arrive as one run of ascending
   // slots.

@@ -28,7 +28,6 @@
 
 #include "profiling/FrozenGraph.h"
 
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -69,14 +68,7 @@ struct ObjectCostBenefit {
 /// the graph must outlive the model.
 class CostModel {
 public:
-  /// Reads \p G directly — the seal-once pipeline the tools use.
   explicit CostModel(const FrozenGraph &G);
-
-  /// Convenience: seals a copy of \p DG and owns the result. Analysis
-  /// results and serialization are byte-identical to sealing at the call
-  /// site; prefer the FrozenGraph overload when several consumers share
-  /// one graph.
-  explicit CostModel(const DepGraph &DG);
 
   const FrozenGraph &graph() const { return G; }
 
@@ -108,10 +100,6 @@ public:
   std::vector<uint64_t> allTags() const;
 
 private:
-  void init();
-
-  /// Set when this model sealed its own graph (DepGraph constructor).
-  std::unique_ptr<FrozenGraph> Owned;
   const FrozenGraph &G;
   /// Universe indices of the observed fields, grouped by tag (a tag's
   /// locations are contiguous in the universe), and tag -> its run in

@@ -76,8 +76,3 @@ DeadValueAnalysis lud::computeDeadValues(const FrozenGraph &G,
   }
   return Out;
 }
-
-DeadValueAnalysis lud::computeDeadValues(const DepGraph &G,
-                                         uint64_t ExecutedInstrs) {
-  return computeDeadValues(FrozenGraph(G), ExecutedInstrs);
-}

@@ -68,11 +68,6 @@ struct DeadValueAnalysis {
 DeadValueAnalysis computeDeadValues(const FrozenGraph &G,
                                     uint64_t ExecutedInstrs);
 
-/// Convenience for build-phase graphs: seals a copy and runs the analysis
-/// on it (identical classification — node ids survive sealing).
-DeadValueAnalysis computeDeadValues(const DepGraph &G,
-                                    uint64_t ExecutedInstrs);
-
 } // namespace lud
 
 #endif // LUD_ANALYSIS_DEADVALUES_H

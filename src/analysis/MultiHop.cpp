@@ -76,10 +76,10 @@ BenefitInfo lud::multiHopBenefit(const FrozenGraph &G, NodeId N,
   return Info;
 }
 
-LocCostBenefit lud::multiHopLocCostBenefit(const FrozenGraph &G,
-                                           const HeapLoc &L, unsigned Hops) {
+LocCostBenefit lud::multiHopLocCostBenefit(const FrozenGraph &G, uint32_t I,
+                                           unsigned Hops) {
   LocCostBenefit CB;
-  auto Writers = G.writersOf(L);
+  auto Writers = G.writersAt(I);
   if (!Writers.empty()) {
     uint64_t Sum = 0;
     for (NodeId W : Writers)
@@ -87,7 +87,7 @@ LocCostBenefit lud::multiHopLocCostBenefit(const FrozenGraph &G,
     CB.NumWriters = Writers.size();
     CB.Rac = double(Sum) / double(CB.NumWriters);
   }
-  auto Readers = G.readersOf(L);
+  auto Readers = G.readersAt(I);
   if (!Readers.empty()) {
     uint64_t Sum = 0;
     for (NodeId R : Readers) {

@@ -33,9 +33,10 @@ uint64_t multiHopCost(const FrozenGraph &G, NodeId N, unsigned Hops);
 /// consumes the written location).
 BenefitInfo multiHopBenefit(const FrozenGraph &G, NodeId N, unsigned Hops);
 
-/// RAC/RAB of one abstract heap location under k-hop traversal (means over
-/// its writer/reader nodes, as in CostModel::locCostBenefitAt).
-LocCostBenefit multiHopLocCostBenefit(const FrozenGraph &G, const HeapLoc &L,
+/// RAC/RAB of the abstract heap location at universe index \p I under
+/// k-hop traversal (means over its writer/reader nodes, as in
+/// CostModel::locCostBenefitAt).
+LocCostBenefit multiHopLocCostBenefit(const FrozenGraph &G, uint32_t I,
                                       unsigned Hops);
 
 } // namespace lud

@@ -86,8 +86,3 @@ OptimizeResult lud::removeProfiledDeadCode(const Module &M,
   Out.M = RW.apply();
   return Out;
 }
-
-OptimizeResult lud::removeProfiledDeadCode(const Module &M, const DepGraph &G,
-                                           const DeadValueAnalysis &DV) {
-  return removeProfiledDeadCode(M, FrozenGraph(G), DV);
-}

@@ -54,10 +54,6 @@ struct OptimizeResult {
 OptimizeResult removeProfiledDeadCode(const Module &M, const FrozenGraph &G,
                                       const DeadValueAnalysis &DV);
 
-/// Convenience for build-phase graphs: seals a copy of \p G first.
-OptimizeResult removeProfiledDeadCode(const Module &M, const DepGraph &G,
-                                      const DeadValueAnalysis &DV);
-
 } // namespace lud
 
 #endif // LUD_ANALYSIS_OPTIMIZER_H

@@ -20,7 +20,7 @@ namespace {
 std::string graphBytes(const DepGraph *G) {
   StringOutStream OS;
   if (G)
-    writeGraph(*G, OS);
+    writeGraph(FrozenGraph(*G), OS);
   return OS.str();
 }
 
@@ -240,7 +240,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
       return Fail("graphio-roundtrip", D);
     }
     StringOutStream OS;
-    writeGraph(*G, OS);
+    writeGraph(FrozenGraph::seal(std::move(*G)), OS);
     if (OS.str() != RefSnap.Graph)
       return Fail("graphio-roundtrip",
                   firstDiff("re-serialized graph", RefSnap.Graph, OS.str()));

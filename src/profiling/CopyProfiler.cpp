@@ -187,7 +187,7 @@ void CopyProfiler::accountStats(obs::MetricsRegistry &R) const {
   R.set(R.gauge("copy.graph.nodes"), G.numNodes());
   R.set(R.gauge("copy.graph.edges"), G.numEdges());
   R.set(R.gauge("mem.copy.graph_bytes", obs::Unit::Bytes),
-        G.memoryFootprint().total() + G.internTableBytes() + G.memoBytes());
+        G.memoryFootprint().total() + G.memoBytes());
 }
 
 void CopyProfiler::mergeFrom(const CopyProfiler &O) {

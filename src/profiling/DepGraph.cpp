@@ -96,13 +96,14 @@ std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
 
 DepGraph::MemoryFootprint DepGraph::memoryFootprint() const {
   MemoryFootprint F;
-  F.NodeBytes = Nodes.capacity() * sizeof(Node) +
-                Freqs.capacity() * sizeof(uint64_t) + NodeByKey.memoryBytes();
-  F.EdgeBytes = EdgeSet.memoryBytes() + RefEdgeSet.memoryBytes() +
-                (Edges.capacity() + RefEdges.capacity()) *
-                    sizeof(std::pair<NodeId, NodeId>);
-  F.LocMapBytes = Writers.memoryBytes() + Readers.memoryBytes() +
-                  RefChildren.memoryBytes() + AllocNodeByTag.memoryBytes();
+  F.NodeBytes =
+      Nodes.capacity() * sizeof(Node) + Freqs.capacity() * sizeof(uint64_t);
+  F.EdgeBytes = (Edges.capacity() + RefEdges.capacity()) *
+                sizeof(std::pair<NodeId, NodeId>);
+  F.LocMapBytes =
+      Writers.memoryBytes() + Readers.memoryBytes() + RefChildren.memoryBytes();
+  F.InternBytes = NodeByKey.memoryBytes() + EdgeSet.memoryBytes() +
+                  RefEdgeSet.memoryBytes() + AllocNodeByTag.memoryBytes();
   for (const auto &[L, V] : Writers)
     F.LocMapBytes += V.capacity() * sizeof(NodeId);
   for (const auto &[L, V] : Readers)

@@ -335,25 +335,23 @@ public:
   /// can be merged too. Both graphs must use the same context-slot count.
   std::vector<NodeId> mergeFrom(const DepGraph &O);
 
-  /// Approximate resident bytes of the retained graph (Table 1's M column:
-  /// nodes, edges, location maps; excludes the shadow heap, as the paper's
-  /// M column does).
+  /// Approximate resident bytes of the graph (Table 1's M column; excludes
+  /// the shadow heap, as the paper's M column does). The four fields
+  /// partition total(): each table is counted in exactly one of them.
   struct MemoryFootprint {
+    /// Node records and frequencies.
     size_t NodeBytes = 0;
+    /// The data and ref edge logs.
     size_t EdgeBytes = 0;
+    /// Writer/reader/ref-child maps and their value vectors.
     size_t LocMapBytes = 0;
-    size_t total() const { return NodeBytes + EdgeBytes + LocMapBytes; }
+    /// Interning tables: node key map, edge dedup sets, alloc-node map.
+    size_t InternBytes = 0;
+    size_t total() const {
+      return NodeBytes + EdgeBytes + LocMapBytes + InternBytes;
+    }
   };
   MemoryFootprint memoryFootprint() const;
-
-  /// Bytes held by the interning tables (node key map, edge dedup sets,
-  /// alloc-node map). Kept separate from memoryFootprint(): the paper's M
-  /// column counts the retained graph, while these tables are construction
-  /// overhead the telemetry accounts on its own line.
-  size_t internTableBytes() const {
-    return NodeByKey.memoryBytes() + EdgeSet.memoryBytes() +
-           RefEdgeSet.memoryBytes() + AllocNodeByTag.memoryBytes();
-  }
 
 private:
   /// Per static instruction: the domain element, node and def-use sources

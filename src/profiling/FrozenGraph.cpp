@@ -115,7 +115,6 @@ FrozenGraph::FrozenGraph(const DepGraph &G) {
       LocTags[I] = Universe[I].Tag;
       LocSlots[I] = Universe[I].Slot;
     }
-    LocIndex = LocEytzingerIndex(LocTags, LocSlots);
 
     WriterOffsets.resize(L + 1);
     ReaderOffsets.resize(L + 1);
@@ -141,6 +140,20 @@ FrozenGraph::FrozenGraph(const DepGraph &G) {
   }
 }
 
+uint32_t FrozenGraph::locIndexOf(const HeapLoc &L) const {
+  size_t Lo = 0, Hi = LocTags.size();
+  while (Lo != Hi) {
+    size_t Mid = Lo + (Hi - Lo) / 2;
+    if (locLess(loc(Mid), L))
+      Lo = Mid + 1;
+    else
+      Hi = Mid;
+  }
+  if (Lo == LocTags.size() || LocTags[Lo] != L.Tag || LocSlots[Lo] != L.Slot)
+    return npos;
+  return uint32_t(Lo);
+}
+
 FrozenGraph::MemoryFootprint FrozenGraph::memoryFootprint() const {
   MemoryFootprint FP;
   FP.NodeBytes = Instrs.capacity() * sizeof(InstrId) +
@@ -163,8 +176,7 @@ FrozenGraph::MemoryFootprint FrozenGraph::memoryFootprint() const {
                     sizeof(NodeId) +
                 RefChildVals.capacity() * sizeof(uint64_t);
   FP.IndexBytes =
-      AllocEntries.capacity() * sizeof(std::pair<uint64_t, NodeId>) +
-      LocIndex.memoryBytes();
+      AllocEntries.capacity() * sizeof(std::pair<uint64_t, NodeId>);
   return FP;
 }
 

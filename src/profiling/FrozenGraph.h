@@ -26,14 +26,15 @@
 ///     reads one meta byte + one freq word per node, not a ~100-byte
 ///     Node record);
 ///   - writers/readers/refChildren flattened into offset-indexed spans
-///     over one shared sorted HeapLoc universe, whose keyed lookups
-///     (writersOf/readersOf/refChildrenOf) search a branchless Eytzinger
-///     layout (`i = 2i + (keys[i] < target)` with per-level prefetch)
-///     instead of open-addressing probe sequences;
+///     over one shared HeapLoc universe sorted by (Tag, Slot), read by
+///     universe index (writersAt/readersAt/refChildrenAt); a tag's
+///     locations are one contiguous run, so the analyses sweep the
+///     universe or a tag's run and never look a location up per access;
 ///   - the (tag, allocation node) pairs as one tag-sorted array.
 ///
-/// Nothing is indexed by node key: the analyses walk nodes by id, and the
-/// only per-key reads of a sealed graph are by heap location.
+/// Nothing is indexed by key: the analyses walk nodes by id and locations
+/// by universe index. The one keyed read, locIndexOf, is a binary search
+/// over the sorted location columns for a caller that holds a HeapLoc.
 ///
 /// Node ids are preserved exactly, and the per-location value sequences
 /// dedup to the first-occurrence order the build phase's insertUnique
@@ -47,7 +48,6 @@
 
 #include "profiling/DepGraph.h"
 
-#include <cassert>
 #include <span>
 
 namespace lud {
@@ -55,94 +55,6 @@ namespace lud {
 namespace obs {
 class MetricsRegistry;
 }
-
-/// Branchless lookup table over the heap-location keys, sorted by
-/// (Tag, Slot) and stored in Eytzinger (BFS) order: element 1 is the root,
-/// element i's children are 2i and 2i+1. A HeapLoc key is 96 bits, so it
-/// lives in two parallel columns and each level compares lexicographically
-/// with integer ops, never a branch. The descent's next index depends only
-/// on that one comparison, so it pipelines and prefetches where a binary
-/// search over the sorted array stalls on every level. Payloads are the
-/// keys' ranks in sorted order.
-class LocEytzingerIndex {
-public:
-  LocEytzingerIndex() = default;
-
-  /// Builds from parallel columns sorted strictly ascending by (Tag,
-  /// Slot). The tree is padded to a full power of two with +inf sentinel
-  /// keys so every real key sits in a complete tree: the descent then runs
-  /// a fixed number of levels with no data-dependent exit (a half-full
-  /// bottom level would otherwise cost a mispredicted branch on most
-  /// lookups).
-  LocEytzingerIndex(const std::vector<uint64_t> &SortedTags,
-                    const std::vector<FieldSlot> &SortedSlots) {
-    assert(SortedTags.size() == SortedSlots.size());
-    size_t Cap = 2;
-    Levels = 1;
-    while (Cap - 1 < SortedTags.size()) {
-      Cap <<= 1;
-      ++Levels;
-    }
-    Tags.assign(Cap, ~uint64_t(0));
-    Slots.assign(Cap, ~FieldSlot(0));
-    Rank.assign(Cap, 0);
-    size_t Next = 0;
-    fill(SortedTags, SortedSlots, Next, 1);
-  }
-
-  /// Rank of \p L in the sorted key sequence, or npos when absent.
-  static constexpr uint32_t npos = 0xFFFFFFFF;
-  uint32_t find(const HeapLoc &L) const {
-    // All-ones tags are the padding sentinel; real tags stay below 2^63.
-    if (Tags.empty() || L.Tag == ~uint64_t(0))
-      return npos;
-    const uint64_t *T = Tags.data();
-    const FieldSlot *S = Slots.data();
-    const size_t Last = Tags.size() - 1;
-    size_t I = 1;
-    for (uint32_t Lv = 0; Lv != Levels; ++Lv) {
-      // Pull the grandchildren's cache line while comparing: 4 levels of
-      // the implicit tree (16 keys, two lines) ahead of the descent.
-      __builtin_prefetch(&T[std::min(I * 16, Last)]);
-      unsigned Less = unsigned(T[I] < L.Tag) |
-                      (unsigned(T[I] == L.Tag) & unsigned(S[I] < L.Slot));
-      I = 2 * I + Less;
-    }
-    // The descent ends on a virtual leaf; undoing the trailing right
-    // turns (+1) recovers the lower bound. I == 0 means every key < L.
-    I >>= __builtin_ffsll((long long)~I);
-    if (I == 0 || T[I] != L.Tag || S[I] != L.Slot)
-      return npos;
-    return Rank[I];
-  }
-
-  size_t memoryBytes() const {
-    return Tags.capacity() * sizeof(uint64_t) +
-           Slots.capacity() * sizeof(FieldSlot) +
-           Rank.capacity() * sizeof(uint32_t);
-  }
-
-private:
-  void fill(const std::vector<uint64_t> &ST, const std::vector<FieldSlot> &SS,
-            size_t &Next, size_t I) {
-    if (I >= Tags.size() || Next >= ST.size())
-      return;
-    fill(ST, SS, Next, 2 * I);
-    if (Next < ST.size()) {
-      Tags[I] = ST[Next];
-      Slots[I] = SS[Next];
-      Rank[I] = uint32_t(Next);
-      ++Next;
-    }
-    fill(ST, SS, Next, 2 * I + 1);
-  }
-
-  /// 1-indexed; slot 0 unused. Power-of-two size, +inf padded.
-  std::vector<uint64_t> Tags;
-  std::vector<FieldSlot> Slots;
-  std::vector<uint32_t> Rank;
-  uint32_t Levels = 0;
-};
 
 /// Immutable, cache-packed view of a finished DepGraph. See the file
 /// comment for the layout; accessors mirror DepGraph's read API.
@@ -225,26 +137,11 @@ public:
   size_t numLocs() const { return LocTags.size(); }
   HeapLoc loc(size_t I) const { return HeapLoc{LocTags[I], LocSlots[I]}; }
 
-  /// Universe index of \p L, or LocEytzingerIndex::npos when no map
-  /// mentions it. The analyses resolve a location once and read the
-  /// per-index spans below.
-  uint32_t locIndexOf(const HeapLoc &L) const { return LocIndex.find(L); }
-
-  std::span<const NodeId> writersOf(const HeapLoc &L) const {
-    uint32_t I = locIndexOf(L);
-    return I == LocEytzingerIndex::npos ? std::span<const NodeId>()
-                                     : writersAt(I);
-  }
-  std::span<const NodeId> readersOf(const HeapLoc &L) const {
-    uint32_t I = locIndexOf(L);
-    return I == LocEytzingerIndex::npos ? std::span<const NodeId>()
-                                     : readersAt(I);
-  }
-  std::span<const uint64_t> refChildrenOf(const HeapLoc &L) const {
-    uint32_t I = locIndexOf(L);
-    return I == LocEytzingerIndex::npos ? std::span<const uint64_t>()
-                                     : refChildrenAt(I);
-  }
+  /// Universe index of \p L, or npos when no map mentions it: a binary
+  /// search over the sorted location columns, for a caller that holds a
+  /// location rather than an index.
+  static constexpr uint32_t npos = 0xFFFFFFFF;
+  uint32_t locIndexOf(const HeapLoc &L) const;
 
   /// Per-universe-index spans, for full-map sweeps in sorted-key order.
   /// A tag's locations are contiguous in the universe, by ascending slot.
@@ -288,7 +185,7 @@ public:
     size_t EdgeBytes = 0;
     /// Location universe keys, per-map offsets and value arrays.
     size_t LocBytes = 0;
-    /// Heap-location Eytzinger tree plus the tag-sorted allocation table.
+    /// The tag-sorted allocation table.
     size_t IndexBytes = 0;
     size_t total() const {
       return NodeBytes + EdgeBytes + LocBytes + IndexBytes;
@@ -327,7 +224,6 @@ private:
   // Heap-location universe, sorted by (Tag, Slot).
   std::vector<uint64_t> LocTags;
   std::vector<FieldSlot> LocSlots;
-  LocEytzingerIndex LocIndex;
   std::vector<uint32_t> WriterOffsets, ReaderOffsets, RefChildOffsets;
   std::vector<NodeId> WriterVals, ReaderVals;
   std::vector<uint64_t> RefChildVals;

@@ -57,10 +57,6 @@ void lud::writeGraph(const FrozenGraph &G, OutStream &OS) {
   OS << "end\n";
 }
 
-void lud::writeGraph(const DepGraph &G, OutStream &OS) {
-  writeGraph(FrozenGraph(G), OS);
-}
-
 std::unique_ptr<DepGraph> lud::readGraph(std::string_view Text,
                                          std::vector<std::string> &Errors) {
   auto Fail = [&](unsigned Line, const std::string &Msg) {

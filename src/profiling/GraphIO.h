@@ -42,14 +42,9 @@ class DepGraph;
 class FrozenGraph;
 class OutStream;
 
-/// Writes \p G in the versioned text format. The frozen overload is the
-/// primary writer — the sealed representation already holds every record
-/// in canonical order.
+/// Writes \p G in the versioned text format. The sealed representation
+/// already holds every record in canonical order.
 void writeGraph(const FrozenGraph &G, OutStream &OS);
-
-/// Convenience for build-phase graphs: seals a copy of \p G and writes
-/// that. Byte-identical to sealing at the call site.
-void writeGraph(const DepGraph &G, OutStream &OS);
 
 /// Parses a graph written by writeGraph. Returns null and fills \p Errors
 /// on malformed input.

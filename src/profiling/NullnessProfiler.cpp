@@ -140,7 +140,7 @@ void NullnessProfiler::accountStats(obs::MetricsRegistry &R) const {
   R.set(R.gauge("nullness.graph.edges"), G.numEdges());
   R.set(R.gauge("nullness.fault"), Fault != kNoNode ? 1 : 0);
   R.set(R.gauge("mem.nullness.graph_bytes", obs::Unit::Bytes),
-        G.memoryFootprint().total() + G.internTableBytes() + G.memoBytes());
+        G.memoryFootprint().total() + G.memoBytes());
 }
 
 void NullnessProfiler::mergeFrom(const NullnessProfiler &O) {

@@ -423,8 +423,7 @@ void SlicingProfiler::accountStats(obs::MetricsRegistry &R) const {
   R.set(R.gauge("mem.gcost.node_bytes", Unit::Bytes), FP.NodeBytes);
   R.set(R.gauge("mem.gcost.edge_bytes", Unit::Bytes), FP.EdgeBytes);
   R.set(R.gauge("mem.gcost.locmap_bytes", Unit::Bytes), FP.LocMapBytes);
-  R.set(R.gauge("mem.gcost.intern_bytes", Unit::Bytes),
-        G.internTableBytes());
+  R.set(R.gauge("mem.gcost.intern_bytes", Unit::Bytes), FP.InternBytes);
 
   uint64_t ShadowSlots = 0;
   obs::MetricId SlotsHist = R.histogram("shadow.object_slots");

@@ -74,7 +74,7 @@ void TypestateProfiler::accountStats(obs::MetricsRegistry &R) const {
   R.set(R.gauge("typestate.graph.nodes"), G.numNodes());
   R.set(R.gauge("typestate.graph.edges"), G.numEdges());
   R.set(R.gauge("mem.typestate.graph_bytes", obs::Unit::Bytes),
-        G.memoryFootprint().total() + G.internTableBytes() + G.memoBytes());
+        G.memoryFootprint().total() + G.memoBytes());
 }
 
 void TypestateProfiler::mergeFrom(const TypestateProfiler &O) {

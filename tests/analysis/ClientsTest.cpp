@@ -124,7 +124,8 @@ TEST(MethodCostClientTest, ExpensiveReturnRanksFirst) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   std::vector<MethodCostRow> Rows = computeMethodCosts(CM, M);
   ASSERT_GE(Rows.size(), 2u);
   EXPECT_EQ(Rows[0].Name, "pricey");
@@ -171,7 +172,8 @@ TEST(PredicateConstancyClientTest, FindsAlwaysTrueGuards) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   std::vector<ConstantPredicateRow> Rows = findConstantPredicates(P, CM, M);
   ASSERT_FALSE(Rows.empty());
   bool FoundGuard = false;
@@ -208,7 +210,8 @@ TEST(PredicateConstancyClientTest, MinCountFiltersOneShots) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   ClientOptions AtLeastTwo;
   AtLeastTwo.MinCount = 2;
   ClientOptions AtLeastOne;

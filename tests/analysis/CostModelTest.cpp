@@ -36,7 +36,8 @@ TEST(CostModelTest, Figure1NoDoubleCounting) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   InstrId AddId = 7;
   NodeId NAdd = soleNodeFor(P.graph(), AddId);
   ASSERT_NE(NAdd, kNoNode);
@@ -72,7 +73,8 @@ TEST(CostModelTest, AbstractCostAccumulatesLoopFrequencies) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   NodeId NAcc = soleNodeFor(P.graph(), AccAdd->getId());
   ASSERT_NE(NAcc, kNoNode);
   // acc-add(50) + i-add(50) + iconst acc0/i0/one (3x1) = 103.
@@ -105,7 +107,8 @@ TEST(CostModelTest, HracStopsAtHeapReads) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   NodeId NStore = soleNodeFor(P.graph(), StoreG->getId());
   ASSERT_NE(NStore, kNoNode);
   // store(1) + add(1) + iconst1(1) = 3; the load of o.f is not entered.
@@ -139,7 +142,8 @@ TEST(CostModelTest, HrabStopsAtHeapWrites) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   NodeId NLoad = soleNodeFor(P.graph(), LoadF->getId());
   ASSERT_NE(NLoad, kNoNode);
   const BenefitInfo &BI = CM.hrab(NLoad);
@@ -177,7 +181,8 @@ TEST(CostModelTest, BenefitFlagsReportConsumers) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   const BenefitInfo &BF = CM.hrab(soleNodeFor(P.graph(), LoadF->getId()));
   EXPECT_TRUE(BF.ReachesPredicate);
   EXPECT_FALSE(BF.ReachesNative);
@@ -209,13 +214,14 @@ TEST(CostModelTest, LocCostBenefitAveragesOverNodes) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   FieldSlot Slot;
   ASSERT_TRUE(M.resolveField(A->getId(), "f", Slot));
   NodeId NAlloc = soleNodeFor(P.graph(), 0);
   uint64_t Tag = P.graph().node(NAlloc).EffectLoc.Tag;
   uint32_t I = CM.graph().locIndexOf(HeapLoc{Tag, Slot});
-  ASSERT_NE(I, LocEytzingerIndex::npos);
+  ASSERT_NE(I, FrozenGraph::npos);
   LocCostBenefit CB = CM.locCostBenefitAt(I);
   EXPECT_EQ(CB.NumWriters, 2u);
   EXPECT_DOUBLE_EQ(CB.Rac, (2.0 + 5.0) / 2.0);
@@ -247,7 +253,8 @@ TEST(CostModelTest, ObjectCostBenefitAggregatesOverTree) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   NodeId RootAlloc = soleNodeFor(P.graph(), 5);
   uint64_t RootTag = P.graph().node(RootAlloc).EffectLoc.Tag;
 
@@ -281,7 +288,8 @@ TEST(CostModelTest, ReferenceCyclesAreCut) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   NodeId AAlloc = soleNodeFor(P.graph(), 0);
   uint64_t ATag = P.graph().node(AAlloc).EffectLoc.Tag;
   ObjectCostBenefit CB = CM.objectCostBenefit(ATag, 10);
@@ -313,7 +321,8 @@ TEST(CostModelTest, HracOfPredicateDirectlyAfterLoadIsItsFrequency) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   NodeId NPred = soleNodeFor(P.graph(), Pred->getId());
   ASSERT_NE(NPred, kNoNode);
   EXPECT_EQ(CM.hrac(NPred), 1u);
@@ -329,7 +338,8 @@ TEST(CostModelTest, ClosureFrequenciesSaturateInsteadOfWrapping) {
   G.addEdge(A, B);
   G.freq(A) = ~uint64_t(0);
   G.freq(B) = 12345;
-  CostModel CM(G);
+  const FrozenGraph Sealed(G);
+  CostModel CM(Sealed);
   // Wrapping would report 12344 here.
   EXPECT_EQ(CM.abstractCost(B), ~uint64_t(0));
   EXPECT_EQ(CM.abstractCost(A), ~uint64_t(0));
@@ -344,9 +354,10 @@ TEST(CostModelTest, LocCostsSaturateAcrossWriterSums) {
   HeapLoc L{42, 3};
   G.noteWriter(L, W1);
   G.noteWriter(L, W2);
-  CostModel CM(G);
+  const FrozenGraph Sealed(G);
+  CostModel CM(Sealed);
   uint32_t I = CM.graph().locIndexOf(L);
-  ASSERT_NE(I, LocEytzingerIndex::npos);
+  ASSERT_NE(I, FrozenGraph::npos);
   LocCostBenefit CB = CM.locCostBenefitAt(I);
   EXPECT_EQ(CB.NumWriters, 2u);
   // The per-writer hrac sum wraps to 9 without saturation; the average

@@ -35,7 +35,8 @@ TEST(DeadValuesTest, StoreNeverReadIsDead) {
 
   RunResult R;
   SlicingProfiler P = profileRun(M, {}, &R);
-  DeadValueAnalysis DV = computeDeadValues(P.graph(), R.ExecutedInstrs);
+  DeadValueAnalysis DV =
+      computeDeadValues(FrozenGraph(P.graph()), R.ExecutedInstrs);
 
   NodeId NDeadStore = soleNodeFor(P.graph(), DeadStore->getId());
   ASSERT_NE(NDeadStore, kNoNode);
@@ -74,7 +75,8 @@ TEST(DeadValuesTest, PredicateOnlyValues) {
 
   RunResult R;
   SlicingProfiler P = profileRun(M, {}, &R);
-  DeadValueAnalysis DV = computeDeadValues(P.graph(), R.ExecutedInstrs);
+  DeadValueAnalysis DV =
+      computeDeadValues(FrozenGraph(P.graph()), R.ExecutedInstrs);
 
   NodeId NCond = soleNodeFor(P.graph(), CondAdd->getId());
   NodeId NOut = soleNodeFor(P.graph(), OutMul->getId());
@@ -108,7 +110,8 @@ TEST(DeadValuesTest, ValueFeedingBothPredicateAndDeadSinkIsNotPredOnly) {
 
   RunResult R;
   SlicingProfiler P = profileRun(M, {}, &R);
-  DeadValueAnalysis DV = computeDeadValues(P.graph(), R.ExecutedInstrs);
+  DeadValueAnalysis DV =
+      computeDeadValues(FrozenGraph(P.graph()), R.ExecutedInstrs);
   NodeId NV = soleNodeFor(P.graph(), VAdd->getId());
   EXPECT_FALSE(DV.Dead[NV]);          // It does reach a consumer.
   EXPECT_FALSE(DV.PredicateOnly[NV]); // But not *only* predicates.
@@ -131,7 +134,8 @@ TEST(DeadValuesTest, WhollyDeadProgramApproachesFullIPD) {
 
   RunResult R;
   SlicingProfiler P = profileRun(M, {}, &R);
-  DeadValueAnalysis DV = computeDeadValues(P.graph(), R.ExecutedInstrs);
+  DeadValueAnalysis DV =
+      computeDeadValues(FrozenGraph(P.graph()), R.ExecutedInstrs);
   EXPECT_EQ(DV.Metrics.DeadNodes, DV.Metrics.TotalNodes);
   EXPECT_DOUBLE_EQ(DV.Metrics.nld(), 1.0);
   // IPD counts graph-covered instances over all executed instances (the
@@ -140,7 +144,7 @@ TEST(DeadValuesTest, WhollyDeadProgramApproachesFullIPD) {
 }
 
 TEST(DeadValuesTest, EmptyGraphYieldsZeroMetrics) {
-  DepGraph G;
+  FrozenGraph G;
   DeadValueAnalysis DV = computeDeadValues(G, 0);
   EXPECT_DOUBLE_EQ(DV.Metrics.ipd(), 0.0);
   EXPECT_DOUBLE_EQ(DV.Metrics.ipp(), 0.0);

@@ -110,7 +110,8 @@ TEST(MultiHopTest, ForwardHopsReachTheConsumer) {
 
   // The *first* hop's load (of a.f) does not reach the native within one
   // hop, but does within two.
-  HeapLoc LocG{Prog.TagB, Prog.SlotG};
+  uint32_t LocG = G.locIndexOf(HeapLoc{Prog.TagB, Prog.SlotG});
+  ASSERT_NE(LocG, FrozenGraph::npos);
   LocCostBenefit OneHop = multiHopLocCostBenefit(G, LocG, 1);
   EXPECT_TRUE(OneHop.ReachesNative); // b.g's reader reaches sink directly.
 
@@ -119,8 +120,8 @@ TEST(MultiHopTest, ForwardHopsReachTheConsumer) {
     if (Tag == Prog.TagB || DepGraph::isStaticTag(Tag))
       continue;
     for (uint32_t Loc : CM.fieldsOf(Tag)) {
-      LocCostBenefit H1 = multiHopLocCostBenefit(G, G.loc(Loc), 1);
-      LocCostBenefit H2 = multiHopLocCostBenefit(G, G.loc(Loc), 2);
+      LocCostBenefit H1 = multiHopLocCostBenefit(G, Loc, 1);
+      LocCostBenefit H2 = multiHopLocCostBenefit(G, Loc, 2);
       EXPECT_FALSE(H1.ReachesNative);
       EXPECT_TRUE(H2.ReachesNative);
       EXPECT_GE(H2.Rab, H1.Rab);
@@ -237,7 +238,8 @@ CacheProgram buildCaches() {
 TEST(CacheCostTest, IneffectiveCacheRanksWorst) {
   CacheProgram Prog = buildCaches();
   SlicingProfiler P = profileRun(*Prog.M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   std::vector<CacheScore> Rows = rankCacheEffectiveness(CM, *Prog.M);
   ASSERT_EQ(Rows.size(), 2u);
   // Least effective first: the once-read table.
@@ -257,7 +259,8 @@ TEST(CacheCostTest, IneffectiveCacheRanksWorst) {
 TEST(CacheCostTest, MinWritesFiltersTinyStructures) {
   CacheProgram Prog = buildCaches();
   SlicingProfiler P = profileRun(*Prog.M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   CacheOptions Opts;
   Opts.MinWrites = 1000; // Above both tables' 32 writes.
   EXPECT_TRUE(rankCacheEffectiveness(CM, *Prog.M, Opts).empty());

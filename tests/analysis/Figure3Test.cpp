@@ -97,14 +97,15 @@ TEST(Figure3Test, RelativeCostMatchesHandComputation) {
   RunResult R;
   SlicingProfiler P = profileRun(*Prog.M, {}, &R);
   ASSERT_EQ(R.Status, RunStatus::Finished);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
 
   const DepGraph &G = P.graph();
   NodeId Store = soleNodeFor(G, Prog.StoreT);
   ASSERT_NE(Store, kNoNode);
   uint64_t Tag = G.node(Store).EffectLoc.Tag;
   uint32_t I = CM.graph().locIndexOf(HeapLoc{Tag, Prog.SlotT});
-  ASSERT_NE(I, LocEytzingerIndex::npos);
+  ASSERT_NE(I, FrozenGraph::npos);
   LocCostBenefit CB = CM.locCostBenefitAt(I);
 
   // RAC of B.t: store(1) + acc-add(1000) + acc0(1) + i-add(1000) + i0(1)
@@ -123,7 +124,8 @@ TEST(Figure3Test, LoopNodeFrequenciesMatch) {
   SlicingProfiler P = profileRun(*Prog.M);
   const DepGraph &G = P.graph();
   // The abstract cost of the store covers the whole loop history.
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   NodeId Store = soleNodeFor(G, Prog.StoreT);
   // Abstract cost adds the alloc? No: thin slicing, the base pointer is
   // not a use. Store's backward slice == its HRAC slice here because the
@@ -134,7 +136,8 @@ TEST(Figure3Test, LoopNodeFrequenciesMatch) {
 TEST(Figure3Test, CarrierTopsTheReport) {
   Figure3Program Prog = build();
   SlicingProfiler P = profileRun(*Prog.M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   LowUtilityReport Report(CM, *Prog.M);
   ASSERT_FALSE(Report.sites().empty());
   EXPECT_EQ(Report.sites()[0].Site, Prog.CarrierSite);

@@ -80,7 +80,8 @@ TEST(ObfuscateClosedLoopTest, JunkOutranksEveryGenuineStructure) {
     // The report must put the junk accumulator above every genuine site.
     ProfiledRun P = profiledRun(*Obf.M);
     ASSERT_EQ(P.Run.Status, RunStatus::Finished);
-    CostModel CM(P.Prof->graph());
+    const FrozenGraph Sealed(P.Prof->graph());
+    CostModel CM(Sealed);
     LowUtilityReport Report(CM, *Obf.M);
     AllocSiteId Junk = junkSite(Obf.Manifest);
     ASSERT_NE(Junk, kNoAllocSite);
@@ -91,9 +92,8 @@ TEST(ObfuscateClosedLoopTest, JunkOutranksEveryGenuineStructure) {
 
     // The strip must remove the junk payloads and restore the original
     // observables, on the interpreter and the threaded engine alike.
-    DeadValueAnalysis DV =
-        computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
-    OptimizeResult Opt = removeProfiledDeadCode(*Obf.M, P.Prof->graph(), DV);
+    DeadValueAnalysis DV = computeDeadValues(Sealed, P.Run.ExecutedInstrs);
+    OptimizeResult Opt = removeProfiledDeadCode(*Obf.M, Sealed, DV);
     EXPECT_GT(Opt.Stats.RemovedStores, 0u);
     for (EngineKind E : {EngineKind::Interp, EngineKind::Threaded}) {
       TimedRun R = engineRun(*Opt.M, E);
@@ -105,7 +105,8 @@ TEST(ObfuscateClosedLoopTest, JunkOutranksEveryGenuineStructure) {
 
     // After the strip, the junk site no longer appears in the report.
     ProfiledRun P2 = profiledRun(*Opt.M);
-    CostModel CM2(P2.Prof->graph());
+    const FrozenGraph Sealed2(P2.Prof->graph());
+    CostModel CM2(Sealed2);
     LowUtilityReport Clean(CM2, *Opt.M);
     for (const SiteScore &S : Clean.sites())
       EXPECT_EQ(S.Description.find("ObfJunk"), std::string::npos)
@@ -124,7 +125,8 @@ TEST(ObfuscateClosedLoopTest, OpaquePredicatesProvedConstant) {
 
   ProfiledRun P = profiledRun(*Obf.M);
   ASSERT_EQ(P.Run.Status, RunStatus::Finished);
-  CostModel CM(P.Prof->graph());
+  const FrozenGraph Sealed(P.Prof->graph());
+  CostModel CM(Sealed);
   std::vector<ConstantPredicateRow> Rows =
       findConstantPredicates(*P.Prof, CM, *Obf.M);
 
@@ -154,9 +156,9 @@ TEST(ObfuscateClosedLoopTest, StringTablesStripCompletely) {
   // The decode subgraph feeds no consumer: the sweep removes the table
   // fill, the rewrites, and the tables themselves.
   ProfiledRun P = profiledRun(*Obf.M);
-  DeadValueAnalysis DV =
-      computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
-  OptimizeResult Opt = removeProfiledDeadCode(*Obf.M, P.Prof->graph(), DV);
+  const FrozenGraph Sealed(P.Prof->graph());
+  DeadValueAnalysis DV = computeDeadValues(Sealed, P.Run.ExecutedInstrs);
+  OptimizeResult Opt = removeProfiledDeadCode(*Obf.M, Sealed, DV);
   EXPECT_GT(Opt.Stats.RemovedStores, 0u);
   EXPECT_GT(Opt.Stats.RemovedPure, 0u);
   TimedRun After = baselineRun(*Opt.M);

@@ -21,9 +21,9 @@ namespace {
 OptimizeResult optimizeChecked(const Module &M) {
   ProfiledRun P = profiledRun(M);
   EXPECT_EQ(P.Run.Status, RunStatus::Finished);
-  DeadValueAnalysis DV =
-      computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
-  OptimizeResult R = removeProfiledDeadCode(M, P.Prof->graph(), DV);
+  const FrozenGraph Sealed(P.Prof->graph());
+  DeadValueAnalysis DV = computeDeadValues(Sealed, P.Run.ExecutedInstrs);
+  OptimizeResult R = removeProfiledDeadCode(M, Sealed, DV);
   std::vector<std::string> Errors;
   EXPECT_TRUE(verifyModule(*R.M, Errors));
   for (const std::string &E : Errors)

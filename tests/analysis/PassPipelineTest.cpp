@@ -123,9 +123,9 @@ std::unique_ptr<Module> buildScanKernel(bool Sorted) {
 TEST(PassPipelineTest, DeadStorePassMatchesLegacyOptimizer) {
   Workload W = buildWorkload("chart", 100);
   ProfiledRun P = profiledRun(*W.M);
-  DeadValueAnalysis DV =
-      computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
-  OptimizeResult Legacy = removeProfiledDeadCode(*W.M, P.Prof->graph(), DV);
+  const FrozenGraph Sealed(P.Prof->graph());
+  DeadValueAnalysis DV = computeDeadValues(Sealed, P.Run.ExecutedInstrs);
+  OptimizeResult Legacy = removeProfiledDeadCode(*W.M, Sealed, DV);
 
   opt::PipelineResult R = runPipeline(*W.M, {"dead-stores"});
   ASSERT_TRUE(R.M);

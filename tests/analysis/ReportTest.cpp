@@ -89,7 +89,8 @@ ChartLike buildChartLike(int64_t Entries) {
 TEST(ReportTest, ChartPatternRanksListFirst) {
   ChartLike C = buildChartLike(200);
   SlicingProfiler P = profileRun(*C.M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   LowUtilityReport Report(CM, *C.M);
   ASSERT_FALSE(Report.sites().empty());
 
@@ -121,7 +122,8 @@ TEST(ReportTest, ChartPatternRanksListFirst) {
 TEST(ReportTest, NativeWeightPolicies) {
   ChartLike C = buildChartLike(50);
   SlicingProfiler P = profileRun(*C.M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   // Strict Section 1 weighting: output-reaching => infinite benefit.
   ReportOptions Strict;
   Strict.NativeWeight = ConsumerWeight::Infinite;
@@ -163,7 +165,8 @@ TEST(ReportTest, PredicateWeightPolicyChangesRanking) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
 
   ReportOptions Zero;
   Zero.PredicateWeight = ConsumerWeight::Zero;
@@ -193,7 +196,8 @@ TEST(ReportTest, MinCostFiltersNoise) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   ReportOptions Opts;
   Opts.MinCost = 1e6; // Everything is below the floor.
   LowUtilityReport Report(CM, M, Opts);
@@ -203,7 +207,8 @@ TEST(ReportTest, MinCostFiltersNoise) {
 TEST(ReportTest, PrintProducesTable) {
   ChartLike C = buildChartLike(20);
   SlicingProfiler P = profileRun(*C.M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   LowUtilityReport Report(CM, *C.M);
   StringOutStream OS;
   Report.print(OS, 5);
@@ -214,7 +219,8 @@ TEST(ReportTest, PrintProducesTable) {
 TEST(ReportTest, FilterByClassRestrictsRows) {
   ChartLike C = buildChartLike(20);
   SlicingProfiler P = profileRun(*C.M);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   LowUtilityReport Report(CM, *C.M);
   ClassId ListClass = C.M->findClass("List");
   std::vector<SiteScore> Rows = Report.filterByClass(*C.M, {ListClass});
@@ -256,7 +262,8 @@ TEST(ReportTest, ContextsAggregatePerSite) {
   SlicingConfig Cfg;
   Cfg.ContextSlots = 64;
   SlicingProfiler P = profileRun(M, Cfg);
-  CostModel CM(P.graph());
+  const FrozenGraph Sealed(P.graph());
+  CostModel CM(Sealed);
   ReportOptions Opts;
   Opts.MinCost = 0.5;
   LowUtilityReport Report(CM, M, Opts);

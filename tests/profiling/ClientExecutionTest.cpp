@@ -39,7 +39,7 @@ namespace {
 
 std::string graphBytes(const DepGraph &G) {
   StringOutStream OS;
-  writeGraph(G, OS);
+  writeGraph(FrozenGraph(G), OS);
   return OS.str();
 }
 

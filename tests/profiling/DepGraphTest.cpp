@@ -1,9 +1,15 @@
 //===- tests/profiling/DepGraphTest.cpp - Graph container + contexts -------===//
 
+#include "obs/Metrics.h"
 #include "profiling/Context.h"
+#include "profiling/CopyProfiler.h"
 #include "profiling/DepGraph.h"
 #include "profiling/FrozenGraph.h"
+#include "profiling/NullnessProfiler.h"
+#include "profiling/TypestateProfiler.h"
 #include "support/RNG.h"
+#include "workloads/DaCapo.h"
+#include "workloads/Driver.h"
 
 #include <gtest/gtest.h>
 
@@ -180,9 +186,48 @@ TEST(DepGraphTest, MemoryFootprintGrowsWithContent) {
   size_t Full = G.memoryFootprint().total();
   EXPECT_GT(Full, Empty);
   DepGraph::MemoryFootprint F = G.memoryFootprint();
-  EXPECT_EQ(F.total(), F.NodeBytes + F.EdgeBytes + F.LocMapBytes);
+  EXPECT_EQ(F.total(),
+            F.NodeBytes + F.EdgeBytes + F.LocMapBytes + F.InternBytes);
   EXPECT_GT(F.NodeBytes, 0u);
   EXPECT_GT(F.EdgeBytes, 0u);
+  EXPECT_GT(F.InternBytes, 0u);
+}
+
+TEST(DepGraphTest, GraphGaugesCountEachTableOnce) {
+  // The mem.gcost.* lines partition the substrate graph's footprint, and a
+  // client's graph_bytes is its graph plus its memo: an interning table
+  // counted in two lines would overstate both.
+  Workload W = buildWorkload("chart", 40);
+  SessionConfig Cfg;
+  Cfg.Clients = ClientSet::all();
+  ProfileSession S(Cfg);
+  ASSERT_EQ(S.run(*W.M).Run.Status, RunStatus::Finished);
+  obs::MetricsRegistry R;
+  S.slicing()->accountStats(R);
+  S.copy()->accountStats(R);
+  S.nullness()->accountStats(R);
+  S.typestate()->accountStats(R);
+  auto Gauge = [&](const char *Name) {
+    obs::MetricId Id = R.find(Name);
+    EXPECT_NE(Id, obs::kNoMetric) << Name;
+    return Id == obs::kNoMetric ? 0 : R.value(Id);
+  };
+
+  const DepGraph &Sub = S.slicing()->graph();
+  EXPECT_GT(Gauge("mem.gcost.intern_bytes"), 0u);
+  EXPECT_EQ(Gauge("mem.gcost.node_bytes") + Gauge("mem.gcost.edge_bytes") +
+                Gauge("mem.gcost.locmap_bytes") +
+                Gauge("mem.gcost.intern_bytes"),
+            Sub.memoryFootprint().total());
+
+  auto ClientBytes = [](const DepGraph &G) {
+    return G.memoryFootprint().total() + G.memoBytes();
+  };
+  EXPECT_EQ(Gauge("mem.copy.graph_bytes"), ClientBytes(S.copy()->graph()));
+  EXPECT_EQ(Gauge("mem.nullness.graph_bytes"),
+            ClientBytes(S.nullness()->graph()));
+  EXPECT_EQ(Gauge("mem.typestate.graph_bytes"),
+            ClientBytes(S.typestate()->graph()));
 }
 
 TEST(ContextEncoderTest, ChainsEncodeIncrementally) {

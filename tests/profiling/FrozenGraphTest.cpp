@@ -2,16 +2,14 @@
 //
 // Covers the build -> seal boundary: every FrozenGraph accessor must agree
 // with the DepGraph it was sealed from, at unit size, at location-universe
-// sizes on either side of a power of two (the heap-location Eytzinger tree
-// pads to a full level) with deliberate miss probes, and at the
-// paper-scale 100K+ node tier, including merged shards.
+// sizes on either side of a power of two with deliberate miss probes of
+// the location search, and at the paper-scale 100K+ node tier, including
+// merged shards.
 //
 //===----------------------------------------------------------------------===//
 
 #include "profiling/DepGraph.h"
 #include "profiling/FrozenGraph.h"
-#include "profiling/GraphIO.h"
-#include "support/OutStream.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
@@ -122,27 +120,30 @@ void expectEquivalent(const DepGraph &G, const FrozenGraph &F) {
   std::sort(Allocs.begin(), Allocs.end());
   ASSERT_EQ(F.allocEntries(), Allocs);
 
-  // Heap-location maps: identical contents per key, empty spans on miss.
-  auto checkMap = [&](const auto &Map, auto Spans) {
+  // Heap-location maps: each key resolves to its universe index, whose
+  // span holds the key's values.
+  auto checkMap = [&](const auto &Map, auto SpanAt) {
     for (const auto &[Loc, Vals] : Map) {
-      auto Span = Spans(Loc);
+      uint32_t I = F.locIndexOf(Loc);
+      ASSERT_NE(I, FrozenGraph::npos);
+      auto Span = SpanAt(I);
       ASSERT_EQ(Span.size(), Vals.size());
       ASSERT_TRUE(std::equal(Span.begin(), Span.end(), Vals.begin()));
     }
   };
-  checkMap(G.writers(), [&](const HeapLoc &L) { return F.writersOf(L); });
-  checkMap(G.readers(), [&](const HeapLoc &L) { return F.readersOf(L); });
-  checkMap(G.refChildren(),
-           [&](const HeapLoc &L) { return F.refChildrenOf(L); });
-  ASSERT_TRUE(F.writersOf(HeapLoc{0xDEADBEEFull << 21, 7}).empty());
+  checkMap(G.writers(), [&](uint32_t I) { return F.writersAt(I); });
+  checkMap(G.readers(), [&](uint32_t I) { return F.readersAt(I); });
+  checkMap(G.refChildren(), [&](uint32_t I) { return F.refChildrenAt(I); });
+  ASSERT_EQ(F.locIndexOf(HeapLoc{0xDEADBEEFull << 21, 7}), FrozenGraph::npos);
 
-  // The universe iteration view agrees with the keyed view.
+  // The universe holds the maps' keys and nothing else: every location
+  // resolves to its own index, and a map that lacks it has an empty span.
   for (size_t LI = 0; LI != F.numLocs(); ++LI) {
     HeapLoc L = F.loc(LI);
-    ASSERT_TRUE(std::equal(F.writersAt(LI).begin(), F.writersAt(LI).end(),
-                           F.writersOf(L).begin(), F.writersOf(L).end()));
-    ASSERT_TRUE(std::equal(F.readersAt(LI).begin(), F.readersAt(LI).end(),
-                           F.readersOf(L).begin(), F.readersOf(L).end()));
+    ASSERT_EQ(F.locIndexOf(L), LI);
+    ASSERT_EQ(F.writersAt(LI).empty(), G.writers().count(L) == 0);
+    ASSERT_EQ(F.readersAt(LI).empty(), G.readers().count(L) == 0);
+    ASSERT_EQ(F.refChildrenAt(LI).empty(), G.refChildren().count(L) == 0);
   }
 }
 
@@ -151,18 +152,25 @@ TEST(FrozenGraphTest, EmptyGraphSeals) {
   FrozenGraph F(G);
   EXPECT_EQ(F.numNodes(), 0u);
   EXPECT_TRUE(F.allocEntries().empty());
-  EXPECT_TRUE(F.writersOf(HeapLoc{1, 2}).empty());
+  EXPECT_EQ(F.numLocs(), 0u);
+  EXPECT_EQ(F.locIndexOf(HeapLoc{1, 2}), FrozenGraph::npos);
+}
+
+/// The \p I-th location, in sorted order, of buildLocUniverse: tags are
+/// multiples of 16 with two even slots each, so a tag or slot perturbed by
+/// one is never a member.
+HeapLoc universeLoc(size_t I) {
+  return HeapLoc{16 * (I / 2 + 1), FieldSlot(2 + 2 * (I % 2))};
 }
 
 /// A one-node graph whose heap-location universe holds exactly \p NumLocs
-/// locations: tags are multiples of 16 with two even slots each, so a tag
-/// or slot perturbed by one is never a member. The locations rotate
-/// through the writer, reader and ref-child maps.
+/// locations, universeLoc(0..NumLocs-1). The I-th goes to the writer,
+/// reader or ref-child map as I % 3 is 0, 1 or 2.
 DepGraph buildLocUniverse(size_t NumLocs) {
   DepGraph G;
   NodeId N = G.getOrCreate(0, 0);
   for (size_t I = 0; I != NumLocs; ++I) {
-    HeapLoc Loc{16 * (I / 2 + 1), FieldSlot(2 + 2 * (I % 2))};
+    HeapLoc Loc = universeLoc(I);
     if (I % 3 == 0)
       G.noteWriter(Loc, N);
     else if (I % 3 == 1)
@@ -180,8 +188,9 @@ TEST(FrozenGraphTest, BoundarySizesSealExactly) {
     FrozenGraph F(G);
     expectEquivalent(G, F);
   }
-  // Universe sizes straddling the heap-location tree's power-of-two
-  // padding: every member must hit, every perturbed key must miss.
+  // Universe sizes on either side of the search's halving steps: every
+  // member must resolve to its index and map, every perturbed key must
+  // miss.
   for (size_t L : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 63u, 64u,
                    65u, 1023u, 1024u, 1025u}) {
     DepGraph G = buildLocUniverse(L);
@@ -189,12 +198,15 @@ TEST(FrozenGraphTest, BoundarySizesSealExactly) {
     ASSERT_EQ(F.numLocs(), L);
     expectEquivalent(G, F);
     auto Missing = [&](const HeapLoc &Loc) {
-      return F.writersOf(Loc).empty() && F.readersOf(Loc).empty() &&
-             F.refChildrenOf(Loc).empty();
+      return F.locIndexOf(Loc) == FrozenGraph::npos;
     };
     for (size_t I = 0; I != L; ++I) {
-      HeapLoc Loc = F.loc(I);
-      ASSERT_FALSE(Missing(Loc)) << "L=" << L << " I=" << I;
+      HeapLoc Loc = universeLoc(I);
+      uint32_t At = F.locIndexOf(Loc);
+      ASSERT_EQ(At, I) << "L=" << L;
+      ASSERT_EQ(!F.writersAt(At).empty(), I % 3 == 0) << "L=" << L;
+      ASSERT_EQ(!F.readersAt(At).empty(), I % 3 == 1) << "L=" << L;
+      ASSERT_EQ(!F.refChildrenAt(At).empty(), I % 3 == 2) << "L=" << L;
       for (HeapLoc Probe : {HeapLoc{Loc.Tag - 1, Loc.Slot},
                             HeapLoc{Loc.Tag + 1, Loc.Slot},
                             HeapLoc{Loc.Tag, Loc.Slot - 1},
@@ -202,7 +214,7 @@ TEST(FrozenGraphTest, BoundarySizesSealExactly) {
         ASSERT_TRUE(Missing(Probe))
             << "L=" << L << " probe " << Probe.Tag << "/" << Probe.Slot;
     }
-    // Below the smallest key, above the largest, and the padding sentinel.
+    // Below the smallest key, above the largest, and the all-ones tag.
     ASSERT_TRUE(Missing(HeapLoc{0, 0}));
     ASSERT_TRUE(Missing(HeapLoc{16 * (L + 2), 2}));
     ASSERT_TRUE(Missing(HeapLoc{~uint64_t(0), ~FieldSlot(0)}));
@@ -266,20 +278,11 @@ TEST(FrozenGraphTest, SealDeduplicatesBeyondTheInsertWindow) {
   // the build-side list.
   ASSERT_GT(G.writers().at(Loc).size(), Distinct.size());
   FrozenGraph F(G);
-  auto Span = F.writersOf(Loc);
+  uint32_t I = F.locIndexOf(Loc);
+  ASSERT_NE(I, FrozenGraph::npos);
+  auto Span = F.writersAt(I);
   ASSERT_EQ(Span.size(), Distinct.size());
   ASSERT_TRUE(std::equal(Span.begin(), Span.end(), Distinct.begin()));
-}
-
-TEST(FrozenGraphTest, LegacyWriterPathMatchesFrozenWriter) {
-  // writeGraph(DepGraph) seals internally; both entry points must emit
-  // byte-identical serializations.
-  DepGraph G = buildSynthetic(5000, 0xCAFE);
-  FrozenGraph F(G);
-  StringOutStream A, B;
-  writeGraph(G, A);
-  writeGraph(F, B);
-  EXPECT_EQ(A.str(), B.str());
 }
 
 TEST(FrozenGraphTest, FootprintCoversEveryColumn) {

@@ -51,12 +51,12 @@ Artifacts runWithCaches(const Module &M, bool Caches, uint32_t Slots,
   Artifacts A;
   A.Run = S.run(M).Run;
   StringOutStream GS;
-  writeGraph(S.slicing()->graph(), GS);
+  writeGraph(FrozenGraph(S.slicing()->graph()), GS);
   A.Graph = GS.str();
   StringOutStream CS;
-  writeGraph(S.copy()->graph(), CS);
-  writeGraph(S.nullness()->graph(), CS);
-  writeGraph(S.typestate()->graph(), CS);
+  writeGraph(FrozenGraph(S.copy()->graph()), CS);
+  writeGraph(FrozenGraph(S.nullness()->graph()), CS);
+  writeGraph(FrozenGraph(S.typestate()->graph()), CS);
   A.ClientGraphs = CS.str();
   StringOutStream RS;
   S.printClientReports(M, RS);

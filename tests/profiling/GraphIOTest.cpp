@@ -20,7 +20,7 @@ namespace {
 
 std::unique_ptr<DepGraph> roundTrip(const DepGraph &G) {
   StringOutStream OS;
-  writeGraph(G, OS);
+  writeGraph(FrozenGraph(G), OS);
   std::vector<std::string> Errors;
   std::unique_ptr<DepGraph> G2 = readGraph(OS.str(), Errors);
   for (const std::string &E : Errors)
@@ -67,8 +67,10 @@ TEST(GraphIOTest, OfflineAnalysesMatchOnline) {
   std::unique_ptr<DepGraph> G2 = roundTrip(P.Prof->graph());
   ASSERT_TRUE(G2);
 
-  CostModel OnCM(P.Prof->graph());
-  CostModel OffCM(*G2);
+  const FrozenGraph Online(P.Prof->graph());
+  const FrozenGraph Offline(*G2);
+  CostModel OnCM(Online);
+  CostModel OffCM(Offline);
   LowUtilityReport OnReport(OnCM, *W.M);
   LowUtilityReport OffReport(OffCM, *W.M);
   ASSERT_EQ(OnReport.sites().size(), OffReport.sites().size());
@@ -78,9 +80,8 @@ TEST(GraphIOTest, OfflineAnalysesMatchOnline) {
     EXPECT_DOUBLE_EQ(OnReport.sites()[I].NRab, OffReport.sites()[I].NRab);
   }
 
-  BloatMetrics On =
-      computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs).Metrics;
-  BloatMetrics Off = computeDeadValues(*G2, P.Run.ExecutedInstrs).Metrics;
+  BloatMetrics On = computeDeadValues(Online, P.Run.ExecutedInstrs).Metrics;
+  BloatMetrics Off = computeDeadValues(Offline, P.Run.ExecutedInstrs).Metrics;
   EXPECT_EQ(On.DeadFreq, Off.DeadFreq);
   EXPECT_EQ(On.PredOnlyFreq, Off.PredOnlyFreq);
   EXPECT_EQ(On.DeadNodes, Off.DeadNodes);
@@ -96,14 +97,14 @@ TEST(GraphIOTest, MergedGraphRoundTripsByteIdentical) {
   A.Prof->mergeFrom(*B.Prof);
 
   StringOutStream First;
-  writeGraph(A.Prof->graph(), First);
+  writeGraph(FrozenGraph(A.Prof->graph()), First);
   std::vector<std::string> Errors;
   std::unique_ptr<DepGraph> G2 = readGraph(First.str(), Errors);
   for (const std::string &E : Errors)
     ADD_FAILURE() << E;
   ASSERT_TRUE(G2);
   StringOutStream Second;
-  writeGraph(*G2, Second);
+  writeGraph(FrozenGraph(*G2), Second);
   EXPECT_EQ(First.str(), Second.str());
 }
 
@@ -179,7 +180,7 @@ TEST(GraphIOTest, ClippedDumpFailsWithDiagnostic) {
   Workload W = buildWorkload("chart", 64);
   ProfiledRun P = profiledRun(*W.M);
   StringOutStream OS;
-  writeGraph(P.Prof->graph(), OS);
+  writeGraph(FrozenGraph(P.Prof->graph()), OS);
   const std::string &Full = OS.str();
   for (size_t Frac = 1; Frac != 8; ++Frac) {
     size_t Cut = Full.find('\n', Full.size() * Frac / 8);
@@ -195,20 +196,35 @@ TEST(GraphIOTest, ClippedDumpFailsWithDiagnostic) {
 
 TEST(GraphIOTest, BitFlippedDumpNeverCrashes) {
   // Deterministically corrupt single characters across the dump: parsing
-  // must either succeed (the flip hit a don't-care byte) or fail cleanly.
+  // must either succeed (the flip hit a don't-care byte, or turned one
+  // digit into another) or fail cleanly, and a dump that parses must seal
+  // and analyze without a crash.
   Workload W = buildWorkload("fop", 48);
   ProfiledRun P = profiledRun(*W.M);
   StringOutStream OS;
-  writeGraph(P.Prof->graph(), OS);
+  writeGraph(FrozenGraph(P.Prof->graph()), OS);
   std::string Text = OS.str();
-  for (size_t I = 0; I < Text.size(); I += 97) {
-    std::string Mutated = Text;
-    Mutated[I] = char(Mutated[I] ^ 0x15);
-    std::vector<std::string> Errors;
-    std::unique_ptr<DepGraph> G = readGraph(Mutated, Errors);
-    if (!G)
-      EXPECT_FALSE(Errors.empty()) << "flip at " << I;
+  size_t Accepted = 0;
+  for (size_t I = 0; I < Text.size(); I += 31) {
+    for (char Bits : {0x15, 0x01}) {
+      std::string Mutated = Text;
+      Mutated[I] = char(Mutated[I] ^ Bits);
+      std::vector<std::string> Errors;
+      std::unique_ptr<DepGraph> G = readGraph(Mutated, Errors);
+      if (!G) {
+        EXPECT_FALSE(Errors.empty()) << "flip at " << I;
+        continue;
+      }
+      ++Accepted;
+      const FrozenGraph F = FrozenGraph::seal(std::move(*G));
+      CostModel CM(F);
+      LowUtilityReport Report(CM, *W.M);
+      DeadValueAnalysis DV = computeDeadValues(F, P.Run.ExecutedInstrs);
+      EXPECT_EQ(DV.Dead.size(), F.numNodes()) << "flip at " << I;
+    }
   }
+  // The read side must actually be reached by some mutants.
+  EXPECT_GT(Accepted, 0u);
 }
 
 TEST(GraphIOTest, EmptyGraphRoundTrips) {

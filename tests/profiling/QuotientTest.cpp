@@ -90,7 +90,8 @@ void checkQuotient(const Module &M, const BothRuns &B) {
   }
 
   // (3) Abstract cost >= absolute cost of every instance.
-  CostModel CM(G);
+  const FrozenGraph Sealed(G);
+  CostModel CM(Sealed);
   for (CNodeId CN = 0; CN != CNodeId(CNodes.size()); ++CN) {
     NodeId N = G.lookup(CNodes[CN].Instr, CNodes[CN].AbsDomain);
     EXPECT_GE(CM.abstractCost(N), B.Concrete.absoluteCost(CN));
@@ -155,7 +156,8 @@ TEST(QuotientTest, AbsoluteCostMatchesFigure1) {
   std::vector<CNodeId> Instances = B.Concrete.instancesOf(AddId);
   ASSERT_EQ(Instances.size(), 1u);
   EXPECT_EQ(B.Concrete.absoluteCost(Instances[0]), 7u);
-  CostModel CM(B.Abstract.graph());
+  const FrozenGraph Sealed(B.Abstract.graph());
+  CostModel CM(Sealed);
   EXPECT_EQ(CM.abstractCost(B.Abstract.graph().lookup(AddId, 0)), 7u);
 }
 
@@ -189,7 +191,8 @@ TEST(QuotientTest, AbstractCostOverApproximatesInLoops) {
   BothRuns Runs(M);
   std::vector<CNodeId> Instances = Runs.Concrete.instancesOf(AccAdd->getId());
   ASSERT_EQ(Instances.size(), 20u);
-  CostModel CM(Runs.Abstract.graph());
+  const FrozenGraph Sealed(Runs.Abstract.graph());
+  CostModel CM(Sealed);
   NodeId Abs = Runs.Abstract.graph().lookup(AccAdd->getId(), 0);
   ASSERT_NE(Abs, kNoNode);
   uint64_t AbstractCost = CM.abstractCost(Abs);

@@ -56,7 +56,7 @@ Snap snapshot(const ProfileSession &S, const Module &M, const RunResult &R) {
   Out.Run = R;
   StringOutStream G;
   if (S.slicing())
-    writeGraph(S.slicing()->graph(), G);
+    writeGraph(FrozenGraph(S.slicing()->graph()), G);
   Out.Graph = G.str();
   StringOutStream Rep;
   S.printClientReports(M, Rep);

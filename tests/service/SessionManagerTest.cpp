@@ -48,7 +48,7 @@ std::string recordTrace(const Module &M, unsigned Runs = 1,
 
 std::string graphBytes(const ProfileSession &S) {
   StringOutStream OS;
-  writeGraph(S.slicing()->graph(), OS);
+  writeGraph(FrozenGraph(S.slicing()->graph()), OS);
   return OS.str();
 }
 

@@ -34,7 +34,7 @@ constexpr ClientSet kAllClients = ClientSet::all();
 
 std::string graphBytes(const DepGraph &G) {
   StringOutStream OS;
-  writeGraph(G, OS);
+  writeGraph(FrozenGraph(G), OS);
   return OS.str();
 }
 

@@ -44,7 +44,7 @@ std::string replayGraph(const Module &M, std::string_view Bytes,
   if (!R.Ok)
     return "";
   StringOutStream OS;
-  writeGraph(S.slicing()->graph(), OS);
+  writeGraph(FrozenGraph(S.slicing()->graph()), OS);
   return OS.str();
 }
 

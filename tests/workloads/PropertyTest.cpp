@@ -97,7 +97,8 @@ TEST_P(RandomProgramTest, CostModelMonotonicity) {
   auto M = makeProgram();
   ProfiledRun P = profiledRun(*M);
   const DepGraph &G = P.Prof->graph();
-  CostModel CM(G);
+  const FrozenGraph Sealed(G);
+  CostModel CM(Sealed);
   for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {
     // Single-hop cost never exceeds the full abstract cost, and both
     // include the node's own frequency.
@@ -113,7 +114,7 @@ TEST_P(RandomProgramTest, DeadValueMetricsAreFractions) {
   auto M = makeProgram();
   ProfiledRun P = profiledRun(*M);
   DeadValueAnalysis DV =
-      computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
+      computeDeadValues(FrozenGraph(P.Prof->graph()), P.Run.ExecutedInstrs);
   EXPECT_GE(DV.Metrics.ipd(), 0.0);
   EXPECT_LE(DV.Metrics.ipd(), 1.0);
   EXPECT_GE(DV.Metrics.ipp(), 0.0);
@@ -170,7 +171,8 @@ TEST_P(RandomProgramTest, PrinterParserRoundTrip) {
 TEST_P(RandomProgramTest, ReportIsWellFormed) {
   auto M = makeProgram();
   ProfiledRun P = profiledRun(*M);
-  CostModel CM(P.Prof->graph());
+  const FrozenGraph Sealed(P.Prof->graph());
+  CostModel CM(Sealed);
   LowUtilityReport Report(CM, *M);
   double PrevRatio = -1;
   for (size_t I = 0; I != Report.sites().size(); ++I) {
@@ -207,7 +209,8 @@ TEST_P(RandomProgramTest, MultiHopIsMonotoneAndAnchoredAtDefinition5) {
 TEST_P(RandomProgramTest, CacheScoresAreWellFormed) {
   auto M = makeProgram();
   ProfiledRun P = profiledRun(*M);
-  CostModel CM(P.Prof->graph());
+  const FrozenGraph Sealed(P.Prof->graph());
+  CostModel CM(Sealed);
   CacheOptions Opts;
   Opts.MinWrites = 1;
   for (const CacheScore &S : rankCacheEffectiveness(CM, *M, Opts)) {

@@ -40,7 +40,7 @@ SessionConfig sessionConfig() {
 std::string graphBytes(const ProfileSession &S) {
   StringOutStream OS;
   if (S.slicing())
-    writeGraph(S.slicing()->graph(), OS);
+    writeGraph(FrozenGraph(S.slicing()->graph()), OS);
   return OS.str();
 }
 

@@ -98,7 +98,8 @@ TEST_P(CaseStudyTest, PlantedStructuresRankHigh) {
   Workload W = buildWorkload(GetParam(), 200);
   ASSERT_FALSE(W.PlantedSites.empty());
   ProfiledRun P = profiledRun(*W.M);
-  CostModel CM(P.Prof->graph());
+  const FrozenGraph Sealed(P.Prof->graph());
+  CostModel CM(Sealed);
   LowUtilityReport Report(CM, *W.M);
   ASSERT_FALSE(Report.sites().empty());
   // The tool surfaces each kind of bloat through the matching client: the
@@ -139,10 +140,9 @@ TEST(WorkloadTest, UnoptimizedOutranksOptimizedInDeadWork) {
     Workload Opt = buildWorkload(Name, 150, true);
     ProfiledRun PO = profiledRun(*Orig.M);
     ProfiledRun PF = profiledRun(*Opt.M);
-    BloatMetrics MO =
-        computeDeadValues(PO.Prof->graph(), PO.Run.ExecutedInstrs).Metrics;
-    BloatMetrics MF =
-        computeDeadValues(PF.Prof->graph(), PF.Run.ExecutedInstrs).Metrics;
+    const FrozenGraph SO(PO.Prof->graph()), SF(PF.Prof->graph());
+    BloatMetrics MO = computeDeadValues(SO, PO.Run.ExecutedInstrs).Metrics;
+    BloatMetrics MF = computeDeadValues(SF, PF.Run.ExecutedInstrs).Metrics;
     EXPECT_GT(MO.ipd(), MF.ipd()) << Name;
   }
 }
@@ -208,7 +208,8 @@ TEST(WorkloadTest, CollectionRankingClientFiltersContainers) {
   // and the order is preserved.
   Workload W = buildWorkload("eclipse", 150);
   ProfiledRun P = profiledRun(*W.M);
-  CostModel CM(P.Prof->graph());
+  const FrozenGraph Sealed(P.Prof->graph());
+  CostModel CM(Sealed);
   LowUtilityReport Report(CM, *W.M);
   std::vector<ClassId> Containers = {W.M->findClass("IntVec"),
                                      W.M->findClass("RefVec"),
