@@ -41,7 +41,7 @@ void printTable() {
     const FrozenGraph G(P.Prof->graph());
     DeadValueAnalysis DV = computeDeadValues(G, P.Run.ExecutedInstrs);
     OptimizeResult R = removeProfiledDeadCode(*W.M, G, DV);
-    TimedRun After = baselineRun(*R.M);
+    TimedRun After = baselineRun(R.M ? *R.M : *W.M);
     bool OutputOk = After.Run.SinkHash == Before.Run.SinkHash;
     double AutoPct = 100.0 *
                      (1.0 - double(After.Run.ExecutedInstrs) /

@@ -7,7 +7,6 @@
 #include "support/OutStream.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace lud;
 
@@ -15,45 +14,62 @@ std::vector<OverwriteRow> lud::rankOverwrites(const SlicingProfiler &P,
                                               const Module &M,
                                               const ClientOptions &Opts) {
   const DepGraph &G = P.graph();
-  // Aggregate per (site-or-global, slot) over context-annotated tags.
-  std::map<std::pair<uint64_t, FieldSlot>, OverwriteRow> Agg;
-  for (const auto &[Loc, Act] : P.locationActivity()) {
-    uint64_t Key;
-    OverwriteRow Proto;
-    if (DepGraph::isStaticTag(Loc.Tag)) {
-      Proto.Global = GlobalId(Loc.Tag - kStaticTagBase);
-      Proto.Description = "static @" + M.globals()[Proto.Global].Name;
-      Key = Loc.Tag;
-    } else {
-      Proto.Site = G.tagSite(Loc.Tag);
-      const Instruction *AI = M.getAllocSite(Proto.Site);
-      ClassId Cls = kNoClass;
-      if (const auto *A = dyn_cast<AllocInst>(AI))
-        Cls = A->Class;
-      std::string FieldName;
-      if (Loc.Slot == kElemSlot)
-        FieldName = "ELM";
-      else if (Loc.Slot == kLenSlot)
-        FieldName = "length";
-      else if (Cls != kNoClass)
-        FieldName = M.fieldName(Cls, Loc.Slot);
-      else
-        FieldName = "<slot" + std::to_string(Loc.Slot) + ">";
-      Proto.Description =
-          M.describeAllocSite(Proto.Site) + " ." + FieldName;
-      Key = Proto.Site;
-    }
-    Proto.Slot = Loc.Slot;
-    OverwriteRow &Row = Agg.try_emplace({Key, Loc.Slot}, Proto).first->second;
-    Row.Writes += Act.Writes;
-    Row.Reads += Act.Reads;
-    Row.Overwrites += Act.Overwrites;
-  }
+  // Aggregate per (site-or-global, slot) over context-annotated tags: one
+  // flat entry per location, sorted by key and merged, so text is built
+  // only for the rows that survive the MinWrites cut.
+  struct Acc {
+    uint64_t Key; // the static tag for a global, else the allocation site
+    FieldSlot Slot;
+    uint64_t Writes, Reads, Overwrites;
+  };
+  std::vector<Acc> Accs;
+  Accs.reserve(P.locationActivity().size());
+  for (const auto &[Loc, Act] : P.locationActivity())
+    Accs.push_back({DepGraph::isStaticTag(Loc.Tag) ? Loc.Tag
+                                                   : G.tagSite(Loc.Tag),
+                    Loc.Slot, Act.Writes, Act.Reads, Act.Overwrites});
+  std::sort(Accs.begin(), Accs.end(), [](const Acc &A, const Acc &B) {
+    return A.Key != B.Key ? A.Key < B.Key : A.Slot < B.Slot;
+  });
 
   std::vector<OverwriteRow> Rows;
-  for (auto &[Key, Row] : Agg) {
+  uint64_t DescribedKey = ~uint64_t(0);
+  std::string SitePrefix; // "new List @ chart.build ." for DescribedKey
+  ClassId Cls = kNoClass;
+  for (size_t I = 0; I != Accs.size();) {
+    const Acc &First = Accs[I];
+    OverwriteRow Row;
+    for (; I != Accs.size() && Accs[I].Key == First.Key &&
+           Accs[I].Slot == First.Slot;
+         ++I) {
+      Row.Writes += Accs[I].Writes;
+      Row.Reads += Accs[I].Reads;
+      Row.Overwrites += Accs[I].Overwrites;
+    }
     if (Row.Writes < Opts.MinWrites)
       continue;
+    Row.Slot = First.Slot;
+    if (DepGraph::isStaticTag(First.Key)) {
+      Row.Global = GlobalId(First.Key - kStaticTagBase);
+      Row.Description = "static @" + M.globals()[Row.Global].Name;
+    } else {
+      Row.Site = AllocSiteId(First.Key);
+      if (DescribedKey != First.Key) {
+        DescribedKey = First.Key;
+        SitePrefix = M.describeAllocSite(Row.Site) + " .";
+        const auto *A = dyn_cast<AllocInst>(M.getAllocSite(Row.Site));
+        Cls = A ? A->Class : kNoClass;
+      }
+      Row.Description = SitePrefix;
+      if (Row.Slot == kElemSlot)
+        Row.Description += "ELM";
+      else if (Row.Slot == kLenSlot)
+        Row.Description += "length";
+      else if (Cls != kNoClass)
+        Row.Description += M.fieldName(Cls, Row.Slot);
+      else
+        Row.Description += "<slot" + std::to_string(Row.Slot) + ">";
+    }
     Row.WasteRatio = Row.Writes ? double(Row.Overwrites) / double(Row.Writes)
                                 : 0;
     Rows.push_back(std::move(Row));
@@ -80,25 +96,27 @@ int lud::overwriteRankOf(const std::vector<OverwriteRow> &Rows,
 std::vector<MethodCostRow> lud::computeMethodCosts(const CostModel &CM,
                                                    const Module &M) {
   const FrozenGraph &G = CM.graph();
-  std::map<FuncId, MethodCostRow> Agg;
-  std::map<FuncId, uint64_t> RetHracSum;
+  // Dense per-function columns; a row exists once a node of its function
+  // does.
+  std::vector<MethodCostRow> Agg(M.functions().size());
+  std::vector<uint64_t> RetHracSum(Agg.size(), 0);
   for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {
     InstrId Instr = G.instr(N);
-    const Instruction *I = M.getInstr(Instr);
     FuncId F = M.getInstrFunction(Instr)->getId();
     MethodCostRow &Row = Agg[F];
-    if (Row.Func == kNoFunc) {
-      Row.Func = F;
-      Row.Name = M.getFunction(F)->getName();
-    }
+    Row.Func = F;
     Row.OwnFreq += G.freq(N);
-    if (isa<ReturnInst>(I)) {
+    if (isa<ReturnInst>(M.getInstr(Instr))) {
       RetHracSum[F] += CM.hrac(N);
       ++Row.ReturnNodes;
     }
   }
   std::vector<MethodCostRow> Rows;
-  for (auto &[F, Row] : Agg) {
+  for (FuncId F = 0; F != FuncId(Agg.size()); ++F) {
+    MethodCostRow &Row = Agg[F];
+    if (Row.Func == kNoFunc)
+      continue;
+    Row.Name = M.getFunction(F)->getName();
     if (Row.ReturnNodes)
       Row.ReturnCost = double(RetHracSum[F]) / double(Row.ReturnNodes);
     Rows.push_back(std::move(Row));

@@ -20,12 +20,7 @@ CostModel::CostModel(const FrozenGraph &G) : G(G) {
     FieldLocs.push_back(I);
     ++It->second.second;
   }
-  const size_t N = G.numNodes();
-  HracCache.resize(N);
-  HracValid.assign(N, 0);
-  HrabCache.resize(N);
-  HrabValid.assign(N, 0);
-  VisitMark.assign(N, 0);
+  VisitMark.assign(G.numNodes(), 0);
 }
 
 namespace {
@@ -80,35 +75,213 @@ uint64_t CostModel::abstractCost(NodeId N) const {
 }
 
 uint64_t CostModel::hrac(NodeId N) const {
-  if (HracValid[N])
-    return HracCache[N];
+  if (auto It = HracMemo.find(N); It != HracMemo.end())
+    return It->second;
   // Definition 5: no node on the path may read from a static or object
   // field, so heap-reading predecessors are not entered (and not counted).
   uint64_t Cost = closureFreq(
       G, N, /*Forward=*/false, VisitMark, ++VisitEpoch, WorkScratch,
       [this](NodeId M) { return G.readsHeap(M); }, [](NodeId) {});
-  HracCache[N] = Cost;
-  HracValid[N] = 1;
+  HracMemo.insert(N, Cost);
   return Cost;
 }
 
-const BenefitInfo &CostModel::hrab(NodeId N) const {
-  if (HrabValid[N])
-    return HrabCache[N];
+/// The predicate/native flag bits HRAB ORs over a closure.
+static uint8_t consumerFlags(const FrozenGraph &G, NodeId N) {
+  ConsumerKind C = G.consumer(N);
+  return C == ConsumerKind::Predicate ? 1 : C == ConsumerKind::Native ? 2 : 0;
+}
+
+BenefitInfo CostModel::hrabReference(NodeId N, uint64_t *Visits) const {
   BenefitInfo Info;
+  uint64_t Seen = 0;
   Info.Benefit = closureFreq(
       G, N, /*Forward=*/true, VisitMark, ++VisitEpoch, WorkScratch,
       [this](NodeId M) { return G.writesHeap(M); },
-      [this, &Info](NodeId M) {
-        ConsumerKind C = G.consumer(M);
-        if (C == ConsumerKind::Predicate)
-          Info.ReachesPredicate = true;
-        else if (C == ConsumerKind::Native)
-          Info.ReachesNative = true;
+      [this, &Info, &Seen](NodeId M) {
+        uint8_t Flags = consumerFlags(G, M);
+        Info.ReachesPredicate |= (Flags & 1) != 0;
+        Info.ReachesNative |= (Flags & 2) != 0;
+        ++Seen;
       });
-  HrabCache[N] = Info;
-  HrabValid[N] = 1;
-  return HrabCache[N];
+  if (Visits)
+    *Visits += Seen;
+  return Info;
+}
+
+/// The one successor of \p X that does not write the heap: X's chain link
+/// when it has exactly one such successor, else kNoNode.
+static NodeId onlyUnblockedSucc(const FrozenGraph &G, NodeId X) {
+  NodeId Only = kNoNode;
+  for (NodeId Y : G.out(X)) {
+    if (G.writesHeap(Y))
+      continue;
+    if (Only != kNoNode)
+      return kNoNode;
+    Only = Y;
+  }
+  return Only;
+}
+
+void CostModel::buildForest() const {
+  ForestBuilt = true;
+  ChainForest &F = Forest;
+  const NodeId N = NodeId(G.numNodes());
+  // Bit 0: X links to its only unblocked successor. Bits 1 and 2 mark the
+  // walks below: on the current walk, and done.
+  std::vector<uint8_t> Link(N, 0);
+  for (NodeId X = 0; X != N; ++X)
+    Link[X] = onlyUnblockedSucc(G, X) != kNoNode;
+  // Each node has at most one link, so a cycle of links is found by
+  // following them; dropping the link that closes it leaves a forest.
+  std::vector<NodeId> Walk;
+  for (NodeId S = 0; S != N; ++S) {
+    NodeId X = S;
+    while (X != kNoNode && !(Link[X] & 6)) {
+      Link[X] |= 2;
+      Walk.push_back(X);
+      X = Link[X] & 1 ? onlyUnblockedSucc(G, X) : kNoNode;
+    }
+    if (X != kNoNode && (Link[X] & 2))
+      Link[Walk.back()] &= ~1; // the link back onto this walk
+    for (NodeId W : Walk)
+      Link[W] = (Link[W] & 1) | 4;
+    Walk.clear();
+  }
+
+  // A node's children are the linked nodes among its predecessors: a
+  // linked node's only unblocked successor is its parent.
+  auto ForEachChild = [&](NodeId X, auto Fn) {
+    if (G.writesHeap(X))
+      return;
+    for (NodeId C : G.in(X))
+      if (Link[C] & 1)
+        Fn(C);
+  };
+  F.Pre.assign(N, kNoPre);
+  F.Jump.assign(N, kNoNode);
+  F.PathFreq.assign(N, 0);
+  F.PathFlags.assign(N, 0);
+  std::vector<uint32_t> Depth(N, 0);
+  uint32_t NextPre = 0;
+  std::vector<NodeId> Stack, Tree;
+  for (NodeId R = 0; R != N; ++R) {
+    bool HasChild = false;
+    if (!(Link[R] & 1))
+      ForEachChild(R, [&](NodeId) { HasChild = true; });
+    if (!HasChild)
+      continue; // Not a root, or a lone node: walked as itself.
+    F.Jump[R] = R;
+    F.PathFreq[R] = G.freq(R);
+    F.PathFlags[R] = consumerFlags(G, R);
+    uint64_t Total = 0;
+    Stack.assign(1, R);
+    Tree.clear();
+    while (!Stack.empty()) {
+      NodeId X = Stack.back();
+      Stack.pop_back();
+      F.Pre[X] = NextPre++;
+      Tree.push_back(X);
+      Total = saturatingAdd(Total, G.freq(X));
+      ForEachChild(X, [&](NodeId C) {
+        // Skew-binary jump pointers: O(log depth) ancestor searches from
+        // one word per node.
+        NodeId J = F.Jump[X];
+        F.Jump[C] = Depth[X] - Depth[J] == Depth[J] - Depth[F.Jump[J]]
+                        ? F.Jump[J]
+                        : X;
+        Depth[C] = Depth[X] + 1;
+        F.PathFreq[C] = G.freq(C) + F.PathFreq[X]; // exact unless Total saturates
+        F.PathFlags[C] = consumerFlags(G, C) | F.PathFlags[X];
+        Stack.push_back(C);
+      });
+    }
+    if (Total == ~uint64_t(0))
+      for (NodeId X : Tree)
+        F.Pre[X] = kNoPre; // Saturating tree: its nodes walk one by one.
+  }
+}
+
+NodeId CostModel::forestLca(NodeId U, NodeId V) const {
+  const ChainForest &F = Forest;
+  // V's ancestors precede it in preorder, and the deepest one at or
+  // before U is the LCA; when even V's root comes after U, U lies in an
+  // earlier tree. The predicate is monotone up the path, so the jump
+  // pointers find that ancestor in O(log depth) steps.
+  const uint32_t Limit = F.Pre[U];
+  while (F.Pre[V] > Limit) {
+    NodeId J = F.Jump[V];
+    if (J == V)
+      return kNoNode;
+    V = F.Pre[J] > Limit ? J : onlyUnblockedSucc(G, V);
+  }
+  return V;
+}
+
+BenefitInfo CostModel::hrab(NodeId N) const {
+  if (auto It = HrabMemo.find(N); It != HrabMemo.end())
+    return It->second;
+  if (!ForestBuilt)
+    buildForest();
+  const ChainForest &F = Forest;
+  const uint32_t Epoch = ++VisitEpoch;
+  uint64_t Sum = 0;
+  uint8_t Flags = 0;
+  WorkScratch.clear();
+  EntryScratch.clear();
+  // An unlinked node counts and expands by itself. A tree node joins the
+  // entries whose root paths are unioned below, and its root (the one
+  // tree node with other successors) expands once.
+  auto Enter = [&](NodeId X) {
+    if (VisitMark[X] == Epoch)
+      return;
+    VisitMark[X] = Epoch;
+    ++HrabVisits;
+    if (F.Pre[X] == kNoPre) {
+      Sum = saturatingAdd(Sum, G.freq(X));
+      Flags |= consumerFlags(G, X);
+      WorkScratch.push_back(X);
+      return;
+    }
+    EntryScratch.push_back(X);
+    NodeId R = X;
+    while (F.Jump[R] != R)
+      R = F.Jump[R];
+    if (R != X) {
+      if (VisitMark[R] == Epoch)
+        return;
+      VisitMark[R] = Epoch;
+    }
+    WorkScratch.push_back(R);
+  };
+  Enter(N);
+  while (!WorkScratch.empty()) {
+    NodeId X = WorkScratch.back();
+    WorkScratch.pop_back();
+    for (NodeId Y : G.out(X))
+      if (!G.writesHeap(Y))
+        Enter(Y);
+  }
+  // Union of the entries' root paths per tree: in preorder, each entry
+  // adds its path up to (not including) its LCA with the entry before it,
+  // or its whole path when that entry lies in an earlier tree.
+  std::sort(EntryScratch.begin(), EntryScratch.end(),
+            [&F](NodeId A, NodeId B) { return F.Pre[A] < F.Pre[B]; });
+  for (size_t I = 0; I != EntryScratch.size(); ++I) {
+    NodeId E = EntryScratch[I];
+    uint64_t Add = F.PathFreq[E];
+    if (I)
+      if (NodeId L = forestLca(EntryScratch[I - 1], E); L != kNoNode)
+        Add -= F.PathFreq[L];
+    Sum = saturatingAdd(Sum, Add);
+    Flags |= F.PathFlags[E];
+  }
+  BenefitInfo Info;
+  Info.Benefit = Sum;
+  Info.ReachesPredicate = (Flags & 1) != 0;
+  Info.ReachesNative = (Flags & 2) != 0;
+  HrabMemo.insert(N, Info);
+  return Info;
 }
 
 LocCostBenefit CostModel::locCostBenefitAt(uint32_t I) const {
@@ -125,7 +298,7 @@ LocCostBenefit CostModel::locCostBenefitAt(uint32_t I) const {
   if (!Readers.empty()) {
     uint64_t Sum = 0;
     for (NodeId R : Readers) {
-      const BenefitInfo &B = hrab(R);
+      BenefitInfo B = hrab(R);
       Sum = saturatingAdd(Sum, B.Benefit);
       CB.ReachesPredicate |= B.ReachesPredicate;
       CB.ReachesNative |= B.ReachesNative;

@@ -79,6 +79,8 @@ OptimizeResult lud::removeProfiledDeadCode(const Module &M,
     }
   }
 
+  if (Out.Stats.removedTotal() == 0)
+    return Out; // Nothing to drop: no derived module.
   ModuleRewriter RW(M);
   for (uint32_t Id = 0; Id != M.getNumInstrs(); ++Id)
     if (!Kept[Id])

@@ -43,6 +43,8 @@ struct OptimizerStats {
 };
 
 struct OptimizeResult {
+  /// The rewritten module; null when nothing was removed (the input
+  /// stands as it is).
   std::unique_ptr<Module> M;
   OptimizerStats Stats;
 };

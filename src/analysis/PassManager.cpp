@@ -18,6 +18,12 @@ using namespace lud::opt;
 
 RewritePass::~RewritePass() = default;
 
+const UsageEvidence &PassEvidence::usage() const {
+  if (!*UsageMemo)
+    *UsageMemo = summarizeUsage(*M, *G, *Activity, DV);
+  return **UsageMemo;
+}
+
 namespace {
 
 /// Committed rewrites after which the pipeline stops asking for more.
@@ -77,15 +83,15 @@ OwnedProfile profileModule(const Module &M, const PipelineOptions &Opts,
 /// later proposals see the structure landscape they actually face.
 struct RoundEvidence {
   DeadValueAnalysis DV;
-  UsageEvidence Usage;
+  /// Made by the round's first PassEvidence::usage() call.
+  std::optional<UsageEvidence> Usage;
   std::vector<uint64_t> InstrFreq;
 };
 
-RoundEvidence deriveEvidence(const Module &M, const ModuleProfile &P) {
+RoundEvidence deriveEvidence(const ModuleProfile &P, size_t NumInstrs) {
   RoundEvidence E;
   E.DV = computeDeadValues(P.G, P.Run.ExecutedInstrs);
-  E.Usage = summarizeUsage(M, P.G, P.Activity, &E.DV);
-  E.InstrFreq.assign(M.getNumInstrs(), 0);
+  E.InstrFreq.assign(NumInstrs, 0);
   for (size_t N = 0; N != P.G.numNodes(); ++N)
     E.InstrFreq[P.G.instr(NodeId(N))] += P.G.freq(NodeId(N));
   return E;
@@ -178,15 +184,16 @@ PipelineResult PassManager::run(const Module &M, const ModuleProfile &Seed) {
         obs::PhaseTimer Span(Opts.Stats, "optimize.propose");
         ModuleProfile P = Committed ? Committed->view() : Seed;
         if (!Ev)
-          Ev = deriveEvidence(*Cur, P);
+          Ev = deriveEvidence(P, Cur->getNumInstrs());
         PassEvidence E;
         E.M = Cur;
         E.G = &P.G;
-        E.Usage = &Ev->Usage;
         E.DV = &Ev->DV;
         E.ExecutedInstrs = P.Run.ExecutedInstrs;
         E.Attempted = &Attempted;
         E.InstrFreq = &Ev->InstrFreq;
+        E.Activity = &P.Activity;
+        E.UsageMemo = &Ev->Usage;
         Cand = Pass.next(E);
       }
       if (!Cand)

@@ -58,7 +58,6 @@ namespace opt {
 struct PassEvidence {
   const Module *M = nullptr;
   const FrozenGraph *G = nullptr;
-  const UsageEvidence *Usage = nullptr;
   const DeadValueAnalysis *DV = nullptr;
   uint64_t ExecutedInstrs = 0;
   /// Stable target keys already proposed (applied *or* rolled back);
@@ -66,6 +65,16 @@ struct PassEvidence {
   const std::set<std::string> *Attempted = nullptr;
   /// Summed node frequency per static instruction (index InstrId).
   const std::vector<uint64_t> *InstrFreq = nullptr;
+  /// The profile's per-location activity, read by usage().
+  const HeapLocMap<LocationActivity> *Activity = nullptr;
+  /// Where usage() keeps the current round's summary.
+  std::optional<UsageEvidence> *UsageMemo = nullptr;
+
+  /// The per-structure UsageSummary records of the current round. The
+  /// summary costs an HRAB closure per reader, so it is made on the first
+  /// call in a round and shared by the round's later passes; a pass that
+  /// never calls it (the dead-store sweep) never pays for it.
+  const UsageEvidence &usage() const;
 };
 
 /// One proposed rewrite: the candidate module plus its audit trail.

@@ -152,7 +152,7 @@ template <class Pred>
 std::string clonePerOpEvidence(const Module &M, const PassEvidence &E,
                                Pred InScope) {
   for (AllocSiteId S = 0; S != M.getNumAllocSites(); ++S) {
-    const UsageSummary *U = E.Usage->bySite(S);
+    const UsageSummary *U = E.usage().bySite(S);
     if (!U || U->Kind != UsageKind::ClonePerOp)
       continue;
     const Instruction *AI = M.getAllocSite(S);
@@ -340,7 +340,7 @@ std::optional<ScanLoop> matchScanLoop(const Function &F, const FuncIndex &IX,
   auto *AA = BaseDef ? dyn_cast<AllocArrayInst>(BaseDef) : nullptr;
   if (!AA)
     return std::nullopt;
-  const UsageSummary *U = E.Usage->bySite(AA->Site);
+  const UsageSummary *U = E.usage().bySite(AA->Site);
   if (!U || U->Kind != UsageKind::BuildOnceReadMany)
     return std::nullopt;
   uint64_t Probes = (*E.InstrFreq)[Load->getId()];
@@ -394,7 +394,7 @@ public:
                                              {S->Base, S->Size, S->Key, S->Pos}),
                         new BrInst(S->Exit)});
 
-        const UsageSummary *U = E.Usage->bySite(S->Site);
+        const UsageSummary *U = E.usage().bySite(S->Site);
         RewriteCandidate C;
         C.M = RW.apply();
         C.Target = std::move(Target);
@@ -1217,7 +1217,7 @@ private:
                                              const FuncIndex &IX,
                                              const AllocArrayInst *AA,
                                              std::string Target) {
-    const UsageSummary *U = E.Usage->bySite(AA->Site);
+    const UsageSummary *U = E.usage().bySite(AA->Site);
     if (!U || U->Kind != UsageKind::OnceRead || U->Writes < 16)
       return std::nullopt;
     Reg AR = AA->Dst;

@@ -2,6 +2,7 @@
 
 #include "fuzz/Oracle.h"
 
+#include "analysis/CostModel.h"
 #include "analysis/PassManager.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
@@ -246,7 +247,27 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
                   firstDiff("re-serialized graph", RefSnap.Graph, OS.str()));
   }
 
-  // Mode 6: the rewrite-pass pipeline. The pipeline promises that every
+  // Mode 6: hops. The chain-forest HRAB must equal the plain BFS on every
+  // node of the reference graph, flags included.
+  if (Ref.slicing()) {
+    const FrozenGraph G(Ref.slicing()->graph());
+    CostModel CM(G);
+    for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {
+      BenefitInfo F = CM.hrab(N);
+      BenefitInfo R = CM.hrabReference(N);
+      if (F.Benefit != R.Benefit || F.ReachesPredicate != R.ReachesPredicate ||
+          F.ReachesNative != R.ReachesNative)
+        return Fail("hops", "node " + std::to_string(N) + ": forest " +
+                                std::to_string(F.Benefit) + "/" +
+                                std::to_string(F.ReachesPredicate) + "/" +
+                                std::to_string(F.ReachesNative) +
+                                ", reference " + std::to_string(R.Benefit) +
+                                "/" + std::to_string(R.ReachesPredicate) +
+                                "/" + std::to_string(R.ReachesNative));
+    }
+  }
+
+  // Mode 7: the rewrite-pass pipeline. The pipeline promises that every
   // committed rewrite preserves the observable contract; re-check it from
   // the outside so a broken commit/rollback path (not just a broken pass)
   // is caught. The rewritten module must also still verify.

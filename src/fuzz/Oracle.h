@@ -23,6 +23,9 @@
 ///     driver documents,
 ///   - a GraphIO round trip: writeGraph -> readGraph -> writeGraph must
 ///     reproduce the exact bytes,
+///   - hops: on every node of the reference Gcost, CostModel's
+///     chain-forest HRAB must equal the plain BFS reference
+///     (hrabReference): the benefit and both consumer flags,
 ///   - the rewrite-pass pipeline (analysis/PassManager.h): when it commits
 ///     rewrites, the rewritten module must verify and reproduce the
 ///     original's observables (status, sink hash, return value) on both

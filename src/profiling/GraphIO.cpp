@@ -7,15 +7,41 @@
 #include "support/OutStream.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
 
 using namespace lud;
 
-void lud::writeGraph(const FrozenGraph &G, OutStream &OS) {
-  OS << "ludgraph 1\n";
-  OS << "slots " << uint64_t(G.contextSlots()) << "\n";
+namespace {
+
+/// Parses exactly 16 lowercase hex digits, as hashHex writes them.
+bool parseHex16(std::string_view S, uint64_t &V) {
+  if (S.size() != 16)
+    return false;
+  V = 0;
+  for (char C : S) {
+    unsigned D;
+    if (C >= '0' && C <= '9')
+      D = unsigned(C - '0');
+    else if (C >= 'a' && C <= 'f')
+      D = unsigned(C - 'a' + 10);
+    else
+      return false;
+    V = V << 4 | D;
+  }
+  return true;
+}
+
+} // namespace
+
+void lud::writeGraph(const FrozenGraph &G, OutStream &Out,
+                     uint64_t ModuleHash) {
+  // Every byte up to the trailer goes through the hash the trailer states.
+  HashOutStream OS(&Out);
+  OS << "ludgraph 2 module=" << hashHex(ModuleHash)
+     << " slots=" << uint64_t(G.contextSlots()) << "\n";
   for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {
     HeapLoc EL = G.effectLoc(N);
     char Buf[192];
@@ -54,27 +80,77 @@ void lud::writeGraph(const FrozenGraph &G, OutStream &OS) {
   WriteLocMap("writer", [&](size_t I) { return G.writersAt(I); });
   WriteLocMap("reader", [&](size_t I) { return G.readersAt(I); });
   WriteLocMap("refchild", [&](size_t I) { return G.refChildrenAt(I); });
-  OS << "end\n";
+  Out << "end " << hashHex(OS.hash()) << "\n";
 }
 
 std::unique_ptr<DepGraph> lud::readGraph(std::string_view Text,
-                                         std::vector<std::string> &Errors) {
+                                         std::vector<std::string> &Errors,
+                                         uint64_t *ModuleHash) {
   auto Fail = [&](unsigned Line, const std::string &Msg) {
     Errors.push_back("graph line " + std::to_string(Line) + ": " + Msg);
     return nullptr;
   };
-
-  auto G = std::make_unique<DepGraph>();
-  std::istringstream In{std::string(Text)};
-  std::string LineStr;
-  unsigned LineNo = 0;
-  bool SawHeader = false, SawEnd = false;
   // Fixed-arity records must end where their last field does — trailing
   // tokens mean a corrupted or mis-spliced line, not extra data to ignore.
   auto AtLineEnd = [](std::istringstream &L) {
     std::string Rest;
     return !(L >> Rest);
   };
+
+  // The version first, so a dump of another version says so.
+  size_t HeaderLen = std::min(Text.find('\n'), Text.size());
+  std::istringstream Header{std::string(Text.substr(0, HeaderLen))};
+  std::string Magic, Version;
+  if (!(Header >> Magic >> Version) || Magic != "ludgraph")
+    return Fail(1, "expected 'ludgraph 2' header");
+  if (Version != "2")
+    return Fail(1, "unsupported ludgraph version '" + Version.substr(0, 16) +
+                       "' (this build reads version 2; dump the graph again)");
+
+  // Then the trailer: 'end <hash>' ends the text, and hashes every byte
+  // before it.
+  unsigned NumLines = unsigned(std::count(Text.begin(), Text.end(), '\n'));
+  if (Text.back() != '\n')
+    return Fail(NumLines + 1, "missing 'end <hash>' trailer (truncated dump)");
+  size_t TrailerAt = Text.find_last_of('\n', Text.size() - 2);
+  TrailerAt = TrailerAt == std::string_view::npos ? 0 : TrailerAt + 1;
+  std::string_view Trailer =
+      Text.substr(TrailerAt, Text.size() - 1 - TrailerAt);
+  uint64_t Stated = 0;
+  if (TrailerAt == 0 || Trailer.substr(0, 4) != "end " ||
+      !parseHex16(Trailer.substr(4), Stated))
+    return Fail(NumLines, "missing 'end <hash>' trailer");
+  HashOutStream Body;
+  Body << Text.substr(0, TrailerAt);
+  if (Body.hash() != Stated)
+    return Fail(NumLines, "checksum mismatch: the trailer states " +
+                              hashHex(Stated) +
+                              ", the bytes before it hash to " +
+                              hashHex(Body.hash()));
+
+  auto G = std::make_unique<DepGraph>();
+  std::string Module;
+  uint32_t Slots = 0;
+  uint64_t Hash = 0;
+  if (!(Header >> Module) || Module.substr(0, 7) != "module=" ||
+      !parseHex16(std::string_view(Module).substr(7), Hash))
+    return Fail(1, "bad module hash in header");
+  std::string SlotsField;
+  if (!(Header >> SlotsField) || SlotsField.substr(0, 6) != "slots=" ||
+      !AtLineEnd(Header))
+    return Fail(1, "bad slot count");
+  // from_chars takes digits only: no sign, so "-1" cannot wrap.
+  const char *SlotsEnd = SlotsField.data() + SlotsField.size();
+  auto [SlotsPtr, SlotsErr] =
+      std::from_chars(SlotsField.data() + 6, SlotsEnd, Slots);
+  if (SlotsErr != std::errc() || SlotsPtr != SlotsEnd || Slots == 0)
+    return Fail(1, "bad slot count");
+  G->setContextSlots(Slots);
+
+  std::istringstream In{
+      std::string(Text.substr(HeaderLen + 1, TrailerAt - HeaderLen - 1))};
+  std::string LineStr;
+  unsigned LineNo = 1;
   while (std::getline(In, LineStr)) {
     ++LineNo;
     if (LineStr.empty())
@@ -82,19 +158,7 @@ std::unique_ptr<DepGraph> lud::readGraph(std::string_view Text,
     std::istringstream L(LineStr);
     std::string Kind;
     L >> Kind;
-    if (!SawHeader) {
-      unsigned Version = 0;
-      if (Kind != "ludgraph" || !(L >> Version) || Version != 1)
-        return Fail(LineNo, "expected 'ludgraph 1' header");
-      SawHeader = true;
-      continue;
-    }
-    if (Kind == "slots") {
-      uint32_t S = 0;
-      if (!(L >> S) || S == 0 || !AtLineEnd(L))
-        return Fail(LineNo, "bad slot count");
-      G->setContextSlots(S);
-    } else if (Kind == "node") {
+    if (Kind == "node") {
       uint64_t Id, Instr, Domain, Freq, Consumer, Effect, Tag, Slot;
       int Reads, Writes, Alloc, StoredRef;
       if (!(L >> Id >> Instr >> Domain >> Freq >> Consumer >> Effect >>
@@ -165,18 +229,11 @@ std::unique_ptr<DepGraph> lud::readGraph(std::string_view Text,
         G->noteRefChild(Loc, Child);
       if (!L.eof())
         return Fail(LineNo, "junk token in refchild");
-    } else if (Kind == "end") {
-      if (!AtLineEnd(L))
-        return Fail(LineNo, "junk after 'end'");
-      SawEnd = true;
-      break;
     } else {
       return Fail(LineNo, "unknown record '" + Kind + "'");
     }
   }
-  if (!SawHeader)
-    return Fail(LineNo, "missing header");
-  if (!SawEnd)
-    return Fail(LineNo, "missing 'end' record");
+  if (ModuleHash)
+    *ModuleHash = Hash;
   return G;
 }

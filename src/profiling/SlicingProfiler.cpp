@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace lud;
@@ -352,15 +351,22 @@ void SlicingProfiler::onTrap(const Instruction &, TrapKind, Reg) {}
 double SlicingProfiler::averageCR() const {
   if (!M)
     return 0;
-  // Distinct static instructions present in the graph, per function.
-  std::unordered_map<FuncId, std::unordered_set<InstrId>> InstrsByFunc;
+  // Distinct static instructions present in the graph, per function: one
+  // seen byte per instruction and one count per function.
+  std::vector<uint8_t> Seen(M->getNumInstrs(), 0);
+  std::vector<uint64_t> InstrsOf(M->functions().size(), 0);
   for (NodeId N = 0, E = NodeId(G.numNodes()); N != E; ++N) {
     InstrId I = G.node(N).Instr;
-    InstrsByFunc[M->getInstrFunction(I)->getId()].insert(I);
+    if (Seen[I])
+      continue;
+    Seen[I] = 1;
+    ++InstrsOf[M->getInstrFunction(I)->getId()];
   }
   double WeightedSum = 0;
   uint64_t TotalInstrs = 0;
-  for (const auto &[Func, Instrs] : InstrsByFunc) {
+  for (FuncId Func = 0; Func != FuncId(InstrsOf.size()); ++Func) {
+    if (!InstrsOf[Func])
+      continue;
     double CR = 0;
     if (Func < SeenContexts.size() && SeenContexts[Func].size() > 1) {
       const FlatSet<uint64_t> &Ctxs = SeenContexts[Func];
@@ -370,8 +376,8 @@ double SlicingProfiler::averageCR() const {
       double NumCtx = double(Ctxs.size());
       CR = (NumCtx - double(UsedSlots.size())) / (NumCtx - 1);
     }
-    WeightedSum += CR * double(Instrs.size());
-    TotalInstrs += Instrs.size();
+    WeightedSum += CR * double(InstrsOf[Func]);
+    TotalInstrs += InstrsOf[Func];
   }
   return TotalInstrs == 0 ? 0 : WeightedSum / double(TotalInstrs);
 }

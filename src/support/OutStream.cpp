@@ -54,6 +54,13 @@ OutStream &lud::errs() {
   return Stream;
 }
 
+std::string lud::hashHex(uint64_t V) {
+  std::string Out(16, '0');
+  for (int I = 15; I >= 0; --I, V >>= 4)
+    Out[I] = "0123456789abcdef"[V & 15];
+  return Out;
+}
+
 bool lud::readFileBytes(const std::string &Path, std::string &Out) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)

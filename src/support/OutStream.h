@@ -10,7 +10,8 @@
 /// <iostream> (which injects static constructors). Two concrete sinks are
 /// provided: an in-memory string stream and a FILE*-backed stream. The
 /// whole-file reader the tools load programs, graphs and manifests with
-/// lives here too.
+/// lives here too, and so does the FNV-1a hashing stream that binds run
+/// manifests and Gcost dumps to their bytes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,6 +89,32 @@ private:
 
   std::FILE *File;
 };
+
+/// OutStream that hashes every byte written to it with 64-bit FNV-1a and
+/// passes the bytes on to \p Next when one is given. Hashing a large module
+/// or graph this way never materializes its text.
+class HashOutStream : public OutStream {
+public:
+  explicit HashOutStream(OutStream *Next = nullptr) : Next(Next) {}
+  uint64_t hash() const { return Hash; }
+
+private:
+  void writeBytes(const char *Data, size_t Size) override {
+    for (size_t I = 0; I != Size; ++I) {
+      Hash ^= uint8_t(Data[I]);
+      Hash *= 0x100000001B3ULL;
+    }
+    if (Next)
+      *Next << std::string_view(Data, Size);
+  }
+
+  OutStream *Next;
+  uint64_t Hash = 0xCBF29CE484222325ULL;
+};
+
+/// \p V as the 16 lowercase hex digits that manifests and Gcost dumps
+/// write their hashes in.
+std::string hashHex(uint64_t V);
 
 /// Returns a stream writing to stdout. Safe to call from tools and tests.
 OutStream &outs();

@@ -4,6 +4,7 @@
 
 #include "profiling/GraphIO.h"
 #include "support/OutStream.h"
+#include "trace/RunManifest.h"
 
 #include <cstdio>
 
@@ -63,10 +64,13 @@ SessionConfig AnalysisRequest::sessionConfig() const {
   return Cfg;
 }
 
-bool AnalysisRequest::dumpGraph(const FrozenGraph &FG, OutStream &OS) const {
+bool AnalysisRequest::dumpGraph(const FrozenGraph &FG, const Module &M,
+                                OutStream &OS) const {
   if (DumpGraph.empty())
     return true;
-  if (!writeFile(DumpGraph, [&FG](OutStream &F) { writeGraph(FG, F); }))
+  uint64_t Hash = trace::moduleHash(M);
+  if (!writeFile(DumpGraph,
+                 [&FG, Hash](OutStream &F) { writeGraph(FG, F, Hash); }))
     return false;
   OS << "Gcost written to " << DumpGraph << "\n";
   return true;

@@ -71,9 +71,10 @@ struct AnalysisRequest {
   /// profiling (or replaying) session.
   SessionConfig sessionConfig() const;
 
-  /// Serializes \p FG to --dump-graph's file and notes it on \p OS; a no-op
-  /// without --dump-graph. False after a diagnostic on a write error.
-  bool dumpGraph(const FrozenGraph &FG, OutStream &OS) const;
+  /// Serializes \p FG, a profile of \p M, to --dump-graph's file and notes
+  /// it on \p OS; a no-op without --dump-graph. False after a diagnostic on
+  /// a write error.
+  bool dumpGraph(const FrozenGraph &FG, const Module &M, OutStream &OS) const;
 
   /// Writes \p R in the --stats format to --stats-out or stdout; a no-op
   /// without --stats or without a registry. Timing metrics are included —

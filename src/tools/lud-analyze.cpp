@@ -15,7 +15,10 @@
 ///   lud-analyze prog.lud prog.graph [--depth N] [--top K]
 ///
 /// A graph that is not a profile of the program is refused with exit 1
-/// before anything indexes the module with its ids.
+/// before anything indexes the module with its ids: first when the module
+/// hash in its header is not the program's, then when a record names an
+/// instruction, flag or site the program does not have (a crafted dump
+/// can carry a valid trailer and the right hash).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +27,7 @@
 #include "support/OutStream.h"
 #include "tools/AnalysisRequest.h"
 #include "tools/ProgramSource.h"
+#include "trace/RunManifest.h"
 #include "workloads/Render.h"
 
 #include <string>
@@ -117,14 +121,20 @@ int main(int argc, char **argv) {
     return 1;
   }
   std::vector<std::string> Errors;
-  std::unique_ptr<DepGraph> G = readGraph(GraphText, Errors);
+  uint64_t DumpHash = 0;
+  std::unique_ptr<DepGraph> G = readGraph(GraphText, Errors, &DumpHash);
   if (!G) {
     for (const std::string &E : Errors)
       errs() << GraphPath << ": " << E << "\n";
     return 1;
   }
 
-  std::string Mismatch = findModuleMismatch(*G, *M);
+  uint64_t ProgramHash = trace::moduleHash(*M);
+  std::string Mismatch =
+      DumpHash != ProgramHash
+          ? "module hash " + hashHex(DumpHash) + " in the dump, " +
+                hashHex(ProgramHash) + " for the program"
+          : findModuleMismatch(*G, *M);
   if (!Mismatch.empty()) {
     errs() << GraphPath << ": not a profile of '" << Src.File
            << "': " << Mismatch << "\n";

@@ -87,7 +87,7 @@ int main(int argc, char **argv) {
 
   renderReplaySummary(Session, FG, SR.Events, uint64_t(Manifests.size()),
                              OS);
-  if (!Req.dumpGraph(FG, OS))
+  if (!Req.dumpGraph(FG, *M, OS))
     return 1;
   renderAnalysisSections(*M, &Session, FG, Req.Spec, OS);
   if (Req.Spec.Dead)

@@ -228,7 +228,7 @@ int main(int argc, char **argv) {
   FrozenGraph FG(G);
   if (obs::MetricsRegistry *Stats = Session.stats())
     FG.accountStats(*Stats);
-  if (!O.Req.dumpGraph(FG, OS))
+  if (!O.Req.dumpGraph(FG, *M, OS))
     return 1;
 
   renderAnalysisSections(*M, &Session, FG, O.Req.Spec, OS);

@@ -13,23 +13,6 @@ using namespace lud::trace;
 
 namespace {
 
-/// Hashes the bytes written to it instead of storing them, so hashing a
-/// large module never materializes its text.
-class HashOutStream : public OutStream {
-public:
-  uint64_t hash() const { return Hash; }
-
-private:
-  void writeBytes(const char *Data, size_t Size) override {
-    for (size_t I = 0; I != Size; ++I) {
-      Hash ^= uint8_t(Data[I]);
-      Hash *= 0x100000001B3ULL;
-    }
-  }
-
-  uint64_t Hash = 0xCBF29CE484222325ULL;
-};
-
 /// Parses all of \p S as a number of type T in \p Base.
 template <typename T>
 bool parseNumber(std::string_view S, T &V, int Base = 10) {
@@ -125,13 +108,6 @@ uint64_t lud::trace::moduleHash(const Module &M) {
   HashOutStream OS;
   printModule(M, OS);
   return OS.hash();
-}
-
-std::string lud::trace::hashHex(uint64_t V) {
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[I] = "0123456789abcdef"[V & 15];
-  return Out;
 }
 
 void lud::trace::writeRecord(const RunRecord &R, OutStream &OS) {

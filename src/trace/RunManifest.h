@@ -79,9 +79,6 @@ std::string diffRecord(const RunRecord &Rec, const RunResult &R,
 /// a newline still counts; an empty manifest has no lines.
 std::vector<std::string_view> splitRecords(std::string_view Manifest);
 
-/// \p V as the 16 lowercase hex digits the manifest's hash fields use.
-std::string hashHex(uint64_t V);
-
 } // namespace trace
 } // namespace lud
 

@@ -43,12 +43,12 @@ std::string diffExecutions(const RunResult &S, const RunResult &C) {
     return Differs("instructions", std::to_string(S.ExecutedInstrs),
                    std::to_string(C.ExecutedInstrs));
   if (S.SinkHash != C.SinkHash)
-    return Differs("sink", trace::hashHex(S.SinkHash),
-                   trace::hashHex(C.SinkHash));
+    return Differs("sink", hashHex(S.SinkHash),
+                   hashHex(C.SinkHash));
   if (S.ReturnValue.Kind != C.ReturnValue.Kind ||
       valueBits(S.ReturnValue) != valueBits(C.ReturnValue))
-    return Differs("return value", trace::hashHex(valueBits(S.ReturnValue)),
-                   trace::hashHex(valueBits(C.ReturnValue)));
+    return Differs("return value", hashHex(valueBits(S.ReturnValue)),
+                   hashHex(valueBits(C.ReturnValue)));
   return "";
 }
 
@@ -293,9 +293,9 @@ bool ProfileSession::reexecute(const Module &M, std::string_view Manifest,
     if (!trace::parseRecord(Line, Rec, Err))
       return Fail(Err);
     if (Rec.ModuleHash != moduleHash(M))
-      return Fail("module hash " + trace::hashHex(Rec.ModuleHash) +
+      return Fail("module hash " + hashHex(Rec.ModuleHash) +
                   " does not match the program's " +
-                  trace::hashHex(moduleHash(M)) +
+                  hashHex(moduleHash(M)) +
                   " (the manifest was recorded against a different "
                   "program)");
     // The recorded inputs, the session's natives and engine, no output. The

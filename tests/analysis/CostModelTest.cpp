@@ -4,6 +4,10 @@
 
 #include "analysis/CostModel.h"
 #include "ir/IRBuilder.h"
+#include "support/RNG.h"
+#include "workloads/Composed.h"
+#include "workloads/DaCapo.h"
+#include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,21 @@ using namespace lud;
 using namespace lud::test;
 
 namespace {
+
+/// Checks the chain-forest HRAB of every node of \p G against the plain
+/// BFS reference: the benefit and both consumer flags. Forest queries run
+/// in node order, so later ones reuse the forest built by the first.
+void expectForestMatchesReference(const FrozenGraph &G,
+                                  const std::string &Ctx) {
+  CostModel Forest(G), Ref(G);
+  for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {
+    BenefitInfo F = Forest.hrab(N);
+    BenefitInfo R = Ref.hrabReference(N);
+    ASSERT_EQ(F.Benefit, R.Benefit) << Ctx << " node " << N;
+    ASSERT_EQ(F.ReachesPredicate, R.ReachesPredicate) << Ctx << " node " << N;
+    ASSERT_EQ(F.ReachesNative, R.ReachesNative) << Ctx << " node " << N;
+  }
+}
 
 TEST(CostModelTest, Figure1NoDoubleCounting) {
   // Figure 1: a = 0; c = f(a); d = c * 3; b = c + d; where f(e) = e >> 2.
@@ -363,6 +382,125 @@ TEST(CostModelTest, LocCostsSaturateAcrossWriterSums) {
   // The per-writer hrac sum wraps to 9 without saturation; the average
   // must instead sit at the ceiling.
   EXPECT_EQ(CB.Rac, double(~uint64_t(0)) / 2.0);
+}
+
+TEST(CostModelTest, HrabForestMatchesReferenceOnAnalogues) {
+  for (const std::string &Name : dacapoNames()) {
+    Workload W = buildWorkload(Name, 48);
+    ProfiledRun P = profiledRun(*W.M);
+    expectForestMatchesReference(FrozenGraph(P.Prof->graph()), Name);
+  }
+}
+
+TEST(CostModelTest, HrabForestMatchesReferenceOnComposed) {
+  Workload W = buildComposedWorkload(40);
+  ProfiledRun P = profiledRun(*W.M);
+  const FrozenGraph G(P.Prof->graph());
+  expectForestMatchesReference(G, "composed@40");
+  // The forest enters fewer nodes than the BFS visits over the readers.
+  CostModel CM(G);
+  uint64_t RefVisits = 0;
+  for (uint32_t I = 0; I != G.numLocs(); ++I)
+    for (NodeId R : G.readersAt(I)) {
+      CM.hrab(R);
+      CM.hrabReference(R, &RefVisits);
+    }
+  EXPECT_LT(CM.hrabVisits(), RefVisits);
+}
+
+TEST(CostModelTest, HrabForestMatchesReferenceOnRandomPrograms) {
+  // The programs `lud-gen --random 1..200` prints.
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    RandomProgramOptions Opts;
+    Opts.Seed = Seed;
+    std::unique_ptr<Module> M = generateRandomProgram(Opts);
+    ProfiledRun P = profiledRun(*M);
+    expectForestMatchesReference(FrozenGraph(P.Prof->graph()),
+                                 "seed " + std::to_string(Seed));
+  }
+}
+
+TEST(CostModelTest, HrabForestMatchesReferenceOnRandomGraphs) {
+  // Shapes the profiler rarely makes: long out-degree-1 chains that many
+  // readers enter at different depths, cycles made only of chain links,
+  // cycles through a chain, heap writers inside chains, and frequencies
+  // big enough that some trees saturate.
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    RNG R(Seed);
+    DepGraph G;
+    const unsigned N = 20 + unsigned(R.nextBelow(180));
+    for (unsigned I = 0; I != N; ++I) {
+      NodeId X = G.getOrCreate(I, 0);
+      DepGraph::Node &Node = G.node(X);
+      Node.WritesHeap = R.nextBelow(8) == 0;
+      Node.Consumer = ConsumerKind(R.nextBelow(6) < 3 ? 0 : R.nextBelow(3));
+      G.freq(X) = Seed % 3 == 0 && R.nextBelow(10) == 0
+                      ? ~uint64_t(0) / (1 + R.nextBelow(4))
+                      : 1 + R.nextBelow(100);
+    }
+    for (unsigned I = 0; I + 1 < N; ++I) {
+      // Mostly a chain toward higher ids, with branches and back edges.
+      if (R.nextBelow(4) != 0)
+        G.addEdge(I, I + 1);
+      if (R.nextBelow(6) == 0)
+        G.addEdge(I, NodeId(R.nextBelow(N)));
+    }
+    if (N > 4)
+      G.addEdge(N - 1, N - 4); // a cycle of links at the chain's end
+    expectForestMatchesReference(FrozenGraph(G),
+                                 "graph seed " + std::to_string(Seed));
+  }
+}
+
+TEST(CostModelTest, HrabForestKeepsBfsForSaturatingTree) {
+  // A chain whose frequency total saturates: a difference of saturated
+  // prefix sums would not be exact, so the tree is walked node by node,
+  // and every result still equals the reference (saturated where the
+  // closure's true sum is).
+  DepGraph G;
+  const NodeId Len = 6;
+  for (NodeId I = 0; I != Len; ++I) {
+    NodeId X = G.getOrCreate(I, 0);
+    G.freq(X) = (uint64_t(1) << 62) + I;
+    if (I)
+      G.addEdge(I - 1, I);
+  }
+  G.node(Len - 1).Consumer = ConsumerKind::Native;
+  const FrozenGraph F(G);
+  expectForestMatchesReference(F, "saturating chain");
+  CostModel CM(F);
+  EXPECT_EQ(CM.hrab(0).Benefit, ~uint64_t(0));
+  EXPECT_TRUE(CM.hrab(0).ReachesNative);
+  EXPECT_EQ(CM.hrab(Len - 2).Benefit, (uint64_t(1) << 63) + 9);
+}
+
+TEST(CostModelTest, HrabForestTakesSharedChainsOnce) {
+  // Readers r0..r9 each feed node k of one chain of 100 nodes: the BFS
+  // walks the chain's tail again from every reader; the forest enters
+  // each reader and its chain node once.
+  DepGraph G;
+  const NodeId Chain = 100;
+  for (NodeId I = 0; I != Chain; ++I) {
+    G.getOrCreate(I, 0);
+    if (I)
+      G.addEdge(I - 1, I);
+  }
+  std::vector<NodeId> Readers;
+  for (NodeId K = 0; K != 10; ++K) {
+    NodeId R = G.getOrCreate(Chain + K, 0);
+    G.addEdge(R, K * 10);
+    G.addEdge(R, K * 10 + 5);
+    Readers.push_back(R);
+  }
+  const FrozenGraph F(G);
+  CostModel CM(F);
+  uint64_t RefVisits = 0;
+  for (NodeId R : Readers) {
+    EXPECT_EQ(CM.hrab(R).Benefit, CM.hrabReference(R, &RefVisits).Benefit);
+  }
+  // Each reader: itself plus two chain entries.
+  EXPECT_EQ(CM.hrabVisits(), 30u);
+  EXPECT_EQ(RefVisits, 10u + (100 + 90 + 80 + 70 + 60 + 50 + 40 + 30 + 20 + 10));
 }
 
 } // namespace

@@ -94,7 +94,7 @@ TEST(ObfuscateClosedLoopTest, JunkOutranksEveryGenuineStructure) {
     // observables, on the interpreter and the threaded engine alike.
     DeadValueAnalysis DV = computeDeadValues(Sealed, P.Run.ExecutedInstrs);
     OptimizeResult Opt = removeProfiledDeadCode(*Obf.M, Sealed, DV);
-    EXPECT_GT(Opt.Stats.RemovedStores, 0u);
+    ASSERT_GT(Opt.Stats.RemovedStores, 0u);
     for (EngineKind E : {EngineKind::Interp, EngineKind::Threaded}) {
       TimedRun R = engineRun(*Opt.M, E);
       ASSERT_EQ(R.Run.Status, RunStatus::Finished);
@@ -159,7 +159,7 @@ TEST(ObfuscateClosedLoopTest, StringTablesStripCompletely) {
   const FrozenGraph Sealed(P.Prof->graph());
   DeadValueAnalysis DV = computeDeadValues(Sealed, P.Run.ExecutedInstrs);
   OptimizeResult Opt = removeProfiledDeadCode(*Obf.M, Sealed, DV);
-  EXPECT_GT(Opt.Stats.RemovedStores, 0u);
+  ASSERT_GT(Opt.Stats.RemovedStores, 0u);
   EXPECT_GT(Opt.Stats.RemovedPure, 0u);
   TimedRun After = baselineRun(*Opt.M);
   EXPECT_EQ(After.Run.ReturnValue.asInt(), Orig.Run.ReturnValue.asInt());

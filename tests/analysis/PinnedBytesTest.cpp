@@ -16,6 +16,7 @@
 
 #include "ir/Module.h"
 #include "ir/Obfuscate.h"
+#include "support/OutStream.h"
 #include "trace/RunManifest.h"
 #include "workloads/DaCapo.h"
 
@@ -70,9 +71,9 @@ TEST(PinnedBytesTest, ObfuscatedModuleAndManifestBytes) {
       Manifest += std::string(obfKindName(T.Kind)) + "\t" + T.Description +
                   "\n";
 
-    EXPECT_EQ(trace::hashHex(trace::moduleHash(*Res.M)), P.ModuleHash)
+    EXPECT_EQ(hashHex(trace::moduleHash(*Res.M)), P.ModuleHash)
         << P.Workload << " seed " << P.Seed << ": printed module";
-    EXPECT_EQ(trace::hashHex(fnv1a(Manifest)), P.ManifestHash)
+    EXPECT_EQ(hashHex(fnv1a(Manifest)), P.ManifestHash)
         << P.Workload << " seed " << P.Seed << ": manifest";
   }
 }

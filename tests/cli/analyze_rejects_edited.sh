@@ -3,13 +3,18 @@
 # given, before any analysis indexes the module with the dump's ids. Three
 # one-record edits of a genuine dump: a node whose heap-read flag its
 # instruction does not have, and an allocation tag and a written
-# location's tag that name no allocation site of the program. Each must
-# exit 1 with a diagnostic that starts with the graph path.
+# location's tag that name no allocation site of the program. As edited,
+# each fails the dump's 'end <checksum>' trailer. Resealed with a valid
+# trailer (and the program's module hash untouched), each must still be
+# refused by the structural check. Every case exits 1 with a diagnostic
+# that starts with the graph path. graph_edit (tests/cli/graph_edit.cpp)
+# does the resealing.
 #
-#   sh analyze_rejects_edited.sh <tool-dir> <program.lud>
+#   sh analyze_rejects_edited.sh <tool-dir> <program.lud> <graph_edit>
 set -u
 BIN=$1
 PROG=$2
+EDIT=$3
 TMP=${TMPDIR:-/tmp}/lud_analyze_rejects.$$
 mkdir -p "$TMP"
 trap 'rm -rf "$TMP"' EXIT
@@ -28,6 +33,21 @@ for R in allocnode writer; do
 done
 
 FAILED=0
+for G in flags allocnode writer; do
+  "$BIN/lud-analyze" "$PROG" "$TMP/$G.graph" > /dev/null 2> "$TMP/err.txt"
+  RC=$?
+  if [ "$RC" != 1 ] ||
+     ! grep -qE "^$TMP/$G.graph: graph line [0-9]+: checksum mismatch" \
+       "$TMP/err.txt"; then
+    echo "FAIL: $G.graph (unsealed): exit $RC"
+    cat "$TMP/err.txt"
+    FAILED=1
+  fi
+  "$EDIT" reseal "$TMP/$G.graph" "$TMP/$G.sealed" ||
+    { echo "FAIL: reseal"; exit 1; }
+  mv "$TMP/$G.sealed" "$TMP/$G.graph"
+done
+
 expect_rejected() { # <graph> <diagnostic pattern>
   if cmp -s "$TMP/g.graph" "$1"; then
     echo "FAIL: $1 is unedited"

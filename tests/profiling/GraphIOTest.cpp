@@ -108,18 +108,67 @@ TEST(GraphIOTest, MergedGraphRoundTripsByteIdentical) {
   EXPECT_EQ(First.str(), Second.str());
 }
 
+/// \p Bytes followed by the 'end <hash>' trailer that hashes them.
+std::string withTrailer(const std::string &Bytes) {
+  HashOutStream H;
+  H << Bytes;
+  return Bytes + "end " + hashHex(H.hash()) + "\n";
+}
+
+/// A v2 dump of \p Body with a valid trailer, so a case reaches the record
+/// parser.
+std::string sealedDump(const std::string &Body,
+                       const std::string &Header =
+                           "ludgraph 2 module=0000000000000000 slots=4\n") {
+  return withTrailer(Header + Body);
+}
+
 TEST(GraphIOTest, RejectsMalformedInput) {
   struct Case {
-    const char *Text;
+    std::string Text;
     const char *Expect;
   };
   const Case Cases[] = {
-      {"", "header"},
-      {"ludgraph 2\nend\n", "header"},
-      {"ludgraph 1\nnode 0 0\nend\n", "malformed node"},
-      {"ludgraph 1\nedge 0 1\nend\n", "malformed edge"},
-      {"ludgraph 1\nbogus\nend\n", "unknown record"},
-      {"ludgraph 1\nslots 4\n", "missing 'end'"},
+      {"", "graph line 1: expected 'ludgraph 2' header"},
+      {"graph 2\nend\n", "graph line 1: expected 'ludgraph 2' header"},
+      // A dump of another version names it.
+      {"ludgraph 1\nslots 1\nend\n", "graph line 1: unsupported ludgraph "
+                                     "version '1'"},
+      {"ludgraph 3 module=0000000000000000 slots=1\nend\n",
+       "unsupported ludgraph version '3'"},
+      // The trailer: missing, clipped, or not the hash of the bytes.
+      {"ludgraph 2 module=0000000000000000 slots=1\n",
+       "graph line 1: missing 'end <hash>' trailer"},
+      {"ludgraph 2 module=0000000000000000 slots=1\nend\n",
+       "graph line 2: missing 'end <hash>' trailer"},
+      {"ludgraph 2 module=0000000000000000 slots=1\nend 0123",
+       "graph line 2: missing 'end <hash>' trailer (truncated dump)"},
+      {"ludgraph 2 module=0000000000000000 slots=1\nend 0123456789ABCDEF\n",
+       "graph line 2: missing 'end <hash>' trailer"},
+      {"ludgraph 2 module=0000000000000000 slots=1\nend 0123456789abcdef\n",
+       "graph line 2: checksum mismatch: the trailer states "
+       "0123456789abcdef"},
+      // Sealed dumps whose records are bad.
+      {sealedDump("node 0 0\n"), "graph line 2: malformed node"},
+      {sealedDump("edge 0 1\n"), "graph line 2: malformed edge"},
+      {sealedDump("\nbogus\n"), "graph line 3: unknown record 'bogus'"},
+      {sealedDump("slots 4\n"), "unknown record 'slots'"},
+      {sealedDump("end\n"), "unknown record 'end'"},
+      // Sealed dumps whose header fields are bad.
+      {sealedDump("", "ludgraph 2 module=00 slots=4\n"),
+       "graph line 1: bad module hash"},
+      {sealedDump("", "ludgraph 2 slots=4\n"), "bad module hash"},
+      {sealedDump("", "ludgraph 2 module=0000000000000000\n"),
+       "bad slot count"},
+      {sealedDump("", "ludgraph 2 module=0000000000000000 slots=0\n"),
+       "bad slot count"},
+      {sealedDump("", "ludgraph 2 module=0000000000000000 slots=-1\n"),
+       "bad slot count"},
+      {sealedDump("",
+                  "ludgraph 2 module=0000000000000000 slots=4294967296\n"),
+       "bad slot count"},
+      {sealedDump("", "ludgraph 2 module=0000000000000000 slots=4 junk\n"),
+       "bad slot count"},
   };
   for (const Case &C : Cases) {
     std::vector<std::string> Errors;
@@ -131,10 +180,30 @@ TEST(GraphIOTest, RejectsMalformedInput) {
   }
 }
 
+TEST(GraphIOTest, HeaderCarriesModuleHashAndSlots) {
+  DepGraph G;
+  G.setContextSlots(3);
+  G.getOrCreate(1, 0);
+  StringOutStream OS;
+  writeGraph(FrozenGraph(G), OS, 0x0123456789abcdefULL);
+  EXPECT_EQ(OS.str().substr(0, OS.str().find('\n')),
+            "ludgraph 2 module=0123456789abcdef slots=3");
+  std::vector<std::string> Errors;
+  uint64_t Hash = 0;
+  std::unique_ptr<DepGraph> G2 = readGraph(OS.str(), Errors, &Hash);
+  ASSERT_TRUE(G2) << (Errors.empty() ? "" : Errors[0]);
+  EXPECT_EQ(Hash, 0x0123456789abcdefULL);
+  EXPECT_EQ(G2->contextSlots(), 3u);
+  EXPECT_EQ(G2->numNodes(), 1u);
+  // The trailer is the hash of every byte before it.
+  const std::string &Text = OS.str();
+  size_t TrailerAt = Text.rfind('\n', Text.size() - 2) + 1;
+  EXPECT_EQ(withTrailer(Text.substr(0, TrailerAt)), Text);
+}
+
 TEST(GraphIOTest, RejectsOutOfRangeFields) {
   // A valid two-node prefix every case builds on.
-  const std::string Head = "ludgraph 1\nslots 4\n"
-                           "node 0 1 0 5 0 0 0 0 0 0 0 0\n"
+  const std::string Head = "node 0 1 0 5 0 0 0 0 0 0 0 0\n"
                            "node 1 2 0 5 0 0 0 0 0 0 0 0\n";
   struct Case {
     const char *Line;
@@ -156,8 +225,6 @@ TEST(GraphIOTest, RejectsOutOfRangeFields) {
       {"edge 0 1 junk", "malformed edge"},
       {"refedge 0 1 2", "malformed edge"},
       {"allocnode 7 0 junk", "malformed allocnode"},
-      {"slots 4 junk", "bad slot count"},
-      {"end junk", "junk after 'end'"},
       // Junk tokens inside var-arity location maps.
       {"writer 7 0 1 junk", "junk token in location map"},
       {"reader 7 0 junk", "junk token in location map"},
@@ -165,10 +232,12 @@ TEST(GraphIOTest, RejectsOutOfRangeFields) {
   };
   for (const Case &C : Cases) {
     std::vector<std::string> Errors;
-    std::string Text = Head + C.Line + "\nend\n";
+    std::string Text = sealedDump(Head + C.Line + "\n");
     std::unique_ptr<DepGraph> G = readGraph(Text, Errors);
     EXPECT_EQ(G, nullptr) << C.Line;
     ASSERT_FALSE(Errors.empty()) << C.Line;
+    EXPECT_NE(Errors[0].find("graph line 4: "), std::string::npos)
+        << "for '" << C.Line << "' got: " << Errors[0];
     EXPECT_NE(Errors[0].find(C.Expect), std::string::npos)
         << "for '" << C.Line << "' got: " << Errors[0];
   }
@@ -195,24 +264,37 @@ TEST(GraphIOTest, ClippedDumpFailsWithDiagnostic) {
 }
 
 TEST(GraphIOTest, BitFlippedDumpNeverCrashes) {
-  // Deterministically corrupt single characters across the dump: parsing
-  // must either succeed (the flip hit a don't-care byte, or turned one
-  // digit into another) or fail cleanly, and a dump that parses must seal
-  // and analyze without a crash.
+  // Deterministically corrupt single characters across the dump (every
+  // 31st byte, two masks: 0x15, and 0x01, which turns one digit into
+  // another). The trailer's checksum must reject every mutant with a
+  // line-numbered diagnostic. Resealed with a valid trailer — a crafted
+  // dump — a mutant must either fail cleanly or parse, seal and analyze
+  // without a crash.
   Workload W = buildWorkload("fop", 48);
   ProfiledRun P = profiledRun(*W.M);
   StringOutStream OS;
   writeGraph(FrozenGraph(P.Prof->graph()), OS);
   std::string Text = OS.str();
-  size_t Accepted = 0;
+  const size_t TrailerAt = Text.rfind('\n', Text.size() - 2) + 1;
+  size_t Mutants = 0, Accepted = 0;
   for (size_t I = 0; I < Text.size(); I += 31) {
     for (char Bits : {0x15, 0x01}) {
       std::string Mutated = Text;
       Mutated[I] = char(Mutated[I] ^ Bits);
+      ++Mutants;
       std::vector<std::string> Errors;
-      std::unique_ptr<DepGraph> G = readGraph(Mutated, Errors);
+      EXPECT_EQ(readGraph(Mutated, Errors), nullptr) << "flip at " << I;
+      ASSERT_FALSE(Errors.empty()) << "flip at " << I;
+      EXPECT_EQ(Errors[0].rfind("graph line ", 0), 0u)
+          << "flip at " << I << ": " << Errors[0];
+
+      if (I >= TrailerAt)
+        continue; // Resealing would undo a flip in the trailer itself.
+      std::string Resealed = withTrailer(Mutated.substr(0, TrailerAt));
+      Errors.clear();
+      std::unique_ptr<DepGraph> G = readGraph(Resealed, Errors);
       if (!G) {
-        EXPECT_FALSE(Errors.empty()) << "flip at " << I;
+        EXPECT_FALSE(Errors.empty()) << "resealed flip at " << I;
         continue;
       }
       ++Accepted;
@@ -220,10 +302,11 @@ TEST(GraphIOTest, BitFlippedDumpNeverCrashes) {
       CostModel CM(F);
       LowUtilityReport Report(CM, *W.M);
       DeadValueAnalysis DV = computeDeadValues(F, P.Run.ExecutedInstrs);
-      EXPECT_EQ(DV.Dead.size(), F.numNodes()) << "flip at " << I;
+      EXPECT_EQ(DV.Dead.size(), F.numNodes()) << "resealed flip at " << I;
     }
   }
-  // The read side must actually be reached by some mutants.
+  EXPECT_GT(Mutants, 600u);
+  // The read side must actually be reached by some resealed mutants.
   EXPECT_GT(Accepted, 0u);
 }
 
