@@ -1,6 +1,6 @@
-//===- tests/analysis/PinnedBytesTest.cpp - Pinned obfuscation bytes -------===//
+//===- tests/analysis/PinnedBytesTest.cpp - Pinned output bytes ------------===//
 //
-// Fixed hashes of the obfuscator's output. Two runs of one build agreeing
+// Fixed hashes of the obfuscator's output and of the substrate's Gcost. Two runs of one build agreeing
 // with each other (ObfuscateTest.DeterministicForAFixedSeed) says nothing
 // about whether a refactor of the module-building code changed the bytes;
 // these pins do. The printed module (trace::moduleHash) and the manifest
@@ -9,16 +9,26 @@
 //
 // The lud-run --optimize-out pins live in tests/cli/pinned_optimize.sh.
 //
-// A deliberate change to the obfuscated bytes must update the table below
+// The Gcost pins hash, per workload and engine, the --dump-graph bytes
+// (`ludgraph 2`, integers only) and the integer heap-activity and
+// predicate gauges, so a refactor of the build graph, the seal or the
+// substrate's counters cannot change what a profile says unnoticed.
+//
+// A deliberate change to the pinned bytes must update the tables below
 // and say so; an accidental one fails here.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/Module.h"
 #include "ir/Obfuscate.h"
+#include "obs/Metrics.h"
+#include "profiling/FrozenGraph.h"
+#include "profiling/GraphIO.h"
 #include "support/OutStream.h"
 #include "trace/RunManifest.h"
+#include "workloads/Composed.h"
 #include "workloads/DaCapo.h"
+#include "workloads/Driver.h"
 
 #include <gtest/gtest.h>
 
@@ -76,6 +86,70 @@ TEST(PinnedBytesTest, ObfuscatedModuleAndManifestBytes) {
     EXPECT_EQ(hashHex(fnv1a(Manifest)), P.ManifestHash)
         << P.Workload << " seed " << P.Seed << ": manifest";
   }
+}
+
+struct GcostPin {
+  const char *Workload; // a DaCapo analogue at scale 48, or composed at 40
+  const char *DumpHash;
+  const char *GaugeHash;
+};
+
+const GcostPin GcostPins[] = {
+    {"antlr", "f56811c0cb240348", "b478ab93928f766e"},
+    {"bloat", "655f4108a9c24613", "c41729bba9127c4d"},
+    {"chart", "8c0f3f1cf10ba84a", "596eeacc2b271574"},
+    {"fop", "6210c12c2a300342", "b34a954970def668"},
+    {"pmd", "253bb1731c8bab1d", "cd904e3c8a5265b0"},
+    {"jython", "228a4d341b29a5bc", "70d715bde7fd8c90"},
+    {"xalan", "df31196df16e37fb", "f49f77c71936f610"},
+    {"hsqldb", "9a6e40c5d4fc78de", "b9d6f5f4a4279ab5"},
+    {"luindex", "7e05226146b54f95", "209535da7cebce25"},
+    {"lusearch", "fc8aa82e059c6a2b", "ea6d5e2fb32259a0"},
+    {"eclipse", "9319e1210c51b489", "5e400fa071a87e1a"},
+    {"avrora", "623e4dab9183fe3c", "054b18ffd07513a7"},
+    {"batik", "0a11feba3aa8a604", "3cb07f994c8cb6ff"},
+    {"derby", "23df7e7ba4499587", "4c4064924212c33a"},
+    {"sunflow", "5b0f08d44422bfa7", "8b2581467de46487"},
+    {"tomcat", "d477264698ff58f5", "1ee5cbbead998410"},
+    {"tradebeans", "ed76d55dec110c4e", "47098560f3a42e6a"},
+    {"tradesoap", "f63f7d799a111010", "550f0345271b4cf8"},
+    {"composed", "65d1d7cbe4a38b12", "e9b331e8df68f91a"},
+};
+
+/// The --dump-graph bytes and the integer heap/predicate gauges of one
+/// profiled run of workload \p Name on \p E.
+std::pair<std::string, std::string> gcostBytes(const std::string &Name,
+                                               EngineKind E) {
+  Workload W = Name == "composed" ? buildComposedWorkload(40)
+                                  : buildWorkload(Name, 48);
+  SessionConfig Cfg;
+  Cfg.Engine = E;
+  ProfileSession S(Cfg);
+  EXPECT_EQ(S.run(*W.M).Run.Status, RunStatus::Finished) << Name;
+  StringOutStream Dump;
+  writeGraph(FrozenGraph(S.slicing()->graph()), Dump,
+             trace::moduleHash(*W.M));
+  obs::MetricsRegistry R;
+  S.slicing()->accountStats(R);
+  std::string Gauges;
+  for (const char *G : {"heap.writes", "heap.reads", "heap.overwrites",
+                        "heap.tracked_locations", "predicates.taken",
+                        "predicates.not_taken"})
+    Gauges += std::string(G) + "=" + std::to_string(R.value(R.find(G))) +
+              "\n";
+  return {Dump.str(), Gauges};
+}
+
+TEST(PinnedBytesTest, GcostDumpAndGaugeBytes) {
+  for (const GcostPin &P : GcostPins)
+    for (EngineKind E : {EngineKind::Interp, EngineKind::Threaded}) {
+      auto [Dump, Gauges] = gcostBytes(P.Workload, E);
+      EXPECT_EQ(hashHex(fnv1a(Dump)), P.DumpHash)
+          << P.Workload << " on " << engineKindName(E) << ": --dump-graph";
+      EXPECT_EQ(hashHex(fnv1a(Gauges)), P.GaugeHash)
+          << P.Workload << " on " << engineKindName(E) << ": gauges\n"
+          << Gauges;
+    }
 }
 
 } // namespace
