@@ -2,12 +2,12 @@
 //
 // Measures what the FrozenGraph refactor buys on the paper-scale composed
 // workload: seal cost and retained bytes, the per-location activity sweep
-// that the analyses actually run (frozen offset-indexed spans vs a
-// FlatMap::find per location), and the end-to-end wall time of report +
-// n-RAC generation over the sealed representation, with the HRAB
-// closure-visit count beside it. The acceptance shape:
-// the frozen read-path sweep beats FlatMap::find by an order of magnitude,
-// and the full report pipeline stays under a second at 100K+ nodes.
+// that the analyses actually run (frozen offset-indexed spans vs the build
+// graph's LocId probe and record per location), and the end-to-end wall
+// time of report + n-RAC generation over the sealed representation, with
+// the HRAB closure-visit count beside it. The acceptance shape: the frozen
+// read-path sweep beats the keyed probe, and the full report pipeline
+// stays under a second at 100K+ nodes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +43,7 @@ struct SealedRun {
 };
 
 /// Profiles the composed workload once and seals a copy of its graph; the
-/// build graph stays alive in Run.Prof as the FlatMap baseline.
+/// build graph stays alive in Run.Prof as the keyed-probe baseline.
 SealedRun profileComposed(int64_t Scale) {
   Workload W = buildComposedWorkload(Scale);
   ProfiledRun P = profiledRun(*W.M);
@@ -70,25 +70,20 @@ void printTable() {
               double(MF.total()) / 1024.0,
               double(G.memoryFootprint().total()) / 1024.0);
 
-  // Heap-location activity: the lookup the read path actually replaced.
-  // The old Report/CacheCost passes did a FlatMap::find per location per
-  // map; the frozen universe makes the same sweep a direct offset index.
-  const auto &WMap = G.writers();
-  const auto &RMap = G.readers();
+  // Heap-location activity: a caller holding a HeapLoc probes the build
+  // graph's LocId table and reads the record; the frozen universe makes
+  // the same sweep a direct offset index.
   double MapSweep = 1e99, FrzSweep = 1e99;
   for (int Rep = 0; Rep != 5; ++Rep) {
     auto T0 = std::chrono::steady_clock::now();
     uint64_t Sum = 0;
     for (size_t LI = 0; LI != F.numLocs(); ++LI) {
-      HeapLoc L = F.loc(LI);
-      auto WIt = WMap.find(L);
-      if (WIt != WMap.end())
-        for (NodeId N : WIt->second)
-          Sum += G.freq(N);
-      auto RIt = RMap.find(L);
-      if (RIt != RMap.end())
-        for (NodeId N : RIt->second)
-          Sum += G.freq(N);
+      const DepGraph::LocRecord &Rec = G.record(G.findLoc(F.loc(LI)));
+      Sum += Rec.Activity.Writes + Rec.Activity.Reads;
+      for (NodeId N : Rec.Writers)
+        Sum += G.freq(N);
+      for (NodeId N : Rec.Readers)
+        Sum += G.freq(N);
     }
     benchmark::DoNotOptimize(Sum);
     MapSweep = std::min(MapSweep,
@@ -96,6 +91,7 @@ void printTable() {
     T0 = std::chrono::steady_clock::now();
     Sum = 0;
     for (size_t LI = 0; LI != F.numLocs(); ++LI) {
+      Sum += F.activityAt(LI).Writes + F.activityAt(LI).Reads;
       for (NodeId N : F.writersAt(LI))
         Sum += F.freq(N);
       for (NodeId N : F.readersAt(LI))
@@ -106,7 +102,7 @@ void printTable() {
                         secondsSince(T0) * 1e9 / double(F.numLocs()));
   }
   std::printf("%-24s | %10s\n", "loc activity (ns/loc)", "sweep");
-  std::printf("%-24s | %10.1f\n", "FlatMap::find (build)", MapSweep);
+  std::printf("%-24s | %10.1f\n", "LocId probe (build)", MapSweep);
   std::printf("%-24s | %10.1f\n", "frozen spans (indexed)", FrzSweep);
   std::printf("%-24s | %9.2fx\n", "speedup (indexed)",
               FrzSweep > 0 ? MapSweep / FrzSweep : 0);

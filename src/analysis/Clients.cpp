@@ -15,19 +15,23 @@ std::vector<OverwriteRow> lud::rankOverwrites(const SlicingProfiler &P,
                                               const ClientOptions &Opts) {
   const DepGraph &G = P.graph();
   // Aggregate per (site-or-global, slot) over context-annotated tags: one
-  // flat entry per location, sorted by key and merged, so text is built
-  // only for the rows that survive the MinWrites cut.
+  // flat entry per location an event touched, sorted by key and merged, so
+  // text is built only for the rows that survive the MinWrites cut.
   struct Acc {
     uint64_t Key; // the static tag for a global, else the allocation site
     FieldSlot Slot;
     uint64_t Writes, Reads, Overwrites;
   };
   std::vector<Acc> Accs;
-  Accs.reserve(P.locationActivity().size());
-  for (const auto &[Loc, Act] : P.locationActivity())
-    Accs.push_back({DepGraph::isStaticTag(Loc.Tag) ? Loc.Tag
-                                                   : G.tagSite(Loc.Tag),
-                    Loc.Slot, Act.Writes, Act.Reads, Act.Overwrites});
+  Accs.reserve(G.records().size());
+  for (const DepGraph::LocRecord &R : G.records()) {
+    const LocationActivity &Act = R.Activity;
+    if (Act.Writes == 0 && Act.Reads == 0)
+      continue;
+    Accs.push_back({DepGraph::isStaticTag(R.Loc.Tag) ? R.Loc.Tag
+                                                     : G.tagSite(R.Loc.Tag),
+                    R.Loc.Slot, Act.Writes, Act.Reads, Act.Overwrites});
+  }
   std::sort(Accs.begin(), Accs.end(), [](const Acc &A, const Acc &B) {
     return A.Key != B.Key ? A.Key < B.Key : A.Slot < B.Slot;
   });
@@ -134,9 +138,11 @@ std::vector<ConstantPredicateRow>
 lud::findConstantPredicates(const SlicingProfiler &P, const CostModel &CM,
                             const Module &M, const ClientOptions &Opts) {
   std::vector<ConstantPredicateRow> Rows;
-  for (const auto &[Node, Outcome] : P.predicateOutcomes()) {
+  const auto &Outcomes = P.predicateOutcomes();
+  for (NodeId Node = 0; Node != NodeId(Outcomes.size()); ++Node) {
+    const SlicingProfiler::PredicateOutcome &Outcome = Outcomes[Node];
     uint64_t Total = Outcome.TakenCount + Outcome.NotTakenCount;
-    if (Total < Opts.MinCount)
+    if (Total == 0 || Total < Opts.MinCount)
       continue;
     if (Outcome.TakenCount != 0 && Outcome.NotTakenCount != 0)
       continue;

@@ -57,7 +57,6 @@ UsageKind classify(const UsageSummary &S) {
 } // namespace
 
 UsageEvidence lud::summarizeUsage(const Module &M, const FrozenGraph &G,
-                                  const HeapLocMap<LocationActivity> &Activity,
                                   const DeadValueAnalysis *DV) {
   UsageEvidence Out;
   Out.Sites.resize(M.getNumAllocSites());
@@ -98,13 +97,11 @@ UsageEvidence lud::summarizeUsage(const Module &M, const FrozenGraph &G,
     if (!S)
       continue;
     ++S->Locs;
-    if (auto It = Activity.find(L); It != Activity.end()) {
-      const LocationActivity &A = It->second;
-      S->Writes += A.Writes;
-      S->Reads += A.Reads;
-      S->Overwrites += A.Overwrites;
-      S->ReadsAfterLastWrite += A.ReadsAfterLastWrite;
-    }
+    const LocationActivity &A = G.activityAt(I);
+    S->Writes += A.Writes;
+    S->Reads += A.Reads;
+    S->Overwrites += A.Overwrites;
+    S->ReadsAfterLastWrite += A.ReadsAfterLastWrite;
     if (DV)
       for (NodeId W : G.writersAt(I))
         if (W < DV->Dead.size() && DV->Dead[W])

@@ -96,12 +96,10 @@ struct UsageEvidence {
   }
 };
 
-/// Folds the profile clients over \p G into per-structure records. \p
-/// Activity is the substrate's location-activity map for the same run;
-/// \p DV is optional (DeadWriteFreq stays 0 without it). \p G and \p
-/// Activity must come from a whole-program profile of \p M.
+/// Folds the profile clients over \p G, with its location activity, into
+/// per-structure records. \p DV is optional (DeadWriteFreq stays 0
+/// without it). \p G must be a whole-program profile of \p M.
 UsageEvidence summarizeUsage(const Module &M, const FrozenGraph &G,
-                             const HeapLocMap<LocationActivity> &Activity,
                              const DeadValueAnalysis *DV = nullptr);
 
 } // namespace lud

@@ -20,7 +20,7 @@ RewritePass::~RewritePass() = default;
 
 const UsageEvidence &PassEvidence::usage() const {
   if (!*UsageMemo)
-    *UsageMemo = summarizeUsage(*M, *G, *Activity, DV);
+    *UsageMemo = summarizeUsage(*M, *G, DV);
   return **UsageMemo;
 }
 
@@ -61,10 +61,9 @@ bool sameObservables(const RunResult &Ref, const RunResult &Got,
 /// or a candidate's, whose run is also its primary-engine validation.
 struct OwnedProfile {
   FrozenGraph G;
-  HeapLocMap<LocationActivity> Activity;
   RunResult Run;
 
-  ModuleProfile view() const { return {G, Activity, Run}; }
+  ModuleProfile view() const { return {G, Run}; }
 };
 
 OwnedProfile profileModule(const Module &M, const PipelineOptions &Opts,
@@ -74,7 +73,6 @@ OwnedProfile profileModule(const Module &M, const PipelineOptions &Opts,
   SlicingProfiler SP(Opts.Slicing);
   P.Run = runWithEngine(Opts.Engine, M, H, SP, RC);
   P.G = FrozenGraph(SP.graph());
-  P.Activity = SP.locationActivity();
   return P;
 }
 
@@ -192,7 +190,6 @@ PipelineResult PassManager::run(const Module &M, const ModuleProfile &Seed) {
         E.ExecutedInstrs = P.Run.ExecutedInstrs;
         E.Attempted = &Attempted;
         E.InstrFreq = &Ev->InstrFreq;
-        E.Activity = &P.Activity;
         E.UsageMemo = &Ev->Usage;
         Cand = Pass.next(E);
       }

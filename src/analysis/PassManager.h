@@ -65,8 +65,6 @@ struct PassEvidence {
   const std::set<std::string> *Attempted = nullptr;
   /// Summed node frequency per static instruction (index InstrId).
   const std::vector<uint64_t> *InstrFreq = nullptr;
-  /// The profile's per-location activity, read by usage().
-  const HeapLocMap<LocationActivity> *Activity = nullptr;
   /// Where usage() keeps the current round's summary.
   std::optional<UsageEvidence> *UsageMemo = nullptr;
 
@@ -179,15 +177,14 @@ struct PipelineResult {
 };
 
 /// A finished whole-program profile of one module, borrowed from whoever
-/// ran it: the sealed graph, the substrate's location activity, and the
-/// run's result. The pipeline's first round derives its evidence from the
+/// ran it: the sealed graph (location activity included) and the run's
+/// result. The pipeline's first round derives its evidence from the
 /// graph in place, and the RunResult is the reference every candidate is
 /// validated against: it must come from one run of the module under
 /// PipelineOptions::Slicing and PipelineOptions::Run on
 /// PipelineOptions::Engine, as a single-shard ProfileSession's does.
 struct ModuleProfile {
   const FrozenGraph &G;
-  const HeapLocMap<LocationActivity> &Activity;
   RunResult Run;
 };
 

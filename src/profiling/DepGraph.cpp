@@ -66,6 +66,8 @@ std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
     if (Src.Effect != EffectKind::None) {
       Dst.Effect = Src.Effect;
       Dst.EffectLoc = Src.EffectLoc;
+      Dst.EffectLocId =
+          Src.EffectLocId == kNoLoc ? kNoLoc : internLoc(Src.EffectLoc);
     }
   }
 
@@ -82,15 +84,25 @@ std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
 
   for (const auto &[Tag, N] : O.AllocNodeByTag)
     noteAlloc(Tag, Remap[N]);
-  for (const auto &[Loc, Ns] : O.Writers)
-    for (NodeId N : Ns)
-      noteWriter(Loc, Remap[N]);
-  for (const auto &[Loc, Ns] : O.Readers)
-    for (NodeId N : Ns)
-      noteReader(Loc, Remap[N]);
-  for (const auto &[Loc, Children] : O.RefChildren)
-    for (uint64_t C : Children)
-      noteRefChild(Loc, C);
+  for (const LocRecord &Src : O.Records) {
+    LocId L = internLoc(Src.Loc);
+    for (NodeId N : Src.Writers)
+      noteWriter(L, Remap[N]);
+    for (NodeId N : Src.Readers)
+      noteReader(L, Remap[N]);
+    for (uint64_t C : Src.RefChildren)
+      noteRefChild(L, C);
+    const LocationActivity &Act = Src.Activity;
+    LocationActivity &Mine = Records[L].Activity;
+    // Sequential-concatenation semantics: a write in the later run resets
+    // the tail-read counter, so its tail count stands alone.
+    Mine.ReadsAfterLastWrite =
+        Act.Writes != 0 ? Act.ReadsAfterLastWrite
+                        : Mine.ReadsAfterLastWrite + Act.ReadsAfterLastWrite;
+    Mine.Writes += Act.Writes;
+    Mine.Reads += Act.Reads;
+    Mine.Overwrites += Act.Overwrites;
+  }
   return Remap;
 }
 
@@ -101,14 +113,12 @@ DepGraph::MemoryFootprint DepGraph::memoryFootprint() const {
   F.EdgeBytes = (Edges.capacity() + RefEdges.capacity()) *
                 sizeof(std::pair<NodeId, NodeId>);
   F.LocMapBytes =
-      Writers.memoryBytes() + Readers.memoryBytes() + RefChildren.memoryBytes();
+      Records.capacity() * sizeof(LocRecord) + LocIds.memoryBytes();
+  for (const LocRecord &R : Records)
+    F.LocMapBytes += (R.Writers.capacity() + R.Readers.capacity()) *
+                         sizeof(NodeId) +
+                     R.RefChildren.capacity() * sizeof(uint64_t);
   F.InternBytes = NodeByKey.memoryBytes() + EdgeSet.memoryBytes() +
                   RefEdgeSet.memoryBytes() + AllocNodeByTag.memoryBytes();
-  for (const auto &[L, V] : Writers)
-    F.LocMapBytes += V.capacity() * sizeof(NodeId);
-  for (const auto &[L, V] : Readers)
-    F.LocMapBytes += V.capacity() * sizeof(NodeId);
-  for (const auto &[L, V] : RefChildren)
-    F.LocMapBytes += V.capacity() * sizeof(uint64_t);
   return F;
 }

@@ -14,9 +14,13 @@
 /// the paper's context-free predicate and native consumer nodes.
 ///
 /// The graph also carries the Gcost decorations of Section 2.2: execution
-/// frequencies, heap-effect triples (U/B/C), reference edges, and the
-/// per-abstract-heap-location writer/reader/points-to maps the relative
-/// cost-benefit analysis aggregates over.
+/// frequencies, heap-effect triples (U/B/C), reference edges, and one
+/// record per abstract heap location (its writers, readers, reference
+/// children and activity counters), which the relative cost-benefit
+/// analysis and the overwrite client aggregate over. A location is
+/// interned once into a dense LocId; a store or load node keeps the LocId
+/// of its effect location, so a steady-state event reaches its record
+/// without hashing.
 ///
 /// Adjacency is one insertion-ordered edge log, not per-node vectors: a
 /// node record stays 40 bytes with no allocation of its own, and the
@@ -78,13 +82,31 @@ struct HeapLocHash {
 };
 
 /// Vacant-slot marker for HeapLoc-keyed flat tables. The tag is kNoTag,
-/// which every noteStore/noteReader call site filters out before insertion.
+/// which every internLoc call site filters out before insertion.
 struct HeapLocEmpty {
   static HeapLoc value() { return HeapLoc{~uint64_t(0), ~FieldSlot(0)}; }
 };
 
 template <typename ValueT>
 using HeapLocMap = FlatMap<HeapLoc, ValueT, HeapLocHash, HeapLocEmpty>;
+
+/// Dense id of an interned abstract heap location (DepGraph::internLoc).
+using LocId = uint32_t;
+inline constexpr LocId kNoLoc = 0xFFFFFFFF;
+
+/// Write/read/overwrite counters per abstract heap location, feeding the
+/// "rewritten before read" client (Section 3.2, derby case study).
+struct LocationActivity {
+  uint64_t Writes = 0;
+  uint64_t Reads = 0;
+  /// Stores that clobbered a value no load ever observed.
+  uint64_t Overwrites = 0;
+  /// Reads since the location's most recent write — the build/read phase
+  /// split the evidence layer classifies on: a build-once-read-many
+  /// structure keeps Reads ≈ ReadsAfterLastWrite, an overwrite-dominated
+  /// one keeps it near zero.
+  uint64_t ReadsAfterLastWrite = 0;
+};
 
 /// The paper's heap-effect kinds: 'U' (underlined, allocation), 'B' (boxed,
 /// heap store), 'C' (circled, heap load).
@@ -109,7 +131,7 @@ public:
     ConsumerKind Consumer = ConsumerKind::None;
     EffectKind Effect = EffectKind::None;
     /// Most recent heap effect location (last-writer-wins, as in the
-    /// paper's H environment; the multimaps below keep the full history).
+    /// paper's H environment; the location records keep the full history).
     HeapLoc EffectLoc;
     // Node classification mirrored from the instruction, so traversals do
     // not need the Module.
@@ -121,10 +143,25 @@ public:
     /// value flow — consumers of this fact: the optimizer must not treat
     /// such stores as removable dead values.
     bool StoredRef = false;
+    /// The interned EffectLoc of a store or load node; kNoLoc otherwise.
+    LocId EffectLocId = kNoLoc;
   };
   /// Adjacency is not per node: the graph keeps one edge log (edges()),
   /// and FrozenGraph groups it by node when it seals.
   static_assert(sizeof(Node) == 40, "no per-node allocation");
+
+  /// Everything the graph knows about one abstract heap location.
+  struct LocRecord {
+    HeapLoc Loc;
+    /// Store nodes that wrote the location, load nodes that read it, and
+    /// the tags of objects stored into it (object reference tree edges of
+    /// Definition 7). Each may repeat an entry older than insertUnique's
+    /// window; the seal removes the repeats.
+    std::vector<NodeId> Writers;
+    std::vector<NodeId> Readers;
+    std::vector<uint64_t> RefChildren;
+    LocationActivity Activity;
+  };
 
   /// Returns the node for (Instr, Domain), creating it on first use.
   NodeId getOrCreate(InstrId Instr, uint32_t Domain) {
@@ -269,21 +306,33 @@ public:
     return AllocNodeByTag;
   }
 
-  /// Store node \p N wrote abstract location \p L.
-  void noteWriter(const HeapLoc &L, NodeId N) { insertUnique(Writers[L], N); }
-  /// Load node \p N read abstract location \p L.
-  void noteReader(const HeapLoc &L, NodeId N) { insertUnique(Readers[L], N); }
-  /// A store into \p L put a reference to an object tagged \p ChildTag
-  /// there (object reference tree edges of Definition 7).
-  void noteRefChild(const HeapLoc &L, uint64_t ChildTag) {
-    insertUnique(RefChildren[L], ChildTag);
+  /// The record of \p L, created (empty) on first use.
+  LocId internLoc(const HeapLoc &L) {
+    auto [Id, Inserted] = LocIds.insert(L, LocId(Records.size()));
+    if (Inserted)
+      Records.push_back(LocRecord{L, {}, {}, {}, {}});
+    return Id;
+  }
+  /// The LocId of \p L, or kNoLoc when no event or merge interned it.
+  LocId findLoc(const HeapLoc &L) const {
+    auto It = LocIds.find(L);
+    return It == LocIds.end() ? kNoLoc : It->second;
   }
 
-  const HeapLocMap<std::vector<NodeId>> &writers() const { return Writers; }
-  const HeapLocMap<std::vector<NodeId>> &readers() const { return Readers; }
-  const HeapLocMap<std::vector<uint64_t>> &refChildren() const {
-    return RefChildren;
+  /// Store node \p N wrote location \p L.
+  void noteWriter(LocId L, NodeId N) { insertUnique(Records[L].Writers, N); }
+  /// Load node \p N read location \p L.
+  void noteReader(LocId L, NodeId N) { insertUnique(Records[L].Readers, N); }
+  /// A store into \p L put a reference to an object tagged \p ChildTag
+  /// there.
+  void noteRefChild(LocId L, uint64_t ChildTag) {
+    insertUnique(Records[L].RefChildren, ChildTag);
   }
+
+  LocRecord &record(LocId L) { return Records[L]; }
+  const LocRecord &record(LocId L) const { return Records[L]; }
+  /// Every location record, by LocId (first-use order).
+  const std::vector<LocRecord> &records() const { return Records; }
 
   //===--------------------------------------------------------------------===
   // Tag codec. Object tags are (allocation site, context slot) pairs; the
@@ -328,11 +377,13 @@ public:
 
   /// Merges \p O into this graph: nodes are re-interned by their
   /// (instruction, domain) key, frequencies are summed, edges and the
-  /// location/decoration maps are unioned, and last-writer-wins fields
-  /// (Effect, EffectLoc, allocation nodes) take \p O's value, treating \p O
-  /// as the later of two sequential runs. Returns the node renumbering
-  /// (O's NodeId -> this graph's NodeId) so profiler-level per-node state
-  /// can be merged too. Both graphs must use the same context-slot count.
+  /// location records are unioned, and last-writer-wins fields (Effect,
+  /// EffectLoc, allocation nodes) take \p O's value, treating \p O as the
+  /// later of two sequential runs. Activity counters add up, except that a
+  /// write in \p O resets the tail-read count, so O's ReadsAfterLastWrite
+  /// then stands alone. Returns the node renumbering (O's NodeId -> this
+  /// graph's NodeId) so profiler-level per-node state can be merged too.
+  /// Both graphs must use the same context-slot count.
   std::vector<NodeId> mergeFrom(const DepGraph &O);
 
   /// Approximate resident bytes of the graph (Table 1's M column; excludes
@@ -343,7 +394,7 @@ public:
     size_t NodeBytes = 0;
     /// The data and ref edge logs.
     size_t EdgeBytes = 0;
-    /// Writer/reader/ref-child maps and their value vectors.
+    /// Location records, their value vectors and the LocId table.
     size_t LocMapBytes = 0;
     /// Interning tables: node key map, edge dedup sets, alloc-node map.
     size_t InternBytes = 0;
@@ -398,9 +449,9 @@ private:
   FlatSet<uint64_t> RefEdgeSet;
   std::vector<std::pair<NodeId, NodeId>> RefEdges;
   FlatMap<uint64_t, NodeId> AllocNodeByTag;
-  HeapLocMap<std::vector<NodeId>> Writers;
-  HeapLocMap<std::vector<NodeId>> Readers;
-  HeapLocMap<std::vector<uint64_t>> RefChildren;
+  /// Location records by LocId, and the table that interns them.
+  std::vector<LocRecord> Records;
+  HeapLocMap<LocId> LocIds;
   /// Indexed by InstrId; grown to MemoInstrs (the armMemo size) by the
   /// first event, and empty while the memos are off.
   std::vector<InstrMemo> Memo;

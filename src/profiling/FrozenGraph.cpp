@@ -91,45 +91,41 @@ FrozenGraph::FrozenGraph(const DepGraph &G) {
     AllocEntries.push_back(Entry);
   std::sort(AllocEntries.begin(), AllocEntries.end());
 
-  // Heap-location universe: union of the three maps' keys, sorted by
-  // (Tag, Slot). Presence in a map is "non-empty span": the build phase
-  // only materializes a vector when it inserts into it.
+  // Heap-location universe: the records with a writer, reader or
+  // reference child, sorted by (Tag, Slot). A record with none (a node's
+  // effect location interned by a merge or a dump read and never listed)
+  // says nothing about the heap.
   {
-    std::vector<HeapLoc> Universe;
-    Universe.reserve(G.writers().size() + G.readers().size() +
-                     G.refChildren().size());
-    for (const auto &[Loc, Vals] : G.writers())
-      Universe.push_back(Loc);
-    for (const auto &[Loc, Vals] : G.readers())
-      Universe.push_back(Loc);
-    for (const auto &[Loc, Vals] : G.refChildren())
-      Universe.push_back(Loc);
-    std::sort(Universe.begin(), Universe.end(), locLess);
-    Universe.erase(std::unique(Universe.begin(), Universe.end()),
-                   Universe.end());
+    const std::vector<DepGraph::LocRecord> &Records = G.records();
+    std::vector<std::pair<HeapLoc, LocId>> Universe;
+    Universe.reserve(Records.size());
+    for (LocId I = 0; I != LocId(Records.size()); ++I)
+      if (!Records[I].Writers.empty() || !Records[I].Readers.empty() ||
+          !Records[I].RefChildren.empty())
+        Universe.push_back({Records[I].Loc, I});
+    std::sort(Universe.begin(), Universe.end(),
+              [](const auto &A, const auto &B) {
+                return locLess(A.first, B.first);
+              });
 
     const size_t L = Universe.size();
     LocTags.resize(L);
     LocSlots.resize(L);
-    for (size_t I = 0; I != L; ++I) {
-      LocTags[I] = Universe[I].Tag;
-      LocSlots[I] = Universe[I].Slot;
-    }
-
+    Activity.resize(L);
     WriterOffsets.resize(L + 1);
     ReaderOffsets.resize(L + 1);
     RefChildOffsets.resize(L + 1);
     for (size_t I = 0; I != L; ++I) {
+      const DepGraph::LocRecord &R = Records[Universe[I].second];
+      LocTags[I] = R.Loc.Tag;
+      LocSlots[I] = R.Loc.Slot;
+      Activity[I] = R.Activity;
       WriterOffsets[I] = uint32_t(WriterVals.size());
       ReaderOffsets[I] = uint32_t(ReaderVals.size());
       RefChildOffsets[I] = uint32_t(RefChildVals.size());
-      const HeapLoc &Loc = Universe[I];
-      if (auto It = G.writers().find(Loc); It != G.writers().end())
-        appendFirstOccurrences(It->second, WriterVals);
-      if (auto It = G.readers().find(Loc); It != G.readers().end())
-        appendFirstOccurrences(It->second, ReaderVals);
-      if (auto It = G.refChildren().find(Loc); It != G.refChildren().end())
-        appendFirstOccurrences(It->second, RefChildVals);
+      appendFirstOccurrences(R.Writers, WriterVals);
+      appendFirstOccurrences(R.Readers, ReaderVals);
+      appendFirstOccurrences(R.RefChildren, RefChildVals);
     }
     WriterOffsets[L] = uint32_t(WriterVals.size());
     ReaderOffsets[L] = uint32_t(ReaderVals.size());
@@ -174,7 +170,8 @@ FrozenGraph::MemoryFootprint FrozenGraph::memoryFootprint() const {
                     sizeof(uint32_t) +
                 (WriterVals.capacity() + ReaderVals.capacity()) *
                     sizeof(NodeId) +
-                RefChildVals.capacity() * sizeof(uint64_t);
+                RefChildVals.capacity() * sizeof(uint64_t) +
+                Activity.capacity() * sizeof(LocationActivity);
   FP.IndexBytes =
       AllocEntries.capacity() * sizeof(std::pair<uint64_t, NodeId>);
   return FP;

@@ -25,11 +25,12 @@
 ///     arrays, so a sweep touches only the bytes it reads (DeadValues
 ///     reads one meta byte + one freq word per node, not a ~100-byte
 ///     Node record);
-///   - writers/readers/refChildren flattened into offset-indexed spans
-///     over one shared HeapLoc universe sorted by (Tag, Slot), read by
-///     universe index (writersAt/readersAt/refChildrenAt); a tag's
-///     locations are one contiguous run, so the analyses sweep the
-///     universe or a tag's run and never look a location up per access;
+///   - the build graph's location records flattened into offset-indexed
+///     writer/reader/refChildren spans and an activity column over one
+///     HeapLoc universe sorted by (Tag, Slot), read by universe index
+///     (writersAt/readersAt/refChildrenAt/activityAt); a tag's locations
+///     are one contiguous run, so the analyses sweep the universe or a
+///     tag's run and never look a location up per access;
 ///   - the (tag, allocation node) pairs as one tag-sorted array.
 ///
 /// Nothing is indexed by key: the analyses walk nodes by id and locations
@@ -62,8 +63,9 @@ class FrozenGraph {
 public:
   FrozenGraph() = default;
 
-  /// Packs \p G, leaving it intact (profilers keep their build graph for
-  /// non-graph state such as location activity).
+  /// Packs \p G, leaving it intact: a profiler keeps its build graph for
+  /// what the seal drops (the CR summary and the overwrite and
+  /// constant-predicate clients read it).
   explicit FrozenGraph(const DepGraph &G);
 
   /// Packs \p G and releases the build-phase storage: past this point only
@@ -129,9 +131,9 @@ public:
   }
 
   //===--------------------------------------------------------------------===
-  // Heap-location maps: one sorted universe of every location any of the
-  // three maps mentions, with per-map spans. An absent entry is an empty
-  // span (the build phase never stores empty vectors).
+  // Heap locations: one sorted universe of every location record with a
+  // writer, reader or reference child, with per-list spans (an empty span
+  // where the record has none) and the record's activity counters.
   //===--------------------------------------------------------------------===
 
   size_t numLocs() const { return LocTags.size(); }
@@ -157,6 +159,9 @@ public:
     return {RefChildVals.data() + RefChildOffsets[I],
             RefChildVals.data() + RefChildOffsets[I + 1]};
   }
+  /// The location's write/read/overwrite counters (all zero for a graph
+  /// read back from a dump, which carries none).
+  const LocationActivity &activityAt(size_t I) const { return Activity[I]; }
 
   //===--------------------------------------------------------------------===
   // Tag codec (DepGraph's, at this graph's slot count).
@@ -183,7 +188,8 @@ public:
     size_t NodeBytes = 0;
     /// CSR offsets + targets, both directions, plus ref edges.
     size_t EdgeBytes = 0;
-    /// Location universe keys, per-map offsets and value arrays.
+    /// Location universe keys, per-list offsets and value arrays, and the
+    /// activity column.
     size_t LocBytes = 0;
     /// The tag-sorted allocation table.
     size_t IndexBytes = 0;
@@ -227,6 +233,7 @@ private:
   std::vector<uint32_t> WriterOffsets, ReaderOffsets, RefChildOffsets;
   std::vector<NodeId> WriterVals, ReaderVals;
   std::vector<uint64_t> RefChildVals;
+  std::vector<LocationActivity> Activity;
 
   uint64_t TotalFreq = 0;
   uint32_t ContextSlots = 1;

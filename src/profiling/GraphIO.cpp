@@ -187,6 +187,8 @@ std::unique_ptr<DepGraph> lud::readGraph(std::string_view Text,
       Node.Consumer = ConsumerKind(Consumer);
       Node.Effect = EffectKind(Effect);
       Node.EffectLoc = {Tag, FieldSlot(Slot)};
+      if (Node.Effect == EffectKind::Store || Node.Effect == EffectKind::Load)
+        Node.EffectLocId = G->internLoc(Node.EffectLoc);
       Node.ReadsHeap = Reads;
       Node.WritesHeap = Writes;
       Node.IsAlloc = Alloc;
@@ -209,7 +211,7 @@ std::unique_ptr<DepGraph> lud::readGraph(std::string_view Text,
       uint64_t Tag, Slot, N;
       if (!(L >> Tag >> Slot) || Slot > 0xFFFFFFFFull)
         return Fail(LineNo, "malformed location");
-      HeapLoc Loc{Tag, FieldSlot(Slot)};
+      LocId Loc = G->internLoc({Tag, FieldSlot(Slot)});
       while (L >> N) {
         if (N >= G->numNodes())
           return Fail(LineNo, "bad node in location map");
@@ -224,7 +226,7 @@ std::unique_ptr<DepGraph> lud::readGraph(std::string_view Text,
       uint64_t Tag, Slot, Child;
       if (!(L >> Tag >> Slot) || Slot > 0xFFFFFFFFull)
         return Fail(LineNo, "malformed refchild");
-      HeapLoc Loc{Tag, FieldSlot(Slot)};
+      LocId Loc = G->internLoc({Tag, FieldSlot(Slot)});
       while (L >> Child)
         G->noteRefChild(Loc, Child);
       if (!L.eof())

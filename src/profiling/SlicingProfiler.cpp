@@ -5,7 +5,6 @@
 #include "ir/Module.h"
 #include "obs/Metrics.h"
 
-#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
@@ -116,7 +115,7 @@ void SlicingProfiler::onAllocArray(const AllocArrayInst &I, ObjId O) {
   Node.EffectLoc = {Tag, 0};
   Sh.objShadow(O);
   lenShadow(O) = N;
-  G.noteWriter({Tag, kLenSlot}, N);
+  G.noteWriter(G.internLoc({Tag, kLenSlot}), N);
   regs()[I.Dst] = N;
 }
 
@@ -148,43 +147,44 @@ void SlicingProfiler::storeSlot(uint64_t &E, NodeId N, uint64_t Tag,
     E = packSlot(kNoNode, slotState(E));
     return;
   }
-  if (slotState(E) == WrittenUnread && Tag != kNoTag)
-    ++Activity[HeapLoc{Tag, Slot}].Overwrites;
+  bool Overwrite = slotState(E) == WrittenUnread;
   E = packSlot(N, WrittenUnread);
-  noteStore(N, Tag, Slot, Stored);
+  noteStore(N, Tag, Slot, Stored, Overwrite);
 }
 
 void SlicingProfiler::noteStore(NodeId N, uint64_t Tag, FieldSlot Slot,
-                                const Value &Stored) {
+                                const Value &Stored, bool Overwrite) {
   if (Tag == kNoTag)
     return;
   DepGraph::Node &Node = G.node(N);
   HeapLoc L{Tag, Slot};
   // Steady state: this node stored to this abstract location before, so
-  // the writer map and reference edge are already recorded (the abstract
-  // location's allocation node is stable for a given tag) — only the
-  // activity counter and the reference-child set can change per event.
-  bool Same = Cfg.HotPathCaches && Node.Effect == EffectKind::Store &&
-              Node.EffectLoc == L;
-  if (!Same) {
+  // its record already lists it as a writer and the reference edge is
+  // recorded (the abstract location's allocation node is stable for a
+  // given tag) — only the activity counters and the reference-child list
+  // can change per event.
+  if (!(Cfg.HotPathCaches && Node.Effect == EffectKind::Store &&
+        Node.EffectLoc == L)) {
     Node.Effect = EffectKind::Store;
     Node.EffectLoc = L;
-    G.noteWriter(L, N);
+    Node.EffectLocId = G.internLoc(L);
+    G.noteWriter(Node.EffectLocId, N);
     if (!DepGraph::isStaticTag(Tag)) {
       NodeId Alloc = G.allocNodeFor(Tag);
       if (Alloc != kNoNode)
         G.addRefEdge(N, Alloc);
     }
   }
-  LocationActivity &A = activityRef(N, L, Same);
+  LocationActivity &A = G.record(Node.EffectLocId).Activity;
   ++A.Writes;
+  A.Overwrites += Overwrite;
   A.ReadsAfterLastWrite = 0;
   if (Stored.isRef()) {
     Node.StoredRef = true;
     if (!Stored.isNullRef()) {
       uint64_t ChildTag = H->obj(Stored.R).Tag;
       if (ChildTag != kNoTag)
-        G.noteRefChild(L, ChildTag);
+        G.noteRefChild(Node.EffectLocId, ChildTag);
     }
   }
 }
@@ -194,43 +194,16 @@ void SlicingProfiler::noteLoad(NodeId N, uint64_t Tag, FieldSlot Slot) {
     return;
   DepGraph::Node &Node = G.node(N);
   HeapLoc L{Tag, Slot};
-  bool Same = Cfg.HotPathCaches && Node.Effect == EffectKind::Load &&
-              Node.EffectLoc == L;
-  if (!Same) {
+  if (!(Cfg.HotPathCaches && Node.Effect == EffectKind::Load &&
+        Node.EffectLoc == L)) {
     Node.Effect = EffectKind::Load;
     Node.EffectLoc = L;
-    G.noteReader(L, N);
+    Node.EffectLocId = G.internLoc(L);
+    G.noteReader(Node.EffectLocId, N);
   }
-  LocationActivity &A = activityRef(N, L, Same);
+  LocationActivity &A = G.record(Node.EffectLocId).Activity;
   ++A.Reads;
   ++A.ReadsAfterLastWrite;
-}
-
-LocationActivity &SlicingProfiler::activityRef(NodeId N, const HeapLoc &L,
-                                               bool LocUnchanged) {
-  if (!Cfg.HotPathCaches)
-    return Activity[L];
-  if (NodeAct.size() <= N)
-    NodeAct.resize(std::max(G.numNodes(), size_t(N) + 1));
-  ActMemo &M = NodeAct[N];
-  if (LocUnchanged && M.Valid && M.Gen == Activity.generation())
-    return Activity.valueAt(M.Slot);
-  size_t Idx = Activity.insertSlot(L).first;
-  M = {Activity.generation(), uint32_t(Idx), true};
-  return Activity.valueAt(Idx);
-}
-
-SlicingProfiler::PredicateOutcome &SlicingProfiler::predRef(NodeId N) {
-  if (!Cfg.HotPathCaches)
-    return PredOutcomes[N];
-  if (NodePred.size() <= N)
-    NodePred.resize(std::max(G.numNodes(), size_t(N) + 1));
-  ActMemo &M = NodePred[N];
-  if (M.Valid && M.Gen == PredOutcomes.generation())
-    return PredOutcomes.valueAt(M.Slot);
-  size_t Idx = PredOutcomes.insertSlot(N).first;
-  M = {PredOutcomes.generation(), uint32_t(Idx), true};
-  return PredOutcomes.valueAt(Idx);
 }
 
 void SlicingProfiler::onLoadStatic(const LoadStaticInst &I, const Value &) {
@@ -294,7 +267,9 @@ void SlicingProfiler::onPredicate(const CondBrInst &I, bool Taken) {
     return;
   NodeId N = hit(I, kNoDomain, regs()[I.Lhs], regs()[I.Rhs]);
   G.node(N).Consumer = ConsumerKind::Predicate;
-  PredicateOutcome &O = predRef(N);
+  if (PredOutcomes.size() <= N)
+    PredOutcomes.resize(G.numNodes());
+  PredicateOutcome &O = PredOutcomes[N];
   if (Taken)
     ++O.TakenCount;
   else
@@ -402,22 +377,26 @@ void SlicingProfiler::accountStats(obs::MetricsRegistry &R) const {
   // stays integral.
   R.set(R.gauge("gcost.cr_ppm"), uint64_t(averageCR() * 1e6));
 
-  // Heap-activity totals (the overwrite client's raw feed).
-  uint64_t Writes = 0, Reads = 0, Overwrites = 0;
-  for (const auto &Entry : Activity) {
-    Writes += Entry.second.Writes;
-    Reads += Entry.second.Reads;
-    Overwrites += Entry.second.Overwrites;
+  // Heap-activity totals (the overwrite client's raw feed). A location
+  // counts as tracked once a store or load event touched it; a record
+  // holding only an array's length writer does not.
+  uint64_t Writes = 0, Reads = 0, Overwrites = 0, Tracked = 0;
+  for (const DepGraph::LocRecord &Rec : G.records()) {
+    const LocationActivity &A = Rec.Activity;
+    Writes += A.Writes;
+    Reads += A.Reads;
+    Overwrites += A.Overwrites;
+    Tracked += A.Writes != 0 || A.Reads != 0;
   }
   R.set(R.gauge("heap.writes"), Writes);
   R.set(R.gauge("heap.reads"), Reads);
   R.set(R.gauge("heap.overwrites"), Overwrites);
-  R.set(R.gauge("heap.tracked_locations"), Activity.size());
+  R.set(R.gauge("heap.tracked_locations"), Tracked);
 
   uint64_t Taken = 0, NotTaken = 0;
-  for (const auto &Entry : PredOutcomes) {
-    Taken += Entry.second.TakenCount;
-    NotTaken += Entry.second.NotTakenCount;
+  for (const PredicateOutcome &O : PredOutcomes) {
+    Taken += O.TakenCount;
+    NotTaken += O.NotTakenCount;
   }
   R.set(R.gauge("predicates.taken"), Taken);
   R.set(R.gauge("predicates.not_taken"), NotTaken);
@@ -446,15 +425,13 @@ void SlicingProfiler::accountStats(obs::MetricsRegistry &R) const {
   R.set(R.gauge("mem.shadow.reg_bytes", Unit::Bytes), Sh.regBytes());
   R.set(R.gauge("mem.shadow.static_bytes", Unit::Bytes), Sh.staticBytes());
 
-  size_t MemoBytes = G.memoBytes() + NodeAct.capacity() * sizeof(ActMemo) +
-                     NodePred.capacity() * sizeof(ActMemo);
   size_t CtxBytes = SeenContexts.capacity() * sizeof(FlatSet<uint64_t>);
   for (const FlatSet<uint64_t> &S : SeenContexts)
     CtxBytes += S.memoryBytes();
-  R.set(R.gauge("mem.profiler.memo_bytes", Unit::Bytes), MemoBytes);
+  R.set(R.gauge("mem.profiler.memo_bytes", Unit::Bytes), G.memoBytes());
   R.set(R.gauge("mem.profiler.context_bytes", Unit::Bytes), CtxBytes);
   R.set(R.gauge("mem.profiler.activity_bytes", Unit::Bytes),
-        Activity.memoryBytes() + PredOutcomes.memoryBytes());
+        PredOutcomes.capacity() * sizeof(PredicateOutcome));
 
   // Node-frequency distribution: how skewed the coverage is (log2 buckets).
   obs::MetricId FreqHist = R.histogram("gcost.node_freq");
@@ -467,21 +444,12 @@ void SlicingProfiler::mergeFrom(const SlicingProfiler &O) {
   assert(Cfg.ContextSlots == O.Cfg.ContextSlots &&
          "merging profiles built with different context-slot counts");
   std::vector<NodeId> Remap = G.mergeFrom(O.G);
-  for (const auto &[Node, Outcome] : O.PredOutcomes) {
-    PredicateOutcome &Mine = PredOutcomes[Remap[Node]];
-    Mine.TakenCount += Outcome.TakenCount;
-    Mine.NotTakenCount += Outcome.NotTakenCount;
-  }
-  for (const auto &[Loc, Act] : O.Activity) {
-    LocationActivity &Mine = Activity[Loc];
-    // Sequential-concatenation semantics: a write in the later shard
-    // resets the tail-read counter, so its tail count stands alone.
-    Mine.ReadsAfterLastWrite =
-        Act.Writes != 0 ? Act.ReadsAfterLastWrite
-                        : Mine.ReadsAfterLastWrite + Act.ReadsAfterLastWrite;
-    Mine.Writes += Act.Writes;
-    Mine.Reads += Act.Reads;
-    Mine.Overwrites += Act.Overwrites;
+  if (!O.PredOutcomes.empty() && PredOutcomes.size() < G.numNodes())
+    PredOutcomes.resize(G.numNodes());
+  for (NodeId N = 0; N != NodeId(O.PredOutcomes.size()); ++N) {
+    PredicateOutcome &Mine = PredOutcomes[Remap[N]];
+    Mine.TakenCount += O.PredOutcomes[N].TakenCount;
+    Mine.NotTakenCount += O.PredOutcomes[N].NotTakenCount;
   }
   if (SeenContexts.size() < O.SeenContexts.size())
     SeenContexts.resize(O.SeenContexts.size());

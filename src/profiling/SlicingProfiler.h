@@ -33,7 +33,6 @@
 #include "profiling/TagEnv.h"
 #include "runtime/Heap.h"
 #include "runtime/ProfilerConcept.h"
-#include "support/FlatMap.h"
 #include "support/FlatSet.h"
 
 namespace lud {
@@ -42,20 +41,6 @@ class Module;
 namespace obs {
 class MetricsRegistry;
 }
-
-/// Write/read/overwrite counters per abstract heap location, feeding the
-/// "rewritten before read" client (Section 3.2, derby case study).
-struct LocationActivity {
-  uint64_t Writes = 0;
-  uint64_t Reads = 0;
-  /// Stores that clobbered a value no load ever observed.
-  uint64_t Overwrites = 0;
-  /// Reads since the location's most recent write — the build/read phase
-  /// split the evidence layer classifies on: a build-once-read-many
-  /// structure keeps Reads ≈ ReadsAfterLastWrite, an overwrite-dominated
-  /// one keeps it near zero.
-  uint64_t ReadsAfterLastWrite = 0;
-};
 
 class SlicingProfiler {
 public:
@@ -71,12 +56,10 @@ public:
     uint64_t TakenCount = 0;
     uint64_t NotTakenCount = 0;
   };
-  const FlatMap<NodeId, PredicateOutcome> &predicateOutcomes() const {
+  /// Outcome counts indexed by NodeId. The column ends past the last
+  /// predicate node; every other node's entry counts zero.
+  const std::vector<PredicateOutcome> &predicateOutcomes() const {
     return PredOutcomes;
-  }
-
-  const HeapLocMap<LocationActivity> &locationActivity() const {
-    return Activity;
   }
 
   /// Instruction-weighted average context conflict ratio over the graph
@@ -90,8 +73,8 @@ public:
   uint64_t distinctContexts() const;
 
   /// Merges another profiler's results into this one: the dependence graph
-  /// (DepGraph::mergeFrom), the per-node predicate outcomes (renumbered),
-  /// the location activity counters, and the per-function context sets.
+  /// with its location activity (DepGraph::mergeFrom), the per-node
+  /// predicate outcomes (renumbered), and the per-function context sets.
   /// Both profilers must share the module and configuration; \p O is
   /// treated as the later of two sequential runs. This is how the parallel
   /// workload driver folds its per-thread shards back into one profile.
@@ -175,9 +158,9 @@ private:
   }
 
   /// Store by node \p N through shadow slot \p E of location {Tag, Slot}:
-  /// counts an overwrite when the slot's value was never read, makes N the
-  /// writer, and records the store (noteStore). Under a tracking-off phase
-  /// (\p N is kNoNode) it only clears the writer; the slot keeps its state.
+  /// makes N the writer and records the store (noteStore), an overwrite
+  /// when the slot's value was never read. Under a tracking-off phase (\p N
+  /// is kNoNode) it only clears the writer; the slot keeps its state.
   void storeSlot(uint64_t &E, NodeId N, uint64_t Tag, FieldSlot Slot,
                  const Value &Stored);
 
@@ -188,23 +171,16 @@ private:
     return LenShadow[O];
   }
 
-  /// Store-side bookkeeping shared by field/elem/static stores: activity
-  /// counters, writer map, reference edges, reference-tree children.
-  void noteStore(NodeId N, uint64_t Tag, FieldSlot Slot, const Value &Stored);
+  /// Store-side bookkeeping shared by field/elem/static stores: effect
+  /// decoration, writer list, reference edges, reference-tree children and
+  /// the location's activity counters (\p Overwrite: the store clobbered
+  /// an unread value).
+  void noteStore(NodeId N, uint64_t Tag, FieldSlot Slot, const Value &Stored,
+                 bool Overwrite);
 
   /// Load-side bookkeeping shared by field/elem/static/arraylen loads:
-  /// effect decoration, reader map, activity counters.
+  /// effect decoration, reader list, activity counters.
   void noteLoad(NodeId N, uint64_t Tag, FieldSlot Slot);
-
-  /// Activity counters for location \p L as read/written by node \p N.
-  /// \p LocUnchanged means N's effect location already was \p L, so the
-  /// per-node slot memo can answer without hashing.
-  LocationActivity &activityRef(NodeId N, const HeapLoc &L, bool LocUnchanged);
-
-  /// Outcome counters for predicate node \p N, memoized per node the same
-  /// way activityRef is (the key is the node itself, so the memo never
-  /// goes stale short of a rehash).
-  PredicateOutcome &predRef(NodeId N);
 
   SlicingConfig Cfg;
   DepGraph G;
@@ -220,19 +196,7 @@ private:
 
   /// Distinct encoded contexts per function, indexed by FuncId (dense).
   std::vector<FlatSet<uint64_t>> SeenContexts;
-  FlatMap<NodeId, PredicateOutcome> PredOutcomes;
-  HeapLocMap<LocationActivity> Activity;
-
-  /// Per-node memo of the Activity slot for the node's current effect
-  /// location, valid while the map generation matches (raw-slot API of
-  /// FlatMap). Saves the HeapLoc hash + probe on every steady-state event.
-  struct ActMemo {
-    uint64_t Gen = 0;
-    uint32_t Slot = 0;
-    bool Valid = false;
-  };
-  std::vector<ActMemo> NodeAct;
-  std::vector<ActMemo> NodePred;
+  std::vector<PredicateOutcome> PredOutcomes;
 
   /// Last (callee, encoded context) recorded in SeenContexts: a loop
   /// calling the same method on the same receiver chain re-inserts the

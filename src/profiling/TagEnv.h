@@ -44,7 +44,9 @@ struct SlicingConfig {
   bool ContextSensitive = true;
   /// Hot-path memo caches: DepGraph's per-instruction memo (in the
   /// substrate's graph and in every client graph), the last-ref-edge memo,
-  /// the per-node activity memos, and table pre-sizing from the module.
+  /// the same-location skip (a store or load repeating its node's effect
+  /// location reaches the record through the node's LocId instead of
+  /// re-interning the location), and table pre-sizing from the module.
   /// Results are bit-identical either way; turning this off selects the
   /// cache-free reference path the equivalence tests compare against.
   bool HotPathCaches = true;

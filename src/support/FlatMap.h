@@ -64,7 +64,6 @@ public:
     Slots.clear();
     Mask = 0;
     Count = 0;
-    ++Gen;
     HasEmptyKey = false;
     EmptySlot.second = ValueT();
   }
@@ -97,37 +96,6 @@ public:
   }
 
   ValueT &operator[](const KeyT &K) { return insert(K).first; }
-
-  //===--------------------------------------------------------------------===
-  // Raw-slot API: callers on a hot path can memoize the slot index of a key
-  // and re-access it without hashing, as long as the generation (bumped on
-  // every rehash and clear) still matches.
-  //===--------------------------------------------------------------------===
-
-  uint64_t generation() const { return Gen; }
-
-  /// Like insert(), but returns the raw slot index for use with valueAt().
-  std::pair<size_t, bool> insertSlot(const KeyT &K, ValueT V = ValueT()) {
-    if (K == EmptyT::value()) {
-      bool Fresh = !HasEmptyKey;
-      if (Fresh) {
-        HasEmptyKey = true;
-        EmptySlot = {K, std::move(V)};
-      }
-      return {Slots.size(), Fresh};
-    }
-    growIfNeeded();
-    size_t Idx = probe(K);
-    if (Slots[Idx].first == K)
-      return {Idx, false};
-    Slots[Idx] = {K, std::move(V)};
-    ++Count;
-    return {Idx, true};
-  }
-
-  /// The value in slot \p RawIdx; only valid for an index obtained from
-  /// insertSlot() in the current generation.
-  ValueT &valueAt(size_t RawIdx) { return slotAt(RawIdx).second; }
 
   //===--------------------------------------------------------------------===
   // Iteration: normal slots are indices [0, Slots.size()); the reserved-key
@@ -234,7 +202,6 @@ private:
 
   void rehash(size_t NewCap) {
     assert((NewCap & (NewCap - 1)) == 0 && "capacity must be a power of two");
-    ++Gen;
     std::vector<Slot> Old = std::move(Slots);
     Slots.assign(NewCap, Slot{EmptyT::value(), ValueT()});
     Mask = NewCap - 1;
@@ -251,7 +218,6 @@ private:
   std::vector<Slot> Slots;
   size_t Mask = 0;
   size_t Count = 0;
-  uint64_t Gen = 0;
   bool HasEmptyKey = false;
   Slot EmptySlot{EmptyT::value(), ValueT()};
 };

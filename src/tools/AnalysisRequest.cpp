@@ -37,8 +37,9 @@ void AnalysisRequest::declare(OptionSet &P, unsigned Groups) {
     engineOption(P, Engine);
   if (Groups & ShapeOpts) {
     P.number("--depth", S.Client.Depth,
-             "N  reference-tree height n (default 4)");
-    P.number("--top", S.Client.TopK, "K  rows per report (default 15)");
+             "N  reference-tree height n (default 4)", /*Min=*/1);
+    P.number("--top", S.Client.TopK, "K  rows per report (default 15)",
+             /*Min=*/0);
   }
   if (Groups & DumpOpts)
     P.str("--dump-graph", DumpGraph,
@@ -58,7 +59,7 @@ void AnalysisRequest::declare(OptionSet &P, unsigned Groups) {
 SessionConfig AnalysisRequest::sessionConfig() const {
   SessionConfig Cfg;
   Cfg.Engine = Engine;
-  Cfg.Slicing.ContextSlots = uint32_t(Slots);
+  Cfg.Slicing.ContextSlots = Slots;
   Cfg.Clients = Clients;
   Cfg.CollectStats = Stats != obs::StatsFormat::Off;
   return Cfg;

@@ -52,7 +52,7 @@ struct AnalysisRequest {
 
   ReportSpec Spec;
   ClientSet Clients;
-  int64_t Slots = 16;
+  uint32_t Slots = 16;
   EngineKind Engine = defaultEngineKind();
   std::string DumpGraph;
   obs::StatsFormat Stats = obs::StatsFormat::Off;

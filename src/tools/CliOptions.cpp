@@ -33,19 +33,20 @@ void OptionSet::custom(std::string Name, ValueMode Mode, std::string Help,
 }
 
 void OptionSet::addNumber(std::string Name, std::string Help, int64_t Min,
-                          std::function<void(int64_t)> Store) {
+                          int64_t Max, std::function<void(int64_t)> Store) {
   std::string N = Name;
   Options.push_back(
       {std::move(Name), std::move(Help), ValueMode::Required,
-       [N, Min, Store = std::move(Store)](const std::string &S) {
+       [N, Min, Max, Store = std::move(Store)](const std::string &S) {
          // Full-consumption parse: "12abc", "abc", and "" are errors, not
          // silent prefixes, and out-of-range values are diagnosed rather
-         // than saturated.
+         // than saturated or wrapped.
          int64_t V = 0;
          auto [Ptr, Ec] = std::from_chars(S.data(), S.data() + S.size(), V);
-         if (Ec == std::errc::result_out_of_range) {
+         if (Ec == std::errc::result_out_of_range ||
+             (Ec == std::errc() && Ptr == S.data() + S.size() && V > Max)) {
            errs() << "option '" << N << "' value '" << S
-                  << "' is out of range\n";
+                  << "' is out of range (at most " << Max << ")\n";
            return false;
          }
          if (Ec != std::errc() || Ptr != S.data() + S.size()) {

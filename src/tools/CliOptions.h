@@ -25,6 +25,7 @@
 #include "profiling/ClientSet.h"
 #include "runtime/Engine.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -62,12 +63,17 @@ public:
   /// Switch: presence sets \p B to true.
   void flag(std::string Name, bool &B, std::string Help);
 
-  /// Integer option. Values below \p Min are rejected; Min == 1 produces
-  /// the "requires a positive value" diagnostic.
+  /// Integer option stored as a \p T. Values below \p Min or outside
+  /// T's range are rejected with a diagnostic naming the option, never
+  /// wrapped; Min == 1 produces the "requires a positive value" one.
   template <typename T>
   void number(std::string Name, T &V, std::string Help,
               int64_t Min = std::numeric_limits<int64_t>::min()) {
-    addNumber(std::move(Name), std::move(Help), Min,
+    using Lim = std::numeric_limits<T>;
+    int64_t Lo = std::max<int64_t>(Min, Lim::min());
+    int64_t Hi = int64_t(std::min<uint64_t>(
+        Lim::max(), std::numeric_limits<int64_t>::max()));
+    addNumber(std::move(Name), std::move(Help), Lo, Hi,
               [&V](int64_t X) { V = T(X); });
   }
 
@@ -108,7 +114,7 @@ private:
   };
 
   void addNumber(std::string Name, std::string Help, int64_t Min,
-                 std::function<void(int64_t)> Store);
+                 int64_t Max, std::function<void(int64_t)> Store);
   const Option *findOption(const std::string &Name) const;
 
   std::string Tool;

@@ -72,14 +72,15 @@ std::string findModuleMismatch(const DepGraph &G, const Module &M) {
       return NodeName(N) + " has an effect on " +
              NoSuchTag(Node.EffectLoc.Tag);
   }
-  for (const auto *Map : {&G.writers(), &G.readers()})
-    for (const auto &[Loc, Nodes] : *Map)
-      if (!TagKnown(Loc.Tag))
-        return NodeName(Nodes.front()) + " accesses " + NoSuchTag(Loc.Tag);
-  for (const auto &[Loc, Children] : G.refChildren()) {
-    if (!TagKnown(Loc.Tag))
-      return "a reference-child record names " + NoSuchTag(Loc.Tag);
-    for (uint64_t Child : Children)
+  for (const DepGraph::LocRecord &R : G.records()) {
+    const std::vector<NodeId> &Nodes = R.Writers.empty() ? R.Readers : R.Writers;
+    if (!TagKnown(R.Loc.Tag)) {
+      if (!Nodes.empty())
+        return NodeName(Nodes.front()) + " accesses " + NoSuchTag(R.Loc.Tag);
+      if (!R.RefChildren.empty())
+        return "a reference-child record names " + NoSuchTag(R.Loc.Tag);
+    }
+    for (uint64_t Child : R.RefChildren)
       if (!TagKnown(Child))
         return "a reference-child record names " + NoSuchTag(Child);
   }

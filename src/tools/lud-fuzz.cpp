@@ -161,7 +161,7 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  Check.Slicing.ContextSlots = uint32_t(Req.Slots);
+  Check.Slicing.ContextSlots = Req.Slots;
   Check.Clients = Req.Clients;
   Check.Engine = Req.Engine;
 

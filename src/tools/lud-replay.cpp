@@ -40,7 +40,7 @@ using namespace lud;
 int main(int argc, char **argv) {
   cli::ProgramSource Src;
   cli::AnalysisRequest Req;
-  int64_t Threads = 1;
+  unsigned Threads = 1;
   cli::OptionSet Cli("lud-replay", "<program.lud> <manifest>...");
   Req.declare(Cli, cli::AnalysisRequest::AllOpts);
   Cli.number("--threads", Threads,
@@ -70,7 +70,7 @@ int main(int argc, char **argv) {
     return LoadRc;
 
   ShardedSession SR = replayShardedSession(
-      *M, Manifests, Req.sessionConfig(), unsigned(Threads));
+      *M, Manifests, Req.sessionConfig(), Threads);
   if (!SR.Error.empty()) {
     errs() << SR.Error << "\n";
     return 1;

@@ -52,8 +52,8 @@ struct Options {
   std::vector<std::string> OptimizePasses;
   std::string OptimizeOut;
   std::string RecordPath;
-  int64_t Shards = 1;
-  int64_t Threads = 1;
+  unsigned Shards = 1;
+  unsigned Threads = 1;
 };
 
 bool isPowerOfTwo(uint32_t N) { return N != 0 && (N & (N - 1)) == 0; }
@@ -130,8 +130,8 @@ bool parseArgs(cli::OptionSet &P, int argc, char **argv, Options &O) {
   }
   if (!P.positionals().empty())
     O.Src.File = P.positionals()[0];
-  if (!isPowerOfTwo(uint32_t(O.Req.Slots)))
-    errs() << "warning: --slots " << uint64_t(O.Req.Slots)
+  if (!isPowerOfTwo(O.Req.Slots))
+    errs() << "warning: --slots " << O.Req.Slots
            << " is not a power of two; contexts fold by modulo either "
               "way, but results won't line up with the paper's s = 2^k "
               "sweeps\n";
@@ -198,8 +198,8 @@ int main(int argc, char **argv) {
   // One session per shard: the slicing substrate's execution, plus the
   // requested clients' own beside it. --shards 1 (the default) is a plain
   // single session.
-  ShardedSession SR = runShardedSession(*M, unsigned(O.Shards),
-                                        std::move(SCfg), unsigned(O.Threads));
+  ShardedSession SR =
+      runShardedSession(*M, O.Shards, std::move(SCfg), O.Threads);
   if (!SR.Error.empty()) {
     errs() << SR.Error << "\n";
     return 1;
@@ -222,9 +222,8 @@ int main(int argc, char **argv) {
 
   // Profiling is over: seal once, and every read path below — serializer,
   // cost model, dead-value sweep, optimizer — consumes the packed form.
-  // (The profiler keeps its build graph for non-graph state such as
-  // location activity; serialization and reports are byte-identical
-  // either way.)
+  // (The profiler keeps its build graph, which the overwrite and
+  // constant-predicate sections read.)
   FrozenGraph FG(G);
   if (obs::MetricsRegistry *Stats = Session.stats())
     FG.accountStats(*Stats);
@@ -246,7 +245,7 @@ int main(int argc, char **argv) {
     opt::PassManager PM(std::move(PO));
     opt::PipelineResult R =
         O.Shards == 1
-            ? PM.run(*M, opt::ModuleProfile{FG, Prof.locationActivity(), Run})
+            ? PM.run(*M, opt::ModuleProfile{FG, Run})
             : PM.run(*M);
     OS << "\n";
     opt::renderOptimizeReport(R, OS);

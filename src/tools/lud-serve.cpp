@@ -47,8 +47,8 @@ struct Options {
   cli::ProgramSource Src;
   cli::AnalysisRequest Req;
   std::string SocketPath = "/tmp/lud-serve.sock";
-  int64_t HttpPort = 0;
-  int64_t Workers = 4;
+  uint16_t HttpPort = 0;
+  unsigned Workers = 4;
   bool Optimize = false;
   int64_t MaxSessionBytes = int64_t(serve::SessionLimits().MaxSessionBytes);
   int64_t IdleTimeout = 0;
@@ -170,7 +170,7 @@ int main(int argc, char **argv) {
       return 2;
     }
     std::string Body, Err;
-    if (!serve::httpGet(uint16_t(O.HttpPort), O.GetPath, Body, Err)) {
+    if (!serve::httpGet(O.HttpPort, O.GetPath, Body, Err)) {
       errs() << "lud-serve: " << Err << "\n";
       return 1;
     }
@@ -201,8 +201,8 @@ int main(int argc, char **argv) {
 
   serve::DaemonConfig DCfg;
   DCfg.SocketPath = O.SocketPath;
-  DCfg.HttpPort = uint16_t(O.HttpPort);
-  DCfg.Workers = unsigned(O.Workers);
+  DCfg.HttpPort = O.HttpPort;
+  DCfg.Workers = O.Workers;
   DCfg.Base = O.Req.sessionConfig();
   DCfg.Limits.MaxSessionBytes = uint64_t(O.MaxSessionBytes);
   DCfg.Limits.IdleEvictSeconds = double(O.IdleTimeout);

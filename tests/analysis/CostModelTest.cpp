@@ -371,8 +371,8 @@ TEST(CostModelTest, LocCostsSaturateAcrossWriterSums) {
   G.freq(W1) = uint64_t(1) << 63;
   G.freq(W2) = (uint64_t(1) << 63) + 9;
   HeapLoc L{42, 3};
-  G.noteWriter(L, W1);
-  G.noteWriter(L, W2);
+  G.noteWriter(G.internLoc(L), W1);
+  G.noteWriter(G.internLoc(L), W2);
   const FrozenGraph Sealed(G);
   CostModel CM(Sealed);
   uint32_t I = CM.graph().locIndexOf(L);

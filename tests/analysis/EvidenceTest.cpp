@@ -31,7 +31,7 @@ EvidenceRun buildEvidence(const std::string &Name, int64_t Scale) {
   Out.Run = P.Run;
   FrozenGraph G(P.Prof->graph());
   DeadValueAnalysis DV = computeDeadValues(G, P.Run.ExecutedInstrs);
-  Out.E = summarizeUsage(*Out.W.M, G, P.Prof->locationActivity(), &DV);
+  Out.E = summarizeUsage(*Out.W.M, G, &DV);
   return Out;
 }
 

@@ -330,7 +330,7 @@ TEST(PassPipelineTest, SeededPipelineMatchesUnseeded) {
         RunResult Run = S.run(*M).Run;
         FrozenGraph FG(S.slicing()->graph());
         opt::PipelineResult Seeded = opt::PassManager(PO).run(
-            *M, opt::ModuleProfile{FG, S.slicing()->locationActivity(), Run});
+            *M, opt::ModuleProfile{FG, Run});
         expectSameResult(Unseeded, Seeded, Ctx);
       }
     }

@@ -2,7 +2,9 @@
 # Table-driven check of the options the lud tools share: for every shared
 # option and every tool that declares it, a bad value must produce the same
 # first diagnostic line and exit code 2, and the option must appear in the
-# tool's --help.
+# tool's --help. A numeric value outside the type the tool stores it in is
+# a bad value too: it must be refused, not wrapped. Every bad value here is
+# refused before anything runs.
 #
 #   sh shared_options.sh <tool-dir>
 set -u
@@ -45,6 +47,17 @@ done <<'EOF'
 --engine|--engine=bogus|unknown engine 'bogus' (valid: interp, threaded)|lud-run lud-replay lud-fuzz
 --depth|--depth=x|option '--depth' wants an integer, got 'x'|lud-run lud-replay lud-serve lud-analyze
 --top|--top=2x|option '--top' wants an integer, got '2x'|lud-run lud-replay lud-serve lud-analyze
+--slots|--slots=4294967296|option '--slots' value '4294967296' is out of range (at most 4294967295)|lud-run lud-replay lud-serve lud-fuzz
+--slots|--slots=4294967297|option '--slots' value '4294967297' is out of range (at most 4294967295)|lud-run lud-replay lud-serve lud-fuzz
+--depth|--depth=0|option '--depth' requires a positive value|lud-run lud-replay lud-serve lud-analyze
+--depth|--depth=4294967296|option '--depth' value '4294967296' is out of range (at most 4294967295)|lud-run lud-replay lud-serve lud-analyze
+--top|--top=-1|option '--top' requires a value >= 0|lud-run lud-replay lud-serve lud-analyze
+--shards|--shards=4294967296|option '--shards' value '4294967296' is out of range (at most 4294967295)|lud-run
+--shards|--shards=0|option '--shards' requires a positive value|lud-run
+--threads|--threads=4294967296|option '--threads' value '4294967296' is out of range (at most 4294967295)|lud-run lud-replay
+--http-port|--http-port=65536|option '--http-port' value '65536' is out of range (at most 65535)|lud-serve
+--http-port|--http-port=-1|option '--http-port' requires a value >= 0|lud-serve
+--workers|--workers=4294967296|option '--workers' value '4294967296' is out of range (at most 4294967295)|lud-serve
 --dump-graph|--dump-graph|option '--dump-graph' requires an argument|lud-run lud-replay
 --stats|--stats=yaml|unknown stats format 'yaml' (valid: text, json, csv)|lud-run lud-replay
 --stats-out|--stats-out|option '--stats-out' requires an argument|lud-run lud-replay

@@ -152,13 +152,14 @@ TEST(DepGraphTest, LocationMapsDeduplicate) {
   DepGraph G;
   NodeId W = G.getOrCreate(1, 0);
   HeapLoc L{42, 3};
-  G.noteWriter(L, W);
-  G.noteWriter(L, W);
-  ASSERT_EQ(G.writers().count(L), 1u);
-  EXPECT_EQ(G.writers().at(L).size(), 1u);
-  G.noteRefChild(L, 99);
-  G.noteRefChild(L, 99);
-  EXPECT_EQ(G.refChildren().at(L).size(), 1u);
+  G.noteWriter(G.internLoc(L), W);
+  G.noteWriter(G.internLoc(L), W);
+  ASSERT_EQ(G.records().size(), 1u);
+  ASSERT_NE(G.findLoc(L), kNoLoc);
+  EXPECT_EQ(G.record(G.findLoc(L)).Writers.size(), 1u);
+  G.noteRefChild(G.internLoc(L), 99);
+  G.noteRefChild(G.internLoc(L), 99);
+  EXPECT_EQ(G.record(G.findLoc(L)).RefChildren.size(), 1u);
 }
 
 TEST(DepGraphTest, TagCodecRoundTrips) {

@@ -64,7 +64,7 @@ DepGraph buildSynthetic(size_t NumNodes, uint64_t Seed) {
   // writers/readers and the occasional ref child.
   size_t NumLocs = NumNodes / 4 + 1;
   for (size_t L = 0; L != NumLocs; ++L) {
-    HeapLoc Loc{R.nextBelow(1u << 20), FieldSlot(R.nextBelow(8))};
+    LocId Loc = G.internLoc({R.nextBelow(1u << 20), FieldSlot(R.nextBelow(8))});
     for (size_t K = 0, E = 1 + R.nextBelow(4); K != E; ++K)
       G.noteWriter(Loc, Ids[R.nextBelow(Ids.size())]);
     for (size_t K = 0, E = R.nextBelow(4); K != E; ++K)
@@ -120,30 +120,45 @@ void expectEquivalent(const DepGraph &G, const FrozenGraph &F) {
   std::sort(Allocs.begin(), Allocs.end());
   ASSERT_EQ(F.allocEntries(), Allocs);
 
-  // Heap-location maps: each key resolves to its universe index, whose
-  // span holds the key's values.
-  auto checkMap = [&](const auto &Map, auto SpanAt) {
-    for (const auto &[Loc, Vals] : Map) {
-      uint32_t I = F.locIndexOf(Loc);
+  // Location records: each list of each record resolves to its
+  // location's universe index, whose span holds the list's values.
+  auto checkLists = [&](auto ListOf, auto SpanAt) {
+    for (const DepGraph::LocRecord &Rec : G.records()) {
+      const auto &Vals = ListOf(Rec);
+      if (Vals.empty())
+        continue;
+      uint32_t I = F.locIndexOf(Rec.Loc);
       ASSERT_NE(I, FrozenGraph::npos);
       auto Span = SpanAt(I);
       ASSERT_EQ(Span.size(), Vals.size());
       ASSERT_TRUE(std::equal(Span.begin(), Span.end(), Vals.begin()));
     }
   };
-  checkMap(G.writers(), [&](uint32_t I) { return F.writersAt(I); });
-  checkMap(G.readers(), [&](uint32_t I) { return F.readersAt(I); });
-  checkMap(G.refChildren(), [&](uint32_t I) { return F.refChildrenAt(I); });
+  checkLists([](const DepGraph::LocRecord &Rec) { return Rec.Writers; },
+             [&](uint32_t I) { return F.writersAt(I); });
+  checkLists([](const DepGraph::LocRecord &Rec) { return Rec.Readers; },
+             [&](uint32_t I) { return F.readersAt(I); });
+  checkLists([](const DepGraph::LocRecord &Rec) { return Rec.RefChildren; },
+             [&](uint32_t I) { return F.refChildrenAt(I); });
   ASSERT_EQ(F.locIndexOf(HeapLoc{0xDEADBEEFull << 21, 7}), FrozenGraph::npos);
 
-  // The universe holds the maps' keys and nothing else: every location
-  // resolves to its own index, and a map that lacks it has an empty span.
+  // The universe holds the listed locations and nothing else: every
+  // location resolves to its own index, a list its record lacks has an
+  // empty span, and its activity is its record's.
   for (size_t LI = 0; LI != F.numLocs(); ++LI) {
     HeapLoc L = F.loc(LI);
     ASSERT_EQ(F.locIndexOf(L), LI);
-    ASSERT_EQ(F.writersAt(LI).empty(), G.writers().count(L) == 0);
-    ASSERT_EQ(F.readersAt(LI).empty(), G.readers().count(L) == 0);
-    ASSERT_EQ(F.refChildrenAt(LI).empty(), G.refChildren().count(L) == 0);
+    LocId Id = G.findLoc(L);
+    ASSERT_NE(Id, kNoLoc);
+    const DepGraph::LocRecord &Rec = G.record(Id);
+    ASSERT_EQ(F.writersAt(LI).empty(), Rec.Writers.empty());
+    ASSERT_EQ(F.readersAt(LI).empty(), Rec.Readers.empty());
+    ASSERT_EQ(F.refChildrenAt(LI).empty(), Rec.RefChildren.empty());
+    ASSERT_EQ(F.activityAt(LI).Writes, Rec.Activity.Writes);
+    ASSERT_EQ(F.activityAt(LI).Reads, Rec.Activity.Reads);
+    ASSERT_EQ(F.activityAt(LI).Overwrites, Rec.Activity.Overwrites);
+    ASSERT_EQ(F.activityAt(LI).ReadsAfterLastWrite,
+              Rec.Activity.ReadsAfterLastWrite);
   }
 }
 
@@ -170,7 +185,7 @@ DepGraph buildLocUniverse(size_t NumLocs) {
   DepGraph G;
   NodeId N = G.getOrCreate(0, 0);
   for (size_t I = 0; I != NumLocs; ++I) {
-    HeapLoc Loc = universeLoc(I);
+    LocId Loc = G.internLoc(universeLoc(I));
     if (I % 3 == 0)
       G.noteWriter(Loc, N);
     else if (I % 3 == 1)
@@ -268,15 +283,16 @@ TEST(FrozenGraphTest, SealDeduplicatesBeyondTheInsertWindow) {
   DepGraph G;
   G.setContextSlots(16);
   HeapLoc Loc{99, 1};
+  LocId Id = G.internLoc(Loc);
   std::vector<NodeId> Distinct;
   for (InstrId I = 0; I != 12; ++I)
     Distinct.push_back(G.getOrCreate(I, 0));
   for (int Round = 0; Round != 3; ++Round)
     for (NodeId N : Distinct)
-      G.noteWriter(Loc, N);
+      G.noteWriter(Id, N);
   // The window (8) is smaller than the cycle (12): duplicates leak into
   // the build-side list.
-  ASSERT_GT(G.writers().at(Loc).size(), Distinct.size());
+  ASSERT_GT(G.record(Id).Writers.size(), Distinct.size());
   FrozenGraph F(G);
   uint32_t I = F.locIndexOf(Loc);
   ASSERT_NE(I, FrozenGraph::npos);

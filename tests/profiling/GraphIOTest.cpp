@@ -40,9 +40,17 @@ TEST(GraphIOTest, RoundTripPreservesStructure) {
   EXPECT_EQ(G2->numRefEdges(), G.numRefEdges());
   EXPECT_EQ(G2->contextSlots(), G.contextSlots());
   EXPECT_EQ(G2->totalFreq(), G.totalFreq());
-  EXPECT_EQ(G2->writers().size(), G.writers().size());
-  EXPECT_EQ(G2->readers().size(), G.readers().size());
-  EXPECT_EQ(G2->refChildren().size(), G.refChildren().size());
+  // Locations with each kind of list.
+  auto Listed = [](const DepGraph &D, auto List) {
+    size_t N = 0;
+    for (const DepGraph::LocRecord &R : D.records())
+      N += !(R.*List).empty();
+    return N;
+  };
+  using R = DepGraph::LocRecord;
+  EXPECT_EQ(Listed(*G2, &R::Writers), Listed(G, &R::Writers));
+  EXPECT_EQ(Listed(*G2, &R::Readers), Listed(G, &R::Readers));
+  EXPECT_EQ(Listed(*G2, &R::RefChildren), Listed(G, &R::RefChildren));
   EXPECT_EQ(G2->allocNodes().size(), G.allocNodes().size());
   const FrozenGraph F(G), F2(*G2);
   for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {

@@ -57,16 +57,19 @@ void expectGraphsEqual(const DepGraph &A, const DepGraph &B) {
   }
 }
 
-/// Location-keyed node lists as a sorted ordinary map, for order-free
-/// comparison across FlatMap iteration orders.
-template <typename MapT>
+/// One list of every location record that has it, as a sorted ordinary
+/// map, for order-free comparison across LocId numberings.
+template <typename ListT>
 std::map<std::pair<uint64_t, uint64_t>, std::vector<uint64_t>>
-normalized(const MapT &M) {
+normalized(const DepGraph &G, ListT DepGraph::LocRecord::*List) {
   std::map<std::pair<uint64_t, uint64_t>, std::vector<uint64_t>> Out;
-  for (const auto &[Loc, Vals] : M) {
+  for (const DepGraph::LocRecord &R : G.records()) {
+    const ListT &Vals = R.*List;
+    if (Vals.empty())
+      continue;
     std::vector<uint64_t> V(Vals.begin(), Vals.end());
     std::sort(V.begin(), V.end());
-    Out[{Loc.Tag, Loc.Slot}] = std::move(V);
+    Out[{R.Loc.Tag, R.Loc.Slot}] = std::move(V);
   }
   return Out;
 }
@@ -74,17 +77,23 @@ normalized(const MapT &M) {
 std::map<std::pair<uint64_t, uint64_t>, std::vector<uint64_t>>
 normalizedActivity(const SlicingProfiler &P) {
   std::map<std::pair<uint64_t, uint64_t>, std::vector<uint64_t>> Out;
-  for (const auto &[Loc, Act] : P.locationActivity())
-    Out[{Loc.Tag, Loc.Slot}] = {Act.Writes, Act.Reads, Act.Overwrites};
+  for (const DepGraph::LocRecord &R : P.graph().records()) {
+    const LocationActivity &Act = R.Activity;
+    if (Act.Writes != 0 || Act.Reads != 0)
+      Out[{R.Loc.Tag, R.Loc.Slot}] = {Act.Writes, Act.Reads, Act.Overwrites};
+  }
   return Out;
 }
 
 void expectProfilesEqual(const SlicingProfiler &A, const SlicingProfiler &B) {
   expectGraphsEqual(A.graph(), B.graph());
-  EXPECT_EQ(normalized(A.graph().writers()), normalized(B.graph().writers()));
-  EXPECT_EQ(normalized(A.graph().readers()), normalized(B.graph().readers()));
-  EXPECT_EQ(normalized(A.graph().refChildren()),
-            normalized(B.graph().refChildren()));
+  using R = DepGraph::LocRecord;
+  EXPECT_EQ(normalized(A.graph(), &R::Writers),
+            normalized(B.graph(), &R::Writers));
+  EXPECT_EQ(normalized(A.graph(), &R::Readers),
+            normalized(B.graph(), &R::Readers));
+  EXPECT_EQ(normalized(A.graph(), &R::RefChildren),
+            normalized(B.graph(), &R::RefChildren));
 
   std::map<uint64_t, NodeId> AllocA, AllocB;
   for (const auto &[Tag, N] : A.graph().allocNodes())
@@ -93,12 +102,15 @@ void expectProfilesEqual(const SlicingProfiler &A, const SlicingProfiler &B) {
     AllocB[Tag] = N;
   EXPECT_EQ(AllocA, AllocB);
 
-  std::map<NodeId, std::pair<uint64_t, uint64_t>> PredA, PredB;
-  for (const auto &[N, O] : A.predicateOutcomes())
-    PredA[N] = {O.TakenCount, O.NotTakenCount};
-  for (const auto &[N, O] : B.predicateOutcomes())
-    PredB[N] = {O.TakenCount, O.NotTakenCount};
-  EXPECT_EQ(PredA, PredB);
+  auto Preds = [](const SlicingProfiler &P) {
+    std::map<NodeId, std::pair<uint64_t, uint64_t>> Out;
+    const auto &Outcomes = P.predicateOutcomes();
+    for (NodeId N = 0; N != NodeId(Outcomes.size()); ++N)
+      if (Outcomes[N].TakenCount != 0 || Outcomes[N].NotTakenCount != 0)
+        Out[N] = {Outcomes[N].TakenCount, Outcomes[N].NotTakenCount};
+    return Out;
+  };
+  EXPECT_EQ(Preds(A), Preds(B));
 
   EXPECT_EQ(normalizedActivity(A), normalizedActivity(B));
   EXPECT_EQ(A.distinctContexts(), B.distinctContexts());

@@ -245,16 +245,19 @@ TEST(SlicingProfilerTest, TagsAndReferenceEdges) {
   uint64_t NodeTag = G.node(NAllocNode).EffectLoc.Tag;
   FieldSlot HeadSlot;
   ASSERT_TRUE(M.resolveField(L->getId(), "head", HeadSlot));
-  auto It = G.refChildren().find(HeapLoc{ListTag, HeadSlot});
-  ASSERT_NE(It, G.refChildren().end());
-  ASSERT_EQ(It->second.size(), 1u);
-  EXPECT_EQ(It->second[0], NodeTag);
+  LocId Head = G.findLoc(HeapLoc{ListTag, HeadSlot});
+  ASSERT_NE(Head, kNoLoc);
+  const std::vector<uint64_t> &Children = G.record(Head).RefChildren;
+  ASSERT_EQ(Children.size(), 1u);
+  EXPECT_EQ(Children[0], NodeTag);
 
   // Writers/readers recorded per abstract location.
   FieldSlot VSlot;
   ASSERT_TRUE(M.resolveField(N->getId(), "v", VSlot));
-  EXPECT_EQ(G.writers().count(HeapLoc{NodeTag, VSlot}), 1u);
-  EXPECT_EQ(G.readers().count(HeapLoc{ListTag, HeadSlot}), 1u);
+  LocId NodeV = G.findLoc(HeapLoc{NodeTag, VSlot});
+  ASSERT_NE(NodeV, kNoLoc);
+  EXPECT_FALSE(G.record(NodeV).Writers.empty());
+  EXPECT_FALSE(G.record(Head).Readers.empty());
 }
 
 TEST(SlicingProfilerTest, PhaseGatingSuppressesTracking) {
@@ -394,11 +397,12 @@ TEST(SlicingProfilerTest, OverwriteDetection) {
     M.finalize();
 
     SlicingProfiler P = profileRun(M);
-    auto It = P.locationActivity().find(S.loc(P.graph()));
-    ASSERT_NE(It, P.locationActivity().end());
-    EXPECT_EQ(It->second.Writes, 3u);
-    EXPECT_EQ(It->second.Reads, 1u);
-    EXPECT_EQ(It->second.Overwrites, 1u);
+    LocId Loc = P.graph().findLoc(S.loc(P.graph()));
+    ASSERT_NE(Loc, kNoLoc);
+    const LocationActivity &A = P.graph().record(Loc).Activity;
+    EXPECT_EQ(A.Writes, 3u);
+    EXPECT_EQ(A.Reads, 1u);
+    EXPECT_EQ(A.Overwrites, 1u);
   }
 }
 
@@ -442,11 +446,12 @@ TEST(SlicingProfilerTest, UntrackedAccessesKeepSlotState) {
                            (1ull << 6);
     SlicingProfiler P = profileRun(M, Cfg);
     const DepGraph &G = P.graph();
-    auto It = P.locationActivity().find(S.loc(G));
-    ASSERT_NE(It, P.locationActivity().end());
-    EXPECT_EQ(It->second.Writes, 3u);
-    EXPECT_EQ(It->second.Reads, 2u);
-    EXPECT_EQ(It->second.Overwrites, 1u);
+    LocId Loc = G.findLoc(S.loc(G));
+    ASSERT_NE(Loc, kNoLoc);
+    const LocationActivity &A = G.record(Loc).Activity;
+    EXPECT_EQ(A.Writes, 3u);
+    EXPECT_EQ(A.Reads, 2u);
+    EXPECT_EQ(A.Overwrites, 1u);
     // The untracked load left no writer in its destination register,
     // though the slot still held a tracked one.
     const FrozenGraph F(G);
@@ -485,10 +490,9 @@ TEST(SlicingProfilerTest, PredicateOutcomeCounts) {
   SlicingProfiler P = profileRun(M);
   NodeId NP = soleNodeFor(P.graph(), Pred->getId());
   ASSERT_NE(NP, kNoNode);
-  auto It = P.predicateOutcomes().find(NP);
-  ASSERT_NE(It, P.predicateOutcomes().end());
-  EXPECT_EQ(It->second.TakenCount, 10u);
-  EXPECT_EQ(It->second.NotTakenCount, 1u);
+  ASSERT_LT(NP, P.predicateOutcomes().size());
+  EXPECT_EQ(P.predicateOutcomes()[NP].TakenCount, 10u);
+  EXPECT_EQ(P.predicateOutcomes()[NP].NotTakenCount, 1u);
 }
 
 TEST(SlicingProfilerTest, GraphMemoryIsBoundedByAbstraction) {

@@ -1,9 +1,8 @@
 //===- tests/support/FlatContainerTest.cpp - FlatMap/FlatSet ---------------===//
 //
 // The open-addressing tables under the profiler hot path: interning
-// semantics, growth across rehashes, the reserved-key side slot, the
-// raw-slot memo API's generation contract, and DepGraph::mergeFrom
-// reproducing a sequentially built graph.
+// semantics, growth across rehashes, the reserved-key side slot, and
+// DepGraph::mergeFrom reproducing a sequentially built graph.
 //
 //===----------------------------------------------------------------------===//
 
@@ -99,42 +98,13 @@ TEST(FlatMapTest, ReservedEmptyKeyUsesSideSlot) {
   EXPECT_EQ(Total, 101u);
 }
 
-TEST(FlatMapTest, RawSlotMemoFollowsGenerations) {
-  FlatMap<uint64_t, int> M;
-  auto [Slot, Fresh] = M.insertSlot(11, 1);
-  EXPECT_TRUE(Fresh);
-  uint64_t Gen = M.generation();
-  M.valueAt(Slot) += 5;
-  EXPECT_EQ(M.at(11), 6);
-
-  // Within one generation the slot index stays valid across other
-  // inserts; a rehash bumps the generation, after which the memoized
-  // index must be refreshed via insertSlot.
-  size_t Inserted = 0;
-  while (M.generation() == Gen) {
-    M.insert(100 + Inserted);
-    ++Inserted;
-  }
-  EXPECT_GT(M.generation(), Gen);
-  auto [NewSlot, Fresh2] = M.insertSlot(11);
-  EXPECT_FALSE(Fresh2);
-  EXPECT_EQ(M.valueAt(NewSlot), 6);
-
-  // clear() also bumps the generation and empties the table.
-  uint64_t Gen2 = M.generation();
-  M.clear();
-  EXPECT_GT(M.generation(), Gen2);
-  EXPECT_TRUE(M.empty());
-  EXPECT_EQ(M.count(11), 0u);
-}
-
 TEST(FlatMapTest, ReservePreventsRehash) {
   FlatMap<uint64_t, int> M;
   M.reserve(1000);
-  uint64_t Gen = M.generation();
+  size_t Bytes = M.memoryBytes();
   for (uint64_t K = 0; K != 1000; ++K)
     M.insert(K);
-  EXPECT_EQ(M.generation(), Gen);
+  EXPECT_EQ(M.memoryBytes(), Bytes);
   EXPECT_EQ(M.size(), 1000u);
 }
 
@@ -192,7 +162,7 @@ void buildFragment(DepGraph &G, int Which) {
     G.node(A).WritesHeap = true;
     G.addEdge(A, B);
     G.noteAlloc(Tag5, A);
-    G.noteWriter(HeapLoc{Tag5, 2}, A);
+    G.noteWriter(G.internLoc({Tag5, 2}), A);
     G.addRefEdge(B, A);
   }
   if (Which == 1 || Which == 2) {
@@ -203,8 +173,8 @@ void buildFragment(DepGraph &G, int Which) {
     G.node(C).ReadsHeap = true;
     G.addEdge(B, C);
     G.addEdge(G.getOrCreate(1, 0), C);
-    G.noteReader(HeapLoc{Tag5, 2}, C);
-    G.noteRefChild(HeapLoc{Tag5, 2}, Tag9);
+    G.noteReader(G.internLoc({Tag5, 2}), C);
+    G.noteRefChild(G.internLoc({Tag5, 2}), Tag9);
   }
 }
 
@@ -280,10 +250,10 @@ TEST(FlatMapTest, CapacityForHoldsLoadFactorWithoutOverflow) {
 TEST(FlatMapTest, ReserveAvoidsRehashUpToTheReservedCount) {
   FlatMap<uint64_t, int> M;
   M.reserve(100);
-  uint64_t Gen = M.generation();
+  size_t Bytes = M.memoryBytes();
   for (uint64_t K = 0; K != 100; ++K)
     M.insert(K + 1, int(K));
-  EXPECT_EQ(M.generation(), Gen) << "reserve(100) did not pre-size for 100";
+  EXPECT_EQ(M.memoryBytes(), Bytes) << "reserve(100) did not pre-size for 100";
   EXPECT_EQ(M.size(), 100u);
 }
 
