@@ -31,7 +31,6 @@
 #include "analysis/PassManager.h"
 
 #include "analysis/Optimizer.h"
-#include "ir/Clone.h"
 #include "ir/Module.h"
 #include "ir/Rewrite.h"
 
@@ -635,7 +634,7 @@ struct HoistMatch {
   const Function *F = nullptr;
   uint32_t Header = 0;
   Instruction *PreTerm = nullptr;
-  std::vector<const Instruction *> Hoisted; // body order
+  std::vector<InstrId> Hoisted; // body order
   size_t Calls = 0;
   uint64_t Iters = 0, Entries = 0;
   std::string SiteEvidence;
@@ -781,11 +780,11 @@ std::optional<HoistMatch> matchHoist(const Module &M, const Function &F,
   }
 
   size_t NumCalls = 0;
-  std::vector<const Instruction *> Hoisted;
+  std::vector<InstrId> Hoisted;
   for (size_t I = 0; I + 1 < N; ++I) {
     if (!Hoist[I])
       continue;
-    Hoisted.push_back(Insts[I].get());
+    Hoisted.push_back(Insts[I]->getId());
     if (dyn_cast<CallInst>(Insts[I].get()))
       ++NumCalls;
   }
@@ -834,8 +833,8 @@ std::optional<HoistMatch> matchHoist(const Module &M, const Function &F,
   // hoisted chain (or its transitive callees) backs the rewrite.
   std::set<FuncId> Closure;
   std::vector<FuncId> Work;
-  for (const Instruction *Ins : Hoisted)
-    if (auto *C = dyn_cast<CallInst>(Ins))
+  for (InstrId Id : Hoisted)
+    if (auto *C = dyn_cast<CallInst>(M.getInstr(Id)))
       Work.push_back(C->Callee);
   while (!Work.empty()) {
     FuncId Fn = Work.back();
@@ -853,7 +852,7 @@ std::optional<HoistMatch> matchHoist(const Module &M, const Function &F,
       M, E, [&](const Instruction &AI, const Function *Owner) {
         return (Owner && Closure.count(Owner->getId())) ||
                (AI.getParent() == BB &&
-                std::find(Hoisted.begin(), Hoisted.end(), &AI) !=
+                std::find(Hoisted.begin(), Hoisted.end(), AI.getId()) !=
                     Hoisted.end());
       });
   if (Evidence.empty())
@@ -1067,12 +1066,7 @@ public:
           continue;
 
         ModuleRewriter RW(M);
-        std::vector<Instruction *> Clones;
-        for (const Instruction *I : HM->Hoisted)
-          Clones.push_back(cloneInstr(*I));
-        RW.insertBefore(HM->PreTerm->getId(), std::move(Clones));
-        for (const Instruction *I : HM->Hoisted)
-          RW.drop(I->getId());
+        RW.moveBefore(HM->PreTerm->getId(), HM->Hoisted);
 
         RewriteCandidate C;
         C.M = RW.apply();
@@ -1139,22 +1133,10 @@ private:
     FuncId NewId = E.M->findFunction(Name);
     size_t Synth = 0;
     if (NewId == kNoFunc) {
-      NewId = RW.addFunction([Src, Clone, Name](Module &Out) {
-        Function *NF = Out.addFunction(Name, Src->getNumParams(),
-                                       Src->getNumRegs());
-        for (size_t I = 0; I != Src->blocks().size(); ++I)
-          NF->addBlock();
-        for (size_t BI = 0; BI != Src->blocks().size(); ++BI) {
-          BasicBlock *NB = NF->getBlock(uint32_t(BI));
-          for (const auto &I : Src->blocks()[BI]->insts()) {
-            // The clone becomes an alias: updates hit the receiver.
-            if (I.get() == Clone)
-              NB->append(new AssignInst(Clone->Dst, 0));
-            else
-              NB->append(cloneInstr(*I));
-          }
-        }
-      });
+      // The clone becomes an alias: updates hit the receiver.
+      NewId = RW.copyFunction(
+          Src->getId(), Name,
+          {{Clone->getId(), {new AssignInst(Clone->Dst, 0)}}});
       for (const auto &BB : Src->blocks())
         Synth += BB->insts().size();
     }

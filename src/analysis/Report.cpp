@@ -57,7 +57,7 @@ LowUtilityReport::LowUtilityReport(const CostModel &CM, const Module &M,
       case ConsumerWeight::Zero:
         break;
       case ConsumerWeight::Large:
-        Benefit += Opts.LargeBenefit;
+        Benefit += kLargeBenefit;
         break;
       case ConsumerWeight::Infinite:
         Infinite = true;

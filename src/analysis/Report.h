@@ -30,12 +30,15 @@ namespace lud {
 class Module;
 class OutStream;
 
+/// The "large RAB" that ConsumerWeight::Large adds.
+constexpr double kLargeBenefit = 1e4;
+
 /// Weight applied to a field whose value reaches a consumer of the given
 /// kind (Section 1's weighted benefit; Section 3.1's special treatment).
 enum class ConsumerWeight : uint8_t {
   /// Consumer reachability adds no benefit.
   Zero,
-  /// Adds ReportOptions::LargeBenefit to the structure's n-RAB.
+  /// Adds kLargeBenefit to the structure's n-RAB.
   Large,
   /// The structure can never be low-utility (ratio forced to 0).
   Infinite,
@@ -55,8 +58,6 @@ struct ReportOptions {
   /// whose final clone is rendered). Set to Infinite for strict Section 1
   /// weighting.
   ConsumerWeight NativeWeight = ConsumerWeight::Large;
-  /// The "large RAB" constant used by ConsumerWeight::Large.
-  double LargeBenefit = 1e4;
   /// Ignore sites whose total n-RAC is below this (noise floor).
   double MinCost = 1.0;
 };

@@ -146,8 +146,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
   // the replay mode re-executes exactly this run.
   StringOutStream Sink;
   SessionConfig RefCfg = sessionConfig(Cfg);
-  if (Cfg.CheckReplay)
-    RefCfg.RecordSink = &Sink;
+  RefCfg.RecordSink = &Sink;
   ProfileSession Ref(RefCfg);
   TimedRun RefRun = Ref.run(M);
   if (!Ref.recordError().empty())
@@ -157,7 +156,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
   Snapshot RefSnap = snapshot(Ref, M, RefRun.Run);
 
   // Mode 1: hot-path caches flipped. The caches must be observation-free.
-  if (Cfg.CheckCachesFlip) {
+  {
     OracleConfig Flip = Cfg;
     Flip.Slicing.HotPathCaches = !Cfg.Slicing.HotPathCaches;
     ProfileSession S(sessionConfig(Flip));
@@ -185,7 +184,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
 
   // Mode 3: record -> replay. Re-executing the reference's manifest in a
   // fresh session must reproduce its record and identical profiler state.
-  if (Cfg.CheckReplay) {
+  {
     ProfileSession S(sessionConfig(Cfg));
     ReplayRun R = S.replay(M, Sink.str());
     if (!R.Ok)
@@ -197,41 +196,39 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
 
   // Mode 4: sharded runs. For every shard count S the fold must equal one
   // session running the module S times sequentially, at any thread count.
-  if (Cfg.CheckSharded) {
-    for (unsigned Shards : Cfg.ShardCounts) {
-      ProfileSession Seq(sessionConfig(Cfg));
-      TimedRun SeqRun{};
-      for (unsigned I = 0; I != Shards; ++I)
-        SeqRun = Seq.run(M);
-      Snapshot SeqSnap = snapshot(Seq, M, SeqRun.Run);
-      // A repeated run is deterministic, so the sequential reference's
-      // last RunResult must itself match the single-run reference.
-      if (std::string D = diffRuns(RefSnap.Run, SeqSnap.Run); !D.empty())
-        return Fail("sequential-reuse(" + std::to_string(Shards) + ")", D);
-      for (unsigned Threads : Cfg.ThreadCounts) {
-        ShardedSession Sh =
-            runShardedSession(M, Shards, sessionConfig(Cfg), Threads);
-        std::string Mode = "sharded(" + std::to_string(Shards) +
-                           ", threads=" + std::to_string(Threads) + ")";
-        if (!Sh.Error.empty())
-          return Fail(Mode, Sh.Error);
-        if (!Sh.Session)
-          return Fail(Mode, "sharded session missing");
-        if (Sh.TotalInstrs != uint64_t(Shards) * RefSnap.Run.ExecutedInstrs)
-          return Fail(Mode,
-                      "total-instrs " + std::to_string(Sh.TotalInstrs) +
-                          " != shards * " +
-                          std::to_string(RefSnap.Run.ExecutedInstrs));
-        Snapshot Got = snapshot(*Sh.Session, M, Sh.Run);
-        if (std::string D = diffSnapshots(SeqSnap, Got); !D.empty())
-          return Fail(Mode, D);
-      }
+  for (unsigned Shards : Cfg.ShardCounts) {
+    ProfileSession Seq(sessionConfig(Cfg));
+    TimedRun SeqRun{};
+    for (unsigned I = 0; I != Shards; ++I)
+      SeqRun = Seq.run(M);
+    Snapshot SeqSnap = snapshot(Seq, M, SeqRun.Run);
+    // A repeated run is deterministic, so the sequential reference's
+    // last RunResult must itself match the single-run reference.
+    if (std::string D = diffRuns(RefSnap.Run, SeqSnap.Run); !D.empty())
+      return Fail("sequential-reuse(" + std::to_string(Shards) + ")", D);
+    for (unsigned Threads : Cfg.ThreadCounts) {
+      ShardedSession Sh =
+          runShardedSession(M, Shards, sessionConfig(Cfg), Threads);
+      std::string Mode = "sharded(" + std::to_string(Shards) +
+                         ", threads=" + std::to_string(Threads) + ")";
+      if (!Sh.Error.empty())
+        return Fail(Mode, Sh.Error);
+      if (!Sh.Session)
+        return Fail(Mode, "sharded session missing");
+      if (Sh.TotalInstrs != uint64_t(Shards) * RefSnap.Run.ExecutedInstrs)
+        return Fail(Mode,
+                    "total-instrs " + std::to_string(Sh.TotalInstrs) +
+                        " != shards * " +
+                        std::to_string(RefSnap.Run.ExecutedInstrs));
+      Snapshot Got = snapshot(*Sh.Session, M, Sh.Run);
+      if (std::string D = diffSnapshots(SeqSnap, Got); !D.empty())
+        return Fail(Mode, D);
     }
   }
 
   // Mode 5: GraphIO round trip — parse the canonical serialization and
   // re-serialize; the bytes must be reproduced exactly.
-  if (Cfg.CheckGraphIO && !RefSnap.Graph.empty()) {
+  if (!RefSnap.Graph.empty()) {
     std::vector<std::string> Errors;
     std::unique_ptr<DepGraph> G = readGraph(RefSnap.Graph, Errors);
     if (!G) {

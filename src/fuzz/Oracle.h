@@ -70,11 +70,9 @@ struct OracleConfig {
   /// Interpreter budget safety valve for runaway candidates. Budget
   /// exhaustion is deterministic, so it cross-checks like any other run.
   uint64_t MaxInstructions = 50'000'000;
-  bool CheckCachesFlip = true;
+  /// Diff against the other engine (the caches-flip, replay, sharded,
+  /// graph round-trip and hops modes always run).
   bool CheckEngines = true;
-  bool CheckReplay = true;
-  bool CheckSharded = true;
-  bool CheckGraphIO = true;
   /// Run the rewrite-pass pipeline and re-check its output-preservation
   /// contract. Costs several extra executions per candidate, so the
   /// fuzzing loop enables it on a fraction of runs.

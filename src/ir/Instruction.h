@@ -142,6 +142,11 @@ private:
 
 protected:
   explicit Instruction(Kind K) : TheKind(K) {}
+  /// Copies the kind alone: a copy sits in no block, and the finalize() of
+  /// the module it is appended to gives it an id (ModuleRewriter makes
+  /// every copy by copy-constructing the concrete class).
+  Instruction(const Instruction &Other) : TheKind(Other.TheKind) {}
+  Instruction &operator=(const Instruction &) = delete;
 };
 
 /// Dst = <literal>. Literals are ints, floats, or null.

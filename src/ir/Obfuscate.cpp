@@ -11,6 +11,10 @@
 using namespace lud;
 using namespace lud::detail;
 
+/// Per-block injection probabilities in percent.
+static constexpr unsigned kJunkChance = 50;
+static constexpr unsigned kOpaqueChance = 35;
+
 const char *lud::obfKindName(ObfKind K) {
   switch (K) {
   case ObfKind::Junk:
@@ -142,14 +146,14 @@ ObfuscationResult Obfuscator::run() {
       // exactly as often as the block does.
       const Instruction *Term = OB.terminator();
       Seq Payload;
-      if (Junk && Scoped && R.nextBelow(100) < Opts.JunkChance)
+      if (Junk && Scoped && R.nextBelow(100) < kJunkChance)
         emitJunk(Payload, R);
       if (Table && R.nextBelow(100) < 70)
         emitStringDecode(Payload, R, TabReg);
       if (!Payload.empty())
         Rw.insertBefore(Term->getId(), std::move(Payload));
       if (Opts.Opaque && Scoped && isa<BrInst>(Term) &&
-          numRegs() + 8 < kNoReg && R.nextBelow(100) < Opts.OpaqueChance) {
+          numRegs() + 8 < kNoReg && R.nextBelow(100) < kOpaqueChance) {
         Seq Guard;
         Instruction *CB =
             emitOpaqueGuard(Guard, R, cast<BrInst>(Term)->Target);

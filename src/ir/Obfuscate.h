@@ -74,10 +74,8 @@ struct ObfuscateOptions {
   std::vector<std::string> Include;
   std::vector<std::string> Exclude;
 
-  /// Per-block injection probabilities in percent.
-  unsigned JunkChance = 50;
-  unsigned OpaqueChance = 35;
-  /// Per-function probability that a string table is planted.
+  /// Per-function probability, in percent, that a string table is
+  /// planted.
   unsigned StringChance = 60;
 };
 

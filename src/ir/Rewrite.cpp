@@ -2,14 +2,39 @@
 
 #include "ir/Rewrite.h"
 
-#include "ir/Clone.h"
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <limits>
 
 using namespace lud;
+
+namespace {
+
+template <typename T> Instruction *copyAs(const Instruction &I) {
+  return new T(*cast<T>(&I));
+}
+
+/// copyAs<T> of each Instruction::Kind, in declaration order (cast<T>
+/// checks the order in assert builds).
+constexpr Instruction *(*const CopyByKind[])(const Instruction &) = {
+    copyAs<ConstInst>,       copyAs<AssignInst>,      copyAs<BinInst>,
+    copyAs<UnInst>,          copyAs<AllocInst>,       copyAs<AllocArrayInst>,
+    copyAs<LoadFieldInst>,   copyAs<StoreFieldInst>,  copyAs<LoadStaticInst>,
+    copyAs<StoreStaticInst>, copyAs<LoadElemInst>,    copyAs<StoreElemInst>,
+    copyAs<ArrayLenInst>,    copyAs<CallInst>,        copyAs<NativeCallInst>,
+    copyAs<BrInst>,          copyAs<CondBrInst>,      copyAs<ReturnInst>};
+static_assert(std::size(CopyByKind) == size_t(Instruction::Kind::Return) + 1,
+              "one copy function per instruction kind");
+
+/// A copy of \p I in no block, its fields copied by its own class.
+Instruction *copyInstr(const Instruction &I) {
+  return CopyByKind[size_t(I.getKind())](I);
+}
+
+} // namespace
 
 ModuleRewriter::ModuleRewriter(const Module &M)
     : M(M), ExtraRegs(M.functions().size(), 0) {
@@ -19,13 +44,18 @@ ModuleRewriter::ModuleRewriter(const Module &M)
 ModuleRewriter::~ModuleRewriter() {
   if (Applied)
     return;
-  for (auto &[Id, E] : Edits) {
-    (void)Id;
-    for (Instruction *I : E.Before)
-      delete I;
-    for (Instruction *I : E.New)
-      delete I;
-  }
+  auto Free = [](EditList &List) {
+    for (auto &[Id, E] : List) {
+      (void)Id;
+      for (Instruction *I : E.Before)
+        delete I;
+      for (Instruction *I : E.New)
+        delete I;
+    }
+  };
+  Free(Edits);
+  for (NewFunc &F : NewFuncs)
+    Free(F.Edits);
   for (auto &[F, Blocks] : NewBlocks) {
     (void)F;
     for (const std::vector<Instruction *> &Body : Blocks)
@@ -34,15 +64,15 @@ ModuleRewriter::~ModuleRewriter() {
   }
 }
 
-ModuleRewriter::Edit &ModuleRewriter::editFor(InstrId Id) {
+ModuleRewriter::Edit &ModuleRewriter::editFor(EditList &List, InstrId Id) {
   assert(!Applied && "rewriter already applied");
-  if (Edits.empty() || Edits.back().first < Id)
-    return Edits.emplace_back(Id, Edit()).second;
+  if (List.empty() || List.back().first < Id)
+    return List.emplace_back(Id, Edit()).second;
   auto It = std::lower_bound(
-      Edits.begin(), Edits.end(), Id,
+      List.begin(), List.end(), Id,
       [](const auto &E, InstrId Key) { return E.first < Key; });
   if (It->first != Id)
-    It = Edits.emplace(It, Id, Edit());
+    It = List.emplace(It, Id, Edit());
   return It->second;
 }
 
@@ -50,14 +80,14 @@ void ModuleRewriter::drop(InstrId Id) {
   assert(!Applied && "rewriter already applied");
   assert(!M.getInstr(Id)->isTerminator() &&
          "terminators cannot be dropped; replace them instead");
-  Edit &E = editFor(Id);
+  Edit &E = editFor(Edits, Id);
   assert(!E.Replaced && "instruction already replaced");
   E.Dropped = true;
 }
 
-void ModuleRewriter::replaceWith(InstrId Id, std::vector<Instruction *> New) {
-  assert(!Applied && "rewriter already applied");
-  Edit &E = editFor(Id);
+void ModuleRewriter::replaceIn(EditList &List, InstrId Id,
+                               std::vector<Instruction *> New) {
+  Edit &E = editFor(List, Id);
   assert(!E.Dropped && !E.Replaced && "instruction already edited");
   assert(!New.empty() && "use drop() to delete an instruction");
   if (M.getInstr(Id)->isTerminator())
@@ -67,13 +97,30 @@ void ModuleRewriter::replaceWith(InstrId Id, std::vector<Instruction *> New) {
   E.New = std::move(New);
 }
 
+void ModuleRewriter::replaceWith(InstrId Id, std::vector<Instruction *> New) {
+  replaceIn(Edits, Id, std::move(New));
+}
+
 void ModuleRewriter::insertBefore(InstrId Id, std::vector<Instruction *> New) {
   assert(!Applied && "rewriter already applied");
-  Edit &E = editFor(Id);
+  Edit &E = editFor(Edits, Id);
   if (E.Before.empty())
     E.Before = std::move(New);
   else
     E.Before.insert(E.Before.end(), New.begin(), New.end());
+}
+
+void ModuleRewriter::moveBefore(InstrId At, const std::vector<InstrId> &Ids) {
+  std::vector<Instruction *> Moved;
+  Moved.reserve(Ids.size());
+  for (InstrId Id : Ids) {
+    assert(Id != At && "an instruction cannot move before itself");
+    assert(M.getInstrFunction(Id) == M.getInstrFunction(At) &&
+           "instructions move inside their function");
+    Moved.push_back(copyInstr(*M.getInstr(Id)));
+    drop(Id);
+  }
+  insertBefore(At, std::move(Moved));
 }
 
 Reg ModuleRewriter::newReg(FuncId F) {
@@ -125,7 +172,21 @@ FuncId ModuleRewriter::nextFuncId() const {
 FuncId ModuleRewriter::addFunction(std::function<void(Module &)> Emit) {
   assert(!Applied && "rewriter already applied");
   FuncId Id = nextFuncId();
-  NewFuncs.push_back(std::move(Emit));
+  NewFuncs.push_back(NewFunc{std::move(Emit), kNoFunc, {}, {}});
+  return Id;
+}
+
+FuncId ModuleRewriter::copyFunction(
+    FuncId Src, std::string Name,
+    std::vector<std::pair<InstrId, std::vector<Instruction *>>> Replace) {
+  assert(!Applied && "rewriter already applied");
+  FuncId Id = nextFuncId();
+  NewFunc &F = NewFuncs.emplace_back(NewFunc{{}, Src, std::move(Name), {}});
+  for (auto &[At, New] : Replace) {
+    assert(M.getInstrFunction(At)->getId() == Src &&
+           "a copy's replacements name instructions of its source");
+    replaceIn(F.Edits, At, std::move(New));
+  }
   return Id;
 }
 
@@ -166,33 +227,11 @@ std::unique_ptr<Module> ModuleRewriter::apply() {
   for (GlobalDecl &G : NewGlobals)
     Out->addGlobal(std::move(G.Name), G.Ty);
 
-  // Source instructions are visited in InstrId order (finalize() numbers
-  // them in this same walk), so the edits are consumed in one pass.
   auto NextEdit = Edits.begin();
   for (const auto &F : M.functions()) {
     Function *NF = Out->addFunction(F->getName(), F->getNumParams(),
                                     numRegs(F->getId()), F->getOwner());
-    for (const auto &BB : F->blocks()) {
-      BasicBlock *NB = NF->addBlock();
-      for (const auto &I : BB->insts()) {
-        if (NextEdit == Edits.end() || NextEdit->first != I->getId()) {
-          NB->append(cloneInstr(*I));
-          continue;
-        }
-        Edit &E = NextEdit->second;
-        ++NextEdit;
-        for (Instruction *NI : E.Before)
-          NB->append(NI);
-        E.Before.clear();
-        if (E.Replaced) {
-          for (Instruction *NI : E.New)
-            NB->append(NI);
-          E.New.clear();
-        } else if (!E.Dropped) {
-          NB->append(cloneInstr(*I));
-        }
-      }
-    }
+    emitBody(*F, *NF, NextEdit, Edits.end());
     if (auto It = NewBlocks.find(F->getId()); It != NewBlocks.end()) {
       for (std::vector<Instruction *> &Body : It->second) {
         BasicBlock *NB = NF->addBlock();
@@ -203,13 +242,48 @@ std::unique_ptr<Module> ModuleRewriter::apply() {
     }
   }
 
-  for (auto &Emit : NewFuncs)
-    Emit(*Out);
+  for (NewFunc &NF : NewFuncs) {
+    if (NF.Emit) {
+      NF.Emit(*Out);
+      continue;
+    }
+    const Function &Src = *M.getFunction(NF.Src);
+    Function *Copy = Out->addFunction(std::move(NF.Name),
+                                      Src.getNumParams(), Src.getNumRegs());
+    auto Next = NF.Edits.begin();
+    emitBody(Src, *Copy, Next, NF.Edits.end());
+  }
 
   if (M.getEntry() != kNoFunc)
     Out->setEntry(M.getEntry());
   Out->finalize();
   return Out;
+}
+
+void ModuleRewriter::emitBody(const Function &F, Function &Out,
+                              EditList::iterator &Next,
+                              EditList::iterator End) {
+  for (const auto &BB : F.blocks()) {
+    BasicBlock *NB = Out.addBlock();
+    for (const auto &I : BB->insts()) {
+      if (Next == End || Next->first != I->getId()) {
+        NB->append(copyInstr(*I));
+        continue;
+      }
+      Edit &E = Next->second;
+      ++Next;
+      for (Instruction *NI : E.Before)
+        NB->append(NI);
+      E.Before.clear();
+      if (E.Replaced) {
+        for (Instruction *NI : E.New)
+          NB->append(NI);
+        E.New.clear();
+      } else if (!E.Dropped) {
+        NB->append(copyInstr(*I));
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===

@@ -8,12 +8,15 @@
 /// \file
 /// ModuleRewriter: the one way to derive a module from another. A
 /// rewriter records edits against a finalized source module — drop an
-/// instruction, replace it with a fresh sequence, insert before it, add
-/// registers, globals, classes, blocks and functions — and apply()
+/// instruction, replace it with a fresh sequence, insert before it, move
+/// instructions before another, add registers, globals, classes, blocks
+/// and functions, copy a function under a new name — and apply()
 /// materializes them as a fresh finalized module, leaving the source
-/// untouched. Method names, natives, classes, globals, functions and
-/// blocks keep their source ids (additions number after them), so call
-/// targets and branch labels carry over; only the dense instruction and
+/// untouched. It is also the only code that copies an existing
+/// instruction: each unedited one is copy-constructed as its concrete
+/// class. Method names, natives, classes, globals, functions and blocks
+/// keep their source ids (additions number after them), so call targets
+/// and branch labels carry over; only the dense instruction and
 /// allocation-site ids are re-assigned by the output's finalize().
 ///
 /// The profile-guided rewrite passes (analysis/PassManager.h) and the
@@ -63,6 +66,12 @@ public:
   /// \p Id; composes with drop/replaceWith on the same id.
   void insertBefore(InstrId Id, std::vector<Instruction *> New);
 
+  /// Moves instructions \p Ids of \p At's function, in that order, to just
+  /// before instruction \p At: an insertBefore() of their copies plus a
+  /// drop() of each, so it composes with insertBefore() on \p At in call
+  /// order. None of \p Ids may be a terminator or be replaced.
+  void moveBefore(InstrId At, const std::vector<InstrId> &Ids);
+
   /// Allocates a fresh virtual register in function \p F of the output.
   Reg newReg(FuncId F);
 
@@ -93,10 +102,19 @@ public:
   FuncId nextFuncId() const;
 
   /// Schedules \p Emit to run against the output module after the source
-  /// functions are cloned: build exactly one function per callback (via
+  /// functions are copied: build exactly one function per callback (via
   /// Module::addFunction + BasicBlock::append or an IRBuilder). Returns
   /// the function id the body will receive.
   FuncId addFunction(std::function<void(Module &)> Emit);
+
+  /// Appends a copy of source function \p Src named \p Name, owned by no
+  /// class, in which each listed instruction of \p Src is replaced by its
+  /// sequence (ownership transfers; the rules of replaceWith() hold). The
+  /// source function itself is emitted as its own edits say. Returns the
+  /// copy's function id.
+  FuncId copyFunction(
+      FuncId Src, std::string Name,
+      std::vector<std::pair<InstrId, std::vector<Instruction *>>> Replace);
 
   /// True once any edit or addition has been recorded.
   bool changed() const;
@@ -118,20 +136,40 @@ private:
     std::vector<FieldDecl> Fields;
   };
 
-  /// The edit record of instruction \p Id, created on first use.
-  Edit &editFor(InstrId Id);
+  /// Sorted by InstrId. Edits usually arrive in id order, so a new one is
+  /// almost always appended.
+  using EditList = std::vector<std::pair<InstrId, Edit>>;
+
+  /// A function appended after the source's: an addFunction() callback,
+  /// or (when Emit is empty) a copyFunction() of source function Src.
+  struct NewFunc {
+    std::function<void(Module &)> Emit;
+    FuncId Src = kNoFunc;
+    std::string Name;
+    EditList Edits;
+  };
+
+  /// The record of instruction \p Id in \p List, created on first use.
+  Edit &editFor(EditList &List, InstrId Id);
+
+  /// replaceWith() against \p List.
+  void replaceIn(EditList &List, InstrId Id, std::vector<Instruction *> New);
+
+  /// Appends the blocks of source function \p F to \p Out, applying the
+  /// edits from \p Next on; the walk visits instructions in InstrId order,
+  /// so it consumes them in one pass.
+  void emitBody(const Function &F, Function &Out, EditList::iterator &Next,
+                EditList::iterator End);
 
   const Module &M;
   bool Applied = false;
-  /// Sorted by InstrId. Edits usually arrive in id order, so a new one is
-  /// almost always appended.
-  std::vector<std::pair<InstrId, Edit>> Edits;
+  EditList Edits;
   /// Registers added per source function, indexed by FuncId.
   std::vector<uint32_t> ExtraRegs;
   std::map<FuncId, std::vector<std::vector<Instruction *>>> NewBlocks;
   std::vector<NewClass> NewClasses;
   std::vector<GlobalDecl> NewGlobals;
-  std::vector<std::function<void(Module &)>> NewFuncs;
+  std::vector<NewFunc> NewFuncs;
 };
 
 //===----------------------------------------------------------------------===

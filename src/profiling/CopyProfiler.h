@@ -103,7 +103,6 @@ public:
 
   // Profiler hooks.
   void onRunStart(const Module &Mod, Heap &H);
-  void onRunEnd() {}
   void onEntryFrame(const Function &F);
   void onPhase(int64_t) {}
   void onConst(const ConstInst &I);

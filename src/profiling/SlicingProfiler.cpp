@@ -40,8 +40,6 @@ void SlicingProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   Env.onRunStart(Mod, Heap_);
 }
 
-void SlicingProfiler::onRunEnd() {}
-
 void SlicingProfiler::onEntryFrame(const Function &F) {
   Env.onEntryFrame(F);
   Sh.enterEntry(F.getNumRegs());

@@ -95,7 +95,6 @@ public:
   //===--------------------------------------------------------------------===
 
   void onRunStart(const Module &Mod, Heap &H);
-  void onRunEnd();
   void onEntryFrame(const Function &F);
   void onPhase(int64_t Phase);
 

@@ -61,9 +61,6 @@ public:
   void onRunStart(const Module &M, Heap &H) {
     each([&](auto &P) { P.onRunStart(M, H); });
   }
-  void onRunEnd() {
-    each([&](auto &P) { P.onRunEnd(); });
-  }
   void onEntryFrame(const Function &F) {
     each([&](auto &P) { P.onEntryFrame(F); });
   }

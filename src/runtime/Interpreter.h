@@ -140,7 +140,6 @@ public:
     Res.Calls = Calls;
     Res.PeakFrameDepth = PeakDepth;
     Res.ObjectsAllocated = TheHeap.numObjects() - ObjectsBefore;
-    Prof.onRunEnd();
     Ctx = nullptr;
     return Res;
   }

@@ -48,7 +48,6 @@ const char *trapKindName(TrapKind K);
 /// (statically) only what they need.
 struct NoopProfiler {
   void onRunStart(const Module &, Heap &) {}
-  void onRunEnd() {}
   /// Entry-function frame creation (no call site exists for it).
   void onEntryFrame(const Function &) {}
   /// Phase marker executed (selective tracking, Section 4.1).

@@ -13,9 +13,9 @@
 /// — and the stream is executed with direct-threaded dispatch: every DIns
 /// carries the address of its handler, so the hot path is "run handler,
 /// bump counter, jump through the next record" with no virtual dispatch,
-/// no hash lookups, no unique_ptr chasing and no Value re-boxing. Where
-/// computed goto is unavailable the same handler bodies compile into a
-/// tight switch over the decoded opcode.
+/// no hash lookups, no unique_ptr chasing and no Value re-boxing. The
+/// handler addresses come from the address-of-label extension that GCC and
+/// Clang, the project's only compilers, provide.
 ///
 /// The decode cache is memoized per engine instance: decodedFn() returns
 /// the existing stream or fills the function's slot once, the same
@@ -42,15 +42,6 @@
 #include <cmath>
 #include <cstring>
 #include <vector>
-
-// Direct threading needs the address-of-label GNU extension; elsewhere (or
-// with LUD_NO_COMPUTED_GOTO defined for testing the fallback) the decoded
-// stream is executed by a switch over DIns::Op instead.
-#if !defined(LUD_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define LUD_THREADED_GOTO 1
-#else
-#define LUD_THREADED_GOTO 0
-#endif
 
 namespace lud {
 
@@ -186,7 +177,6 @@ public:
     Res.Calls = Calls;
     Res.PeakFrameDepth = PeakDepth;
     Res.ObjectsAllocated = TheHeap.numObjects() - ObjectsBefore;
-    Prof.onRunEnd();
     Ctx = nullptr;
     return Res;
   }
@@ -458,9 +448,7 @@ private:
     }
     }
     O.Op = uint8_t(Op);
-#if LUD_THREADED_GOTO
     O.Handler = LabelTable[O.Op];
-#endif
     return O;
   }
 
@@ -469,17 +457,12 @@ private:
   /// instruction is counted before it executes (so a trapping instruction
   /// is counted, and BudgetExceeded stops *before* instruction N+1).
   RunStatus loop(RunResult &Res, FuncId EntryId) {
-#if LUD_THREADED_GOTO
 #define LUD_X(N) &&L_##N,
     static const void *const Labels[] = {LUD_DOPC_LIST(LUD_X)};
 #undef LUD_X
     LabelTable = Labels;
 #define LUD_OP(name) L_##name:
 #define LUD_DISPATCH() goto *PC->Handler
-#else
-#define LUD_OP(name) case DOpc::name:
-#define LUD_DISPATCH() goto Dispatch
-#endif
 
 // Advance to the instruction PC points at (callers position PC first).
 // `Left` counts budget headroom downwards so the pre-instruction budget
@@ -639,11 +622,6 @@ private:
       PeakL = Depth;
 
     LUD_NEXT();
-
-#if !LUD_THREADED_GOTO
-  Dispatch:
-    switch (DOpc(PC->Op)) {
-#endif
 
     LUD_OP(ConstInt) {
       const DIns &I = *PC;
@@ -958,11 +936,6 @@ private:
 
     LUD_OP(Return) { LUD_RETURN_BODY(R[PC->A]); }
     LUD_OP(ReturnVoid) { LUD_RETURN_BODY(Value()); }
-
-#if !LUD_THREADED_GOTO
-    }
-    lud_unreachable("unknown decoded opcode");
-#endif
 
   ExitSync:
     Executed += Left0 - Left;

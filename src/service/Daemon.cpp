@@ -384,9 +384,8 @@ void Daemon::handleHttp(Fd Conn) {
 void Daemon::sweeper() {
   std::unique_lock<std::mutex> Lock(SweepMu);
   while (!Stopping) {
-    SweepCV.wait_for(
-        Lock, std::chrono::duration<double>(
-                  Cfg.SweepSeconds > 0 ? Cfg.SweepSeconds : 1.0));
+    // Idle sessions are evicted once a second.
+    SweepCV.wait_for(Lock, std::chrono::seconds(1));
     if (Stopping)
       return;
     Mgr->evictIdle();

@@ -68,8 +68,6 @@ struct DaemonConfig {
   /// Run the rewrite-pass pipeline over the module at startup: /report
   /// gains the "=== Optimizer ===" section and /stats the opt.* metrics.
   bool Optimize = false;
-  /// Idle-eviction sweep cadence, seconds.
-  double SweepSeconds = 1.0;
 };
 
 /// One daemon instance: listeners, connection threads, and the session

@@ -2,6 +2,7 @@
 
 #include "support/OutStream.h"
 
+#include <cerrno>
 #include <charconv>
 #include <cstring>
 #include <sys/stat.h>
@@ -81,6 +82,10 @@ bool lud::readFileBytes(const std::string &Path, std::string &Out) {
     Want = 65536;
   }
   Out.resize(Len);
+  // A path that opens but cannot be read (a directory) fails here, not as
+  // an empty file.
+  int Err = std::ferror(F) ? (errno ? errno : EIO) : 0;
   std::fclose(F);
-  return true;
+  errno = Err;
+  return Err == 0;
 }

@@ -123,7 +123,7 @@ OutStream &outs();
 OutStream &errs();
 
 /// Appends the contents of the file at \p Path to \p Out. Returns false,
-/// with errno set, when the file cannot be opened.
+/// with errno set, when the file cannot be opened or read.
 bool readFileBytes(const std::string &Path, std::string &Out);
 
 } // namespace lud

@@ -9,7 +9,9 @@
 #include "workloads/RandomProgram.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
+#include <cstring>
 #include <vector>
 
 using namespace lud;
@@ -115,7 +117,8 @@ std::unique_ptr<Module> ProgramSource::load(int &ExitCode) {
     ExitCode = 1;
     std::string Text;
     if (!readFileBytes(File, Text)) {
-      errs() << "cannot read '" << File << "'\n";
+      errs() << "cannot read '" << File << "': " << std::strerror(errno)
+             << "\n";
       return nullptr;
     }
     std::vector<std::string> Errors;

@@ -30,6 +30,8 @@
 #include "trace/RunManifest.h"
 #include "workloads/Render.h"
 
+#include <cerrno>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -118,7 +120,8 @@ int main(int argc, char **argv) {
     return LoadRc;
   std::string GraphText;
   if (!readFileBytes(GraphPath, GraphText)) {
-    errs() << "cannot read '" << GraphPath << "'\n";
+    errs() << "cannot read '" << GraphPath << "': " << std::strerror(errno)
+             << "\n";
     return 1;
   }
   std::vector<std::string> Errors;

@@ -35,7 +35,9 @@
 #include "tools/ProgramSource.h"
 #include "trace/RunManifest.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -106,7 +108,8 @@ int sendMain(const Options &O, const std::vector<std::string> &Manifests) {
     Stream &S = Streams[I];
     S.Path = Manifests[I];
     if (!readFileBytes(S.Path, S.Bytes)) {
-      errs() << "cannot read '" << S.Path << "'\n";
+      errs() << "cannot read '" << S.Path << "': " << std::strerror(errno)
+             << "\n";
       return 1;
     }
     // An empty file still goes out as one (empty) frame, so the daemon

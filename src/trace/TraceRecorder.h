@@ -125,7 +125,6 @@ public:
     ++Segments;
     RunStartEvents = events();
   }
-  void onRunEnd() {}
   void onEntryFrame(const Function &) { hit(EntryFrame); }
   void onPhase(int64_t P) {
     hit(Phase);

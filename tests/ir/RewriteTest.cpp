@@ -266,4 +266,165 @@ TEST(RewriteTest, AppendedBlocksAreBranchTargets) {
   EXPECT_EQ(After.ExecutedInstrs, Before.ExecutedInstrs + 3);
 }
 
+/// main: b0 a=5, c=7, br b1; b1 u=a+c (unused), s=a*c, sink(s), ret s —
+/// the two Bin instructions of b1 can move up into b0.
+std::unique_ptr<Module> buildTwoBlocks() {
+  auto M = std::make_unique<Module>();
+  IRBuilder B(*M);
+  B.beginFunction("main", 0);
+  Reg A = B.iconst(5);
+  Reg C = B.iconst(7);
+  BasicBlock *Next = B.newBlock();
+  B.br(Next);
+  B.setBlock(Next);
+  B.add(A, C);
+  Reg S = B.mul(A, C);
+  B.ncallVoid("sink", {S});
+  B.ret(S);
+  B.endFunction();
+  M->finalize();
+  return M;
+}
+
+/// Every instruction of function \p F, printed, block by block.
+std::vector<std::string> bodyOf(const Module &M, FuncId F) {
+  std::vector<std::string> Out;
+  for (const auto &BB : M.getFunction(F)->blocks())
+    for (const auto &I : BB->insts())
+      Out.push_back(instToString(M, *I));
+  return Out;
+}
+
+TEST(RewriteTest, MoveBeforeCrossesBlocksInOrder) {
+  std::unique_ptr<Module> M = buildTwoBlocks();
+  const Function *Main = M->getFunction(M->findFunction("main"));
+  const BasicBlock *B0 = Main->getBlock(0), *B1 = Main->getBlock(1);
+  const Instruction *Add = B1->insts()[0].get(), *Mul = B1->insts()[1].get();
+  ModuleRewriter RW(*M);
+  RW.moveBefore(B0->terminator()->getId(), {Add->getId(), Mul->getId()});
+  EXPECT_TRUE(RW.changed());
+  std::unique_ptr<Module> Out = RW.apply();
+  expectVerifies(*Out);
+  EXPECT_EQ(Out->getNumInstrs(), M->getNumInstrs());
+  const Function *OutMain = Out->getFunction(Main->getId());
+  const BasicBlock *O0 = OutMain->getBlock(0), *O1 = OutMain->getBlock(1);
+  ASSERT_EQ(O0->insts().size(), 5u);
+  EXPECT_EQ(O1->insts().size(), 2u);
+  EXPECT_EQ(instToString(*Out, *O0->insts()[2]), instToString(*M, *Add));
+  EXPECT_EQ(instToString(*Out, *O0->insts()[3]), instToString(*M, *Mul));
+  EXPECT_TRUE(O0->terminator()->isTerminator());
+  RunResult Before = plainRun(*M), After = plainRun(*Out);
+  EXPECT_EQ(Before.SinkHash, After.SinkHash);
+  EXPECT_EQ(Before.ReturnValue.asInt(), After.ReturnValue.asInt());
+  EXPECT_EQ(Before.ExecutedInstrs, After.ExecutedInstrs);
+}
+
+TEST(RewriteTest, MoveBeforeComposesWithInsertBefore) {
+  std::unique_ptr<Module> M = buildTwoBlocks();
+  FuncId MainId = M->findFunction("main");
+  const Function *Main = M->getFunction(MainId);
+  const Instruction *Br = Main->getBlock(0)->terminator();
+  const Instruction *Add = Main->getBlock(1)->insts()[0].get();
+  const Instruction *Mul = Main->getBlock(1)->insts()[1].get();
+  ModuleRewriter RW(*M);
+  Reg T = RW.newReg(MainId), U = RW.newReg(MainId);
+  // Sequences aimed at one target land in call order.
+  RW.insertBefore(Br->getId(), {ConstInst::makeInt(T, 1)});
+  RW.moveBefore(Br->getId(), {Mul->getId()});
+  RW.insertBefore(Br->getId(), {ConstInst::makeInt(U, 2)});
+  RW.moveBefore(Br->getId(), {Add->getId()});
+  std::unique_ptr<Module> Out = RW.apply();
+  expectVerifies(*Out);
+  const auto &Got = Out->getFunction(MainId)->entry()->insts();
+  ASSERT_EQ(Got.size(), 7u);
+  ASSERT_TRUE(isa<ConstInst>(Got[2].get()) && isa<ConstInst>(Got[4].get()));
+  EXPECT_EQ(cast<ConstInst>(Got[2].get())->Dst, T);
+  EXPECT_EQ(instToString(*Out, *Got[3]), instToString(*M, *Mul));
+  EXPECT_EQ(cast<ConstInst>(Got[4].get())->Dst, U);
+  EXPECT_EQ(instToString(*Out, *Got[5]), instToString(*M, *Add));
+  EXPECT_EQ(instToString(*Out, *Got[6]), instToString(*M, *Br));
+  RunResult Before = plainRun(*M), After = plainRun(*Out);
+  EXPECT_EQ(Before.SinkHash, After.SinkHash);
+  EXPECT_EQ(After.ExecutedInstrs, Before.ExecutedInstrs + 2);
+}
+
+/// twice(x): d = x+x (unused), t = x*2, ret t; main: r = twice(21),
+/// sink(r), ret r.
+std::unique_ptr<Module> buildTwice() {
+  auto M = std::make_unique<Module>();
+  IRBuilder B(*M);
+  B.beginFunction("twice", 1);
+  B.add(0, 0);
+  Reg Two = B.iconst(2);
+  B.ret(B.mul(0, Two));
+  B.endFunction();
+  B.beginFunction("main", 0);
+  Reg R = B.call("twice", {B.iconst(21)});
+  B.ncallVoid("sink", {R});
+  B.ret(R);
+  B.endFunction();
+  M->finalize();
+  return M;
+}
+
+TEST(RewriteTest, CopyFunctionReplacesOnlyInTheCopy) {
+  std::unique_ptr<Module> M = buildTwice();
+  FuncId Twice = M->findFunction("twice");
+  const BasicBlock *Body = M->getFunction(Twice)->entry();
+  const Instruction *Dead = Body->insts()[0].get();
+  const auto *Mul = cast<BinInst>(Body->insts()[2].get());
+  const Instruction *Call = findFirst(*M, Instruction::Kind::Call);
+  ASSERT_NE(Call, nullptr);
+  ModuleRewriter RW(*M);
+  // The source loses its dead add; the copy keeps it and returns x+7.
+  RW.drop(Dead->getId());
+  Reg Seven = Mul->Rhs;
+  FuncId Copy = RW.copyFunction(
+      Twice, "twice_plus7",
+      {{Body->insts()[1]->getId(), {ConstInst::makeInt(Seven, 7)}},
+       {Mul->getId(), {new BinInst(BinOp::Add, Mul->Dst, 0, Seven)}}});
+  EXPECT_EQ(Copy, FuncId(M->functions().size()));
+  EXPECT_EQ(RW.nextFuncId(), Copy + 1);
+  RW.replaceWith(Call->getId(),
+                 {CallInst::makeDirect(cast<CallInst>(Call)->Dst, Copy,
+                                       cast<CallInst>(Call)->Args)});
+  std::unique_ptr<Module> Out = RW.apply();
+  expectVerifies(*Out);
+
+  const Function *C = Out->getFunction(Copy);
+  EXPECT_EQ(C->getName(), "twice_plus7");
+  EXPECT_EQ(Out->findFunction("twice_plus7"), Copy);
+  EXPECT_EQ(C->getNumParams(), 1u);
+  EXPECT_EQ(C->getNumRegs(), M->getFunction(Twice)->getNumRegs());
+  EXPECT_FALSE(C->isMethod());
+  std::vector<std::string> Src = bodyOf(*M, Twice);
+  std::vector<std::string> Kept = bodyOf(*Out, Twice);
+  std::vector<std::string> Copied = bodyOf(*Out, Copy);
+  // The source's edit stays in the source, the copy's in the copy.
+  EXPECT_EQ(Kept, std::vector<std::string>(Src.begin() + 1, Src.end()));
+  ASSERT_EQ(Copied.size(), Src.size());
+  EXPECT_EQ(Copied[0], Src[0]);
+  EXPECT_NE(Copied[1], Src[1]);
+  EXPECT_NE(Copied[2], Src[2]);
+  EXPECT_EQ(Copied[3], Src[3]);
+
+  RunResult Before = plainRun(*M), After = plainRun(*Out);
+  EXPECT_EQ(Before.ReturnValue.asInt(), 42);
+  EXPECT_EQ(After.ReturnValue.asInt(), 28);
+}
+
+TEST(RewriteTest, DiscardedRewriterFreesItsEdits) {
+  // Under ASan this leaks if a copy's replacement or a moved copy is not
+  // freed when apply() never runs.
+  std::unique_ptr<Module> M = buildTwice();
+  FuncId Twice = M->findFunction("twice");
+  const BasicBlock *Body = M->getFunction(Twice)->entry();
+  ModuleRewriter RW(*M);
+  RW.copyFunction(Twice, "twice_copy",
+                  {{Body->insts()[0]->getId(),
+                    {new BinInst(BinOp::Sub, 1, 0, 0)}}});
+  RW.moveBefore(Body->terminator()->getId(), {Body->insts()[0]->getId()});
+  EXPECT_TRUE(RW.changed());
+}
+
 } // namespace

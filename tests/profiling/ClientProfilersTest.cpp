@@ -469,7 +469,6 @@ struct RecordingProfiler : NoopProfiler {
   RecordingProfiler(std::vector<std::string> *Log, std::string Name)
       : Log(Log), Name(std::move(Name)) {}
   void onRunStart(const Module &, Heap &) { Log->push_back(Name + ":start"); }
-  void onRunEnd() { Log->push_back(Name + ":end"); }
   void onConst(const ConstInst &) { Log->push_back(Name + ":const"); }
   void onAlloc(const AllocInst &, ObjId) { Log->push_back(Name + ":alloc"); }
 };
@@ -499,8 +498,7 @@ TEST(ComposedProfilerTest, FansHooksOutInDeclarationOrder) {
   // Every hook reaches every stage, stages in declaration order, events in
   // execution order.
   std::vector<std::string> Expected = {"A:start", "B:start", "A:const",
-                                       "B:const", "A:alloc", "B:alloc",
-                                       "A:end",   "B:end"};
+                                       "B:const", "A:alloc", "B:alloc"};
   EXPECT_EQ(Log, Expected);
 }
 
@@ -511,8 +509,7 @@ TEST(ComposedProfilerTest, NullStagesAreSkipped) {
   ComposedProfiler<RecordingProfiler, RecordingProfiler> Pipe(nullptr, &B);
   RunResult R = runModule(*M, Pipe);
   ASSERT_EQ(R.Status, RunStatus::Finished);
-  std::vector<std::string> Expected = {"B:start", "B:const", "B:alloc",
-                                       "B:end"};
+  std::vector<std::string> Expected = {"B:start", "B:const", "B:alloc"};
   EXPECT_EQ(Log, Expected);
 }
 

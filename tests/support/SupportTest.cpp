@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+
 using namespace lud;
 
 namespace {
@@ -38,6 +40,19 @@ TEST(OutStreamTest, StringViewAndStdString) {
   std::string S = "abc";
   OS << S << std::string_view("def");
   EXPECT_EQ(OS.str(), "abcdef");
+}
+
+TEST(OutStreamTest, ReadErrorIsNotAnEmptyFile) {
+  // A directory opens but cannot be read: that is a failure with errno
+  // set, not an empty input.
+  std::string Bytes = "kept";
+  errno = 0;
+  EXPECT_FALSE(readFileBytes(::testing::TempDir(), Bytes));
+  EXPECT_EQ(errno, EISDIR);
+  errno = 0;
+  EXPECT_FALSE(readFileBytes(::testing::TempDir() + "/lud-no-such-file",
+                             Bytes));
+  EXPECT_EQ(errno, ENOENT);
 }
 
 TEST(RNGTest, DeterministicForSeed) {
