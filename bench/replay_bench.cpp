@@ -13,13 +13,23 @@
 //                 analyses plus the hook counter, checked against its
 //                 record.
 //
+// A second table puts the capture itself (the recorder as the whole
+// pipeline, no substrate) against the uninstrumented baseline, on the
+// threaded engine: the interpret spans of interleaved runs, per analogue
+// and for the composed tier, and the capture/baseline ratio of their
+// medians.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
 #include "support/OutStream.h"
+#include "workloads/Composed.h"
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 using namespace lud;
 using namespace lud::bench;
@@ -63,6 +73,54 @@ double replaySeconds(const Module &M, const std::string &Manifest) {
     std::exit(1);
   }
   return R.Seconds;
+}
+
+/// Interpret span of one threaded-engine run of \p M: the baseline, or the
+/// same run captured by the recorder alone.
+double baselineOrCaptureSeconds(const Module &M, bool Capture) {
+  StringOutStream Sink;
+  SessionConfig Cfg = SessionConfig::baseline();
+  Cfg.Engine = EngineKind::Threaded;
+  if (Capture)
+    Cfg.RecordSink = &Sink;
+  ProfileSession S(Cfg);
+  return S.run(M).Seconds;
+}
+
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  return V[V.size() / 2];
+}
+
+/// One row of the capture table: \p Rounds interleaved baseline/capture
+/// pairs over \p M.
+void printCaptureRow(const std::string &Name, const Module &M, int64_t Scale,
+                     int Rounds) {
+  std::vector<double> Base, Cap;
+  for (int I = 0; I != Rounds; ++I) {
+    Base.push_back(baselineOrCaptureSeconds(M, false));
+    Cap.push_back(baselineOrCaptureSeconds(M, true));
+  }
+  double B = median(Base), C = median(Cap);
+  std::printf("%-12s %8lld %10.2fms %10.2fms %9.3fx\n", Name.c_str(),
+              (long long)Scale, B * 1e3, C * 1e3, B > 0 ? C / B : 0);
+  emitJsonRow("capture/baseline/" + Name, Scale, B, 0, 0, EngineKind::Threaded);
+  emitJsonRow("capture/record/" + Name, Scale, C, 0, 0, EngineKind::Threaded);
+}
+
+void printCaptureTable() {
+  constexpr int Rounds = 7;
+  std::printf("=== Capture vs baseline: interpret span, threaded engine, "
+              "median of %d interleaved pairs ===\n",
+              Rounds);
+  std::printf("%-12s %8s %12s %12s %10s\n", "workload", "scale", "baseline",
+              "capture", "ratio");
+  const int64_t S = tableScale() / 2;
+  for (const std::string &Name : dacapoNames())
+    printCaptureRow(Name, *buildWorkload(Name, S).M, S, Rounds);
+  printCaptureRow("composed", *buildComposedWorkload(tableScale()).M,
+                  tableScale(), Rounds);
+  std::printf("\n");
 }
 
 void printTable() {
@@ -138,6 +196,7 @@ int main(int argc, char **argv) {
   initJsonRows(&argc, argv);
   initStats(&argc, argv);
   printTable();
+  printCaptureTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -16,10 +16,12 @@
 /// the substrate's (workloads/Driver.h); the recorder composes ahead of the
 /// substrate.
 ///
-/// Stages are held by pointer and a null stage is skipped at every hook, so
-/// one static pipeline type serves every runtime-selected subset of clients
-/// (ProfileSession enables clients by passing nullptr for the others) at the
-/// cost of one pointer test per hook per stage.
+/// Stages are held by reference and are never null: which stages run is
+/// part of the pipeline's type, so a hook costs exactly its stages' work.
+/// A session that picks its stages at run time does so once per run with
+/// withStages below, which hands the chosen stages to code instantiated for
+/// exactly that set (workloads/Driver.cpp dispatches every session run that
+/// way).
 ///
 /// The empty composition ComposedProfiler<> has all-empty inline hooks and
 /// is therefore exactly the NoopProfiler baseline: composing zero profilers
@@ -42,21 +44,14 @@
 #include "runtime/ProfilerConcept.h"
 
 #include <tuple>
-#include <type_traits>
 
 namespace lud {
 
 template <typename... Ps> class ComposedProfiler {
 public:
-  /// Empty pipeline (only well-formed to *use* when every stage pointer
-  /// would be null anyway; with an empty pack this is the Noop baseline).
-  ComposedProfiler() : Parts() {}
-  /// Pipeline over the given stages, in declaration order. A null pointer
-  /// disables its stage. (Constrained away for the empty pack, where it
-  /// would collide with the default constructor.)
-  template <bool NonEmpty = (sizeof...(Ps) > 0),
-            typename = std::enable_if_t<NonEmpty>>
-  explicit ComposedProfiler(Ps *...Stages) : Parts(Stages...) {}
+  /// Pipeline over the given stages, in declaration order. With an empty
+  /// pack this is the default constructor of the Noop baseline.
+  explicit ComposedProfiler(Ps &...Stages) : Parts(Stages...) {}
 
   void onRunStart(const Module &M, Heap &H) {
     each([&](auto &P) { P.onRunStart(M, H); });
@@ -129,11 +124,35 @@ public:
 
 private:
   template <typename Fn> void each(Fn &&F) {
-    std::apply([&](auto *...P) { ((P ? (void)F(*P) : void()), ...); }, Parts);
+    std::apply([&](auto &...P) { (F(P), ...); }, Parts);
   }
 
-  std::tuple<Ps *...> Parts;
+  std::tuple<Ps &...> Parts;
 };
+
+namespace detail {
+template <typename Fn, typename... Have>
+decltype(auto) withStagesFrom(Fn &F, std::tuple<Have &...> Got) {
+  return std::apply(F, Got);
+}
+template <typename Fn, typename... Have, typename P, typename... Rest>
+decltype(auto) withStagesFrom(Fn &F, std::tuple<Have &...> Got, P *Next,
+                              Rest *...More) {
+  if (Next)
+    return withStagesFrom(F, std::tuple_cat(Got, std::tie(*Next)), More...);
+  return withStagesFrom(F, Got, More...);
+}
+} // namespace detail
+
+/// Calls \p F with a reference to each non-null stage of \p Stages, in
+/// declaration order, and returns what it returns. The null tests happen
+/// here, once per call; \p F is instantiated for every subset of the
+/// stages (2^N of them), so a ComposedProfiler built from its arguments
+/// has no per-hook test.
+template <typename Fn, typename... Ps>
+decltype(auto) withStages(Fn &&F, Ps *...Stages) {
+  return detail::withStagesFrom(F, std::tuple<>(), Stages...);
+}
 
 } // namespace lud
 

@@ -247,15 +247,19 @@ private:
   }
 
   /// The decode memo: returns the function's decoded body, producing it on
-  /// first touch.
-  DecodedFunction &decodedFn(FuncId Id) {
+  /// first touch. Every call instruction runs the lookup, so it is forced
+  /// into the dispatch loop and the decode kept out of line: with the
+  /// session's eleven pipeline shapes instantiated in one translation unit
+  /// (workloads/Driver.cpp), GCC otherwise left the lookup a call.
+  [[gnu::always_inline]] DecodedFunction &decodedFn(FuncId Id) {
     DecodedFunction &D = DFuncs[Id];
     if (__builtin_expect(!D.Ready, 0))
       decodeFunction(D, *M.getFunction(Id));
     return D;
   }
 
-  void decodeFunction(DecodedFunction &D, const Function &Fn) {
+  [[gnu::noinline]] void decodeFunction(DecodedFunction &D,
+                                        const Function &Fn) {
     D.Fn = &Fn;
     D.NRegs = Fn.getNumRegs();
     // Pass 1: flat offsets of each block (one DIns per instruction), so

@@ -18,6 +18,12 @@
 ///   lud-run --record=p.run --shards 8 p.lud
 ///   lud-replay --all p.lud p.run.shard0 ... p.run.shard7
 ///
+/// A run of a generated workload replays against the same workload, so
+/// every operand is a manifest:
+///
+///   lud-run --workload=composed --scale=40 --record=c.run
+///   lud-replay --workload=composed --scale=40 c.run
+///
 /// A manifest recorded against a different program, or a run that does
 /// not reproduce its record, fails with a diagnostic naming the file and
 /// the line. --engine picks the engine re-execution runs on; the results
@@ -41,7 +47,10 @@ int main(int argc, char **argv) {
   cli::ProgramSource Src;
   cli::AnalysisRequest Req;
   unsigned Threads = 1;
-  cli::OptionSet Cli("lud-replay", "<program.lud> <manifest>...");
+  cli::OptionSet Cli("lud-replay",
+                     "<program.lud> <manifest>... | --workload=NAME "
+                     "<manifest>...");
+  Src.declare(Cli, cli::ProgramSource::WorkloadOpts);
   Req.declare(Cli, cli::AnalysisRequest::AllOpts);
   Cli.number("--threads", Threads,
              "N  worker threads for multiple manifests (with --clients a "
@@ -55,13 +64,18 @@ int main(int argc, char **argv) {
   }
   if (Cli.exitRequested())
     return 0;
-  if (Cli.positionals().size() < 2) {
-    errs() << "expected a program and at least one manifest\n";
+  // With --workload the program is generated, and every operand is a
+  // manifest.
+  const size_t NumPrograms = Src.Workload.empty() ? 1 : 0;
+  if (Cli.positionals().size() < NumPrograms + 1) {
+    errs() << (NumPrograms ? "expected a program and at least one manifest\n"
+                           : "expected at least one manifest\n");
     Cli.usage();
     return 2;
   }
-  Src.File = Cli.positionals()[0];
-  std::vector<std::string> Manifests(Cli.positionals().begin() + 1,
+  if (NumPrograms)
+    Src.File = Cli.positionals()[0];
+  std::vector<std::string> Manifests(Cli.positionals().begin() + NumPrograms,
                                      Cli.positionals().end());
 
   int LoadRc = 0;

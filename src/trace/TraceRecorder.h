@@ -16,6 +16,11 @@
 /// without a sink to count the re-executed hooks it checks each record
 /// against.
 ///
+/// A hook costs one increment, of its kind's counter. Per-phase attribution
+/// is derived, not counted: the events since the last phase change all
+/// belong to the current phase, so each onPhase folds that difference into
+/// the phase's total, and accountStats adds the open one.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LUD_TRACE_TRACERECORDER_H
@@ -109,14 +114,16 @@ public:
                       obs::Unit::Count, obs::Merge::Sum),
               Count[K]);
     for (unsigned P = 0; P != kPhaseBuckets; ++P) {
-      if (!PhaseEvents[P])
+      uint64_t N =
+          PhaseEvents[P] + (P == Bucket ? events() - PhaseStartEvents : 0);
+      if (!N)
         continue;
       std::string Name = P + 1 == kPhaseBuckets
                              ? std::string("other")
                              : std::to_string(P);
       R.set(R.gauge("trace.phase." + Name + ".events", obs::Unit::Count,
                     obs::Merge::Sum),
-            PhaseEvents[P]);
+            N);
     }
   }
 
@@ -128,6 +135,10 @@ public:
   void onEntryFrame(const Function &) { hit(EntryFrame); }
   void onPhase(int64_t P) {
     hit(Phase);
+    // The marker itself belongs to the phase it ends.
+    uint64_t Now = events();
+    PhaseEvents[Bucket] += Now - PhaseStartEvents;
+    PhaseStartEvents = Now;
     Bucket = P >= 0 && P < int64_t(kPhaseBuckets) - 1 ? unsigned(P)
                                                       : kPhaseBuckets - 1;
   }
@@ -172,17 +183,18 @@ private:
   /// everything else lands in "other".
   static constexpr unsigned kPhaseBuckets = 8;
 
-  void hit(Hook K) {
-    ++Count[K];
-    ++PhaseEvents[Bucket];
-  }
+  void hit(Hook K) { ++Count[K]; }
 
   OutStream *Sink;
   uint64_t Bytes = 0;
   uint64_t Segments = 0;
   uint64_t RunStartEvents = 0;
+  /// The current phase's bucket, and events() when it was entered.
   unsigned Bucket = 0;
+  uint64_t PhaseStartEvents = 0;
   uint64_t Count[NumHooks] = {};
+  /// Events of each bucket up to its last exit (the open bucket's events
+  /// since PhaseStartEvents are not in it yet).
   uint64_t PhaseEvents[kPhaseBuckets] = {};
 };
 

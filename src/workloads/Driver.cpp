@@ -52,8 +52,23 @@ std::string diffExecutions(const RunResult &S, const RunResult &C) {
   return "";
 }
 
-/// One execution of the clients beside the substrate's. A null stage is
-/// skipped, so the one instantiation runs any subset of the clients.
+/// Runs \p M under exactly the stages \p S, in order. A lone stage runs as
+/// itself, so a substrate-only run is the substrate's own instantiation
+/// (the one the optimizer's profiling runs use), and its overhead measures
+/// the substrate, not pipeline fan-out.
+template <typename... Ps>
+RunResult runStages(EngineKind E, const Module &M, Heap &H,
+                    const RunConfig &RC, Ps &...S) {
+  if constexpr (sizeof...(Ps) == 1) {
+    return runWithEngine(E, M, H, S..., RC);
+  } else {
+    ComposedProfiler<Ps...> P(S...);
+    return runWithEngine(E, M, H, P, RC);
+  }
+}
+
+/// One execution of the clients beside the substrate's, over exactly the
+/// non-null ones (withClientPipeline).
 struct ClientExecution {
   CopyProfiler *Copy = nullptr;
   NullnessProfiler *Null = nullptr;
@@ -71,10 +86,9 @@ struct ClientExecution {
         ClientRC.PrintStream = nullptr;
         Heap H;
         TagEnv Env(Cfg.Slicing);
-        ComposedProfiler<TagEnv, CopyProfiler, NullnessProfiler,
-                         TypestateProfiler>
-            P(&Env, Copy, Null, Type);
-        Run = runWithEngine(Cfg.Engine, M, H, P, ClientRC);
+        Run = withClientPipeline(Env, Copy, Null, Type, [&](auto &P) {
+          return runWithEngine(Cfg.Engine, M, H, P, ClientRC);
+        });
       }
       Nanos = uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - T0)
@@ -169,24 +183,14 @@ RunResult ProfileSession::execute(const Module &M, const RunConfig &RC,
     // The substrate's heap is freed before the clients' executions end
     // (concurrent) or start (inline).
     Heap H;
-    if (Counter) {
-      // Recording or re-executing: the counter leads the substrate (a hook's
-      // arguments are identical at every stage position; the order is only a
-      // convention). A null substrate is skipped, so this one instantiation
-      // covers recorded baselines and profiled runs.
-      ComposedProfiler<trace::TraceRecorder, SlicingProfiler> P(Counter,
-                                                                Slicing.get());
-      Run = runWithEngine(Cfg.Engine, M, H, P, RC);
-    } else if (!Slicing) {
-      // Empty pipeline: the stock-JVM baseline, bit-identical in behavior to
-      // the old NoopProfiler path.
-      ComposedProfiler<> P;
-      Run = runWithEngine(Cfg.Engine, M, H, P, RC);
-    } else {
-      // The single-profiler instantiation, so Table 1 overhead numbers
-      // measure the substrate, not pipeline dispatch.
-      Run = runWithEngine(Cfg.Engine, M, H, *Slicing, RC);
-    }
+    // The stages present this run pick the instantiation: none is the
+    // stock-JVM baseline, the recorder alone a capture, the substrate alone
+    // a profile; a recorded profile or a replay leads the substrate with
+    // the counter (a hook's arguments are identical at every stage
+    // position; the order is only a convention).
+    Run = withStages(
+        [&](auto &...S) { return runStages(Cfg.Engine, M, H, RC, S...); },
+        Counter, Slicing.get());
   }
 
   if (NumExecs == 0)

@@ -42,8 +42,10 @@
 #include "profiling/NullnessProfiler.h"
 #include "profiling/SlicingProfiler.h"
 #include "profiling/TypestateProfiler.h"
+#include "runtime/ComposedProfiler.h"
 #include "runtime/Engine.h"
 #include "runtime/Interpreter.h"
+#include "support/ErrorHandling.h"
 
 #include <cstdio>
 #include <memory>
@@ -238,6 +240,28 @@ private:
   /// Manifest lines consumed by replay() so far.
   uint64_t ReplayedLines = 0;
 };
+
+/// Runs \p F over the pipeline of a clients' execution: \p Env ahead of
+/// exactly the non-null clients among \p Copy, \p Null and \p Type, in that
+/// order, one ComposedProfiler<TagEnv, ...> instantiation per client set.
+/// At least one client must be non-null (an empty set is no execution).
+template <typename Fn>
+RunResult withClientPipeline(TagEnv &Env, CopyProfiler *Copy,
+                             NullnessProfiler *Null, TypestateProfiler *Type,
+                             Fn &&F) {
+  return withStages(
+      [&](auto &...Clients) -> RunResult {
+        if constexpr (sizeof...(Clients) == 0) {
+          lud_unreachable("a clients' execution without clients");
+        } else {
+          ComposedProfiler<TagEnv,
+                           std::remove_reference_t<decltype(Clients)>...>
+              P(Env, Clients...);
+          return F(P);
+        }
+      },
+      Copy, Null, Type);
+}
 
 /// A substrate-only run's outcome plus its profiler (holding Gcost),
 /// released from the session that produced it (takeSlicing).

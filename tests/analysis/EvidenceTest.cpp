@@ -121,9 +121,10 @@ TEST(EvidenceTest, AllRecipesProduceCoherentSummaries) {
         EXPECT_FALSE(S.Description.empty()) << Name;
       }
       // Too little evidence must never classify as a pattern.
-      if (S.Writes + S.Reads < 16)
+      if (S.Writes + S.Reads < 16) {
         EXPECT_EQ(S.Kind, UsageKind::Balanced) << Name << ": "
                                                << S.Description;
+      }
     }
     EXPECT_GT(ActiveSites, 0u) << Name;
     for (const UsageSummary &S : R.E.Statics) {

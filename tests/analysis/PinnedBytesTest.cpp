@@ -14,6 +14,13 @@
 // predicate gauges, so a refactor of the build graph, the seal or the
 // substrate's counters cannot change what a profile says unnoticed.
 //
+// The trace pins hash the recorder's counts — the trace.* gauges (per
+// hook and per phase) and the manifest with its events= total — which
+// must come out the same whether the recorder runs alone (a capture),
+// ahead of the substrate (a recorded profile), or re-executes a manifest
+// (a replay), on either engine, for a whole run and one its instruction
+// budget stops.
+//
 // A deliberate change to the pinned bytes must update the tables below
 // and say so; an accidental one fails here.
 //
@@ -26,6 +33,7 @@
 #include "profiling/GraphIO.h"
 #include "support/OutStream.h"
 #include "trace/RunManifest.h"
+#include "trace/TraceRecorder.h"
 #include "workloads/Composed.h"
 #include "workloads/DaCapo.h"
 #include "workloads/Driver.h"
@@ -150,6 +158,66 @@ TEST(PinnedBytesTest, GcostDumpAndGaugeBytes) {
           << P.Workload << " on " << engineKindName(E) << ": gauges\n"
           << Gauges;
     }
+}
+
+struct TracePin {
+  const char *Workload; // a DaCapo analogue at scale 48, or composed at 40
+  uint64_t Budget;      // instruction budget; 0 for none
+  const char *Hash;
+};
+
+const TracePin TracePins[] = {
+    {"eclipse", 0, "b88372b6e55fbcb8"},
+    {"eclipse", 40000, "035fba4d631ee416"},
+    {"composed", 0, "4215e946fab861ed"},
+    {"composed", 100000, "b74d15f77c1d75cd"},
+};
+
+/// The trace.* gauges and the manifest of one recording session over \p M
+/// on \p E: a run (or, given \p Replay, a re-execution of that manifest)
+/// with the substrate when \p Instrument, else with the recorder alone.
+std::string traceBytes(const Module &M, EngineKind E, uint64_t Budget,
+                       bool Instrument, const std::string *Replay) {
+  StringOutStream Sink;
+  SessionConfig Cfg;
+  Cfg.Engine = E;
+  Cfg.Instrument = Instrument;
+  if (Budget)
+    Cfg.Run.MaxInstructions = Budget;
+  Cfg.RecordSink = &Sink;
+  ProfileSession S(Cfg);
+  if (Replay)
+    EXPECT_TRUE(S.replay(M, *Replay).Ok);
+  else
+    S.run(M);
+  obs::MetricsRegistry R;
+  S.recorder()->accountStats(R);
+  StringOutStream Gauges;
+  R.writeText(Gauges);
+  return Gauges.str() + Sink.str();
+}
+
+TEST(PinnedBytesTest, TraceCountBytesInEveryRecordingShape) {
+  for (const TracePin &P : TracePins) {
+    Workload W = std::string(P.Workload) == "composed"
+                     ? buildComposedWorkload(40)
+                     : buildWorkload(P.Workload, 48);
+    for (EngineKind E : {EngineKind::Interp, EngineKind::Threaded}) {
+      std::string Capture = traceBytes(*W.M, E, P.Budget, false, nullptr);
+      std::string Manifest = Capture.substr(Capture.find("lud.run.v1"));
+      const std::pair<const char *, std::string> Shapes[] = {
+          {"capture", Capture},
+          {"recorded profile", traceBytes(*W.M, E, P.Budget, true, nullptr)},
+          {"replay", traceBytes(*W.M, E, P.Budget, true, &Manifest)},
+          {"replay into a capture",
+           traceBytes(*W.M, E, P.Budget, false, &Manifest)}};
+      for (const auto &[Shape, Bytes] : Shapes)
+        EXPECT_EQ(hashHex(fnv1a(Bytes)), P.Hash)
+            << P.Workload << " budget " << P.Budget << " on "
+            << engineKindName(E) << ", " << Shape << ":\n"
+            << Bytes;
+    }
+  }
 }
 
 } // namespace

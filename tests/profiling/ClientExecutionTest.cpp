@@ -114,7 +114,7 @@ void expectSessionMatchesOnePass(const Module &M, const std::string &Name) {
       TypestateProfiler Type(Spec, SC);
       ComposedProfiler<SlicingProfiler, CopyProfiler, NullnessProfiler,
                        TypestateProfiler>
-          Pipe(&Sub, &Copy, &Null, &Type);
+          Pipe(Sub, Copy, Null, Type);
       Heap H;
       RunResult Ref = runWithEngine(E, M, H, Pipe, RunConfig{});
 
@@ -232,8 +232,9 @@ TEST(ClientExecutionPlacementTest, SpareCoreDecidesWhereClientsRun) {
       obs::MetricId Id = R.find(Name);
       EXPECT_EQ(Id != obs::kNoMetric, P == Where)
           << Name << ", " << test::placementName(P);
-      if (Id != obs::kNoMetric)
+      if (Id != obs::kNoMetric) {
         EXPECT_EQ(R.value(Id), R.value(Nanos)) << Name;
+      }
     }
     // Every hold a session took is released when its run returns.
     EXPECT_EQ(CoreBudget::process().busy(), Before);

@@ -10,14 +10,18 @@
 #include "profiling/TypestateProfiler.h"
 #include "runtime/ComposedProfiler.h"
 #include "support/OutStream.h"
+#include "workloads/DaCapo.h"
 #include "workloads/Driver.h"
 #include "workloads/ParallelDriver.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <typeindex>
 #include <vector>
 
 using namespace lud;
@@ -31,7 +35,7 @@ struct CopyPipeline {
   SlicingProfiler Sub;
   CopyProfiler P{Sub.config()};
   RunResult run(const Module &M) {
-    ComposedProfiler<SlicingProfiler, CopyProfiler> Pipe(&Sub, &P);
+    ComposedProfiler<SlicingProfiler, CopyProfiler> Pipe(Sub, P);
     return runModule(M, Pipe);
   }
 };
@@ -43,7 +47,7 @@ struct TypestatePipeline {
   explicit TypestatePipeline(TypestateSpec Spec)
       : P(std::move(Spec), Sub.config()) {}
   RunResult run(const Module &M) {
-    ComposedProfiler<SlicingProfiler, TypestateProfiler> Pipe(&Sub, &P);
+    ComposedProfiler<SlicingProfiler, TypestateProfiler> Pipe(Sub, P);
     return runModule(M, Pipe);
   }
 };
@@ -492,7 +496,7 @@ TEST(ComposedProfilerTest, FansHooksOutInDeclarationOrder) {
   std::unique_ptr<Module> M = buildTinyProgram();
   std::vector<std::string> Log;
   RecordingProfiler A(&Log, "A"), B(&Log, "B");
-  ComposedProfiler<RecordingProfiler, RecordingProfiler> Pipe(&A, &B);
+  ComposedProfiler<RecordingProfiler, RecordingProfiler> Pipe(A, B);
   RunResult R = runModule(*M, Pipe);
   ASSERT_EQ(R.Status, RunStatus::Finished);
   // Every hook reaches every stage, stages in declaration order, events in
@@ -502,15 +506,71 @@ TEST(ComposedProfilerTest, FansHooksOutInDeclarationOrder) {
   EXPECT_EQ(Log, Expected);
 }
 
-TEST(ComposedProfilerTest, NullStagesAreSkipped) {
+TEST(ComposedProfilerTest, EveryStageSubsetIsAFixedShapeInDeclarationOrder) {
+  // withStages picks the stages once; the pipeline it hands over holds
+  // exactly the present ones, so an absent stage sees no hook and a
+  // present one every hook, in declaration order.
   std::unique_ptr<Module> M = buildTinyProgram();
-  std::vector<std::string> Log;
-  RecordingProfiler B(&Log, "B");
-  ComposedProfiler<RecordingProfiler, RecordingProfiler> Pipe(nullptr, &B);
-  RunResult R = runModule(*M, Pipe);
-  ASSERT_EQ(R.Status, RunStatus::Finished);
-  std::vector<std::string> Expected = {"B:start", "B:const", "B:alloc"};
-  EXPECT_EQ(Log, Expected);
+  const char *Names[] = {"A", "B", "C"};
+  for (unsigned Mask = 0; Mask != 8; ++Mask) {
+    std::vector<std::string> Log;
+    RecordingProfiler A(&Log, "A"), B(&Log, "B"), C(&Log, "C");
+    auto Pick = [&](RecordingProfiler &P, unsigned Bit) {
+      return Mask & Bit ? &P : nullptr;
+    };
+    size_t Stages = 0;
+    RunResult R = withStages(
+        [&](auto &...S) {
+          Stages = sizeof...(S);
+          ComposedProfiler<std::remove_reference_t<decltype(S)>...> Pipe(
+              S...);
+          return runModule(*M, Pipe);
+        },
+        Pick(A, 1), Pick(B, 2), Pick(C, 4));
+    ASSERT_EQ(R.Status, RunStatus::Finished) << Mask;
+    EXPECT_EQ(Stages, size_t(std::popcount(Mask))) << Mask;
+    std::vector<std::string> Expected;
+    for (const char *Event : {"start", "const", "alloc"})
+      for (unsigned I = 0; I != 3; ++I)
+        if (Mask & (1u << I))
+          Expected.push_back(std::string(Names[I]) + ":" + Event);
+    EXPECT_EQ(Log, Expected) << Mask;
+  }
+}
+
+TEST(ComposedProfilerTest, EachClientSetRunsItsOwnInstantiation) {
+  // A clients' execution composes exactly its clients behind the TagEnv:
+  // seven client sets, seven pipeline types, no stage that is skipped.
+  using Copy = CopyProfiler;
+  using Null = NullnessProfiler;
+  using Type = TypestateProfiler;
+  const std::type_index Want[7] = {
+      typeid(ComposedProfiler<TagEnv, Copy>),
+      typeid(ComposedProfiler<TagEnv, Null>),
+      typeid(ComposedProfiler<TagEnv, Copy, Null>),
+      typeid(ComposedProfiler<TagEnv, Type>),
+      typeid(ComposedProfiler<TagEnv, Copy, Type>),
+      typeid(ComposedProfiler<TagEnv, Null, Type>),
+      typeid(ComposedProfiler<TagEnv, Copy, Null, Type>)};
+  SlicingConfig SC;
+  TagEnv Env(SC);
+  Copy C(SC);
+  Null N(SC.HotPathCaches);
+  Type T(TypestateSpec{}, SC);
+  std::set<std::type_index> Seen;
+  for (unsigned Bits = 1; Bits != 8; ++Bits) {
+    ClientSet Set(Bits);
+    std::type_index Got = typeid(void);
+    withClientPipeline(Env, Set.hasCopy() ? &C : nullptr,
+                       Set.hasNullness() ? &N : nullptr,
+                       Set.hasTypestate() ? &T : nullptr, [&](auto &P) {
+                         Got = typeid(P);
+                         return RunResult{};
+                       });
+    EXPECT_EQ(Got, Want[Bits - 1]) << clientSetName(Set);
+    Seen.insert(Got);
+  }
+  EXPECT_EQ(Seen.size(), 7u);
 }
 
 TEST(ComposedProfilerTest, EmptyCompositionMatchesNoopBaseline) {
@@ -630,6 +690,41 @@ TEST(ProfileSessionTest, SinglePassMatchesSeparatePasses) {
   EXPECT_NE(OnePass.find("copy chains"), std::string::npos);
   EXPECT_NE(OnePass.find("propagation flow"), std::string::npos);
   EXPECT_NE(OnePass.find("VIOLATION"), std::string::npos);
+}
+
+TEST(ProfileSessionTest, EveryClientSetMatchesAllClientsAtEveryPlacement) {
+  // Each client set runs its own pipeline instantiation, split or not by
+  // the placement; its report sections must be the all-clients run's.
+  TripleProgram Prog = buildTripleProgram();
+  Workload W = buildWorkload("pmd", 24);
+  const std::pair<const Module *, TypestateSpec> Programs[] = {
+      {Prog.M.get(), Prog.Spec}, {W.M.get(), TypestateSpec{}}};
+  for (const auto &[M, Spec] : Programs) {
+    for (test::Placement Where : test::kPlacements) {
+      SessionConfig Cfg;
+      Cfg.Clients = ClientSet::all();
+      Cfg.Typestate = Spec;
+      ProfileSession All(Cfg);
+      {
+        test::PlaceClients Held(Where);
+        ASSERT_TRUE(All.run(*M).Error.empty());
+      }
+      for (unsigned Bits = 1; Bits != 8; ++Bits) {
+        Cfg.Clients = ClientSet(Bits);
+        ProfileSession One(Cfg);
+        {
+          test::PlaceClients Held(Where);
+          ASSERT_TRUE(One.run(*M).Error.empty());
+        }
+        StringOutStream Want;
+        printClientSections(Cfg.Clients, All.copy(), All.nullness(),
+                            All.typestate(), *M, Want);
+        EXPECT_EQ(renderClients(One, *M), Want.str())
+            << clientSetName(Cfg.Clients) << ", "
+            << test::placementName(Where);
+      }
+    }
+  }
 }
 
 /// `main` returns `ncall tick()`; each test binds `tick` in its own

@@ -121,6 +121,16 @@ TEST(RecordReplayTest, RepeatedRunsAppendSegmentsThatReplayAsOneSession) {
   EXPECT_EQ(clientReports(Replayed, *W.M), clientReports(Live, *W.M));
 }
 
+/// The recorder's trace.* gauges, in a registry of their own so the text
+/// does not depend on what else the session measured.
+std::string traceGauges(const trace::TraceRecorder &R) {
+  obs::MetricsRegistry Reg;
+  R.accountStats(Reg);
+  StringOutStream OS;
+  Reg.writeText(OS);
+  return OS.str();
+}
+
 TEST(RecordReplayTest, RecorderPositionDoesNotChangeTraceOrClients) {
   // Hooks receive identical arguments at every pipeline position, so the
   // recorder's counts must not depend on where it sits — and the live
@@ -130,53 +140,46 @@ TEST(RecordReplayTest, RecorderPositionDoesNotChangeTraceOrClients) {
 
   SlicingProfiler S0;
   NullnessProfiler N0;
-  ComposedProfiler<SlicingProfiler, NullnessProfiler> P0(&S0, &N0);
+  ComposedProfiler<SlicingProfiler, NullnessProfiler> P0(S0, N0);
   runModule(M, P0);
   const std::string RefGraph = graphBytes(S0.graph());
   const std::string RefNull = graphBytes(N0.graph());
 
-  auto Counts = [](const trace::TraceRecorder &R) {
-    obs::MetricsRegistry Reg;
-    R.accountStats(Reg);
-    StringOutStream OS;
-    Reg.writeText(OS);
-    return OS.str();
-  };
   std::string A, B, C;
   {
     SlicingProfiler S;
     NullnessProfiler N;
     trace::TraceRecorder R;
     ComposedProfiler<trace::TraceRecorder, SlicingProfiler, NullnessProfiler>
-        P(&R, &S, &N);
+        P(R, S, N);
     runModule(M, P);
     EXPECT_EQ(graphBytes(S.graph()), RefGraph);
     EXPECT_EQ(graphBytes(N.graph()), RefNull);
     EXPECT_GT(R.events(), 0u);
     EXPECT_EQ(R.runEvents(), R.events());
-    A = Counts(R);
+    A = traceGauges(R);
   }
   {
     SlicingProfiler S;
     NullnessProfiler N;
     trace::TraceRecorder R;
     ComposedProfiler<SlicingProfiler, trace::TraceRecorder, NullnessProfiler>
-        P(&S, &R, &N);
+        P(S, R, N);
     runModule(M, P);
     EXPECT_EQ(graphBytes(S.graph()), RefGraph);
     EXPECT_EQ(graphBytes(N.graph()), RefNull);
-    B = Counts(R);
+    B = traceGauges(R);
   }
   {
     SlicingProfiler S;
     NullnessProfiler N;
     trace::TraceRecorder R;
     ComposedProfiler<SlicingProfiler, NullnessProfiler, trace::TraceRecorder>
-        P(&S, &N, &R);
+        P(S, N, R);
     runModule(M, P);
     EXPECT_EQ(graphBytes(S.graph()), RefGraph);
     EXPECT_EQ(graphBytes(N.graph()), RefNull);
-    C = Counts(R);
+    C = traceGauges(R);
   }
   ASSERT_NE(A.find("trace.events.const"), std::string::npos) << A;
   EXPECT_EQ(A, B);
@@ -436,6 +439,106 @@ TEST(RecordReplayTest, PhaseUnaryAndTrapHooksReplay) {
   EXPECT_EQ(graphBytes(Replayed.slicing()->graph()),
             graphBytes(Live.slicing()->graph()));
   EXPECT_EQ(clientReports(Replayed, *M), clientReports(Live, *M));
+}
+
+/// What a recording session counted: its trace.* gauges and its manifest
+/// (whose events= field is the per-run total).
+struct Counted {
+  std::string Gauges, Manifest;
+  bool operator==(const Counted &) const = default;
+};
+
+/// Runs \p M once (or, given \p Replay, re-executes that manifest) in a
+/// recording session on \p E: without the substrate the pipeline is the
+/// recorder alone (a capture), with it the recorder ahead of the substrate.
+Counted countShape(const Module &M, EngineKind E, bool Instrument,
+                   ClientSet Clients, const RunConfig &RC,
+                   const std::string *Replay = nullptr) {
+  StringOutStream Sink;
+  SessionConfig Cfg;
+  Cfg.Engine = E;
+  Cfg.Instrument = Instrument;
+  Cfg.Clients = Clients;
+  Cfg.Run = RC;
+  Cfg.RecordSink = &Sink;
+  ProfileSession S(Cfg);
+  if (Replay) {
+    ReplayRun R = S.replay(M, *Replay);
+    EXPECT_TRUE(R.Ok) << R.Error;
+  } else {
+    S.run(M);
+  }
+  return {traceGauges(*S.recorder()), Sink.str()};
+}
+
+/// The counts of \p M's run under \p RC, checked to be the same in every
+/// recording shape — capture, recorded profile (with and without
+/// clients), and a replay of the capture into a capture and into a
+/// profile — on both engines.
+Counted countsInEveryShape(const Module &M, const RunConfig &RC) {
+  Counted Ref = countShape(M, EngineKind::Interp, false, {}, RC);
+  for (EngineKind E : {EngineKind::Interp, EngineKind::Threaded}) {
+    const std::string Where = engineKindName(E);
+    EXPECT_EQ(countShape(M, E, false, {}, RC), Ref) << Where << " capture";
+    EXPECT_EQ(countShape(M, E, true, {}, RC), Ref) << Where << " profile";
+    EXPECT_EQ(countShape(M, E, true, kAllClients, RC), Ref)
+        << Where << " profile with clients";
+    EXPECT_EQ(countShape(M, E, false, {}, RC, &Ref.Manifest), Ref)
+        << Where << " replay into a capture";
+    EXPECT_EQ(countShape(M, E, true, {}, RC, &Ref.Manifest), Ref)
+        << Where << " replay into a profile";
+  }
+  return Ref;
+}
+
+/// The value of gauge \p Name in traceGauges() text (0 when absent).
+uint64_t gaugeIn(const std::string &Text, const std::string &Name) {
+  size_t At = Text.find("  " + Name + " ");
+  if (At == std::string::npos)
+    return 0;
+  At = Text.find_first_not_of(' ', At + 2 + Name.size());
+  return std::stoull(Text.substr(At));
+}
+
+TEST(RecordReplayTest, CountsAgreeAcrossShapesWhenATrapFollowsAPhase) {
+  std::unique_ptr<Module> M = phaseUnTrapProgram();
+  Counted C = countsInEveryShape(*M, RunConfig{});
+  EXPECT_NE(C.Manifest.find(" status=trapped "), std::string::npos)
+      << C.Manifest;
+  // Phase 0: the entry frame, const 1 and the phase marker itself. Phase
+  // 1: const 7, neg, sink, const 2, newarray, const 5 and the trap.
+  EXPECT_EQ(gaugeIn(C.Gauges, "trace.phase.0.events"), 3u) << C.Gauges;
+  EXPECT_EQ(gaugeIn(C.Gauges, "trace.phase.1.events"), 7u) << C.Gauges;
+  EXPECT_EQ(gaugeIn(C.Gauges, "trace.events"), 10u) << C.Gauges;
+  EXPECT_NE(C.Manifest.find(" events=10\n"), std::string::npos)
+      << C.Manifest;
+}
+
+TEST(RecordReplayTest, CountsAgreeAcrossShapesWhenTheBudgetStopsARun) {
+  Workload W = buildWorkload("eclipse", 48);
+  RunConfig Full;
+  Counted All = countsInEveryShape(*W.M, Full);
+  RunConfig Half;
+  Half.MaxInstructions =
+      ProfileSession{SessionConfig::baseline()}.run(*W.M).Run.ExecutedInstrs /
+      2;
+  Counted Cut = countsInEveryShape(*W.M, Half);
+  EXPECT_NE(Cut.Manifest.find(" status=budget-exceeded "), std::string::npos)
+      << Cut.Manifest;
+  // The cut run stops inside phase 1: phase 0 is whole, phase 1 partial,
+  // phase 2 never starts.
+  for (const char *G : {"trace.phase.0.events", "trace.events.const"})
+    EXPECT_GT(gaugeIn(Cut.Gauges, G), 0u) << G;
+  EXPECT_EQ(gaugeIn(Cut.Gauges, "trace.phase.0.events"),
+            gaugeIn(All.Gauges, "trace.phase.0.events"));
+  EXPECT_GT(gaugeIn(Cut.Gauges, "trace.phase.1.events"), 0u);
+  EXPECT_LT(gaugeIn(Cut.Gauges, "trace.phase.1.events"),
+            gaugeIn(All.Gauges, "trace.phase.1.events"));
+  EXPECT_EQ(gaugeIn(Cut.Gauges, "trace.phase.2.events"), 0u);
+  EXPECT_GT(gaugeIn(All.Gauges, "trace.phase.2.events"), 0u);
+  EXPECT_EQ(gaugeIn(Cut.Gauges, "trace.phase.0.events") +
+                gaugeIn(Cut.Gauges, "trace.phase.1.events"),
+            gaugeIn(Cut.Gauges, "trace.events"));
 }
 
 // A newarray length above UINT32_MAX traps OutOfBounds — like a negative
