@@ -79,10 +79,12 @@ int main(int argc, char **argv) {
   printOverwrites(rankOverwrites(SP, *W.M), OS, 5);
 
   OS << "\n--- always-constant predicates ---\n";
-  ClientOptions Busy;
-  Busy.MinCount = 16;
-  printConstantPredicates(findConstantPredicates(SP, CM, *W.M, Busy),
-                          OS, 5);
+  // Only the busy ones: a guard that ran fewer than 16 times is a detail.
+  std::vector<ConstantPredicateRow> Busy = findConstantPredicates(SP, CM, *W.M);
+  std::erase_if(Busy, [](const ConstantPredicateRow &R) {
+    return R.Executions < 16;
+  });
+  printConstantPredicates(Busy, OS, 5);
 
   OS << "\n--- costliest method return values ---\n";
   std::vector<MethodCostRow> Methods = computeMethodCosts(CM, *W.M);

@@ -10,9 +10,11 @@
 
 using namespace lud;
 
+/// Sites with fewer stores are too small to judge.
+static constexpr uint64_t kMinWrites = 4;
+
 std::vector<CacheScore> lud::rankCacheEffectiveness(const CostModel &CM,
-                                                    const Module &M,
-                                                    CacheOptions Opts) {
+                                                    const Module &M) {
   const FrozenGraph &G = CM.graph();
   std::map<AllocSiteId, CacheScore> BySite;
 
@@ -50,7 +52,7 @@ std::vector<CacheScore> lud::rankCacheEffectiveness(const CostModel &CM,
 
   std::vector<CacheScore> Rows;
   for (auto &[Site, S] : BySite) {
-    if (S.Writes < Opts.MinWrites)
+    if (S.Writes < kMinWrites)
       continue;
     S.Effectiveness = S.SpineCost > 0 ? S.SavedWork / S.SpineCost : 0;
     Rows.push_back(std::move(S));

@@ -51,18 +51,12 @@ struct CacheScore {
   uint64_t Reads = 0;
 };
 
-struct CacheOptions {
-  /// Ignore sites with fewer stores than this (too small to judge).
-  uint64_t MinWrites = 4;
-};
-
-/// Scores every allocation site as if it were a cache, least effective
-/// first. Use together with the low-utility report: a structure that is
-/// cheap by Definition 5 but scores badly here is a bad memoization
-/// choice.
+/// Scores every allocation site with at least 4 stores (fewer are too
+/// small to judge) as if it were a cache, least effective first. Use
+/// together with the low-utility report: a structure that is cheap by
+/// Definition 5 but scores badly here is a bad memoization choice.
 std::vector<CacheScore> rankCacheEffectiveness(const CostModel &CM,
-                                               const Module &M,
-                                               CacheOptions Opts = {});
+                                               const Module &M);
 
 /// Prints the top \p TopK rows.
 void printCacheScores(const std::vector<CacheScore> &Rows, OutStream &OS,

@@ -10,13 +10,18 @@
 
 using namespace lud;
 
+/// Overwrite rows with fewer total writes drop as noise.
+static constexpr uint64_t kMinWrites = 2;
+/// Executions a predicate needs before its constancy counts.
+static constexpr uint64_t kMinExecutions = 2;
+
 std::vector<OverwriteRow> lud::rankOverwrites(const SlicingProfiler &P,
                                               const Module &M,
-                                              const ClientOptions &Opts) {
+                                              const ClientOptions &) {
   const DepGraph &G = P.graph();
   // Aggregate per (site-or-global, slot) over context-annotated tags: one
   // flat entry per location an event touched, sorted by key and merged, so
-  // text is built only for the rows that survive the MinWrites cut.
+  // text is built only for the rows that survive the kMinWrites cut.
   struct Acc {
     uint64_t Key; // the static tag for a global, else the allocation site
     FieldSlot Slot;
@@ -50,7 +55,7 @@ std::vector<OverwriteRow> lud::rankOverwrites(const SlicingProfiler &P,
       Row.Reads += Accs[I].Reads;
       Row.Overwrites += Accs[I].Overwrites;
     }
-    if (Row.Writes < Opts.MinWrites)
+    if (Row.Writes < kMinWrites)
       continue;
     Row.Slot = First.Slot;
     if (DepGraph::isStaticTag(First.Key)) {
@@ -136,13 +141,13 @@ std::vector<MethodCostRow> lud::computeMethodCosts(const CostModel &CM,
 
 std::vector<ConstantPredicateRow>
 lud::findConstantPredicates(const SlicingProfiler &P, const CostModel &CM,
-                            const Module &M, const ClientOptions &Opts) {
+                            const Module &M, const ClientOptions &) {
   std::vector<ConstantPredicateRow> Rows;
   const auto &Outcomes = P.predicateOutcomes();
   for (NodeId Node = 0; Node != NodeId(Outcomes.size()); ++Node) {
     const SlicingProfiler::PredicateOutcome &Outcome = Outcomes[Node];
     uint64_t Total = Outcome.TakenCount + Outcome.NotTakenCount;
-    if (Total == 0 || Total < Opts.MinCount)
+    if (Total < kMinExecutions)
       continue;
     if (Outcome.TakenCount != 0 && Outcome.NotTakenCount != 0)
       continue;

@@ -31,15 +31,11 @@ namespace lud {
 class Module;
 class OutStream;
 
-/// The one knob set shared by every Section 3.2 client. Callers configure
-/// a single struct instead of threading loose thresholds through each
-/// client's signature; the table printers for these rows live with the
-/// other report sections in analysis/Report.h.
+/// What a caller of the Section 3.2 clients prints: how many rows and how
+/// deep a report. The clients' noise floors are constants of their own (see
+/// rankOverwrites and findConstantPredicates); the table printers for these
+/// rows live with the other report sections in analysis/Report.h.
 struct ClientOptions {
-  /// Overwrite ranking: rows with fewer total writes drop as noise.
-  uint64_t MinWrites = 2;
-  /// Predicate constancy: minimum executions before a predicate counts.
-  uint64_t MinCount = 2;
   /// Rows per printed table.
   size_t TopK = 15;
   /// Reference-tree height n (Definition 7) for the Gcost report run
@@ -65,10 +61,11 @@ struct OverwriteRow {
 };
 
 /// Locations sorted by overwrite count (then waste ratio). Rows with fewer
-/// than Opts.MinWrites writes are dropped as noise.
+/// than 2 writes are dropped as noise. The ClientOptions a caller passes
+/// along set only what it prints.
 std::vector<OverwriteRow> rankOverwrites(const SlicingProfiler &P,
                                          const Module &M,
-                                         const ClientOptions &Opts = {});
+                                         const ClientOptions & = {});
 
 /// Rank (0-based) of the first row matching \p Site, or -1.
 int overwriteRankOf(const std::vector<OverwriteRow> &Rows, AllocSiteId Site);
@@ -110,10 +107,11 @@ struct ConstantPredicateRow {
 };
 
 /// Predicates that always took the same direction, executed at least
-/// Opts.MinCount times; sorted by OperandCost * Executions descending.
+/// twice; sorted by OperandCost * Executions descending. The ClientOptions
+/// a caller passes along set only what it prints.
 std::vector<ConstantPredicateRow>
 findConstantPredicates(const SlicingProfiler &P, const CostModel &CM,
-                       const Module &M, const ClientOptions &Opts = {});
+                       const Module &M, const ClientOptions & = {});
 
 } // namespace lud
 

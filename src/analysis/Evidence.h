@@ -79,7 +79,7 @@ struct UsageSummary {
   double Cost = 0;
   double Benefit = 0;
   /// SavedWork / SpineCost when scored as a cache; -1 when unscored
-  /// (below the CacheOptions::MinWrites floor).
+  /// (below rankCacheEffectiveness's 4-store floor).
   double CacheEffectiveness = -1;
   UsageKind Kind = UsageKind::Balanced;
 };

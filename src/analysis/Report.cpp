@@ -15,9 +15,11 @@
 
 using namespace lud;
 
+/// Sites whose total n-RAC is below this are noise and go unranked.
+static constexpr double kMinCost = 1.0;
+
 LowUtilityReport::LowUtilityReport(const CostModel &CM, const Module &M,
-                                   ReportOptions Opts)
-    : Opts(Opts) {
+                                   ReportOptions Opts) {
   const FrozenGraph &G = CM.graph();
 
   // Aggregate tag-level cost/benefit per allocation site.
@@ -46,30 +48,14 @@ LowUtilityReport::LowUtilityReport(const CostModel &CM, const Module &M,
   }
 
   for (auto &[Site, S] : BySite) {
-    if (S.NRac < Opts.MinCost)
+    if (S.NRac < kMinCost)
       continue;
     double Benefit = S.NRab;
-    bool Infinite = false;
-    auto Apply = [&](bool Reaches, ConsumerWeight W) {
-      if (!Reaches)
-        return;
-      switch (W) {
-      case ConsumerWeight::Zero:
-        break;
-      case ConsumerWeight::Large:
-        Benefit += kLargeBenefit;
-        break;
-      case ConsumerWeight::Infinite:
-        Infinite = true;
-        break;
-      }
-    };
-    Apply(S.ReachesPredicate, Opts.PredicateWeight);
-    Apply(S.ReachesNative, Opts.NativeWeight);
-    if (Infinite)
-      S.Ratio = 0;
-    else
-      S.Ratio = S.NRac / std::max(Benefit, 1e-9);
+    if (S.ReachesPredicate)
+      Benefit += kLargeBenefit;
+    if (S.ReachesNative)
+      Benefit += kLargeBenefit;
+    S.Ratio = S.NRac / std::max(Benefit, 1e-9);
     Sites.push_back(S);
   }
 

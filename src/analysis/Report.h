@@ -30,36 +30,19 @@ namespace lud {
 class Module;
 class OutStream;
 
-/// The "large RAB" that ConsumerWeight::Large adds.
+/// The "large RAB" a structure's n-RAB gains when a field's value reaches
+/// a branch condition or a native call (Section 3.1's special treatment).
+/// Section 1 gives output-reaching values infinite weight; the report adds
+/// this finite amount instead because it aggregates per allocation site:
+/// one output-reaching instance would otherwise grant amnesty to thousands
+/// of wasted ones (e.g. the sunflow clone chain, whose final clone is
+/// rendered).
 constexpr double kLargeBenefit = 1e4;
-
-/// Weight applied to a field whose value reaches a consumer of the given
-/// kind (Section 1's weighted benefit; Section 3.1's special treatment).
-enum class ConsumerWeight : uint8_t {
-  /// Consumer reachability adds no benefit.
-  Zero,
-  /// Adds kLargeBenefit to the structure's n-RAB.
-  Large,
-  /// The structure can never be low-utility (ratio forced to 0).
-  Infinite,
-};
 
 struct ReportOptions {
   /// Reference-tree height n of Definition 7. The paper uses 4 (the chain
   /// length of the most complex JDK container, HashSet).
   unsigned Depth = 4;
-  /// Benefit weight when a field's value reaches a branch condition.
-  ConsumerWeight PredicateWeight = ConsumerWeight::Large;
-  /// Benefit weight when a field's value reaches a native (program
-  /// output). Section 1 assigns output-reaching values infinite weight;
-  /// the default here is Large because the report aggregates per
-  /// allocation site: one output-reaching instance would otherwise grant
-  /// amnesty to thousands of wasted ones (e.g. the sunflow clone chain,
-  /// whose final clone is rendered). Set to Infinite for strict Section 1
-  /// weighting.
-  ConsumerWeight NativeWeight = ConsumerWeight::Large;
-  /// Ignore sites whose total n-RAC is below this (noise floor).
-  double MinCost = 1.0;
 };
 
 /// One ranked allocation site.
@@ -88,7 +71,6 @@ public:
                    ReportOptions Opts = {});
 
   const std::vector<SiteScore> &sites() const { return Sites; }
-  const ReportOptions &options() const { return Opts; }
 
   /// Rank (0-based) of \p Site in the report, or -1 if absent.
   int rankOf(AllocSiteId Site) const;
@@ -102,7 +84,6 @@ public:
   filterByClass(const Module &M, const std::vector<ClassId> &Classes) const;
 
 private:
-  ReportOptions Opts;
   std::vector<SiteScore> Sites;
 };
 

@@ -166,10 +166,8 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &Opts) {
       Note += "detail: " + Detail + "\n";
 
       if (Opts.Minimize) {
-        MinimizerOptions MO;
-        MO.MaxTrials = Opts.MinimizerMaxTrials;
         MinimizeResult Min = minimizeModule(
-            *M, [&](const Module &C) { return !runOracle(C, OC).Ok; }, MO);
+            *M, [&](const Module &C) { return !runOracle(C, OC).Ok; });
         if (Min.Reproduced) {
           writeModuleFile(MinPath, *Min.M);
           F.ReproPath = MinPath;

@@ -46,7 +46,6 @@ struct FuzzOptions {
   std::string CorpusDir = "fuzz-corpus";
   /// Shrink failures with ddmin before emitting the repro.
   bool Minimize = true;
-  uint64_t MinimizerMaxTrials = 4096;
   /// Progress and failure lines (null = silent).
   OutStream *Log = nullptr;
 };

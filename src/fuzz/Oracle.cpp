@@ -18,6 +18,14 @@ using namespace lud::fuzz;
 
 namespace {
 
+/// Shard counts the sharded mode exercises.
+constexpr unsigned kShardCounts[] = {2, 4, 8};
+/// Thread counts per shard count (1 is the sequential reference pool).
+constexpr unsigned kThreadCounts[] = {1, 4};
+/// Interpreter budget safety valve for runaway candidates. Budget
+/// exhaustion is deterministic, so it cross-checks like any other run.
+constexpr uint64_t kMaxInstructions = 50'000'000;
+
 std::string graphBytes(const DepGraph *G) {
   StringOutStream OS;
   if (G)
@@ -127,7 +135,7 @@ SessionConfig sessionConfig(const OracleConfig &Cfg) {
   SC.Instrument = true;
   SC.Clients = Cfg.Clients;
   SC.Slicing = Cfg.Slicing;
-  SC.Run.MaxInstructions = Cfg.MaxInstructions;
+  SC.Run.MaxInstructions = kMaxInstructions;
   return SC;
 }
 
@@ -196,7 +204,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
 
   // Mode 4: sharded runs. For every shard count S the fold must equal one
   // session running the module S times sequentially, at any thread count.
-  for (unsigned Shards : Cfg.ShardCounts) {
+  for (unsigned Shards : kShardCounts) {
     ProfileSession Seq(sessionConfig(Cfg));
     TimedRun SeqRun{};
     for (unsigned I = 0; I != Shards; ++I)
@@ -206,7 +214,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
     // last RunResult must itself match the single-run reference.
     if (std::string D = diffRuns(RefSnap.Run, SeqSnap.Run); !D.empty())
       return Fail("sequential-reuse(" + std::to_string(Shards) + ")", D);
-    for (unsigned Threads : Cfg.ThreadCounts) {
+    for (unsigned Threads : kThreadCounts) {
       ShardedSession Sh =
           runShardedSession(M, Shards, sessionConfig(Cfg), Threads);
       std::string Mode = "sharded(" + std::to_string(Shards) +
@@ -272,7 +280,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
     opt::PipelineOptions PO;
     PO.Engine = Cfg.Engine;
     PO.Slicing = Cfg.Slicing;
-    PO.Run.MaxInstructions = Cfg.MaxInstructions;
+    PO.Run.MaxInstructions = kMaxInstructions;
     opt::PassManager PM(PO);
     opt::PipelineResult PR = PM.run(M);
     if (PR.M) {
@@ -284,7 +292,7 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
         return Fail("optimize", D);
       }
       RunConfig RC;
-      RC.MaxInstructions = Cfg.MaxInstructions;
+      RC.MaxInstructions = kMaxInstructions;
       for (EngineKind E : {EngineKind::Interp, EngineKind::Threaded}) {
         Heap HA, HB;
         ComposedProfiler<> PA, PB;

@@ -47,7 +47,6 @@
 #include "workloads/Driver.h"
 
 #include <string>
-#include <vector>
 
 namespace lud {
 
@@ -63,13 +62,6 @@ struct OracleConfig {
   EngineKind Engine = defaultEngineKind();
   /// Client analyses driven through every mode.
   ClientSet Clients = ClientSet::all();
-  /// Shard counts the sharded mode exercises.
-  std::vector<unsigned> ShardCounts = {2, 4, 8};
-  /// Thread counts per shard count (1 is the sequential reference pool).
-  std::vector<unsigned> ThreadCounts = {1, 4};
-  /// Interpreter budget safety valve for runaway candidates. Budget
-  /// exhaustion is deterministic, so it cross-checks like any other run.
-  uint64_t MaxInstructions = 50'000'000;
   /// Diff against the other engine (the caches-flip, replay, sharded,
   /// graph round-trip and hops modes always run).
   bool CheckEngines = true;

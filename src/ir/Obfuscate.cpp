@@ -5,7 +5,6 @@
 #include "ir/ObfuscateImpl.h"
 #include "support/ErrorHandling.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace lud;
@@ -14,6 +13,8 @@ using namespace lud::detail;
 /// Per-block injection probabilities in percent.
 static constexpr unsigned kJunkChance = 50;
 static constexpr unsigned kOpaqueChance = 35;
+/// Per-function probability, in percent, that a string table is planted.
+static constexpr unsigned kStringChance = 60;
 
 const char *lud::obfKindName(ObfKind K) {
   switch (K) {
@@ -64,17 +65,6 @@ bool lud::parseObfuscatePasses(const std::string &Spec, ObfuscateOptions &Opts,
   return true;
 }
 
-bool Obfuscator::inScope(const Function &F) const {
-  const std::string &Name = F.getName();
-  for (const std::string &E : Opts.Exclude)
-    if (Name == E)
-      return false;
-  if (Opts.Include.empty())
-    return true;
-  return std::find(Opts.Include.begin(), Opts.Include.end(), Name) !=
-         Opts.Include.end();
-}
-
 ObfuscationResult Obfuscator::run() {
   // Injected declarations number after every source one, with names
   // uniquified against the source module. Module-level draws happen
@@ -107,12 +97,10 @@ ObfuscationResult Obfuscator::run() {
   for (const auto &F : Src.functions()) {
     Cur = F->getId();
     RNG R = Root.split(Cur);
-    bool Scoped = inScope(*F);
 
     Reg TabReg = kNoReg;
-    bool Table = Opts.Strings && Scoped && !F->blocks().empty() &&
-                 numRegs() + 32 < 0xFF00u &&
-                 R.nextBelow(100) < Opts.StringChance;
+    bool Table = Opts.Strings && !F->blocks().empty() &&
+                 numRegs() + 32 < 0xFF00u && R.nextBelow(100) < kStringChance;
     if (Table)
       TabReg = fresh();
 
@@ -146,13 +134,13 @@ ObfuscationResult Obfuscator::run() {
       // exactly as often as the block does.
       const Instruction *Term = OB.terminator();
       Seq Payload;
-      if (Junk && Scoped && R.nextBelow(100) < kJunkChance)
+      if (Junk && R.nextBelow(100) < kJunkChance)
         emitJunk(Payload, R);
       if (Table && R.nextBelow(100) < 70)
         emitStringDecode(Payload, R, TabReg);
       if (!Payload.empty())
         Rw.insertBefore(Term->getId(), std::move(Payload));
-      if (Opts.Opaque && Scoped && isa<BrInst>(Term) &&
+      if (Opts.Opaque && isa<BrInst>(Term) &&
           numRegs() + 8 < kNoReg && R.nextBelow(100) < kOpaqueChance) {
         Seq Guard;
         Instruction *CB =

@@ -67,16 +67,6 @@ struct ObfuscateOptions {
   bool Junk = false;
   bool Opaque = false;
   bool Strings = false;
-
-  /// Function-name scope filters. When Include is non-empty only listed
-  /// functions are transformed; Exclude always wins. Control-flow outside
-  /// the scope is never touched.
-  std::vector<std::string> Include;
-  std::vector<std::string> Exclude;
-
-  /// Per-function probability, in percent, that a string table is
-  /// planted.
-  unsigned StringChance = 60;
 };
 
 /// One injected site, recorded for exact report-ranking assertions.

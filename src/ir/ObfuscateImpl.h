@@ -45,7 +45,6 @@ public:
   ObfuscationResult run();
 
 private:
-  bool inScope(const Function &F) const;
   /// A fresh register in the function being walked.
   Reg fresh() { return Rw.newReg(Cur); }
   /// Register-frame size of the function being walked, injections

@@ -44,12 +44,11 @@ void lud::renderAnalysisSections(const Module &M, const ProfileSession *S,
   }
   if (Spec.Overwrites) {
     OS << "\n=== locations rewritten before read ===\n";
-    printOverwrites(rankOverwrites(*Prof, M, CO), OS, CO.TopK);
+    printOverwrites(rankOverwrites(*Prof, M), OS, CO.TopK);
   }
   if (Spec.Predicates) {
     OS << "\n=== always-constant predicates ===\n";
-    printConstantPredicates(findConstantPredicates(*Prof, CM, M, CO), OS,
-                            CO.TopK);
+    printConstantPredicates(findConstantPredicates(*Prof, CM, M), OS, CO.TopK);
   }
   if (Spec.Methods) {
     OS << "\n=== costliest method return values ===\n";

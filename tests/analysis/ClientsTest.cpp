@@ -194,6 +194,8 @@ TEST(PredicateConstancyClientTest, FindsAlwaysTrueGuards) {
 }
 
 TEST(PredicateConstancyClientTest, MinCountFiltersOneShots) {
+  // A constant predicate counts from its second execution on: the one-shot
+  // guard in the entry drops, the same guard run twice in a loop stays.
   Module M;
   IRBuilder B(M);
   B.beginFunction("main", 0);
@@ -205,6 +207,25 @@ TEST(PredicateConstancyClientTest, MinCountFiltersOneShots) {
   B.setBlock(T);
   B.br(E);
   B.setBlock(E);
+  Reg I = B.iconst(0);
+  Reg One = B.iconst(1);
+  BasicBlock *H = B.newBlock();
+  BasicBlock *Body = B.newBlock();
+  BasicBlock *Taken = B.newBlock();
+  BasicBlock *Latch = B.newBlock();
+  BasicBlock *Exit = B.newBlock();
+  B.br(H);
+  B.setBlock(H);
+  B.condBr(CmpOp::Lt, I, Bv, Body, Exit);
+  B.setBlock(Body);
+  B.condBr(CmpOp::Lt, A, Bv, Taken, Latch);
+  Instruction *Twice = B.block()->insts().back().get();
+  B.setBlock(Taken);
+  B.br(Latch);
+  B.setBlock(Latch);
+  B.binInto(I, BinOp::Add, I, One);
+  B.br(H);
+  B.setBlock(Exit);
   B.ret();
   B.endFunction();
   M.finalize();
@@ -212,12 +233,11 @@ TEST(PredicateConstancyClientTest, MinCountFiltersOneShots) {
   SlicingProfiler P = profileRun(M);
   const FrozenGraph Sealed(P.graph());
   CostModel CM(Sealed);
-  ClientOptions AtLeastTwo;
-  AtLeastTwo.MinCount = 2;
-  ClientOptions AtLeastOne;
-  AtLeastOne.MinCount = 1;
-  EXPECT_TRUE(findConstantPredicates(P, CM, M, AtLeastTwo).empty());
-  EXPECT_EQ(findConstantPredicates(P, CM, M, AtLeastOne).size(), 1u);
+  std::vector<ConstantPredicateRow> Rows = findConstantPredicates(P, CM, M);
+  ASSERT_EQ(Rows.size(), 1u);
+  EXPECT_EQ(Rows[0].Instr, Twice->getId());
+  EXPECT_EQ(Rows[0].Executions, 2u);
+  EXPECT_TRUE(Rows[0].AlwaysTrue);
 }
 
 } // namespace

@@ -148,7 +148,7 @@ TEST(MultiHopTest, MonotoneInHops) {
 // Cache effectiveness.
 //===----------------------------------------------------------------------===
 
-/// Two memo tables filled with expensive values: one is read back many
+/// Two memo tables of \p Entries expensive values: one is read back many
 /// times (a good cache), the other exactly once per entry (pointless).
 struct CacheProgram {
   std::unique_ptr<Module> M;
@@ -156,13 +156,13 @@ struct CacheProgram {
   AllocSiteId BadSite = kNoAllocSite;
 };
 
-CacheProgram buildCaches() {
+CacheProgram buildCaches(int64_t Entries = 32) {
   CacheProgram Out;
   Out.M = std::make_unique<Module>();
   Module &M = *Out.M;
   IRBuilder B(M);
   B.beginFunction("main", 0);
-  Reg N = B.iconst(32);
+  Reg N = B.iconst(Entries);
   Reg Good = B.allocArray(TypeKind::Int, N);
   Instruction *GoodAlloc = B.block()->insts().back().get();
   Reg Bad = B.allocArray(TypeKind::Int, N);
@@ -257,13 +257,19 @@ TEST(CacheCostTest, IneffectiveCacheRanksWorst) {
 }
 
 TEST(CacheCostTest, MinWritesFiltersTinyStructures) {
-  CacheProgram Prog = buildCaches();
-  SlicingProfiler P = profileRun(*Prog.M);
-  const FrozenGraph Sealed(P.graph());
-  CostModel CM(Sealed);
-  CacheOptions Opts;
-  Opts.MinWrites = 1000; // Above both tables' 32 writes.
-  EXPECT_TRUE(rankCacheEffectiveness(CM, *Prog.M, Opts).empty());
+  // A table needs 4 stores before it is scored as a cache. Its allocation
+  // writes the length, so N entries are N + 1 stores.
+  for (int64_t Entries : {2, 3}) {
+    SCOPED_TRACE(Entries);
+    CacheProgram Prog = buildCaches(Entries);
+    SlicingProfiler P = profileRun(*Prog.M);
+    const FrozenGraph Sealed(P.graph());
+    CostModel CM(Sealed);
+    std::vector<CacheScore> Rows = rankCacheEffectiveness(CM, *Prog.M);
+    EXPECT_EQ(Rows.size(), Entries < 3 ? 0u : 2u);
+    for (const CacheScore &S : Rows)
+      EXPECT_EQ(S.Writes, uint64_t(Entries) + 1);
+  }
 }
 
 } // namespace

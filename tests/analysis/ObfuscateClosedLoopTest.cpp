@@ -130,8 +130,8 @@ TEST(ObfuscateClosedLoopTest, OpaquePredicatesProvedConstant) {
   std::vector<ConstantPredicateRow> Rows =
       findConstantPredicates(*P.Prof, CM, *Obf.M);
 
-  // Every guard that ran often enough to clear the client's MinCount must
-  // be proved constant; at least one always does at this scale.
+  // Every guard that ran often enough to clear the client's two-execution
+  // floor must be proved constant; at least one always does at this scale.
   size_t Proved = 0;
   for (const ConstantPredicateRow &R : Rows)
     if (Tagged.count(R.Instr))
@@ -146,7 +146,6 @@ TEST(ObfuscateClosedLoopTest, StringTablesStripCompletely) {
   ObfuscateOptions O;
   O.Seed = 11;
   O.Strings = true;
-  O.StringChance = 100;
   ObfuscationResult Obf = obfuscateModule(*W.M, O);
   ASSERT_FALSE(Obf.Manifest.empty());
   TimedRun ObfRun = baselineRun(*Obf.M);

@@ -119,30 +119,27 @@ TEST(ReportTest, ChartPatternRanksListFirst) {
   EXPECT_GT(Top.Ratio, 100.0);
 }
 
-TEST(ReportTest, NativeWeightPolicies) {
+TEST(ReportTest, NativeReachAddsLargeBenefit) {
   ChartLike C = buildChartLike(50);
   SlicingProfiler P = profileRun(*C.M);
   const FrozenGraph Sealed(P.graph());
   CostModel CM(Sealed);
-  // Strict Section 1 weighting: output-reaching => infinite benefit.
-  ReportOptions Strict;
-  Strict.NativeWeight = ConsumerWeight::Infinite;
-  LowUtilityReport RStrict(CM, *C.M, Strict);
-  int Rank = RStrict.rankOf(C.UsefulSite);
+  LowUtilityReport Report(CM, *C.M);
+  // The accumulator's total reaches the sink, so its n-RAB gains
+  // kLargeBenefit: a tiny but nonzero ratio, far below the bloat.
+  int Rank = Report.rankOf(C.UsefulSite);
   ASSERT_GE(Rank, 0);
-  EXPECT_DOUBLE_EQ(RStrict.sites()[Rank].Ratio, 0.0);
-  EXPECT_TRUE(RStrict.sites()[Rank].ReachesNative);
-  // Default (Large): tiny but nonzero ratio, still far below the bloat.
-  LowUtilityReport RLarge(CM, *C.M);
-  int RankL = RLarge.rankOf(C.UsefulSite);
-  ASSERT_GE(RankL, 0);
-  EXPECT_GT(RLarge.sites()[RankL].Ratio, 0.0);
-  EXPECT_LT(RLarge.sites()[RankL].Ratio, 1.0);
+  const SiteScore &S = Report.sites()[Rank];
+  EXPECT_TRUE(S.ReachesNative);
+  EXPECT_FALSE(S.ReachesPredicate);
+  EXPECT_DOUBLE_EQ(S.Ratio, S.NRac / (S.NRab + kLargeBenefit));
+  EXPECT_GT(S.Ratio, 0.0);
+  EXPECT_LT(S.Ratio, 1.0);
 }
 
-TEST(ReportTest, PredicateWeightPolicyChangesRanking) {
-  // A structure whose only use is a predicate: with PredicateWeight=Zero it
-  // looks maximally suspicious; with Large it drops.
+TEST(ReportTest, PredicateReachAddsLargeBenefit) {
+  // A structure whose only use is a predicate: its n-RAB gains
+  // kLargeBenefit, so it does not rank as never read.
   Module M;
   ClassDecl *A = M.addClass("A");
   A->addField("f", Type::makeInt());
@@ -167,30 +164,32 @@ TEST(ReportTest, PredicateWeightPolicyChangesRanking) {
   SlicingProfiler P = profileRun(M);
   const FrozenGraph Sealed(P.graph());
   CostModel CM(Sealed);
-
-  ReportOptions Zero;
-  Zero.PredicateWeight = ConsumerWeight::Zero;
-  LowUtilityReport RZero(CM, M, Zero);
-  ReportOptions Large;
-  Large.PredicateWeight = ConsumerWeight::Large;
-  LowUtilityReport RLarge(CM, M, Large);
-
-  int RankZ = RZero.rankOf(0);
-  int RankL = RLarge.rankOf(0);
-  ASSERT_GE(RankZ, 0);
-  ASSERT_GE(RankL, 0);
-  EXPECT_GT(RZero.sites()[RankZ].Ratio, RLarge.sites()[RankL].Ratio);
+  LowUtilityReport Report(CM, M);
+  int Rank = Report.rankOf(0);
+  ASSERT_GE(Rank, 0);
+  const SiteScore &S = Report.sites()[Rank];
+  EXPECT_TRUE(S.ReachesPredicate);
+  EXPECT_FALSE(S.ReachesNative);
+  EXPECT_DOUBLE_EQ(S.Ratio, S.NRac / (S.NRab + kLargeBenefit));
+  EXPECT_LT(S.Ratio, 1.0);
 }
 
 TEST(ReportTest, MinCostFiltersNoise) {
+  // An object whose field is never written carries no n-RAC. It falls
+  // below the report's 1.0 noise floor and goes unranked; its written
+  // sibling clears the floor.
   Module M;
   ClassDecl *A = M.addClass("A");
   A->addField("f", Type::makeInt());
   IRBuilder B(M);
   B.beginFunction("main", 0);
+  B.alloc(A->getId());
+  Instruction *Idle = B.block()->insts().back().get();
   Reg O = B.alloc(A->getId());
-  Reg C = B.iconst(1);
-  B.storeField(O, A->getId(), "f", C);
+  Instruction *Written = B.block()->insts().back().get();
+  Reg C = B.iconst(3);
+  Reg V = B.mul(C, C);
+  B.storeField(O, A->getId(), "f", V);
   B.ret();
   B.endFunction();
   M.finalize();
@@ -198,10 +197,11 @@ TEST(ReportTest, MinCostFiltersNoise) {
   SlicingProfiler P = profileRun(M);
   const FrozenGraph Sealed(P.graph());
   CostModel CM(Sealed);
-  ReportOptions Opts;
-  Opts.MinCost = 1e6; // Everything is below the floor.
-  LowUtilityReport Report(CM, M, Opts);
-  EXPECT_TRUE(Report.sites().empty());
+  LowUtilityReport Report(CM, M);
+  EXPECT_EQ(Report.rankOf(cast<AllocInst>(Idle)->Site), -1);
+  EXPECT_GE(Report.rankOf(cast<AllocInst>(Written)->Site), 0);
+  for (const SiteScore &S : Report.sites())
+    EXPECT_GE(S.NRac, 1.0) << S.Description;
 }
 
 TEST(ReportTest, PrintProducesTable) {
@@ -241,7 +241,8 @@ TEST(ReportTest, ContextsAggregatePerSite) {
   B.beginMethod(Maker->getId(), "make", 2);
   Reg O = B.alloc(Box->getId());
   Instruction *BoxAlloc = B.block()->insts().back().get();
-  B.storeField(O, Box->getId(), "v", 1);
+  Reg V = B.mul(Reg(1), Reg(1));
+  B.storeField(O, Box->getId(), "v", V);
   B.ret(O);
   B.endFunction();
 
@@ -264,9 +265,7 @@ TEST(ReportTest, ContextsAggregatePerSite) {
   SlicingProfiler P = profileRun(M, Cfg);
   const FrozenGraph Sealed(P.graph());
   CostModel CM(Sealed);
-  ReportOptions Opts;
-  Opts.MinCost = 0.5;
-  LowUtilityReport Report(CM, M, Opts);
+  LowUtilityReport Report(CM, M);
   AllocSiteId Site = cast<AllocInst>(BoxAlloc)->Site;
   int Rank = Report.rankOf(Site);
   ASSERT_GE(Rank, 0);

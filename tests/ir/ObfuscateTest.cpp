@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace lud;
 
 namespace {
@@ -188,39 +190,16 @@ TEST(ObfuscateTest, ManifestKindsFollowEnabledPasses) {
   ObfuscateOptions StringsOnly;
   StringsOnly.Seed = 3;
   StringsOnly.Strings = true;
-  StringsOnly.StringChance = 100; // force a table into every function
   ObfuscationResult S = obfuscateModule(*M, StringsOnly);
-  EXPECT_EQ(S.Manifest.size(), 2u); // one table per function
-  for (const ObfSiteTag &T : S.Manifest)
+  EXPECT_FALSE(S.Manifest.empty());
+  // At most one table per function, allocated in the function it names.
+  std::set<std::string> Seen;
+  for (const ObfSiteTag &T : S.Manifest) {
     EXPECT_EQ(T.Kind, ObfKind::StringTable);
-}
-
-TEST(ObfuscateTest, IncludeAndExcludeScopeTheTransforms) {
-  auto M = buildSubject();
-
-  ObfuscateOptions OnlyWork = allPasses(9);
-  OnlyWork.Include = {"work"};
-  ObfuscationResult R = obfuscateModule(*M, OnlyWork);
-  for (const ObfSiteTag &T : R.Manifest) {
-    if (T.Kind != ObfKind::Junk) { // the accumulator lives in the entry
-      EXPECT_EQ(T.Function, "work") << T.Description;
-    }
+    EXPECT_TRUE(Seen.insert(T.Function).second) << T.Function;
+    EXPECT_EQ(S.M->getInstrFunction(T.Instr)->getName(), T.Function);
+    EXPECT_EQ(S.M->getAllocSite(T.Site), S.M->getInstr(T.Instr));
   }
-
-  // Exclude wins over include. Junk and opaque would still install their
-  // module-level scaffolding in the entry; strings is purely per-function,
-  // so excluding every function injects nothing at all.
-  ObfuscateOptions Nothing;
-  Nothing.Seed = 9;
-  Nothing.Strings = true;
-  Nothing.StringChance = 100;
-  Nothing.Include = {"work"};
-  Nothing.Exclude = {"work"};
-  ObfuscationResult N = obfuscateModule(*M, Nothing);
-  EXPECT_TRUE(N.Manifest.empty());
-  RunResult A = run(*M);
-  RunResult B = run(*N.M);
-  EXPECT_EQ(A.ExecutedInstrs, B.ExecutedInstrs);
 }
 
 TEST(ObfuscateTest, InjectedNamesAvoidCollisions) {

@@ -8,8 +8,8 @@
 /// \file
 /// The *concrete* dynamic thin data dependence graph of Definition 1: one
 /// node per instruction instance, so memory grows with the execution — the
-/// very scaling problem abstract slicing (Definition 2) solves. It exists
-/// here for two purposes:
+/// very scaling problem abstract slicing (Definition 2) solves. It is a
+/// test oracle (no tool runs it) and serves two purposes:
 ///
 ///  1. Definition 3's absolute cost is defined on this graph; and
 ///  2. the soundness tests check the abstract graph is a quotient of this

@@ -211,9 +211,7 @@ TEST_P(RandomProgramTest, CacheScoresAreWellFormed) {
   ProfiledRun P = profiledRun(*M);
   const FrozenGraph Sealed(P.Prof->graph());
   CostModel CM(Sealed);
-  CacheOptions Opts;
-  Opts.MinWrites = 1;
-  for (const CacheScore &S : rankCacheEffectiveness(CM, *M, Opts)) {
+  for (const CacheScore &S : rankCacheEffectiveness(CM, *M)) {
     EXPECT_GE(S.SpineCost, 0.0);
     EXPECT_GE(S.SavedWork, 0.0);
     EXPECT_GE(S.Effectiveness, 0.0);
